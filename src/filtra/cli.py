@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionMismatch, FiltraError
+from .errors import DimensionMismatch, FiltraError, NoNontrivialComponent
 from .filters import (
     Filter,
     eta_filter,
@@ -45,11 +45,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_at_least(least: int):
+    """argparse type: an integer no smaller than ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return value
+    return parse
+
+
 def _default_cap() -> int:
-    try:
-        return int(os.environ.get("FILTRA_CAP", DEFAULT_CAP))
-    except ValueError:
+    raw = os.environ.get("FILTRA_CAP")
+    if raw is None:
         return DEFAULT_CAP
+    try:
+        return _int_at_least(1)(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"FILTRA_CAP: {exc}") from None
 
 
 def _add_group_args(sp):
@@ -60,28 +76,33 @@ def _add_group_args(sp):
                          "coefficients, leading coefficient 1 included")
     sp.add_argument("--group", action="append", metavar="FILE",
                     help="JSON file with p, degree and row-major generators")
-    sp.add_argument("--cap", type=int, default=None,
+    sp.add_argument("--cap", type=_int_at_least(1), default=None,
                     help="element count cap (default: FILTRA_CAP or %d)" % DEFAULT_CAP)
     sp.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")
 
 
-def _build_groups(args) -> list[UnipotentGroup]:
+def _build_groups(args) -> list[tuple[UnipotentGroup, str]]:
+    """The groups named on the command line, each with its stderr label:
+    the group's name, or the file path of a nameless ``--group`` file."""
     cap = args.cap if args.cap is not None else _default_cap()
-    groups: list[UnipotentGroup] = []
+    groups: list[tuple[UnipotentGroup, str]] = []
     for d, p in args.ut or []:
-        groups.append(make_ut(d, p, cap=cap))
+        g = make_ut(d, p, cap=cap)
+        groups.append((g, g.name))
     for spec in args.heisenberg or []:
         parts = [int(x) for x in spec.split(",")]
         if len(parts) < 3:
             raise ValueError("--heisenberg needs P and at least two coefficients")
-        groups.append(make_heisenberg(make_poly_quotient(parts[0], parts[1:]), cap=cap))
+        g = make_heisenberg(make_poly_quotient(parts[0], parts[1:]), cap=cap)
+        groups.append((g, g.name))
     for path in args.group or []:
         with open(path) as fh:
             data = json.load(fh)
         try:
-            groups.append(group_from_spec(data, cap=cap))
+            g = group_from_spec(data, cap=cap)
         except DimensionMismatch as exc:
             raise ValueError(f"bad group spec in {path}: {exc}") from exc
+        groups.append((g, g.name or path))
     if not groups:
         raise ValueError("no group given; use --ut, --heisenberg or --group")
     return groups
@@ -101,22 +122,25 @@ def _chain_orders(f: Filter) -> str:
 
 
 def cmd_series(args) -> int:
-    group = _build_groups(args)[0]
+    group, label = _build_groups(args)[0]
     f = SERIES[args.series](group, cap=args.cap)
     _emit({"group": group.name, "series": args.series, "filter": filter_to_json(f)}, args)
-    print(f"{args.series} series of {group.name}: length {f.length()}, "
+    print(f"{args.series} series of {label}: length {f.length()}, "
           f"orders {_chain_orders(f)}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_refine(args) -> int:
-    group = _build_groups(args)[0]
+    group, label = _build_groups(args)[0]
     f = SERIES[args.series](group, cap=args.cap)
     if args.rounds is not None:
         rounds = []
         cur = f
         for _ in range(args.rounds):
-            r = refine_once(cur, args.method, cap=args.cap, check=args.check)
+            try:
+                r = refine_once(cur, args.method, cap=args.cap, check=args.check)
+            except NoNontrivialComponent:
+                break
             if not r.proper:
                 break
             rounds.append(r)
@@ -144,20 +168,22 @@ def cmd_refine(args) -> int:
     if converged is not None:
         out["converged"] = converged
     _emit(out, args)
-    print(f"refined {args.series} of {group.name} with {args.method}: "
+    print(f"refined {args.series} of {label} with {args.method}: "
           f"{len(rounds)} proper rounds, length {cur.length()}, orders {_chain_orders(cur)}",
           file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_fingerprint(args) -> int:
-    groups = _build_groups(args)
-    if len(groups) > 2:
+    built = _build_groups(args)
+    if len(built) > 2:
         raise ValueError("fingerprint takes one or two groups")
+    groups = [g for g, _ in built]
+    labels = [label for _, label in built]
     fps = [fingerprint(g, args.method, cap=args.cap) for g in groups]
     if len(fps) == 1:
         _emit({"group": groups[0].name, "fingerprint": fps[0]}, args)
-        print(f"fingerprint of {groups[0].name}: length {fps[0]['length']}, "
+        print(f"fingerprint of {labels[0]}: length {fps[0]['length']}, "
               f"factors {fps[0]['factor_dims']}", file=sys.stderr)
         return EXIT_OK
     equal = fps[0] == fps[1]
@@ -167,13 +193,13 @@ def cmd_fingerprint(args) -> int:
         "equal": equal,
     }, args)
     verdict = "match" if equal else "differ"
-    print(f"fingerprints of {groups[0].name} and {groups[1].name} {verdict}",
+    print(f"fingerprints of {labels[0]} and {labels[1]} {verdict}",
           file=sys.stderr)
     return EXIT_OK if equal else EXIT_DIFFER
 
 
 def cmd_verify(args) -> int:
-    group = _build_groups(args)[0]
+    group, label = _build_groups(args)[0]
     f = SERIES[args.series](group, cap=args.cap)
     report = verify_axioms(f, cap=args.cap)
     violations = [list(v) for v in report.violations]
@@ -196,7 +222,7 @@ def cmd_verify(args) -> int:
     ok = not violations
     _emit({"group": group.name, "series": args.series, "method": args.method,
            "ok": ok, "violations": violations}, args)
-    print(f"verify {args.series} of {group.name}: "
+    print(f"verify {args.series} of {label}: "
           f"{'ok' if ok else f'{len(violations)} violations'}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_USAGE
 
@@ -220,7 +246,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--method", choices=METHODS, default="adjoint")
     sp.add_argument("--stable", action="store_true",
                     help="iterate to stability (default)")
-    sp.add_argument("--rounds", type=int, default=None,
+    sp.add_argument("--rounds", type=_int_at_least(0), default=None,
                     help="run at most this many rounds instead")
     sp.add_argument("--check", action="store_true",
                     help="verify filter axioms after each round")

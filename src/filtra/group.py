@@ -11,12 +11,19 @@ multiplication with a configurable cap.  Commutator subgroups use the
 normal-closure identity [<S>,<T>] = <[s,t] : s in S, t in T>^<S,T>
 (conjugation by the generators suffices); the exhaustive element-pair
 version lives in the oracles module and is only feasible at toy sizes.
+
+The section layer (``SectionBasis``) computes no closure.  Its denominator
+B contains [A,A] A^p, so B is normal in the numerator A with A/B
+elementary abelian, and every group between B and A is a union of cosets
+B r_1^c_1 ... r_j^c_j (0 <= c_i < p).  Coordinate tables and preimages
+are built by appending those cosets, p - 1 right multiplications at a
+time.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import product as iproduct
+from itertools import repeat
 
 import numpy as np
 
@@ -418,19 +425,45 @@ def jennings_series(g: UnipotentGroup, n: Subgroup | None = None,
     return terms
 
 
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """Byte keys of a uint8 (n, d, d) array, one per matrix, in row order."""
+    flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
+    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel().tolist()
+
+
+def _coset_union(p: int, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows of H, H*r, ..., H*r^(p-1), in that order, for H given as uint8 rows.
+
+    The union is the group <H, r> when H lies between a denominator D and a
+    numerator A with D >= [A,A] A^p, and r lies in A but not in H: then H is
+    normal in A and r^p lies in H, so the p products are distinct cosets of
+    H.  Each product is one batch of right multiplications in int64.
+    """
+    r64 = r.astype(np.int64)
+    chunks = [rows]
+    for _ in range(1, p):
+        chunks.append(((chunks[-1].astype(np.int64) @ r64) % p).astype(np.uint8))
+    return np.concatenate(chunks)
+
+
 class SectionBasis:
     """Z_p coordinates on a section A/B' where B' = B * (p-th powers of A).
 
     Enlarging the denominator by p-th powers makes the section an
-    elementary abelian p-group, hence a Z_p vector space.  A coordinate
-    table is built for every element of A, so coordinatizing is a dict
-    lookup; lifting returns the lexicographically least element of the
-    matching coset.
+    elementary abelian p-group, hence a Z_p vector space.  B must be normal
+    in A with A/B abelian, as in every filter section; both are checked on
+    generators.  Then B' contains [A,A] A^p, so every group between B' and
+    A is a union of cosets of B': adding a rep r to such a group H gives
+    H u H*r u ... u H*r^(p-1), with no closure to compute.  The reps are
+    the least elements of A, in sorted order, not yet covered.  The same
+    pass records the coordinates of every element of A, so coordinatizing
+    is a dict lookup, and the least element of each coset, which is what
+    lifting returns.  Preimages of subspaces grow from B' the same way.
     """
 
     def __init__(self, num: Subgroup, den: Subgroup, cap: int | None = None):
         parent = num.parent
-        p, degree = parent.p, parent.degree
+        p = parent.p
         cap = cap or parent.cap
         if not num.contains(den):
             raise ValueError("denominator is not inside numerator")
@@ -438,69 +471,64 @@ class SectionBasis:
             for y in num.generators:
                 if commutator(x, y, p).astype(np.uint8).tobytes() not in den.elements.keys:
                     raise NotAbelianSection("section numerator/denominator is not abelian")
+        if not is_normal(den, num):
+            raise NotNormal("section denominator is not normal in the numerator")
         self.parent = parent
         self.num = num
         self.den_given = den
         self.den = join(den, power_subgroup(num, p, cap), cap)
         self.p = p
 
+        # rows holds the group grown so far as blocks of len(den) rows, the
+        # cosets of den.  Growing n blocks by r puts block b times r^k at
+        # b + k*n, so with reps r_1..r_j block b is den*r_1^c_1...r_j^c_j for
+        # c the base-p digits of b.
         reps: list[np.ndarray] = []
-        kept, elems = list(self.den.generators), self.den.elements
-        for m in num.elements.array:
-            if len(elems) == len(num.elements):
+        rows = self.den.elements.array
+        size = len(rows)
+        self._coords: dict[bytes, int] = dict.fromkeys(self.den.elements.keys, 0)
+        self._coset_min: list[bytes] = [rows[0].tobytes()]
+        total = len(num.elements)
+        for key, m in zip(_row_keys(num.elements.array), num.elements.array):
+            if len(self._coords) == total:
                 break
-            key = m.tobytes()
-            if key in elems.keys:
+            if key in self._coords:
                 continue
-            m64 = m.astype(np.int64)
-            reps.append(m64)
-            kept = kept + [m64]
-            elems = _bfs_closure(p, degree, kept, cap, seed=elems.mats64())
+            reps.append(m.astype(np.int64))
+            grown = len(rows)
+            rows = _coset_union(p, rows, reps[-1])
+            keys = _row_keys(rows[grown:])
+            for i in range(0, len(keys), size):
+                block = keys[i:i + size]
+                self._coords.update(zip(block, repeat(len(self._coset_min))))
+                self._coset_min.append(min(block))
         self.reps = reps
         self.dim = len(reps)
 
-        base = self.den.elements.mats64()
-        self._coords: dict[bytes, tuple[int, ...]] = {}
-        self._coset_min: dict[tuple[int, ...], bytes] = {}
-        for c in iproduct(range(p), repeat=self.dim):
-            mat = np.eye(degree, dtype=np.int64)
-            for ci, r in zip(c, reps):
-                for _ in range(ci):
-                    mat = (mat @ r) % p
-            batch = (base @ mat) % p
-            flat = batch.astype(np.uint8).reshape(len(batch), -1)
-            least = None
-            for row in flat:
-                k = row.tobytes()
-                self._coords[k] = c
-                if least is None or k < least:
-                    least = k
-            self._coset_min[c] = least
-
     def coordinatize(self, m) -> np.ndarray:
         key = np.asarray(m, dtype=np.uint8).tobytes() if not isinstance(m, bytes) else m
-        c = self._coords.get(key)
-        if c is None:
+        b = self._coords.get(key)
+        if b is None:
             raise ValueError("element is not in the section numerator")
-        return np.array(c, dtype=np.int64)
+        return np.array([b // self.p ** i % self.p for i in range(self.dim)], dtype=np.int64)
 
     def lift(self, coords) -> np.ndarray:
-        c = tuple(int(x) % self.p for x in coords)
+        c = [int(x) % self.p for x in coords]
         if len(c) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} coordinates")
-        key = self._coset_min[c]
+        key = self._coset_min[sum(x * self.p ** i for i, x in enumerate(c))]
         d = self.parent.degree
         return np.frombuffer(key, dtype=np.uint8).reshape(d, d).astype(np.int64)
 
-    def canonical_rep(self, m) -> np.ndarray:
-        return self.lift(self.coordinatize(m))
-
-    def preimage(self, space: Subspace, cap: int | None = None) -> Subgroup:
+    def preimage(self, space: Subspace) -> Subgroup:
         """Subgroup of elements whose coordinates land in the subspace."""
-        gens = list(self.den.generators) + [self.lift(row) for row in space.basis]
-        kept, elems = reduced_generators(self.parent.p, self.parent.degree, gens,
-                                         cap or self.parent.cap)
-        return Subgroup(self.parent, kept, elems)
+        gens = list(self.den.generators)
+        rows = self.den.elements.array
+        # an rref basis is independent, so no lift lies in the group grown so far
+        for row in space.basis:
+            gens.append(self.lift(row))
+            rows = _coset_union(self.p, rows, gens[-1])
+        return Subgroup(self.parent, gens, ElementSet(self.p, self.parent.degree, rows))
 
 
 def make_ut(d: int, p: int, cap: int = DEFAULT_CAP, all_transvections: bool = False) -> UnipotentGroup:

@@ -125,7 +125,7 @@ def refine_once(f: Filter, method: str = "adjoint", cap: int | None = None,
     hs: list[Subgroup] = []
     spaces = rd.acting_powers + [Subspace(lie.p, a, [])]
     for space in spaces:
-        h = sec.preimage(space, cap)
+        h = sec.preimage(space)
         hs.append(h)
         if h.digest == plus_digest:
             break
@@ -157,10 +157,15 @@ class StableResult:
 def refine_stable(f: Filter, method: str = "adjoint", max_rounds: int = 16,
                   cap: int | None = None, check: bool = False,
                   rng: np.random.Generator | None = None) -> StableResult:
+    """Refine until a round inserts nothing.  A filter with no nonzero graded
+    component (a trivial group) is stable after zero rounds."""
     cur = f
     rounds: list[RefineRound] = []
     for _ in range(max_rounds):
-        r = refine_once(cur, method, cap, check, rng)
+        try:
+            r = refine_once(cur, method, cap, check, rng)
+        except NoNontrivialComponent:
+            return StableResult(cur, rounds, True)
         if not r.proper:
             return StableResult(cur, rounds, True)
         rounds.append(r)
@@ -211,7 +216,7 @@ def hyperplane_witness(f: Filter, cap: int | None = None) -> tuple[Subgroup, boo
     i = -(-r // 2)
     space = rd.acting_powers[i - 1] if i - 1 < len(rd.acting_powers) \
         else Subspace(lie.p, lie.dim(s), [])
-    h = lie.section(s).preimage(space, cap)
+    h = lie.section(s).preimage(space)
     chain = f.chain()
     target = chain[2] if len(chain) > 2 else f.ambient.trivial_subgroup()
     ok = target.contains(commutator_subgroup(h, h, cap))

@@ -180,3 +180,63 @@ def test_out_file(tmp_path):
     assert out == ""
     doc = json.loads(path.read_text())
     assert doc["group"] == "UT(3,2)"
+
+
+@pytest.mark.parametrize(
+    "args,env,bad",
+    [
+        (("series", "--ut", "3", "2"), {"FILTRA_CAP": "abc"}, "'abc'"),
+        (("series", "--ut", "3", "2"), {"FILTRA_CAP": "0"}, "'0'"),
+        (("series", "--ut", "3", "2"), {"FILTRA_CAP": "-5"}, "'-5'"),
+        (("series", "--ut", "3", "2", "--cap", "0"), None, "'0'"),
+        (("series", "--ut", "3", "2", "--cap", "-1"), None, "'-1'"),
+        (("refine", "--ut", "3", "2", "--rounds", "-1"), None, "'-1'"),
+    ],
+)
+def test_bad_cap_and_rounds_are_input_errors(args, env, bad):
+    code, out, err = run_cli(*args, env=env)
+    assert code == 1
+    assert out == ""
+    assert bad in err
+
+
+def write_spec(tmp_path, spec, name="group.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+TRIVIAL = {"p": 2, "degree": 2, "generators": [[1, 0, 0, 1]], "name": "trivial"}
+
+
+@pytest.mark.parametrize("command", ["series", "refine", "fingerprint", "verify"])
+def test_trivial_group_has_length_zero(tmp_path, command):
+    code, out, err = run_cli(command, "--group", write_spec(tmp_path, TRIVIAL))
+    assert code == 0, err
+    doc = json.loads(out)
+    if command == "fingerprint":
+        fp = doc["fingerprint"]
+        assert fp["length"] == 0 and fp["factor_dims"] == [] and fp["rounds"] == 0
+    elif command == "verify":
+        assert doc["ok"] is True
+    else:
+        assert doc["filter"]["length"] == 0
+    if command == "refine":
+        assert doc["rounds"] == [] and doc["converged"] is True
+
+
+def test_trivial_group_refine_rounds(tmp_path):
+    code, out, _ = run_cli("refine", "--group", write_spec(tmp_path, TRIVIAL), "--rounds", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rounds"] == [] and doc["filter"]["length"] == 0
+
+
+def test_nameless_group_file_summary_names_path(tmp_path):
+    spec = group_to_spec(make_ut(3, 2))
+    del spec["name"]
+    path = write_spec(tmp_path, spec, "nameless.json")
+    code, out, err = run_cli("refine", "--group", path)
+    assert code == 0
+    assert json.loads(out)["group"] == ""
+    assert f"refined gamma of {path} with adjoint" in err

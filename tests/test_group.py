@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import hei, keys_of, named_hei, named_ring, pattern_keys, ut
+from filtra.errors import NotNormal
+from filtra.filters import eta_filter, gamma_filter, kappa_filter
 from filtra.group import (
     SectionBasis,
     UnipotentGroup,
+    _bfs_closure,
+    batch_inv,
+    batch_mul,
     commutator_subgroup,
     exponent_p_central_series,
     group_from_spec,
@@ -16,7 +21,9 @@ from filtra.group import (
     make_heisenberg,
     make_ut,
     power_subgroup,
+    reduced_generators,
 )
+from filtra.modlinalg import Subspace, full_space
 from filtra.oracles import exhaustive_commutator_subgroup
 
 
@@ -196,8 +203,6 @@ def test_section_coordinatize_rejects_outsiders():
 
 
 def test_section_preimage():
-    from filtra.modlinalg import Subspace, full_space
-
     g = ut(4, 2)
     gam = lower_central_series(g)
     sec = SectionBasis(gam[0], gam[1])
@@ -205,6 +210,81 @@ def test_section_preimage():
     assert sec.preimage(Subspace(2, 3, None)).digest == gam[1].digest
     half = sec.preimage(Subspace(2, 3, [sec.coordinatize(transvection(4, 0, 1))]))
     assert half.order() == gam[1].order() * 2
+
+
+SECTION_GROUPS = {
+    "UT(4,2)": lambda: ut(4, 2),
+    "UT(3,3)": lambda: ut(3, 3),
+    "UT(3,5)": lambda: ut(3, 5),
+    "H(F3[x]/x2)": lambda: named_hei("F3[x]/x2"),
+}
+FILTERS = {"gamma": gamma_filter, "eta": eta_filter, "kappa": kappa_filter}
+
+
+def filter_sections(group_name, series):
+    f = FILTERS[series](SECTION_GROUPS[group_name]())
+    return [SectionBasis(f.at(s), f.plus(s)) for s in f.keys]
+
+
+@pytest.mark.parametrize("series", sorted(FILTERS))
+@pytest.mark.parametrize("group_name", sorted(SECTION_GROUPS))
+def test_section_tables_match_closure_oracle(group_name, series):
+    for sec in filter_sections(group_name, series):
+        g, p = sec.parent, sec.p
+        num = sec.num.elements
+        den = sec.den.elements
+        # the denominator is the closure of B and the p-th powers of A
+        powers = [np.linalg.matrix_power(m, p) % p for m in num.mats64()]
+        _, want_den = reduced_generators(p, g.degree, sec.den_given.generators + powers, g.cap)
+        assert den.keys == want_den.keys
+        assert len(num) == p ** sec.dim * len(den)
+        # every element of A coordinatizes, and m * lift(coords(m))^-1 lies in B'
+        mats = num.mats64()
+        coords = np.array([sec.coordinatize(m) for m in mats])
+        assert coords.shape == (len(num), sec.dim)
+        lifts = np.array([sec.lift(c) for c in coords])
+        quot = batch_mul(mats, batch_inv(lifts, p), p).astype(np.uint8)
+        assert all(q.tobytes() in den for q in quot)
+        # lift(c) is the least element of its coset B' lift(c)
+        for c in {tuple(c) for c in coords.tolist()}:
+            lift = sec.lift(c)
+            coset = batch_mul(den.mats64(), lift, p).astype(np.uint8)
+            assert min(m.tobytes() for m in coset) == lift.astype(np.uint8).tobytes()
+        # the reps are a basis, and coordinates add under multiplication
+        for i, r in enumerate(sec.reps):
+            assert np.array_equal(sec.coordinatize(r), np.eye(sec.dim, dtype=np.int64)[i])
+        rng = np.random.default_rng(len(num))
+        for i, j in rng.integers(0, len(num), (8, 2)):
+            prod = batch_mul(mats[i], mats[j], p)
+            assert np.array_equal(sec.coordinatize(prod), (coords[i] + coords[j]) % p)
+
+
+@pytest.mark.parametrize("series", sorted(FILTERS))
+@pytest.mark.parametrize("group_name", sorted(SECTION_GROUPS))
+def test_section_preimage_matches_closure_oracle(group_name, series):
+    rng = np.random.default_rng(1)
+    for sec in filter_sections(group_name, series):
+        g, p, dim = sec.parent, sec.p, sec.dim
+        spaces = [Subspace(p, dim, None), full_space(p, dim),
+                  Subspace(p, dim, rng.integers(0, p, (max(dim // 2, 1), dim)))]
+        for space in spaces:
+            got = sec.preimage(space)
+            gens = sec.den.generators + [sec.lift(v) for v in space.basis]
+            want = _bfs_closure(p, g.degree, gens, g.cap)
+            assert keys_of(got) == want.keys
+            assert got.order() == len(sec.den.elements) * p ** space.dim
+            inside = {m.tobytes() for m in sec.num.elements.array
+                      if space.contains(sec.coordinatize(m))}
+            assert keys_of(got) == inside
+
+
+def test_section_rejects_non_normal_denominator():
+    # <e02, e13> holds the generator commutators of UT(4,5) but is not normal:
+    # conjugating e13 by e01 gives e03 e13
+    g = ut(4, 5)
+    den = g.subgroup([transvection(4, 0, 2), transvection(4, 1, 3)])
+    with pytest.raises(NotNormal):
+        SectionBasis(g.full_subgroup(), den)
 
 
 def test_make_heisenberg_orders():

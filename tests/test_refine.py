@@ -142,6 +142,11 @@ def test_refine_requires_nontrivial_component():
     g = make_ut(1, 2)
     with pytest.raises(NoNontrivialComponent):
         refine_once(eta_filter(g), "adjoint")
+    # the trivial group is already stable: zero rounds, length 0
+    st = refine_stable(eta_filter(g), "adjoint")
+    assert st.converged and st.rounds == [] and st.filter.length() == 0
+    fp = fingerprint(g)
+    assert fp["length"] == 0 and fp["rounds"] == 0
 
 
 def test_fingerprint_ignores_generator_presentation():
