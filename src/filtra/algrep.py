@@ -23,6 +23,10 @@ from .errors import ClosureViolation, FiltraError
 from .modlinalg import Subspace, check_prime, inv_matrix, nullspace, rref
 
 ENUM_LIMIT = 4096
+# int64 entries per block of matrix products (8 MB): the products of a
+# d-dimensional algebra of n x n matrices number d^2 n^2 entries, which for
+# the full adjoint ring of a zero bimap on Z_p^12 is already 48 million
+PRODUCT_BLOCK = 1 << 20
 
 
 class MatAlgebra:
@@ -40,11 +44,9 @@ class MatAlgebra:
             raise ClosureViolation("matrix span is not multiplicatively closed")
 
     def _closed(self) -> bool:
-        for x in self.mats:
-            for y in self.mats:
-                if not self.space.contains(((x @ y) % self.p).reshape(-1)):
-                    return False
-        return True
+        basis = self.space.basis
+        return not any(self.space.residues(block).any()
+                       for block in _products(basis, basis, self.n, self.p))
 
     @property
     def dim(self) -> int:
@@ -54,16 +56,27 @@ class MatAlgebra:
         return self.space.contains(np.eye(self.n, dtype=np.int64).reshape(-1))
 
     def coords_of(self, mat: np.ndarray) -> np.ndarray:
-        """Coefficients over the rref basis; pivots make this a read-off."""
-        flat = np.mod(np.asarray(mat, dtype=np.int64).reshape(-1), self.p)
-        coeffs = flat[self.space.pivots]
-        recon = (coeffs @ self.space.basis) % self.p if self.dim else np.zeros_like(flat)
-        if not np.array_equal(recon, flat):
+        """Coefficients over the rref basis; pivots make this a read-off.
+        A stack of matrices gives one coefficient row per matrix."""
+        mat = np.asarray(mat, dtype=np.int64)
+        flat = mat.reshape(mat.shape[:-2] + (self.n * self.n,))
+        if self.space.residues(flat).any():
             raise ValueError("matrix is not in the algebra")
-        return coeffs
+        return np.mod(flat[..., self.space.pivots], self.p)
 
     def contains_mat(self, mat) -> bool:
         return self.space.contains(np.mod(np.asarray(mat, dtype=np.int64).reshape(-1), self.p))
+
+
+def _products(xs: np.ndarray, ys: np.ndarray, n: int, p: int):
+    """Yield every product x @ y of n x n matrices given as flat rows, as
+    flat rows (x major), in blocks of whole x rows of at most PRODUCT_BLOCK
+    entries where possible.  There is always at least one block (empty when
+    xs is), so the blocks can be stacked."""
+    ys = ys.reshape(1, -1, n, n)
+    step = max(1, PRODUCT_BLOCK // max(1, ys.size))
+    for i in range(0, max(1, xs.shape[0]), step):
+        yield (xs[i:i + step].reshape(-1, 1, n, n) @ ys).reshape(-1, n * n) % p
 
 
 def algebra_closure(mats, p: int, n: int, unital: bool = False) -> MatAlgebra:
@@ -73,50 +86,29 @@ def algebra_closure(mats, p: int, n: int, unital: bool = False) -> MatAlgebra:
         vecs.append(np.eye(n, dtype=np.int64).reshape(-1))
     space = Subspace(p, n * n, vecs)
     while True:
-        basis = [row.reshape(n, n) for row in space.basis]
-        new = []
-        for x in basis:
-            for y in basis:
-                prod = ((x @ y) % p).reshape(-1)
-                if not space.contains(prod):
-                    new.append(prod)
-        if not new:
+        new = np.vstack([r[r.any(axis=1)] for r in
+                         map(space.residues, _products(space.basis, space.basis, n, p))])
+        if not new.shape[0]:
             return MatAlgebra(p, n, space, check=False)
-        space = Subspace(p, n * n, list(space.basis) + new)
+        space = Subspace(p, n * n, np.vstack([space.basis, new]))
 
 
 def spin(v: np.ndarray, mats: list[np.ndarray], p: int) -> np.ndarray:
-    """Rref basis of the submodule generated by the row vector v."""
-    n = len(v)
-    basis = np.zeros((0, n), dtype=np.int64)
-    frontier = [np.mod(np.asarray(v, dtype=np.int64), p)]
-    while frontier:
-        stacked = np.vstack([basis] + [f.reshape(1, -1) for f in frontier])
-        newbasis, _ = rref(stacked, p)
-        newbasis = newbasis[~np.all(newbasis == 0, axis=1)]
-        added = newbasis.shape[0] - basis.shape[0]
-        if added == 0 and basis.shape[0] > 0:
-            break
-        fresh = [row for row in newbasis if not _in_rowspace(basis, row, p)]
-        basis = newbasis
-        frontier = [(f @ m) % p for f in fresh for m in mats]
-        if not frontier:
-            break
-    return basis
+    """Rref basis of the submodule generated by the row vector v.
 
-
-def _in_rowspace(basis: np.ndarray, row: np.ndarray, p: int) -> bool:
-    if basis.shape[0] == 0:
-        return not row.any()
-    r = row.copy() % p
-    for b in basis:
-        lead = np.flatnonzero(b)
-        if lead.size == 0:
-            continue
-        c = lead[0]
-        if r[c]:
-            r = (r - r[c] * b) % p
-    return not r.any()
+    Each round reduces the whole frontier against the running basis at
+    once, adds only the new directions, and applies the generators to
+    those alone to form the next frontier."""
+    front = np.mod(np.asarray(v, dtype=np.int64), p).reshape(1, -1)
+    n = front.shape[1]
+    gens = np.asarray(mats, dtype=np.int64).reshape(-1, n, n)
+    space = Subspace(p, n)
+    while True:
+        fresh = Subspace(p, n, space.residues(front)).basis
+        if not fresh.shape[0]:
+            return space.basis
+        space = Subspace(p, n, np.vstack([space.basis, fresh]))
+        front = (fresh @ gens).reshape(-1, n) % p
 
 
 def _null_vectors(a: np.ndarray, p: int) -> tuple[np.ndarray, bool]:
@@ -289,12 +281,7 @@ def radical_chain(jmats: list[np.ndarray], p: int, n: int) -> list[Subspace]:
     chain = [j]
     cur = j
     while True:
-        prods = []
-        for x in cur.basis:
-            xm = x.reshape(n, n)
-            for y in j.basis:
-                prods.append(((xm @ y.reshape(n, n)) % p).reshape(-1))
-        nxt = Subspace(p, n * n, prods)
+        nxt = Subspace(p, n * n, np.vstack(list(_products(cur.basis, j.basis, n, p))))
         if nxt.dim == 0:
             return chain
         if nxt.dim >= cur.dim:
@@ -305,19 +292,16 @@ def radical_chain(jmats: list[np.ndarray], p: int, n: int) -> list[Subspace]:
 
 def verify_radical(alg: MatAlgebra, rad: RadicalData) -> list[tuple]:
     """Ideal property, nilpotency, certified factors, semisimple quotient."""
-    bad: list[tuple] = []
-    jspace = rad.chain[0] if rad.chain else Subspace(alg.p, alg.n * alg.n, [])
-    for a in alg.mats:
-        for x in rad.mats:
-            for prod in ((a @ x) % alg.p, (x @ a) % alg.p):
-                if not jspace.contains(prod.reshape(-1)):
-                    bad.append(("not_ideal",))
+    n, p = alg.n, alg.p
+    jspace = rad.chain[0] if rad.chain else Subspace(p, n * n, [])
+    xs = np.asarray(rad.mats, dtype=np.int64).reshape(-1, n * n)
+    # a @ x and x @ a for every basis element a and radical element x
+    sides = (_products(alg.space.basis, xs, n, p), _products(xs, alg.space.basis, n, p))
+    outside = sum(int(jspace.residues(b).any(axis=1).sum()) for side in sides for b in side)
+    bad: list[tuple] = [("not_ideal",)] * outside
     if rad.chain:
-        last = rad.chain[-1]
-        for x in last.basis:
-            for y in jspace.basis:
-                if ((x.reshape(alg.n, alg.n) @ y.reshape(alg.n, alg.n)) % alg.p).any():
-                    bad.append(("not_nilpotent",))
+        last = _products(rad.chain[-1].basis, jspace.basis, n, p)
+        bad += [("not_nilpotent",)] * sum(int(b.any(axis=1).sum()) for b in last)
     for f in rad.factors:
         if not check_certificate(f, alg.p):
             bad.append(("bad_certificate", f.dim))
@@ -343,24 +327,14 @@ def quotient_regular_rep(alg: MatAlgebra, rad: RadicalData) -> MatAlgebra | None
     m = len(rep_idx)
     if m == 0:
         return None
-
-    def reduce_coeffs(c: np.ndarray) -> np.ndarray:
-        c = c.copy() % alg.p
-        for row in jc.basis:
-            lead = np.flatnonzero(row)[0]
-            if c[lead]:
-                c = (c - c[lead] * row) % alg.p
-        return c[rep_idx]
-
-    rmats = []
-    for i in rep_idx:
-        action = np.zeros((m, m), dtype=np.int64)
-        for rj, j in enumerate(rep_idx):
-            prod = (alg.mats[j] @ alg.mats[i]) % alg.p
-            action[rj] = reduce_coeffs(alg.coords_of(prod))
-        rmats.append(action)
-    space = Subspace(alg.p, m * m, [r.reshape(-1) for r in rmats])
-    return MatAlgebra(alg.p, m, space, check=True)
+    n = alg.n
+    reps = alg.space.basis[rep_idx]
+    coeffs = np.vstack([alg.coords_of(b.reshape(-1, n, n))
+                        for b in _products(reps, reps, n, alg.p)])
+    # coeffs[j * m + i] are the coordinates of rep_j @ rep_i, which is row j
+    # of the right action of rep_i
+    actions = jc.residues(coeffs)[:, rep_idx].reshape(m, m, m).transpose(1, 0, 2)
+    return MatAlgebra(alg.p, m, Subspace(alg.p, m * m, actions.reshape(m, m * m)), check=True)
 
 
 def module_image(space_basis: np.ndarray, mats: list[np.ndarray], p: int, n: int) -> Subspace:

@@ -4,6 +4,20 @@ Matrices are numpy int64 arrays with entries reduced into [0, p).  No
 floats anywhere: pivoting uses modular inverses, so every result is
 exact.  Row spaces are kept in reduced row echelon form, which makes
 subspace equality a plain array comparison.
+
+One elimination kernel, `rref`, carries everything else.  Per pivot it
+skips the all-zero columns in one step, takes the first row with a
+nonzero entry, scales it, and clears the column with one masked outer
+product on the rows that hit it, restricted to the columns from the
+pivot on (the pivot row is zero before it).  Entries stay below p, so
+every product fits in int64.
+
+Membership is a read-off.  An rref basis has a unit at its own pivot and
+zeros at every other pivot, so the coefficient of basis row i in a
+vector v of the span is v[pivots[i]], and the residue of any v is
+v - v[pivots] @ basis (mod p): zero exactly when v is in the span.  This
+is one product for a whole batch of vectors, and it equals the
+row-by-row elimination it replaces.
 """
 
 from __future__ import annotations
@@ -42,48 +56,47 @@ def inv_mod(x: int, p: int) -> int:
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns of a over Z_p."""
-    m = np.mod(np.asarray(a, dtype=np.int64), p).copy()
+    m = np.mod(np.asarray(a, dtype=np.int64), p)
     if m.ndim != 2:
         raise DimensionMismatch("rref expects a 2-d array")
     rows, cols = m.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        sel = None
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                sel = i
+    r = c = 0
+    while r < rows and c < cols:
+        below = m[r:, c].nonzero()[0]
+        if below.size == 0:
+            live = np.flatnonzero(m[r:, c:].any(axis=0))
+            if live.size == 0:
                 break
-        if sel is None:
-            continue
+            c += int(live[0])
+            below = m[r:, c].nonzero()[0]
+        sel = r + int(below[0])
         if sel != r:
             m[[r, sel]] = m[[sel, r]]
-        m[r] = (m[r] * inv_mod(m[r, c], p)) % p
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        m[r, c:] = m[r, c:] * inv_mod(m[r, c], p) % p
+        hit = m[:, c].nonzero()[0]
+        hit = hit[hit != r]
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - np.outer(m[hit, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
+        c += 1
     return m, pivots
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Canonical basis (as rows, in rref) of {x : a @ x = 0} over Z_p."""
-    a = np.mod(np.asarray(a, dtype=np.int64), p)
-    rows, cols = a.shape if a.ndim == 2 else (0, 0)
+    a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise DimensionMismatch("nullspace expects a 2-d array")
     r, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-r[i, fc]) % p
-    rb, _ = rref(basis, p)
-    return rb[: len(free)]
+    is_free = np.ones(a.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
+    basis[:, free] = np.eye(free.size, dtype=np.int64)
+    basis[:, pivots] = (-r[: len(pivots), free].T) % p
+    return rref(basis, p)[0]
 
 
 @dataclass(frozen=True)
@@ -140,37 +153,34 @@ class Subspace:
         self.n = n
         if vectors is None or len(vectors) == 0:
             self.basis = np.zeros((0, n), dtype=np.int64)
+            self.pivots: list[int] = []
         else:
             v = as_array(vectors, p)
             if v.ndim != 2 or v.shape[1] != n:
                 raise DimensionMismatch(f"vectors must be rows of length {n}")
-            r, piv = rref(v, p)
-            self.basis = r[: len(piv)].copy()
+            r, self.pivots = rref(v, p)
+            self.basis = r[: len(self.pivots)].copy()
         self.basis.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def pivots(self) -> list[int]:
-        """Pivot column of each rref basis row."""
-        return [int(np.flatnonzero(row)[0]) for row in self.basis]
-
     def contains(self, vec) -> bool:
-        v = as_array(vec, self.p).reshape(-1)
-        if v.shape[0] != self.n:
-            raise DimensionMismatch(f"vector length {v.shape[0]}, ambient {self.n}")
-        return self.reduce(v) is None
+        return self.reduce(vec) is None
+
+    def residues(self, rows) -> np.ndarray:
+        """Residue of each row (or of one vector) after eliminating along the
+        basis: rows - rows[pivots] @ basis.  Members have residue zero."""
+        v = as_array(rows, self.p)
+        if v.shape[-1] != self.n:
+            raise DimensionMismatch(f"vector length {v.shape[-1]}, ambient {self.n}")
+        return (v - v[..., self.pivots] @ self.basis) % self.p
 
     def reduce(self, vec) -> np.ndarray | None:
         """Residue of vec after eliminating along the basis; None if inside."""
-        v = as_array(vec, self.p).reshape(-1).copy()
-        for row in self.basis:
-            c = int(np.argmax(row != 0)) if row.any() else -1
-            if c >= 0 and v[c]:
-                v = (v - v[c] * row) % self.p
-        return None if not v.any() else v
+        v = self.residues(np.reshape(vec, -1))
+        return v if v.any() else None
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -190,7 +200,7 @@ class Subspace:
 
     def le(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(other.contains(row) for row in self.basis)
+        return not other.residues(self.basis).any()
 
     def matrix_image(self, mat: np.ndarray) -> "Subspace":
         """Row space of basis @ mat (the image of this space under mat)."""

@@ -57,10 +57,6 @@ class RingData:
         return self.radical.chain_dims()
 
 
-def _x_part(mat: np.ndarray, a: int) -> np.ndarray:
-    return mat[:a, :a]
-
-
 def ring_at(lie: GradedLieRing, s: Index, method: str, check: bool = False,
             rng: np.random.Generator | None = None) -> RingData:
     if method not in METHODS:
@@ -91,13 +87,9 @@ def ring_at(lie: GradedLieRing, s: Index, method: str, check: bool = False,
         bad = verify_radical(alg, rad)
         if bad:
             raise FiltraError(f"radical verification failed: {bad}")
-    powers = []
-    for level in rad.chain:
-        rows = []
-        for vec in level.basis:
-            x = _x_part(vec.reshape(alg.n, alg.n), a)
-            rows.extend(x % p)
-        powers.append(Subspace(p, a, rows))
+    # the x part (top-left a x a block) of every basis matrix of J^k
+    powers = [Subspace(p, a, level.basis.reshape(-1, alg.n, alg.n)[:, :a, :a].reshape(-1, a))
+              for level in rad.chain]
     return RingData(method, ring, alg, rad, powers)
 
 

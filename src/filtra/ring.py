@@ -93,11 +93,8 @@ class FinCommRing:
         cur = j
         while cur.dim > 0:
             chain.append(cur)
-            prods = []
-            for u in cur.basis:
-                for v in j.basis:
-                    prods.append(self.mult(u, v))
-            cur = Subspace(self.p, self.dim, np.stack(prods) if prods else None)
+            prods = np.einsum("ai,bj,ijk->abk", cur.basis, j.basis, self.table)
+            cur = Subspace(self.p, self.dim, prods.reshape(-1, self.dim) % self.p)
         return chain
 
     def nilpotency_class(self) -> int:

@@ -1,0 +1,94 @@
+"""Row-at-a-time reference versions of the elimination routines.
+
+These are the loops that `filtra.modlinalg` and `filtra.algrep` used before
+elimination was vectorised.  They clear one row per step, so they are slow
+but easy to check by eye; the tests compare the library against them bit
+for bit.
+"""
+
+import numpy as np
+
+from filtra.modlinalg import inv_mod
+
+
+def loop_rref(a, p: int) -> tuple[np.ndarray, list[int]]:
+    m = np.mod(np.asarray(a, dtype=np.int64), p).copy()
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        sel = None
+        for i in range(r, rows):
+            if m[i, c] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        if sel != r:
+            m[[r, sel]] = m[[sel, r]]
+        m[r] = (m[r] * inv_mod(m[r, c], p)) % p
+        for i in range(rows):
+            if i != r and m[i, c] != 0:
+                m[i] = (m[i] - m[i, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def loop_nullspace(a, p: int) -> np.ndarray:
+    a = np.mod(np.asarray(a, dtype=np.int64), p)
+    cols = a.shape[1]
+    r, pivots = loop_rref(a, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-r[i, fc]) % p
+    rb, _ = loop_rref(basis, p)
+    return rb[: len(free)]
+
+
+def loop_reduce(basis: np.ndarray, vec, p: int) -> np.ndarray | None:
+    """Eliminate vec along an rref basis one row at a time; None if inside."""
+    v = np.mod(np.asarray(vec, dtype=np.int64).reshape(-1), p)
+    for row in basis:
+        c = int(np.argmax(row != 0)) if row.any() else -1
+        if c >= 0 and v[c]:
+            v = (v - v[c] * row) % p
+    return None if not v.any() else v
+
+
+def _in_rowspace(basis: np.ndarray, row: np.ndarray, p: int) -> bool:
+    if basis.shape[0] == 0:
+        return not row.any()
+    r = row.copy() % p
+    for b in basis:
+        lead = np.flatnonzero(b)
+        if lead.size == 0:
+            continue
+        c = lead[0]
+        if r[c]:
+            r = (r - r[c] * b) % p
+    return not r.any()
+
+
+def loop_spin(v, mats, p: int) -> np.ndarray:
+    n = len(v)
+    basis = np.zeros((0, n), dtype=np.int64)
+    frontier = [np.mod(np.asarray(v, dtype=np.int64), p)]
+    while frontier:
+        stacked = np.vstack([basis] + [f.reshape(1, -1) for f in frontier])
+        newbasis, _ = loop_rref(stacked, p)
+        newbasis = newbasis[~np.all(newbasis == 0, axis=1)]
+        added = newbasis.shape[0] - basis.shape[0]
+        if added == 0 and basis.shape[0] > 0:
+            break
+        fresh = [row for row in newbasis if not _in_rowspace(basis, row, p)]
+        basis = newbasis
+        frontier = [(f @ m) % p for f in fresh for m in mats]
+        if not frontier:
+            break
+    return basis

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import named_ring
+from loop_reference import loop_spin
+from filtra import algrep
 from filtra.algrep import (
     FactorData,
     MatAlgebra,
+    RadicalData,
     algebra_closure,
     check_certificate,
     composition_factors,
@@ -54,12 +60,37 @@ def test_coords_roundtrip():
     assert np.array_equal(recon, m)
     with pytest.raises(ValueError):
         alg.coords_of(unit(2, 1, 0))
+    stacked = alg.coords_of(np.stack([m, unit(2, 0, 1)]))
+    assert np.array_equal(stacked, np.stack([c, alg.coords_of(unit(2, 0, 1))]))
 
 
 def test_spin():
     mats = [unit(2, 0, 1), np.eye(2, dtype=np.int64)]
     assert spin(np.array([1, 0]), mats, 2).shape[0] == 2
     assert spin(np.array([0, 1]), mats, 2).shape[0] == 1
+
+
+@st.composite
+def _modules(draw):
+    """A vector and 0-3 generator matrices over Z_p; strictly upper
+    triangular generators give proper submodules and long spins."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 8))
+    triangular = draw(st.booleans())
+    mats = []
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(arrays(np.int64, (n, n), elements=st.integers(0, p - 1)))
+        mats.append(np.triu(m, 1) if triangular else m)
+    v = draw(arrays(np.int64, n, elements=st.integers(0, p - 1)))
+    return v, mats, p
+
+
+@given(_modules())
+@settings(max_examples=150, deadline=None)
+def test_spin_matches_row_loop(case):
+    v, mats, p = case
+    got, want = spin(v, mats, p), loop_spin(v, mats, p)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_radical_of_full_matrix_algebra(rng):
@@ -138,6 +169,32 @@ def test_bogus_certificate_rejected():
     tri = algebra_closure([unit(2, 0, 1)], 2, 2, unital=True)
     fake = FactorData(2, [m.copy() for m in tri.mats], ("allvec",))
     assert not check_certificate(fake, 2)
+
+
+def test_product_blocks_do_not_change_results(monkeypatch):
+    mats = [unit(3, 0, 1), unit(3, 1, 2), unit(3, 2, 2)]
+    want = algebra_closure(mats, 3, 3, unital=True)
+    want_rad = jacobson_radical(want)
+    want_q = quotient_regular_rep(want, want_rad)
+    # one left factor per block of products
+    monkeypatch.setattr(algrep, "PRODUCT_BLOCK", 1)
+    got = algebra_closure(mats, 3, 3, unital=True)
+    assert got.space == want.space and got._closed()
+    rad = jacobson_radical(got)
+    assert rad.coeff_space == want_rad.coeff_space and rad.chain == want_rad.chain
+    assert quotient_regular_rep(got, rad).space == want_q.space
+    assert verify_radical(got, rad) == []
+    assert want.dim == 5 and rad.chain_dims() == [3, 1] and want_q.dim == 2
+
+
+def test_verify_radical_counts_each_failing_product():
+    alg = algebra_closure([unit(3, 0, 1), unit(3, 1, 2), unit(3, 2, 2)], 3, 3, unital=True)
+    e22 = unit(3, 2, 2)
+    # span(e22) is not nilpotent and not an ideal: e02 @ e22 and e12 @ e22 leave it
+    fake = RadicalData(Subspace(3, alg.dim, [alg.coords_of(e22)]), [e22],
+                       [Subspace(3, 9, [e22.reshape(-1)])], [])
+    assert verify_radical(alg, fake) == [("not_ideal",), ("not_ideal",), ("not_nilpotent",),
+                                         ("quotient_not_semisimple", 3)]
 
 
 def test_radical_chain_detects_non_nilpotent():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from loop_reference import loop_nullspace, loop_reduce, loop_rref
 from filtra.modlinalg import (
     FpMatrix,
     Subspace,
@@ -51,21 +52,75 @@ def test_nullspace_examples():
     assert np.array_equal(ns[0], np.array([1, 1]))
 
 
-sq = arrays(np.int64, (4, 4), elements=st.integers(0, 4))
+primes = st.sampled_from([2, 3, 5, 7])
+entries = st.integers(-3, 9)
 
 
-@given(sq, st.sampled_from([2, 3, 5]))
+def _dense(rows, cols):
+    return arrays(np.int64, (rows, cols), elements=entries)
+
+
+@st.composite
+def _low_rank(draw, rows, cols):
+    """A product b @ c of rank at most k: dependent rows and zero columns."""
+    k = draw(st.integers(0, min(rows, cols)))
+    return draw(_dense(rows, k)) @ draw(_dense(k, cols))
+
+
+sides = st.tuples(st.integers(0, 12), st.integers(0, 12))
+# rectangular 0-12 x 0-12, full or low rank, and tall 48 x 8 systems shaped
+# like the ring constraint systems (many more equations than unknowns)
+sq = st.one_of(
+    sides.flatmap(lambda s: _dense(*s)),
+    sides.flatmap(lambda s: _low_rank(*s)),
+    _dense(48, 8),
+    _low_rank(48, 8),
+)
+
+
+@given(sq, primes)
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_row_loop(a, p):
+    r, piv = rref(a, p)
+    want_r, want_piv = loop_rref(a, p)
+    assert r.dtype == want_r.dtype and np.array_equal(r, want_r)
+    assert piv == want_piv
+
+
+@given(sq, primes)
+@settings(max_examples=100, deadline=None)
+def test_nullspace_matches_row_loop(a, p):
+    ns = nullspace(a, p)
+    want = loop_nullspace(a, p)
+    assert ns.shape == want.shape and np.array_equal(ns, want)
+
+
+@given(sq, primes, st.data())
+@settings(max_examples=150, deadline=None)
+def test_subspace_reduce_matches_row_loop(a, p, data):
+    s = Subspace(p, a.shape[1], a)
+    assert s.pivots == [int(np.flatnonzero(row)[0]) for row in s.basis]
+    for vec in [*a, data.draw(arrays(np.int64, a.shape[1], elements=entries))]:
+        got, want = s.reduce(vec), loop_reduce(s.basis, vec, p)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+    # every row of a lies in its own span
+    assert not s.residues(a).any()
+
+
+@given(sq, primes)
 @settings(max_examples=50)
 def test_rank_nullity(a, p):
     a = a % p
     _, piv = rref(a, p)
     ns = nullspace(a, p)
-    assert len(piv) + ns.shape[0] == 4
+    assert len(piv) + ns.shape[0] == a.shape[1]
     # nullspace rows actually annihilate
     assert not ((a @ ns.T) % p).any()
 
 
-@given(sq, st.sampled_from([2, 3, 5]))
+@given(sq, primes)
 @settings(max_examples=30)
 def test_rref_idempotent(a, p):
     a = a % p
