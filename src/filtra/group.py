@@ -6,24 +6,28 @@ overflow.  Element sets are kept sorted by row-major byte order, so a
 set has one canonical layout; the lexicographically least matrix of a
 coset is therefore just the first one found in sorted order.
 
-Subgroup enumeration is a breadth-first closure under generator
-multiplication with a configurable cap.  Commutator subgroups use the
-normal-closure identity [<S>,<T>] = <[s,t] : s in S, t in T>^<S,T>
-(conjugation by the generators suffices); the exhaustive element-pair
-version lives in the oracles module and is only feasible at toy sizes.
+Every subgroup is grown one generator at a time by coset extension
+(Dimino's algorithm): given H enumerated and a new element g, <H, g> is H
+followed by its right cosets H*x, each found by one key lookup per
+(coset rep, generator) and formed as one batched product.  The element
+count is checked against a configurable cap before each coset is formed.
+Commutator subgroups use the normal-closure identity
+[<S>,<T>] = <[s,t] : s in S, t in T>^<S,T> (conjugation by the generators
+suffices); the exhaustive element-pair version lives in the oracles
+module and is only feasible at toy sizes.
 
-The section layer (``SectionBasis``) computes no closure.  Its denominator
-B contains [A,A] A^p, so B is normal in the numerator A with A/B
-elementary abelian, and every group between B and A is a union of cosets
-B r_1^c_1 ... r_j^c_j (0 <= c_i < p).  Coordinate tables and preimages
-are built by appending those cosets, p - 1 right multiplications at a
-time.
+In the section layer (``SectionBasis``) the denominator B contains
+[A,A] A^p, so B is normal in the numerator A with A/B elementary abelian.
+Extending a group H between B and A by r in A therefore gives exactly the
+cosets H, H*r, ..., H*r^(p-1), in that order, and every group between B
+and A is a union of cosets B r_1^c_1 ... r_j^c_j (0 <= c_i < p) laid out
+in that order.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import repeat
+import math
 
 import numpy as np
 
@@ -72,9 +76,19 @@ def batch_inv(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def commutator(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    ai = batch_inv(a[None], p)[0]
-    bi = batch_inv(b[None], p)[0]
-    return batch_mul(batch_mul(ai, bi, p), batch_mul(a, b, p), p)
+    """a^-1 b^-1 a b for two matrices, or for two stacks that broadcast."""
+    return batch_mul(batch_mul(batch_inv(a, p), batch_inv(b, p), p), batch_mul(a, b, p), p)
+
+
+def _stack(gens, degree: int) -> np.ndarray:
+    """A generator list as one int64 (k, d, d) stack; k may be 0."""
+    return np.array(gens, dtype=np.int64).reshape(-1, degree, degree)
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """Byte keys of a uint8 (n, d, d) array, one per matrix, in row order."""
+    flat = np.ascontiguousarray(rows).reshape(len(rows), math.prod(rows.shape[1:]))
+    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel().tolist()
 
 
 class ElementSet:
@@ -85,10 +99,10 @@ class ElementSet:
     def __init__(self, p: int, degree: int, mats: np.ndarray):
         self.p = p
         self.degree = degree
-        flat = np.ascontiguousarray(mats.reshape(len(mats), -1).astype(np.uint8))
-        keys = [row.tobytes() for row in flat]
+        mats = np.asarray(mats).reshape(-1, degree, degree).astype(np.uint8)
+        keys = _row_keys(mats)
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        self.array = flat[order].reshape(-1, degree, degree)
+        self.array = mats[order]
         self.array.setflags(write=False)
         self._keys = frozenset(keys)
         h = hashlib.blake2b(digest_size=16)
@@ -125,37 +139,32 @@ class ElementSet:
         return hash(self._digest)
 
 
-def _bfs_closure(p: int, degree: int, gens: list[np.ndarray], cap: int,
-                 seed: np.ndarray | None = None) -> ElementSet:
-    eye = np.eye(degree, dtype=np.int64)
-    if seed is None:
-        seed = eye[None]
-    known: dict[bytes, None] = {}
-    rows: list[np.ndarray] = []
+def _extend(p: int, rows: np.ndarray, known: set, gens: list[np.ndarray], new: np.ndarray,
+            cap: int) -> np.ndarray:
+    """Rows of <H, new> for H = <gens> given as uint8 rows (Dimino's algorithm).
 
-    def absorb(batch: np.ndarray) -> list[np.ndarray]:
-        fresh = []
-        flat = batch.reshape(len(batch), -1).astype(np.uint8)
-        for i, row in enumerate(flat):
-            k = row.tobytes()
-            if k not in known:
-                known[k] = None
-                rows.append(flat[i])
-                fresh.append(batch[i])
-        return fresh
-
-    frontier = absorb(np.mod(seed, p))
-    gens64 = [g.astype(np.int64) for g in gens]
-    while frontier:
-        batch = np.stack(frontier)
-        frontier = []
-        for g in gens64:
-            prod = (batch @ g) % p
-            frontier.extend(absorb(prod))
-        if len(known) > cap:
-            raise CapExceeded(cap, len(known))
-    mats = np.stack(rows).reshape(-1, degree, degree) if rows else np.zeros((0, degree, degree), np.uint8)
-    return ElementSet(p, degree, mats)
+    The result is H followed by its right cosets H*x in the order they are
+    found.  The union of the cosets found so far is the group once x*s lies
+    in it for every rep x and every generator s of <H, new>; each x*s that
+    does not starts a new coset, formed as one batch H @ (x*s), whose keys
+    go into ``known`` at once.  The cap is checked before a coset is formed.
+    """
+    h64 = rows.astype(np.int64)
+    steps = _stack(gens + [new], rows.shape[-1])
+    chunks = [rows]
+    reps = [np.eye(rows.shape[-1], dtype=np.int64)]
+    for x in reps:  # reps grows while it is walked
+        ys = (x @ steps) % p
+        for key, y in zip(_row_keys(ys.astype(np.uint8)), ys):
+            if key in known:
+                continue
+            if len(known) + len(rows) > cap:
+                raise CapExceeded(cap, len(known) + len(rows))
+            coset = ((h64 @ y) % p).astype(np.uint8)
+            known.update(_row_keys(coset))
+            chunks.append(coset)
+            reps.append(y)
+    return np.concatenate(chunks)
 
 
 class UnipotentGroup:
@@ -174,7 +183,7 @@ class UnipotentGroup:
             if not is_unipotent(g, p):
                 raise ValueError("generator is not unipotent")
         self.generators = gens
-        self.elements = _bfs_closure(p, degree, gens, cap)
+        self.elements = reduced_generators(p, degree, gens, cap)[1]
         self._join_cache: dict = {}
         self._comm_cache: dict = {}
         self._power_cache: dict = {}
@@ -197,7 +206,7 @@ class UnipotentGroup:
 
     def subgroup(self, gens, cap: int | None = None) -> "Subgroup":
         gens = [_as_mat(g, self.p, self.degree) for g in gens]
-        elems = _bfs_closure(self.p, self.degree, gens, cap or self.cap)
+        _, elems = reduced_generators(self.p, self.degree, gens, cap or self.cap)
         return Subgroup(self, gens, elems)
 
     def __repr__(self):
@@ -237,12 +246,7 @@ class Subgroup:
         return m in self.elements
 
     def contains(self, other: "Subgroup") -> bool:
-        if self.digest == other.digest:
-            return True
-        if len(other.elements) > len(self.elements):
-            return False
-        mine = self.elements.keys
-        return all(k in mine for k in other.elements.keys)
+        return other.elements.keys <= self.elements.keys
 
     def __eq__(self, other) -> bool:
         return (
@@ -261,22 +265,26 @@ class Subgroup:
 
 def reduced_generators(p: int, degree: int, candidates: list[np.ndarray], cap: int,
                        base: Subgroup | None = None) -> tuple[list[np.ndarray], ElementSet]:
-    """Greedy generator thinning: keep a candidate only if it enlarges the closure.
+    """Greedy generator thinning: keep a candidate only if it enlarges the group.
 
-    Kept lists stay O(log_p |result|), which keeps every later BFS cheap.
+    The group grows from ``base`` (or the trivial group) by one coset
+    extension per kept candidate.  Kept lists stay O(log_p |result|), and
+    so does the number of generators each extension steps through.
     """
-    kept: list[np.ndarray] = [] if base is None else [g for g in base.generators]
     if base is None:
-        elems = ElementSet(p, degree, np.eye(degree, dtype=np.int64)[None])
+        kept: list[np.ndarray] = []
+        rows = np.eye(degree, dtype=np.uint8)[None]
     else:
-        elems = base.elements
+        kept = list(base.generators)
+        rows = base.elements.array
+    known = set(_row_keys(rows))
     for c in candidates:
         c = np.mod(np.asarray(c, dtype=np.int64), p)
-        if c.astype(np.uint8).tobytes() in elems.keys:
+        if c.astype(np.uint8).tobytes() in known:
             continue
+        rows = _extend(p, rows, known, kept, c, cap)
         kept.append(c)
-        elems = _bfs_closure(p, degree, kept, cap, seed=elems.mats64())
-    return kept, elems
+    return kept, ElementSet(p, degree, rows)
 
 
 def join(a: Subgroup, b: Subgroup, cap: int | None = None) -> Subgroup:
@@ -311,21 +319,15 @@ def commutator_subgroup(a: Subgroup, b: Subgroup, cap: int | None = None) -> Sub
     cached = parent._comm_cache.get(key)
     if cached is not None:
         return cached
-    seeds = []
-    for x in a.generators:
-        for y in b.generators:
-            c = commutator(x, y, p)
-            seeds.append(c)
+    sa, sb = _stack(a.generators, degree), _stack(b.generators, degree)
+    seeds = commutator(sa[:, None], sb[None], p).reshape(-1, degree, degree)
     kept, elems = reduced_generators(p, degree, seeds, cap)
-    conj = a.generators + b.generators
-    conj_inv = [batch_inv(g[None], p)[0] for g in conj]
+    conj = np.concatenate([sa, sb])
+    conj_inv = batch_inv(conj, p)
     while True:
-        new = []
-        for x in kept:
-            for g, gi in zip(conj, conj_inv):
-                y = batch_mul(batch_mul(gi, x, p), g, p)
-                if y.astype(np.uint8).tobytes() not in elems.keys:
-                    new.append(y)
+        ys = batch_mul(batch_mul(conj_inv, _stack(kept, degree)[:, None], p), conj, p)
+        ys = ys.reshape(-1, degree, degree)
+        new = [y for k, y in zip(_row_keys(ys.astype(np.uint8)), ys) if k not in elems.keys]
         if not new:
             break
         kept, elems = reduced_generators(p, degree, new, cap,
@@ -349,7 +351,7 @@ def power_subgroup(a: Subgroup, k: int, cap: int | None = None) -> Subgroup:
     acc = np.broadcast_to(np.eye(degree, dtype=np.int64), mats.shape).copy()
     for _ in range(k):
         acc = (acc @ mats) % p
-    flat = {row.tobytes(): m for row, m in zip(acc.astype(np.uint8).reshape(len(acc), -1), acc)}
+    flat = dict(zip(_row_keys(acc.astype(np.uint8)), acc))
     candidates = [flat[key_] for key_ in sorted(flat)]
     kept, elems = reduced_generators(p, degree, candidates, cap)
     out = Subgroup(parent, kept, elems)
@@ -360,16 +362,11 @@ def power_subgroup(a: Subgroup, k: int, cap: int | None = None) -> Subgroup:
 def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
     """Normality check by conjugating generators by generators."""
     parent = sub.parent
-    p = parent.p
-    outer = ambient.generators if ambient is not None else parent.generators
-    for g in outer:
-        g = np.mod(np.asarray(g, dtype=np.int64), p)
-        gi = batch_inv(g[None], p)[0]
-        for x in sub.generators:
-            y = batch_mul(batch_mul(gi, x, p), g, p)
-            if y.astype(np.uint8).tobytes() not in sub.elements.keys:
-                return False
-    return True
+    p, degree = parent.p, parent.degree
+    outer = _stack(ambient.generators if ambient is not None else parent.generators, degree)
+    ys = batch_mul(batch_mul(batch_inv(outer, p)[:, None], _stack(sub.generators, degree), p),
+                   outer[:, None], p)
+    return sub.elements.keys.issuperset(_row_keys(ys.reshape(-1, degree, degree).astype(np.uint8)))
 
 
 def lower_central_series(g: UnipotentGroup, n: Subgroup | None = None,
@@ -425,40 +422,19 @@ def jennings_series(g: UnipotentGroup, n: Subgroup | None = None,
     return terms
 
 
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """Byte keys of a uint8 (n, d, d) array, one per matrix, in row order."""
-    flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
-    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel().tolist()
-
-
-def _coset_union(p: int, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rows of H, H*r, ..., H*r^(p-1), in that order, for H given as uint8 rows.
-
-    The union is the group <H, r> when H lies between a denominator D and a
-    numerator A with D >= [A,A] A^p, and r lies in A but not in H: then H is
-    normal in A and r^p lies in H, so the p products are distinct cosets of
-    H.  Each product is one batch of right multiplications in int64.
-    """
-    r64 = r.astype(np.int64)
-    chunks = [rows]
-    for _ in range(1, p):
-        chunks.append(((chunks[-1].astype(np.int64) @ r64) % p).astype(np.uint8))
-    return np.concatenate(chunks)
-
-
 class SectionBasis:
     """Z_p coordinates on a section A/B' where B' = B * (p-th powers of A).
 
     Enlarging the denominator by p-th powers makes the section an
     elementary abelian p-group, hence a Z_p vector space.  B must be normal
     in A with A/B abelian, as in every filter section; both are checked on
-    generators.  Then B' contains [A,A] A^p, so every group between B' and
-    A is a union of cosets of B': adding a rep r to such a group H gives
-    H u H*r u ... u H*r^(p-1), with no closure to compute.  The reps are
-    the least elements of A, in sorted order, not yet covered.  The same
-    pass records the coordinates of every element of A, so coordinatizing
-    is a dict lookup, and the least element of each coset, which is what
-    lifting returns.  Preimages of subspaces grow from B' the same way.
+    generators.  Then B' contains [A,A] A^p, so every group H between B'
+    and A is normal in A, and extending H by a rep r gives the cosets
+    H, H*r, ..., H*r^(p-1) in that order.  The reps are the least elements
+    of A, in sorted order, not yet covered.  The grown rows give the
+    coordinates of every element of A, so coordinatizing is a dict lookup,
+    and the least element of each coset of B', which is what lifting
+    returns.  Preimages of subspaces grow from B' the same way.
     """
 
     def __init__(self, num: Subgroup, den: Subgroup, cap: int | None = None):
@@ -467,10 +443,10 @@ class SectionBasis:
         cap = cap or parent.cap
         if not num.contains(den):
             raise ValueError("denominator is not inside numerator")
-        for x in num.generators:
-            for y in num.generators:
-                if commutator(x, y, p).astype(np.uint8).tobytes() not in den.elements.keys:
-                    raise NotAbelianSection("section numerator/denominator is not abelian")
+        gens = _stack(num.generators, parent.degree)
+        comms = commutator(gens[:, None], gens[None], p).reshape(-1, parent.degree, parent.degree)
+        if not den.elements.keys.issuperset(_row_keys(comms.astype(np.uint8))):
+            raise NotAbelianSection("section numerator/denominator is not abelian")
         if not is_normal(den, num):
             raise NotNormal("section denominator is not normal in the numerator")
         self.parent = parent
@@ -482,26 +458,22 @@ class SectionBasis:
         # rows holds the group grown so far as blocks of len(den) rows, the
         # cosets of den.  Growing n blocks by r puts block b times r^k at
         # b + k*n, so with reps r_1..r_j block b is den*r_1^c_1...r_j^c_j for
-        # c the base-p digits of b.
+        # c the base-p digits of b.  The numerator bounds every group grown.
         reps: list[np.ndarray] = []
         rows = self.den.elements.array
-        size = len(rows)
-        self._coords: dict[bytes, int] = dict.fromkeys(self.den.elements.keys, 0)
-        self._coset_min: list[bytes] = [rows[0].tobytes()]
+        known = set(self.den.elements.keys)
         total = len(num.elements)
-        for key, m in zip(_row_keys(num.elements.array), num.elements.array):
-            if len(self._coords) == total:
+        for i, key in enumerate(_row_keys(num.elements.array)):
+            if len(known) == total:
                 break
-            if key in self._coords:
-                continue
-            reps.append(m.astype(np.int64))
-            grown = len(rows)
-            rows = _coset_union(p, rows, reps[-1])
-            keys = _row_keys(rows[grown:])
-            for i in range(0, len(keys), size):
-                block = keys[i:i + size]
-                self._coords.update(zip(block, repeat(len(self._coset_min))))
-                self._coset_min.append(min(block))
+            if key not in known:
+                m = num.elements.array[i].astype(np.int64)
+                rows = _extend(p, rows, known, self.den.generators + reps, m, total)
+                reps.append(m)
+        keys = _row_keys(rows)
+        size = len(self.den.elements)
+        self._coords: dict[bytes, int] = dict(zip(keys, (np.arange(total) // size).tolist()))
+        self._coset_min: list[bytes] = [min(keys[i:i + size]) for i in range(0, total, size)]
         self.reps = reps
         self.dim = len(reps)
 
@@ -524,10 +496,11 @@ class SectionBasis:
         """Subgroup of elements whose coordinates land in the subspace."""
         gens = list(self.den.generators)
         rows = self.den.elements.array
-        # an rref basis is independent, so no lift lies in the group grown so far
+        known = set(self.den.elements.keys)
         for row in space.basis:
-            gens.append(self.lift(row))
-            rows = _coset_union(self.p, rows, gens[-1])
+            lift = self.lift(row)
+            rows = _extend(self.p, rows, known, gens, lift, len(self.num.elements))
+            gens.append(lift)
         return Subgroup(self.parent, gens, ElementSet(self.p, self.parent.degree, rows))
 
 

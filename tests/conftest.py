@@ -1,8 +1,8 @@
 """Shared fixtures and element-set helpers.
 
-Group and ring constructions are cached at module level: the BFS
-closures dominate test time and every file wants the same handful of
-small groups.
+Group and ring constructions are cached at module level: element
+enumeration is most of the cost of a group, and every file wants the
+same handful of small groups.
 """
 
 import functools

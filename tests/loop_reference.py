@@ -1,13 +1,17 @@
-"""Row-at-a-time reference versions of the elimination routines.
+"""Row-at-a-time reference versions of the elimination and closure routines.
 
 These are the loops that `filtra.modlinalg` and `filtra.algrep` used before
-elimination was vectorised.  They clear one row per step, so they are slow
+elimination was vectorised, and the element-by-element breadth-first
+closure that `filtra.group` used before subgroups were grown by coset
+extension.  They take one row or one element per step, so they are slow
 but easy to check by eye; the tests compare the library against them bit
 for bit.
 """
 
 import numpy as np
 
+from filtra.errors import CapExceeded
+from filtra.group import ElementSet
 from filtra.modlinalg import inv_mod
 
 
@@ -92,3 +96,36 @@ def loop_spin(v, mats, p: int) -> np.ndarray:
         if not frontier:
             break
     return basis
+
+
+def _bfs_closure(p: int, degree: int, gens: list[np.ndarray], cap: int,
+                 seed: np.ndarray | None = None) -> ElementSet:
+    eye = np.eye(degree, dtype=np.int64)
+    if seed is None:
+        seed = eye[None]
+    known: dict[bytes, None] = {}
+    rows: list[np.ndarray] = []
+
+    def absorb(batch: np.ndarray) -> list[np.ndarray]:
+        fresh = []
+        flat = batch.reshape(len(batch), -1).astype(np.uint8)
+        for i, row in enumerate(flat):
+            k = row.tobytes()
+            if k not in known:
+                known[k] = None
+                rows.append(flat[i])
+                fresh.append(batch[i])
+        return fresh
+
+    frontier = absorb(np.mod(seed, p))
+    gens64 = [g.astype(np.int64) for g in gens]
+    while frontier:
+        batch = np.stack(frontier)
+        frontier = []
+        for g in gens64:
+            prod = (batch @ g) % p
+            frontier.extend(absorb(prod))
+        if len(known) > cap:
+            raise CapExceeded(cap, len(known))
+    mats = np.stack(rows).reshape(-1, degree, degree) if rows else np.zeros((0, degree, degree), np.uint8)
+    return ElementSet(p, degree, mats)

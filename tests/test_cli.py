@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -171,6 +172,28 @@ def test_output_is_byte_stable():
     assert runs[0][0] == runs[1][0] == 0
     assert runs[0][1] == runs[1][1]
     assert "\n" == runs[0][1][-1] and " " not in runs[0][1].strip()
+
+
+# sha256 of stdout; the generator lists in the JSON are part of what is pinned
+GOLDEN = [
+    (("refine", "--ut", "4", "2"),
+     "eec286b18bd76cc427461d2131f73c60c35855fe2940924129636e5098606d99"),
+    (("refine", "--heisenberg", "2,0,0,1", "--check"),
+     "b8736c0d895852f4c2fffb0736942e361076dcb8d02385e3d75376ee228749f8"),
+    (("fingerprint", "--ut", "4", "3", "--method", "centroid"),
+     "a5ed0a8ab7165b782045cbc5d3cc29d813f712b908ee17906eca1393b273e337"),
+    (("series", "--ut", "5", "2", "--series", "kappa"),
+     "c312e1fc3d783161eb04cfed25e3979122403f9a4b1d85e4c9a14d3a4e83f379"),
+    (("verify", "--ut", "4", "2", "--series", "eta"),
+     "1658e1325b8151695e87d2d71e3427e8963f6f41b560dc10faa35f8ab59ccd48"),
+]
+
+
+@pytest.mark.parametrize("args,want", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(args, want):
+    code, out, err = run_cli(*args)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_out_file(tmp_path):

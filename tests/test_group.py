@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import hei, keys_of, named_hei, named_ring, pattern_keys, ut
-from filtra.errors import NotNormal
+from loop_reference import _bfs_closure
+from filtra.errors import CapExceeded, NotNormal
 from filtra.filters import eta_filter, gamma_filter, kappa_filter
 from filtra.group import (
     SectionBasis,
+    Subgroup,
     UnipotentGroup,
-    _bfs_closure,
     batch_inv,
     batch_mul,
     commutator_subgroup,
@@ -332,7 +335,61 @@ def test_group_from_spec_rejects_bad_shape():
 
 
 def test_cap_enforced():
-    from filtra.errors import CapExceeded
-
     with pytest.raises(CapExceeded):
         make_ut(4, 3, cap=10)
+
+
+def test_cap_boundary():
+    # |UT(4,2)| = 64: a cap equal to the order builds, one less refuses
+    assert make_ut(4, 2, cap=64).order() == 64
+    with pytest.raises(CapExceeded):
+        make_ut(4, 2, cap=63)
+
+
+BFS_CAP = 3000
+
+
+@st.composite
+def unipotent_generators(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(2, 5))
+    above = d * (d - 1) // 2
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        m = np.eye(d, dtype=np.int64)
+        m[np.triu_indices(d, 1)] = draw(st.lists(st.integers(0, p - 1),
+                                                 min_size=above, max_size=above))
+        gens.append(m)
+    return p, d, gens
+
+
+def greedy_reference(p, d, kept, candidates):
+    """Keep each candidate outside the element-BFS closure of those kept before it."""
+    kept = list(kept)
+    for c in candidates:
+        if c.astype(np.uint8).tobytes() not in _bfs_closure(p, d, kept, BFS_CAP):
+            kept.append(c)
+    return kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(unipotent_generators(), st.integers(0, 4))
+def test_coset_extension_matches_element_bfs(case, split):
+    p, d, gens = case
+    try:
+        want = _bfs_closure(p, d, gens, BFS_CAP)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            UnipotentGroup(p, d, gens, cap=BFS_CAP)
+        return
+    g = UnipotentGroup(p, d, gens, cap=BFS_CAP)
+    assert g.elements.keys == want.keys
+    assert g.elements.digest == want.digest
+    # thinning from the trivial group, and from the closure of the first `split` generators
+    for base in (None, Subgroup(g, gens[:split], _bfs_closure(p, d, gens[:split], BFS_CAP))):
+        head = [] if base is None else gens[:split]
+        kept, elems = reduced_generators(p, d, gens[len(head):], BFS_CAP, base=base)
+        want_kept = greedy_reference(p, d, head, gens[len(head):])
+        assert len(kept) == len(want_kept)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, want_kept))
+        assert elems.digest == want.digest
