@@ -6,6 +6,7 @@ from .errors import (
     ClosureViolation,
     DimensionMismatch,
     FiltraError,
+    MeataxeExhausted,
     NoNontrivialComponent,
     NonNormalGenerator,
     NotAbelianSection,

@@ -40,3 +40,15 @@ class ClosureViolation(FiltraError):
 
 class NoNontrivialComponent(FiltraError):
     """Refinement was asked for a filter with no nonzero graded component."""
+
+
+class MeataxeExhausted(FiltraError):
+    """The meataxe drew its cap of random algebra elements without finding
+    a submodule or an irreducibility certificate."""
+
+    def __init__(self, n: int, p: int, draws: int):
+        super().__init__(f"cannot split or certify a dimension {n} module over Z_{p}: "
+                         f"no submodule and no good element in {draws} random draws")
+        self.n = n
+        self.p = p
+        self.draws = draws

@@ -339,7 +339,9 @@ def commutator_subgroup(a: Subgroup, b: Subgroup, cap: int | None = None) -> Sub
 
 
 def power_subgroup(a: Subgroup, k: int, cap: int | None = None) -> Subgroup:
-    """Subgroup generated by all k-th powers of elements of a."""
+    """Subgroup generated by all k-th powers (k >= 1) of elements of a."""
+    if k < 1:
+        raise ValueError(f"power exponent {k} is not positive")
     parent = a.parent
     p, degree = parent.p, parent.degree
     cap = cap or parent.cap
@@ -348,9 +350,12 @@ def power_subgroup(a: Subgroup, k: int, cap: int | None = None) -> Subgroup:
     if cached is not None:
         return cached
     mats = a.elements.mats64()
-    acc = np.broadcast_to(np.eye(degree, dtype=np.int64), mats.shape).copy()
-    for _ in range(k):
-        acc = (acc @ mats) % p
+    # square-and-multiply over the bits of k below the leading one
+    acc = mats
+    for bit in bin(k)[3:]:
+        acc = (acc @ acc) % p
+        if bit == "1":
+            acc = (acc @ mats) % p
     flat = dict(zip(_row_keys(acc.astype(np.uint8)), acc))
     candidates = [flat[key_] for key_ in sorted(flat)]
     kept, elems = reduced_generators(p, degree, candidates, cap)

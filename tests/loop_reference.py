@@ -1,18 +1,19 @@
 """Row-at-a-time reference versions of the elimination and closure routines.
 
 These are the loops that `filtra.modlinalg` and `filtra.algrep` used before
-elimination was vectorised, and the element-by-element breadth-first
-closure that `filtra.group` used before subgroups were grown by coset
-extension.  They take one row or one element per step, so they are slow
-but easy to check by eye; the tests compare the library against them bit
-for bit.
+elimination was vectorised, the algebra closure that multiplied the whole
+basis with itself every round before `algebra_closure` became semi-naive,
+and the element-by-element breadth-first closure that `filtra.group` used
+before subgroups were grown by coset extension.  They take one row or one
+element per step, so they are slow but easy to check by eye; the tests
+compare the library against them bit for bit.
 """
 
 import numpy as np
 
 from filtra.errors import CapExceeded
 from filtra.group import ElementSet
-from filtra.modlinalg import inv_mod
+from filtra.modlinalg import Subspace, inv_mod
 
 
 def loop_rref(a, p: int) -> tuple[np.ndarray, list[int]]:
@@ -129,3 +130,18 @@ def _bfs_closure(p: int, degree: int, gens: list[np.ndarray], cap: int,
             raise CapExceeded(cap, len(known))
     mats = np.stack(rows).reshape(-1, degree, degree) if rows else np.zeros((0, degree, degree), np.uint8)
     return ElementSet(p, degree, mats)
+
+
+def naive_algebra_closure(mats, p: int, n: int, unital: bool = False) -> Subspace:
+    """Span closure that multiplies the whole basis with itself every round."""
+    vecs = [np.mod(np.asarray(m, dtype=np.int64), p).reshape(-1) for m in mats]
+    if unital:
+        vecs.append(np.eye(n, dtype=np.int64).reshape(-1))
+    space = Subspace(p, n * n, vecs)
+    while True:
+        prods = [(x.reshape(n, n) @ y.reshape(n, n)).reshape(-1) % p
+                 for x in space.basis for y in space.basis]
+        new = [r for r in prods if space.reduce(r) is not None]
+        if not new:
+            return space
+        space = Subspace(p, n * n, np.vstack([space.basis] + new))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import named_ring
-from loop_reference import loop_spin
+from loop_reference import loop_spin, naive_algebra_closure
 from filtra import algrep
 from filtra.algrep import (
     FactorData,
@@ -21,12 +21,15 @@ from filtra.algrep import (
     quotient_regular_rep,
     radical_chain,
     spin,
+    try_split,
     verify_radical,
 )
-from filtra.bimap import adjoint_ring, centroid_ring, heisenberg_tensor, kronecker_pair_tensor
-from filtra.errors import ClosureViolation
+from filtra.bimap import (adjoint_ring, centroid_ring, heisenberg_tensor, kronecker_pair_tensor,
+                          solve_ring)
+from filtra.errors import ClosureViolation, MeataxeExhausted
 from filtra.modlinalg import Subspace
 from filtra.oracles import traceform_radical_dim
+from filtra.ring import make_poly_quotient
 
 
 def unit(n, i, j):
@@ -169,6 +172,147 @@ def test_bogus_certificate_rejected():
     tri = algebra_closure([unit(2, 0, 1)], 2, 2, unital=True)
     fake = FactorData(2, [m.copy() for m in tri.mats], ("allvec",))
     assert not check_certificate(fake, 2)
+
+
+def test_norton_replay_checks_each_condition():
+    eye, e01 = np.eye(2, dtype=np.int64), unit(2, 0, 1)
+    # span((0, 1)) is a submodule; a bare matrix is not a coefficient row
+    forged = FactorData(2, [eye, e01], ("norton", np.array([[0, 0], [1, 1]])))
+    assert not check_certificate(forged, 2)
+    # no coefficient row and irreducible f of degree <= 2 certifies it either
+    for c in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        for f in ([0, 1], [1, 1], [1, 1, 1]):
+            cert = ("norton", np.array(c), np.array(f))
+            assert not check_certificate(FactorData(2, [eye, e01], cert), 2), (c, f)
+    # M_2(F_2) is irreducible: b = I + e01 with f = x + 1 is a good element,
+    # and each forgery below fails exactly one condition
+    full = algebra_closure([e01, unit(2, 1, 0)], 2, 2)
+    action = [m.copy() for m in full.mats]
+    unipotent = full.coords_of(eye + e01)
+    assert check_certificate(FactorData(2, action, ("norton", unipotent, np.array([1, 1]))), 2)
+    # (x + 1)^2 kills b, so its nullity is its degree and both spins are full
+    reducible_f = ("norton", unipotent, np.array([1, 0, 1]))
+    assert not check_certificate(FactorData(2, action, reducible_f), 2)
+    # b = I has nullity 2 under x + 1 of degree 1
+    wrong_nullity = ("norton", full.coords_of(eye), np.array([1, 1]))
+    assert not check_certificate(FactorData(2, action, wrong_nullity), 2)
+    short_row = ("norton", unipotent[:-1], np.array([1, 1]))
+    assert not check_certificate(FactorData(2, action, short_row), 2)
+
+
+def test_split_through_the_transpose():
+    # upper triangular 2 x 2 matrices over F_2 in the basis (1, 0), (1, 1):
+    # the only submodule is span((1, 1)), which holds no standard basis
+    # vector, so the pre-pass spins full; a draw whose good factor lives on
+    # the quotient has a null vector outside it, and only the spin of the
+    # transpose finds the submodule
+    t = np.array([[1, 0], [1, 1]])
+    tri = [unit(2, 0, 0), unit(2, 0, 1), unit(2, 1, 1)]
+    mats = [(t @ m @ t) % 2 for m in tri]   # t is its own inverse mod 2
+    assert all(spin(e, mats, 2).shape[0] == 2 for e in np.eye(2, dtype=np.int64))
+    for seed in range(20):
+        verdict, rows = try_split(mats, 2, 2, np.random.default_rng(seed))
+        assert verdict == "sub" and np.array_equal(rows, [[1, 1]]), seed
+
+
+def test_draw_cap_raises_named_error(monkeypatch):
+    full = algebra_closure([unit(2, 0, 1), unit(2, 1, 0)], 3, 2)
+    monkeypatch.setattr(algrep, "MAX_DRAWS", 0)
+    with pytest.raises(MeataxeExhausted) as err:
+        try_split(full.mats, 3, 2, np.random.default_rng(0))
+    assert (err.value.n, err.value.p, err.value.draws) == (2, 3, 0)
+    assert "dimension 2 module over Z_3" in str(err.value)
+
+
+def _field_heisenberg_algebras(p, coeffs):
+    """Centroid and adjoint algebras of the Heisenberg tensor of the field
+    Z_p[x]/(f), with the ring dimensions they must have."""
+    tensor = heisenberg_tensor(make_poly_quotient(p, coeffs))
+    a, k = tensor.shape[0], len(coeffs) - 1
+    cent = solve_ring(tensor, p, "centroid")
+    adj = solve_ring(tensor, p, "adjoint")
+    return [(algebra_closure(embed_centroid_triples(cent.members, p), p,
+                             2 * a + tensor.shape[2], unital=True), k),
+            (algebra_closure(embed_adjoint_pairs(adj.members, p), p, 2 * a, unital=True), 4 * k)]
+
+
+@pytest.mark.parametrize("p,coeffs", [
+    (2, [1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]),   # x^13 + x^4 + x^3 + x + 1
+    (3, [1, 2, 0, 1]),                                   # x^3 + 2x + 1
+    (5, [1, 1, 0, 1]),                                   # x^3 + x + 1
+])
+def test_heisenberg_field_radicals_are_zero(p, coeffs, rng):
+    # every nonzero element of the centroid F_q is invertible
+    for alg, dim in _field_heisenberg_algebras(p, coeffs):
+        assert alg.dim == dim
+        rad = jacobson_radical(alg, rng)
+        assert rad.dim == 0
+        assert all(check_certificate(f, p) for f in rad.factors)
+        assert sum(f.dim for f in rad.factors) == alg.n
+
+
+@st.composite
+def _small_algebras(draw):
+    """Generators of a unital algebra of n x n matrices over Z_p, p > n;
+    triangular ones give nonzero radicals."""
+    p = draw(st.sampled_from([5, 7]))
+    n = draw(st.integers(1, 4))
+    triangular = draw(st.booleans())
+    mats = []
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(arrays(np.int64, (n, n), elements=st.integers(0, p - 1)))
+        mats.append(np.triu(m) if triangular else m)
+    return mats, p, n
+
+
+@given(_small_algebras())
+@settings(max_examples=60, deadline=None)
+def test_radical_matches_traceform_oracle_on_random_algebras(case):
+    mats, p, n = case
+    alg = algebra_closure(mats, p, n, unital=True)
+    rad = jacobson_radical(alg, np.random.default_rng(0))
+    assert rad.dim == traceform_radical_dim(alg.mats, p, n)
+    assert verify_radical(alg, rad) == []
+
+
+def test_radical_does_not_depend_on_seed():
+    algebras = [algebra_closure(embed_adjoint_pairs(adjoint_ring(kronecker_pair_tensor(2, 3), 3)
+                                                    .members, 3), 3, 10, unital=True)]
+    r = named_ring("F2[x]/x2")
+    adj = adjoint_ring(heisenberg_tensor(r), 2)
+    algebras.append(algebra_closure(embed_adjoint_pairs(adj.members, 2), 2, 8, unital=True))
+    algebras += [alg for alg, _ in _field_heisenberg_algebras(5, [1, 1, 0, 1])]
+    for alg in algebras:
+        seen = set()
+        for seed in range(20):
+            rad = jacobson_radical(alg, np.random.default_rng(seed))
+            seen.add((rad.dim, tuple(rad.chain_dims()), tuple(sorted(f.dim for f in rad.factors))))
+        assert len(seen) == 1, seen
+
+
+@st.composite
+def _generator_lists(draw):
+    """Dense generators close in a round or two; sparse and strictly upper
+    triangular ones grow their algebra over many rounds."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["dense", "sparse", "nilpotent"]))
+    mats = []
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(arrays(np.int64, (n, n), elements=st.integers(0, p - 1)))
+        if kind == "sparse":
+            m = m * draw(arrays(np.bool_, (n, n), elements=st.sampled_from([False, False, True])))
+        mats.append(np.triu(m, 1) if kind == "nilpotent" else m)
+    return mats, p, n, draw(st.booleans())
+
+
+@given(_generator_lists())
+@settings(max_examples=100, deadline=None)
+def test_semi_naive_closure_matches_naive(case):
+    mats, p, n, unital = case
+    got = algebra_closure(mats, p, n, unital=unital)
+    assert got.space == naive_algebra_closure(mats, p, n, unital=unital)
+    assert got._closed()
 
 
 def test_product_blocks_do_not_change_results(monkeypatch):

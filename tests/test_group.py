@@ -113,9 +113,15 @@ def test_power_subgroup_examples():
 
 
 def test_power_subgroup_oracle_grid():
-    for d, p in [(3, 3), (4, 2), (4, 3)]:
+    for d, p in [(3, 3), (4, 2), (4, 3), (3, 5)]:
         full = ut(d, p).full_subgroup()
         assert power_subgroup(full, p).digest == powers_oracle(full, p).digest
+    # exponents whose bits take every branch of square-and-multiply
+    full = ut(4, 2).full_subgroup()
+    for k in (1, 3, 4, 6):
+        assert power_subgroup(full, k).digest == powers_oracle(full, k).digest, k
+    with pytest.raises(ValueError):
+        power_subgroup(full, 0)
 
 
 def test_lower_central_series():
