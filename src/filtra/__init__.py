@@ -41,7 +41,7 @@ from .filters import (
     series_filter,
     verify_axioms,
 )
-from .liering import GradedLieRing, bimap_at
+from .liering import GradedLieRing
 from .bimap import (
     adjoint_ring,
     centroid_ring,

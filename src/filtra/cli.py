@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionMismatch, FiltraError, NoNontrivialComponent
+from .errors import DimensionMismatch, FiltraError
 from .filters import (
     Filter,
     eta_filter,
@@ -27,7 +27,7 @@ from .filters import (
 )
 from .group import DEFAULT_CAP, UnipotentGroup, group_from_spec, make_heisenberg, make_ut
 from .liering import GradedLieRing
-from .refine import METHODS, fingerprint, refine_once, refine_stable, ring_at
+from .refine import METHODS, fingerprint, refine_stable, ring_at
 from .ring import make_poly_quotient
 
 EXIT_OK = 0
@@ -100,7 +100,7 @@ def _build_groups(args) -> list[tuple[UnipotentGroup, str]]:
             data = json.load(fh)
         try:
             g = group_from_spec(data, cap=cap)
-        except DimensionMismatch as exc:
+        except (DimensionMismatch, ValueError) as exc:
             raise ValueError(f"bad group spec in {path}: {exc}") from exc
         groups.append((g, g.name or path))
     if not groups:
@@ -123,7 +123,7 @@ def _chain_orders(f: Filter) -> str:
 
 def cmd_series(args) -> int:
     group, label = _build_groups(args)[0]
-    f = SERIES[args.series](group, cap=args.cap)
+    f = SERIES[args.series](group)
     _emit({"group": group.name, "series": args.series, "filter": filter_to_json(f)}, args)
     print(f"{args.series} series of {label}: length {f.length()}, "
           f"orders {_chain_orders(f)}", file=sys.stderr)
@@ -132,23 +132,12 @@ def cmd_series(args) -> int:
 
 def cmd_refine(args) -> int:
     group, label = _build_groups(args)[0]
-    f = SERIES[args.series](group, cap=args.cap)
-    if args.rounds is not None:
-        rounds = []
-        cur = f
-        for _ in range(args.rounds):
-            try:
-                r = refine_once(cur, args.method, cap=args.cap, check=args.check)
-            except NoNontrivialComponent:
-                break
-            if not r.proper:
-                break
-            rounds.append(r)
-            cur = r.filter
-        converged = None
+    f = SERIES[args.series](group)
+    if args.rounds is None:
+        stable = refine_stable(f, args.method, check=args.check)
     else:
-        stable = refine_stable(f, args.method, cap=args.cap, check=args.check)
-        rounds, cur, converged = stable.rounds, stable.filter, stable.converged
+        stable = refine_stable(f, args.method, max_rounds=args.rounds, check=args.check)
+    rounds, cur = stable.rounds, stable.filter
     out = {
         "group": group.name,
         "series": args.series,
@@ -165,8 +154,8 @@ def cmd_refine(args) -> int:
         ],
         "filter": filter_to_json(cur),
     }
-    if converged is not None:
-        out["converged"] = converged
+    if args.rounds is None:
+        out["converged"] = stable.converged
     _emit(out, args)
     print(f"refined {args.series} of {label} with {args.method}: "
           f"{len(rounds)} proper rounds, length {cur.length()}, orders {_chain_orders(cur)}",
@@ -180,7 +169,7 @@ def cmd_fingerprint(args) -> int:
         raise ValueError("fingerprint takes one or two groups")
     groups = [g for g, _ in built]
     labels = [label for _, label in built]
-    fps = [fingerprint(g, args.method, cap=args.cap) for g in groups]
+    fps = [fingerprint(g, args.method) for g in groups]
     if len(fps) == 1:
         _emit({"group": groups[0].name, "fingerprint": fps[0]}, args)
         print(f"fingerprint of {labels[0]}: length {fps[0]['length']}, "
@@ -200,10 +189,10 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_verify(args) -> int:
     group, label = _build_groups(args)[0]
-    f = SERIES[args.series](group, cap=args.cap)
-    report = verify_axioms(f, cap=args.cap)
+    f = SERIES[args.series](group)
+    report = verify_axioms(f)
     violations = [list(v) for v in report.violations]
-    lie = GradedLieRing(f, cap=args.cap)
+    lie = GradedLieRing(f)
     rng = np.random.default_rng(args.seed)
     comps = lie.component_indices()
     for s in comps:

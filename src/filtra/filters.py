@@ -75,13 +75,7 @@ class Filter:
         for m in self.trivial_minimals:
             if monoid.divides(m, s):
                 return self.ambient.trivial_subgroup()
-        lo, hi = 0, len(self.keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.keys[mid] <= s:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_right(self.keys, s)
         if lo == 0:
             return self.ambient.full_subgroup()
         return self.support[self.keys[lo - 1]]
@@ -94,9 +88,6 @@ class Filter:
             step = tuple(1 if j == i else 0 for j in range(self.dim))
             out = join(out, self.at(monoid.add(s, step)))
         return out
-
-    def component_indices(self) -> list[Index]:
-        return [s for s in self.keys if self.at(s).order() > self.plus(s).order()]
 
     def chain(self) -> list[Subgroup]:
         """Distinct subgroups in lex order, ambient first, trivial last."""
@@ -147,16 +138,16 @@ def series_filter(ambient: UnipotentGroup, terms: list[Subgroup]) -> Filter:
     return Filter(ambient, 1, support, (bound,))
 
 
-def gamma_filter(g: UnipotentGroup, n: Subgroup | None = None, cap: int | None = None) -> Filter:
-    return series_filter(g, lower_central_series(g, n, cap))
+def gamma_filter(g: UnipotentGroup, n: Subgroup | None = None) -> Filter:
+    return series_filter(g, lower_central_series(g, n))
 
 
-def eta_filter(g: UnipotentGroup, n: Subgroup | None = None, cap: int | None = None) -> Filter:
-    return series_filter(g, exponent_p_central_series(g, n, cap))
+def eta_filter(g: UnipotentGroup, n: Subgroup | None = None) -> Filter:
+    return series_filter(g, exponent_p_central_series(g, n))
 
 
-def kappa_filter(g: UnipotentGroup, n: Subgroup | None = None, cap: int | None = None) -> Filter:
-    return series_filter(g, jennings_series(g, n, cap))
+def kappa_filter(g: UnipotentGroup, n: Subgroup | None = None) -> Filter:
+    return series_filter(g, jennings_series(g, n))
 
 
 @dataclass
@@ -165,7 +156,7 @@ class AxiomReport:
     violations: list[tuple] = field(default_factory=list)
 
 
-def verify_axioms(f: Filter, cap: int | None = None) -> AxiomReport:
+def verify_axioms(f: Filter) -> AxiomReport:
     """Check normality, lex order reversal, both filter inclusions, and
     eventual triviality on the recorded support."""
     v: list[tuple] = []
@@ -186,7 +177,7 @@ def verify_axioms(f: Filter, cap: int | None = None) -> AxiomReport:
     for s in indices:
         for t in indices:
             st = monoid.add(s, t)
-            comm = commutator_subgroup(f.at(s), f.at(t), cap)
+            comm = commutator_subgroup(f.at(s), f.at(t))
             target = f.at(st)
             if not target.contains(comm):
                 v.append(("commutator_inclusion", s, t))
@@ -197,7 +188,6 @@ def verify_axioms(f: Filter, cap: int | None = None) -> AxiomReport:
 
 
 def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup],
-             cap: int | None = None,
              persistent: tuple[Index, ...] = ()) -> Filter:
     """Filter generated by an order-reversing map on a sparse support.
 
@@ -286,7 +276,7 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup],
             pt = lookup(t)
             if pt is None:
                 continue
-            parts.append(commutator_subgroup(pt, dom[x], cap))
+            parts.append(commutator_subgroup(pt, dom[x]))
         for h, (maxj, tail) in tails.items():
             if s[-1] <= maxj:
                 continue
@@ -299,10 +289,10 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup],
                 continue
             pt = lookup(t)
             if pt is not None:
-                parts.append(commutator_subgroup(pt, tail, cap))
+                parts.append(commutator_subgroup(pt, tail))
         value = ambient.trivial_subgroup()
         for part in parts:
-            value = join(value, part, cap)
+            value = join(value, part)
         if value.is_trivial():
             if not any(monoid.divides(m, s) for m in trivial_mins):
                 trivial_mins.append(s)

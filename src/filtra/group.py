@@ -9,8 +9,11 @@ coset is therefore just the first one found in sorted order.
 Every subgroup is grown one generator at a time by coset extension
 (Dimino's algorithm): given H enumerated and a new element g, <H, g> is H
 followed by its right cosets H*x, each found by one key lookup per
-(coset rep, generator) and formed as one batched product.  The element
-count is checked against a configurable cap before each coset is formed.
+(coset rep, generator) and formed as one batched product.  The ambient
+group owns the element cap: its enumeration is checked against the cap
+before each coset is formed, and since every later subgroup (join,
+commutator, power, section, preimage) lies inside it, none of them takes a
+cap of its own.  The order of the ambient group must be a power of p.
 Commutator subgroups use the normal-closure identity
 [<S>,<T>] = <[s,t] : s in S, t in T>^<S,T> (conjugation by the generators
 suffices); the exhaustive element-pair version lives in the oracles
@@ -139,16 +142,18 @@ class ElementSet:
         return hash(self._digest)
 
 
-def _extend(p: int, rows: np.ndarray, known: set, gens: list[np.ndarray], new: np.ndarray,
-            cap: int) -> np.ndarray:
+def _extend(parent: UnipotentGroup, rows: np.ndarray, known: set, gens: list[np.ndarray],
+            new: np.ndarray) -> np.ndarray:
     """Rows of <H, new> for H = <gens> given as uint8 rows (Dimino's algorithm).
 
     The result is H followed by its right cosets H*x in the order they are
     found.  The union of the cosets found so far is the group once x*s lies
     in it for every rep x and every generator s of <H, new>; each x*s that
     does not starts a new coset, formed as one batch H @ (x*s), whose keys
-    go into ``known`` at once.  The cap is checked before a coset is formed.
+    go into ``known`` at once.  The parent's cap is checked before a coset
+    is formed.
     """
+    p, cap = parent.p, parent.cap
     h64 = rows.astype(np.int64)
     steps = _stack(gens + [new], rows.shape[-1])
     chunks = [rows]
@@ -183,8 +188,13 @@ class UnipotentGroup:
             if not is_unipotent(g, p):
                 raise ValueError("generator is not unipotent")
         self.generators = gens
-        self.elements = reduced_generators(p, degree, gens, cap)[1]
-        self._join_cache: dict = {}
+        self.elements = reduced_generators(self, gens)[1]
+        n = len(self.elements)
+        while n % p == 0:
+            n //= p
+        if n != 1:
+            raise ValueError(f"generators give a group of order {len(self.elements)}, "
+                             f"not a power of {p}")
         self._comm_cache: dict = {}
         self._power_cache: dict = {}
         self._full = None
@@ -204,9 +214,9 @@ class UnipotentGroup:
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, [], ElementSet(self.p, self.degree, self.identity[None]))
 
-    def subgroup(self, gens, cap: int | None = None) -> "Subgroup":
+    def subgroup(self, gens) -> "Subgroup":
         gens = [_as_mat(g, self.p, self.degree) for g in gens]
-        _, elems = reduced_generators(self.p, self.degree, gens, cap or self.cap)
+        _, elems = reduced_generators(self, gens)
         return Subgroup(self, gens, elems)
 
     def __repr__(self):
@@ -263,14 +273,16 @@ class Subgroup:
         return f"Subgroup(order={self.order()}, degree={self.parent.degree}, p={self.parent.p})"
 
 
-def reduced_generators(p: int, degree: int, candidates: list[np.ndarray], cap: int,
+def reduced_generators(parent: UnipotentGroup, candidates: list[np.ndarray],
                        base: Subgroup | None = None) -> tuple[list[np.ndarray], ElementSet]:
     """Greedy generator thinning: keep a candidate only if it enlarges the group.
 
     The group grows from ``base`` (or the trivial group) by one coset
-    extension per kept candidate.  Kept lists stay O(log_p |result|), and
-    so does the number of generators each extension steps through.
+    extension per kept candidate, under the parent's element cap.  Kept
+    lists stay O(log_p |result|), and so does the number of generators each
+    extension steps through.
     """
+    p, degree = parent.p, parent.degree
     if base is None:
         kept: list[np.ndarray] = []
         rows = np.eye(degree, dtype=np.uint8)[None]
@@ -282,31 +294,22 @@ def reduced_generators(p: int, degree: int, candidates: list[np.ndarray], cap: i
         c = np.mod(np.asarray(c, dtype=np.int64), p)
         if c.astype(np.uint8).tobytes() in known:
             continue
-        rows = _extend(p, rows, known, kept, c, cap)
+        rows = _extend(parent, rows, known, kept, c)
         kept.append(c)
     return kept, ElementSet(p, degree, rows)
 
 
-def join(a: Subgroup, b: Subgroup, cap: int | None = None) -> Subgroup:
+def join(a: Subgroup, b: Subgroup) -> Subgroup:
     """Subgroup generated by a and b together."""
-    parent = a.parent
-    cap = cap or parent.cap
     if a.contains(b):
         return a
     if b.contains(a):
         return b
-    key = ("join",) + tuple(sorted((a.digest, b.digest)))
-    cached = parent._join_cache.get(key)
-    if cached is not None:
-        return cached
     big, small = (a, b) if len(a.elements) >= len(b.elements) else (b, a)
-    kept, elems = reduced_generators(parent.p, parent.degree, small.generators, cap, base=big)
-    out = Subgroup(parent, kept, elems)
-    parent._join_cache[key] = out
-    return out
+    return Subgroup(a.parent, *reduced_generators(a.parent, small.generators, base=big))
 
 
-def commutator_subgroup(a: Subgroup, b: Subgroup, cap: int | None = None) -> Subgroup:
+def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     """[a, b]: closure of all commutators between the two subgroups.
 
     Computed as the normal closure of generator-pair commutators under
@@ -314,14 +317,13 @@ def commutator_subgroup(a: Subgroup, b: Subgroup, cap: int | None = None) -> Sub
     """
     parent = a.parent
     p, degree = parent.p, parent.degree
-    cap = cap or parent.cap
     key = (a.digest, b.digest)
     cached = parent._comm_cache.get(key)
     if cached is not None:
         return cached
     sa, sb = _stack(a.generators, degree), _stack(b.generators, degree)
     seeds = commutator(sa[:, None], sb[None], p).reshape(-1, degree, degree)
-    kept, elems = reduced_generators(p, degree, seeds, cap)
+    kept, elems = reduced_generators(parent, seeds)
     conj = np.concatenate([sa, sb])
     conj_inv = batch_inv(conj, p)
     while True:
@@ -330,21 +332,19 @@ def commutator_subgroup(a: Subgroup, b: Subgroup, cap: int | None = None) -> Sub
         new = [y for k, y in zip(_row_keys(ys.astype(np.uint8)), ys) if k not in elems.keys]
         if not new:
             break
-        kept, elems = reduced_generators(p, degree, new, cap,
-                                         base=Subgroup(parent, kept, elems))
+        kept, elems = reduced_generators(parent, new, base=Subgroup(parent, kept, elems))
     out = Subgroup(parent, kept, elems)
     parent._comm_cache[key] = out
     parent._comm_cache[(b.digest, a.digest)] = out
     return out
 
 
-def power_subgroup(a: Subgroup, k: int, cap: int | None = None) -> Subgroup:
+def power_subgroup(a: Subgroup, k: int) -> Subgroup:
     """Subgroup generated by all k-th powers (k >= 1) of elements of a."""
     if k < 1:
         raise ValueError(f"power exponent {k} is not positive")
     parent = a.parent
-    p, degree = parent.p, parent.degree
-    cap = cap or parent.cap
+    p = parent.p
     key = (a.digest, k)
     cached = parent._power_cache.get(key)
     if cached is not None:
@@ -358,8 +358,7 @@ def power_subgroup(a: Subgroup, k: int, cap: int | None = None) -> Subgroup:
             acc = (acc @ mats) % p
     flat = dict(zip(_row_keys(acc.astype(np.uint8)), acc))
     candidates = [flat[key_] for key_ in sorted(flat)]
-    kept, elems = reduced_generators(p, degree, candidates, cap)
-    out = Subgroup(parent, kept, elems)
+    out = Subgroup(parent, *reduced_generators(parent, candidates))
     parent._power_cache[key] = out
     return out
 
@@ -374,13 +373,12 @@ def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
     return sub.elements.keys.issuperset(_row_keys(ys.reshape(-1, degree, degree).astype(np.uint8)))
 
 
-def lower_central_series(g: UnipotentGroup, n: Subgroup | None = None,
-                         cap: int | None = None) -> list[Subgroup]:
+def lower_central_series(g: UnipotentGroup, n: Subgroup | None = None) -> list[Subgroup]:
     """gamma_1 = N, gamma_{i+1} = [N, gamma_i]; nontrivial terms only."""
     n = n or g.full_subgroup()
     terms = [n]
     while not terms[-1].is_trivial():
-        nxt = commutator_subgroup(n, terms[-1], cap)
+        nxt = commutator_subgroup(n, terms[-1])
         if nxt.order() == terms[-1].order():
             raise NotNormal("series failed to descend; input is not nilpotent?")
         if nxt.is_trivial():
@@ -389,14 +387,13 @@ def lower_central_series(g: UnipotentGroup, n: Subgroup | None = None,
     return terms
 
 
-def exponent_p_central_series(g: UnipotentGroup, n: Subgroup | None = None,
-                              cap: int | None = None) -> list[Subgroup]:
+def exponent_p_central_series(g: UnipotentGroup, n: Subgroup | None = None) -> list[Subgroup]:
     """eta_1 = N, eta_{i+1} = [N, eta_i] * eta_i^p; nontrivial terms only."""
     n = n or g.full_subgroup()
     p = g.p
     terms = [n]
     while not terms[-1].is_trivial():
-        nxt = join(commutator_subgroup(n, terms[-1], cap), power_subgroup(terms[-1], p, cap), cap)
+        nxt = join(commutator_subgroup(n, terms[-1]), power_subgroup(terms[-1], p))
         if nxt.order() == terms[-1].order():
             raise NotNormal("series failed to descend")
         if nxt.is_trivial():
@@ -405,8 +402,7 @@ def exponent_p_central_series(g: UnipotentGroup, n: Subgroup | None = None,
     return terms
 
 
-def jennings_series(g: UnipotentGroup, n: Subgroup | None = None,
-                    cap: int | None = None) -> list[Subgroup]:
+def jennings_series(g: UnipotentGroup, n: Subgroup | None = None) -> list[Subgroup]:
     """kappa_1 = N, kappa_i = [N, kappa_{i-1}] * kappa_{ceil(i/p)}^p."""
     n = n or g.full_subgroup()
     p = g.p
@@ -420,7 +416,7 @@ def jennings_series(g: UnipotentGroup, n: Subgroup | None = None,
         if i > bound:
             raise NotNormal("jennings series failed to terminate")
         half = terms[-(-i // p) - 1]
-        nxt = join(commutator_subgroup(n, terms[-1], cap), power_subgroup(half, p, cap), cap)
+        nxt = join(commutator_subgroup(n, terms[-1]), power_subgroup(half, p))
         if nxt.is_trivial():
             break
         terms.append(nxt)
@@ -442,10 +438,9 @@ class SectionBasis:
     returns.  Preimages of subspaces grow from B' the same way.
     """
 
-    def __init__(self, num: Subgroup, den: Subgroup, cap: int | None = None):
+    def __init__(self, num: Subgroup, den: Subgroup):
         parent = num.parent
         p = parent.p
-        cap = cap or parent.cap
         if not num.contains(den):
             raise ValueError("denominator is not inside numerator")
         gens = _stack(num.generators, parent.degree)
@@ -457,7 +452,7 @@ class SectionBasis:
         self.parent = parent
         self.num = num
         self.den_given = den
-        self.den = join(den, power_subgroup(num, p, cap), cap)
+        self.den = join(den, power_subgroup(num, p))
         self.p = p
 
         # rows holds the group grown so far as blocks of len(den) rows, the
@@ -473,7 +468,7 @@ class SectionBasis:
                 break
             if key not in known:
                 m = num.elements.array[i].astype(np.int64)
-                rows = _extend(p, rows, known, self.den.generators + reps, m, total)
+                rows = _extend(parent, rows, known, self.den.generators + reps, m)
                 reps.append(m)
         keys = _row_keys(rows)
         size = len(self.den.elements)
@@ -499,14 +494,8 @@ class SectionBasis:
 
     def preimage(self, space: Subspace) -> Subgroup:
         """Subgroup of elements whose coordinates land in the subspace."""
-        gens = list(self.den.generators)
-        rows = self.den.elements.array
-        known = set(self.den.elements.keys)
-        for row in space.basis:
-            lift = self.lift(row)
-            rows = _extend(self.p, rows, known, gens, lift, len(self.num.elements))
-            gens.append(lift)
-        return Subgroup(self.parent, gens, ElementSet(self.p, self.parent.degree, rows))
+        lifts = [self.lift(row) for row in space.basis]
+        return Subgroup(self.parent, *reduced_generators(self.parent, lifts, base=self.den))
 
 
 def make_ut(d: int, p: int, cap: int = DEFAULT_CAP, all_transvections: bool = False) -> UnipotentGroup:
@@ -543,6 +532,11 @@ def make_heisenberg(ring, cap: int = DEFAULT_CAP) -> UnipotentGroup:
 
 def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> UnipotentGroup:
     """Build a group from the JSON wire format (row-major generator entries)."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"group spec must be a JSON object, not {type(spec).__name__}")
+    missing = [key for key in ("p", "degree", "generators") if key not in spec]
+    if missing:
+        raise ValueError(f"group spec lacks {', '.join(map(repr, missing))}")
     p = int(spec["p"])
     degree = int(spec["degree"])
     gens = []

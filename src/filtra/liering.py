@@ -21,16 +21,15 @@ from .monoid import Index
 
 class GradedLieRing:
 
-    def __init__(self, f: Filter, cap: int | None = None):
+    def __init__(self, f: Filter):
         self.filter = f
         self.p = f.ambient.p
-        self.cap = cap
         self._sections: dict[Index, SectionBasis] = {}
         self._tensors: dict[tuple[Index, Index], np.ndarray] = {}
 
     def section(self, s: Index) -> SectionBasis:
         if s not in self._sections:
-            self._sections[s] = SectionBasis(self.filter.at(s), self.filter.plus(s), self.cap)
+            self._sections[s] = SectionBasis(self.filter.at(s), self.filter.plus(s))
         return self._sections[s]
 
     def dim(self, s: Index) -> int:
@@ -151,7 +150,3 @@ class GradedLieRing:
                         bad.append(("well_defined", s, t, i, j))
         return bad
 
-
-def bimap_at(ring: GradedLieRing, s: Index, t: Index) -> tuple[np.ndarray, tuple[int, int, int]]:
-    tensor = ring.product_tensor(s, t)
-    return tensor, tensor.shape

@@ -24,11 +24,10 @@ from .monoid import Index
 
 
 def exhaustive_commutator_subgroup(a: Subgroup, b: Subgroup,
-                                   cap: int | None = None,
                                    pair_limit: int = 1 << 22) -> Subgroup:
     """[A, B] from the commutators of every element pair."""
     parent = a.parent
-    p, deg = parent.p, parent.degree
+    p = parent.p
     if len(a.elements) * len(b.elements) > pair_limit:
         raise ValueError("pair enumeration over limit; use the normal closure form")
     amats = a.elements.mats64()
@@ -45,12 +44,11 @@ def exhaustive_commutator_subgroup(a: Subgroup, b: Subgroup,
             if key not in seen:
                 seen.add(key)
                 gens.append(c)
-    kept, elems = reduced_generators(p, deg, gens, cap or parent.cap)
-    return Subgroup(parent, kept, elems)
+    return Subgroup(parent, *reduced_generators(parent, gens))
 
 
-def path_product_values(ambient: UnipotentGroup, gens: dict[Index, Subgroup],
-                        cap: int | None = None) -> dict[Index, Subgroup]:
+def path_product_values(ambient: UnipotentGroup,
+                        gens: dict[Index, Subgroup]) -> dict[Index, Subgroup]:
     """Filter values as joins of literal path products
     [[pi_x1, pi_x2], ...]; recursion stops when a branch dies."""
     from .group import join
@@ -59,12 +57,12 @@ def path_product_values(ambient: UnipotentGroup, gens: dict[Index, Subgroup],
 
     def record(idx: Index, sub: Subgroup):
         cur = values.get(idx)
-        values[idx] = sub if cur is None else join(cur, sub, cap)
+        values[idx] = sub if cur is None else join(cur, sub)
 
     def visit(idx: Index, sub: Subgroup):
         record(idx, sub)
         for x, px in gens.items():
-            nxt = exhaustive_commutator_subgroup(sub, px, cap)
+            nxt = exhaustive_commutator_subgroup(sub, px)
             if not nxt.is_trivial():
                 visit(monoid.add(idx, x), nxt)
 
@@ -162,12 +160,11 @@ def nilpotent_element_radical(ring, limit: int = 1 << 14) -> Subspace:
     return Subspace(ring.p, d, nil)
 
 
-def conjugation_orbit_closure(parent: UnipotentGroup, seeds: list[np.ndarray],
-                              cap: int | None = None) -> Subgroup:
+def conjugation_orbit_closure(parent: UnipotentGroup, seeds: list[np.ndarray]) -> Subgroup:
     """Normal closure by closing the full element list under conjugation
     by every group element (definition-level, no generator tricks)."""
-    p, deg = parent.p, parent.degree
-    kept, elems = reduced_generators(p, deg, seeds, cap or parent.cap)
+    p = parent.p
+    kept, elems = reduced_generators(parent, seeds)
     while True:
         new = []
         seen = set(elems.keys)
@@ -182,4 +179,4 @@ def conjugation_orbit_closure(parent: UnipotentGroup, seeds: list[np.ndarray],
                     new.append(c)
         if not new:
             return Subgroup(parent, kept, elems)
-        kept, elems = reduced_generators(p, deg, list(kept) + new, cap or parent.cap)
+        kept, elems = reduced_generators(parent, list(kept) + new)

@@ -104,9 +104,9 @@ class RefineRound:
     inserted: list[int] = field(default_factory=list)
 
 
-def refine_once(f: Filter, method: str = "adjoint", cap: int | None = None,
-                check: bool = False, rng: np.random.Generator | None = None) -> RefineRound:
-    lie = GradedLieRing(f, cap)
+def refine_once(f: Filter, method: str = "adjoint", check: bool = False,
+                rng: np.random.Generator | None = None) -> RefineRound:
+    lie = GradedLieRing(f)
     s = lie.leading_index()
     if s is None:
         raise NoNontrivialComponent("filter has no nonzero graded component")
@@ -126,9 +126,9 @@ def refine_once(f: Filter, method: str = "adjoint", cap: int | None = None,
     dom: dict[Index, Subgroup] = {u + (0,): f.support[u] for u in f.keys}
     for i, h in enumerate(hs, start=1):
         dom[s + (i,)] = h
-    newf = generate(f.ambient, f.dim + 1, dom, cap, persistent=(s,)).compact()
+    newf = generate(f.ambient, f.dim + 1, dom, persistent=(s,)).compact()
     if check:
-        report = verify_axioms(newf, cap)
+        report = verify_axioms(newf)
         if not report.ok:
             raise FiltraError(f"refined filter failed verification: {report.violations}")
     return RefineRound(newf, True, s, a, rd.ring_dim, rd.radical_chain_dims(),
@@ -147,15 +147,14 @@ class StableResult:
 
 
 def refine_stable(f: Filter, method: str = "adjoint", max_rounds: int = 16,
-                  cap: int | None = None, check: bool = False,
-                  rng: np.random.Generator | None = None) -> StableResult:
+                  check: bool = False, rng: np.random.Generator | None = None) -> StableResult:
     """Refine until a round inserts nothing.  A filter with no nonzero graded
     component (a trivial group) is stable after zero rounds."""
     cur = f
     rounds: list[RefineRound] = []
     for _ in range(max_rounds):
         try:
-            r = refine_once(cur, method, cap, check, rng)
+            r = refine_once(cur, method, check, rng)
         except NoNontrivialComponent:
             return StableResult(cur, rounds, True)
         if not r.proper:
@@ -165,17 +164,17 @@ def refine_stable(f: Filter, method: str = "adjoint", max_rounds: int = 16,
     return StableResult(cur, rounds, False)
 
 
-def fingerprint(group: UnipotentGroup, method: str = "adjoint", cap: int | None = None,
-                max_rounds: int = 16, check: bool = False) -> dict:
+def fingerprint(group: UnipotentGroup, method: str = "adjoint", max_rounds: int = 16,
+                check: bool = False) -> dict:
     """Isomorphism-invariant summary from the stable refinement of eta."""
-    f = eta_filter(group, cap=cap)
-    stable = refine_stable(f, method, max_rounds, cap, check)
+    f = eta_filter(group)
+    stable = refine_stable(f, method, max_rounds, check)
     if not stable.converged:
         raise FiltraError(f"refinement did not stabilize within {max_rounds} rounds")
     chain = stable.filter.chain()
     factor_dims = [chain[i].order_exp() - chain[i + 1].order_exp()
                    for i in range(len(chain) - 1)]
-    lie = GradedLieRing(stable.filter, cap)
+    lie = GradedLieRing(stable.filter)
     s = lie.leading_index()
     out = {
         "p": group.p,
@@ -193,11 +192,11 @@ def fingerprint(group: UnipotentGroup, method: str = "adjoint", cap: int | None 
     return out
 
 
-def hyperplane_witness(f: Filter, cap: int | None = None) -> tuple[Subgroup, bool] | None:
+def hyperplane_witness(f: Filter) -> tuple[Subgroup, bool] | None:
     """Preimage of L_s J^i for the half radical power (J^i != 0, J^2i = 0),
     checked against the third term of the flattened chain.  Returns None
     when the adjoint radical is trivial."""
-    lie = GradedLieRing(f, cap)
+    lie = GradedLieRing(f)
     s = lie.leading_index()
     if s is None:
         return None
@@ -211,5 +210,5 @@ def hyperplane_witness(f: Filter, cap: int | None = None) -> tuple[Subgroup, boo
     h = lie.section(s).preimage(space)
     chain = f.chain()
     target = chain[2] if len(chain) > 2 else f.ambient.trivial_subgroup()
-    ok = target.contains(commutator_subgroup(h, h, cap))
+    ok = target.contains(commutator_subgroup(h, h))
     return h, ok

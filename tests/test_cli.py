@@ -154,6 +154,19 @@ def test_bad_group_file_is_input_error(tmp_path):
     assert code2 == 1
     assert "bad group spec" in err2
 
+    # SL(2,2), of order 6, is not a 2-group; the other two are not specs at all
+    for spec, message in (
+        ({"p": 2, "degree": 2, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]}, "order 6"),
+        ([[1, 1, 0, 1]], "JSON object"),
+        ({"p": 2, "generators": [[1, 0, 0, 1]]}, "'degree'"),
+    ):
+        path3 = tmp_path / "spec.json"
+        path3.write_text(json.dumps(spec))
+        code3, out3, err3 = run_cli("series", "--group", str(path3))
+        assert (code3, out3) == (1, "")
+        assert f"bad group spec in {path3}" in err3 and message in err3
+        assert "Traceback" not in err3
+
 
 def test_cap_exceeded_is_compute_error():
     code, _, err = run_cli("series", "--ut", "4", "2", env={"FILTRA_CAP": "4"})
@@ -186,6 +199,13 @@ GOLDEN = [
      "c312e1fc3d783161eb04cfed25e3979122403f9a4b1d85e4c9a14d3a4e83f379"),
     (("verify", "--ut", "4", "2", "--series", "eta"),
      "1658e1325b8151695e87d2d71e3427e8963f6f41b560dc10faa35f8ab59ccd48"),
+    (("refine", "--ut", "4", "2", "--rounds", "1"),
+     "4ca72baf37468415b9181c404ad15ff31b629ca2ec9caf7768df9b036545648e"),
+    (("refine", "--ut", "4", "2", "--rounds", "0"),
+     "0fecade10a5c507eb495d138405408866f40043f7b654f42013f33f79b5e206e"),
+    # a cap equal to |UT(4,2)| gives the uncapped output
+    (("refine", "--ut", "4", "2", "--cap", "64"),
+     "eec286b18bd76cc427461d2131f73c60c35855fe2940924129636e5098606d99"),
 ]
 
 

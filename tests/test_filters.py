@@ -16,6 +16,7 @@ from filtra.filters import (
     verify_axioms,
 )
 from filtra.group import lower_central_series
+from filtra.liering import GradedLieRing
 from filtra.oracles import path_product_values
 
 
@@ -35,7 +36,7 @@ def test_at_and_plus():
     assert f.at((9,)).order() == 1
     assert f.plus((1,)).order() == 2
     assert f.plus((2,)).order() == 1
-    assert f.component_indices() == [(1,), (2,)]
+    assert GradedLieRing(f).component_indices() == [(1,), (2,)]
 
 
 def test_trivial_minimal_clipping_in_higher_dim():

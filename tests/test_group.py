@@ -244,7 +244,7 @@ def test_section_tables_match_closure_oracle(group_name, series):
         den = sec.den.elements
         # the denominator is the closure of B and the p-th powers of A
         powers = [np.linalg.matrix_power(m, p) % p for m in num.mats64()]
-        _, want_den = reduced_generators(p, g.degree, sec.den_given.generators + powers, g.cap)
+        _, want_den = reduced_generators(g, sec.den_given.generators + powers)
         assert den.keys == want_den.keys
         assert len(num) == p ** sec.dim * len(den)
         # every element of A coordinatizes, and m * lift(coords(m))^-1 lies in B'
@@ -340,6 +340,27 @@ def test_group_from_spec_rejects_bad_shape():
         group_from_spec({"p": 2, "degree": 3, "generators": [[1, 0, 1]]})
 
 
+@pytest.mark.parametrize("spec", [
+    [1, 2],
+    "UT(3,2)",
+    {"degree": 2, "generators": []},
+    {"p": 2, "generators": []},
+    {"p": 2, "degree": 2},
+])
+def test_group_from_spec_rejects_malformed_spec(spec):
+    with pytest.raises(ValueError, match="group spec"):
+        group_from_spec(spec)
+
+
+def test_non_p_group_rejected():
+    # two unipotent transvections over F_2 generate SL(2,2), of order 6
+    gens = [transvection(2, 0, 1), transvection(2, 1, 0)]
+    with pytest.raises(ValueError, match="order 6"):
+        UnipotentGroup(2, 2, gens)
+    with pytest.raises(ValueError, match="order 6"):
+        group_from_spec({"p": 2, "degree": 2, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]})
+
+
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
         make_ut(4, 3, cap=10)
@@ -394,7 +415,7 @@ def test_coset_extension_matches_element_bfs(case, split):
     # thinning from the trivial group, and from the closure of the first `split` generators
     for base in (None, Subgroup(g, gens[:split], _bfs_closure(p, d, gens[:split], BFS_CAP))):
         head = [] if base is None else gens[:split]
-        kept, elems = reduced_generators(p, d, gens[len(head):], BFS_CAP, base=base)
+        kept, elems = reduced_generators(g, gens[len(head):], base=base)
         want_kept = greedy_reference(p, d, head, gens[len(head):])
         assert len(kept) == len(want_kept)
         assert all(np.array_equal(a, b) for a, b in zip(kept, want_kept))

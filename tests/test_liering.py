@@ -6,7 +6,7 @@ import pytest
 from conftest import hei, ut
 from filtra.errors import ClosureViolation, NotAbelianSection
 from filtra.filters import Filter, eta_filter, gamma_filter
-from filtra.liering import GradedLieRing, bimap_at
+from filtra.liering import GradedLieRing
 
 
 def test_ut4_graded_dims():
@@ -42,9 +42,7 @@ def test_heisenberg_bracket_tensor():
 
 def test_bimap_at_shape():
     ring = GradedLieRing(gamma_filter(ut(4, 2)))
-    tensor, shape = bimap_at(ring, (1,), (1,))
-    assert shape == (3, 3, 2)
-    assert tensor.shape == shape
+    assert ring.product_tensor((1,), (1,)).shape == (3, 3, 2)
 
 
 def test_bracket_coords_linear_in_tensor():

@@ -12,8 +12,8 @@ from conftest import (
     ut,
 )
 from filtra.errors import NoNontrivialComponent
-from filtra.filters import eta_filter, gamma_filter, verify_axioms
-from filtra.group import UnipotentGroup, group_from_spec, group_to_spec, make_ut
+from filtra.filters import eta_filter, gamma_filter, kappa_filter, verify_axioms
+from filtra.group import UnipotentGroup, group_from_spec, group_to_spec, make_heisenberg, make_ut
 from filtra.liering import GradedLieRing
 from filtra.refine import (
     fingerprint,
@@ -147,6 +147,22 @@ def test_refine_requires_nontrivial_component():
     assert st.converged and st.rounds == [] and st.filter.length() == 0
     fp = fingerprint(g)
     assert fp["length"] == 0 and fp["rounds"] == 0
+
+
+@pytest.mark.parametrize("group", [
+    lambda: make_ut(4, 2, cap=64),
+    lambda: make_heisenberg(poly_ring(3, (0, 0, 1)), cap=729),
+], ids=["UT(4,2)", "H(F3[x]/x2)"])
+def test_cap_bounds_only_the_ambient_build(group):
+    # a cap of exactly |G| builds G; nothing computed inside G may then exceed it
+    g = group()
+    assert g.order() == g.cap
+    for series in (gamma_filter, eta_filter, kappa_filter):
+        f = series(g)
+        assert verify_axioms(f).ok
+        st = refine_stable(f, "adjoint")
+        assert st.converged
+        assert verify_axioms(st.filter).ok
 
 
 def test_fingerprint_ignores_generator_presentation():
