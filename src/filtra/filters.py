@@ -96,7 +96,7 @@ class Filter:
             v = self.support[s]
             if not out[-1].contains(v):
                 raise NotOrderReversing(f"value at {s} not contained in its predecessor")
-            if v.digest != out[-1].digest:
+            if v.order() < out[-1].order():  # v lies in out[-1], so it is new iff smaller
                 out.append(v)
         if not out[-1].is_trivial():
             out.append(self.ambient.trivial_subgroup())
@@ -105,9 +105,6 @@ class Filter:
     def length(self) -> int:
         """Number of nonzero graded pieces: strict drops below the top term."""
         return len(self.chain()) - 1
-
-    def chain_digests(self) -> tuple[str, ...]:
-        return tuple(g.digest for g in self.chain())
 
     def compact(self) -> "Filter":
         """Drop coordinates that are zero on all recorded indices."""
@@ -181,8 +178,8 @@ def verify_axioms(f: Filter) -> AxiomReport:
             target = f.at(st)
             if not target.contains(comm):
                 v.append(("commutator_inclusion", s, t))
-            meet = f.at(s).elements.keys & f.at(t).elements.keys
-            if not target.elements.keys <= meet:
+            meet = f.at(s).keys & f.at(t).keys
+            if not target.keys <= meet:
                 v.append(("intersection_inclusion", s, t))
     return AxiomReport(ok=not v, violations=v)
 

@@ -2,9 +2,11 @@
 
 Elements are d x d unipotent matrices with entries in [0, p), stored as
 uint8 arrays (p must fit in a byte) and multiplied in int64 to avoid
-overflow.  Element sets are kept sorted by row-major byte order, so a
-set has one canonical layout; the lexicographically least matrix of a
-coset is therefore just the first one found in sorted order.
+overflow.  A subgroup holds its elements as uint8 rows, in the order coset
+extension produced them, and as the frozenset of their row-major byte
+keys; two subgroups are equal when their key sets are.  Nothing is sorted
+except where the order shows in the output: the section reps and the
+power-subgroup candidates.
 
 Every subgroup is grown one generator at a time by coset extension
 (Dimino's algorithm): given H enumerated and a new element g, <H, g> is H
@@ -29,7 +31,6 @@ in that order.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -94,54 +95,6 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
     return flat.view(np.dtype((np.void, flat.shape[1]))).ravel().tolist()
 
 
-class ElementSet:
-    """An immutable, canonically sorted set of group elements."""
-
-    __slots__ = ("p", "degree", "array", "_keys", "_digest")
-
-    def __init__(self, p: int, degree: int, mats: np.ndarray):
-        self.p = p
-        self.degree = degree
-        mats = np.asarray(mats).reshape(-1, degree, degree).astype(np.uint8)
-        keys = _row_keys(mats)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        self.array = mats[order]
-        self.array.setflags(write=False)
-        self._keys = frozenset(keys)
-        h = hashlib.blake2b(digest_size=16)
-        h.update(f"{p}:{degree}:".encode())
-        h.update(self.array.tobytes())
-        self._digest = h.hexdigest()
-
-    def __len__(self) -> int:
-        return len(self.array)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, bytes):
-            return item in self._keys
-        return np.asarray(item, dtype=np.uint8).tobytes() in self._keys
-
-    @property
-    def digest(self) -> str:
-        return self._digest
-
-    @property
-    def keys(self) -> frozenset:
-        return self._keys
-
-    def mats64(self) -> np.ndarray:
-        return self.array.astype(np.int64)
-
-    def least(self) -> np.ndarray:
-        return self.array[0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ElementSet) and self._digest == other._digest
-
-    def __hash__(self):
-        return hash(self._digest)
-
-
 def _extend(parent: UnipotentGroup, rows: np.ndarray, known: set, gens: list[np.ndarray],
             new: np.ndarray) -> np.ndarray:
     """Rows of <H, new> for H = <gens> given as uint8 rows (Dimino's algorithm).
@@ -188,36 +141,31 @@ class UnipotentGroup:
             if not is_unipotent(g, p):
                 raise ValueError("generator is not unipotent")
         self.generators = gens
-        self.elements = reduced_generators(self, gens)[1]
-        n = len(self.elements)
+        full = reduced_generators(self, gens)
+        self._full = Subgroup(self, gens, full.rows, full.keys)
+        n = full.order()
         while n % p == 0:
             n //= p
         if n != 1:
-            raise ValueError(f"generators give a group of order {len(self.elements)}, "
+            raise ValueError(f"generators give a group of order {full.order()}, "
                              f"not a power of {p}")
         self._comm_cache: dict = {}
         self._power_cache: dict = {}
-        self._full = None
-
-    @property
-    def identity(self) -> np.ndarray:
-        return np.eye(self.degree, dtype=np.int64)
 
     def order(self) -> int:
-        return len(self.elements)
+        return self._full.order()
 
     def full_subgroup(self) -> "Subgroup":
-        if self._full is None:
-            self._full = Subgroup(self, self.generators, self.elements)
         return self._full
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, [], ElementSet(self.p, self.degree, self.identity[None]))
+        one = np.eye(self.degree, dtype=np.uint8)[None]
+        return Subgroup(self, [], one, frozenset([one.tobytes()]))
 
     def subgroup(self, gens) -> "Subgroup":
         gens = [_as_mat(g, self.p, self.degree) for g in gens]
-        _, elems = reduced_generators(self, gens)
-        return Subgroup(self, gens, elems)
+        sub = reduced_generators(self, gens)
+        return Subgroup(self, gens, sub.rows, sub.keys)
 
     def __repr__(self):
         label = self.name or "group"
@@ -225,20 +173,28 @@ class UnipotentGroup:
 
 
 class Subgroup:
-    """A subgroup of a UnipotentGroup, fully enumerated."""
+    """A subgroup of a UnipotentGroup, fully enumerated.
 
-    __slots__ = ("parent", "generators", "elements")
+    ``rows`` is a read-only uint8 (order, d, d) array of the elements in the
+    order coset extension produced them; ``keys`` is the frozenset of their
+    byte keys.  Subgroups of one ambient group are equal exactly when their
+    key sets are, and hash by them.
+    """
 
-    def __init__(self, parent: UnipotentGroup, generators, elements: ElementSet):
+    __slots__ = ("parent", "generators", "rows", "keys")
+
+    def __init__(self, parent: UnipotentGroup, generators, rows: np.ndarray, keys: frozenset):
         self.parent = parent
         self.generators = [np.mod(np.asarray(g, dtype=np.int64), parent.p) for g in generators]
-        self.elements = elements
+        rows.setflags(write=False)
+        self.rows = rows
+        self.keys = keys
 
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
     def order_exp(self) -> int:
-        n = len(self.elements)
+        n = len(self.rows)
         e = 0
         while n > 1:
             n //= self.parent.p
@@ -246,57 +202,53 @@ class Subgroup:
         return e
 
     def is_trivial(self) -> bool:
-        return len(self.elements) == 1
-
-    @property
-    def digest(self) -> str:
-        return self.elements.digest
+        return len(self.rows) == 1
 
     def contains_element(self, m) -> bool:
-        return m in self.elements
+        key = m if isinstance(m, bytes) else np.asarray(m, dtype=np.uint8).tobytes()
+        return key in self.keys
 
     def contains(self, other: "Subgroup") -> bool:
-        return other.elements.keys <= self.elements.keys
+        return other.keys <= self.keys
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subgroup)
             and self.parent.p == other.parent.p
             and self.parent.degree == other.parent.degree
-            and self.digest == other.digest
+            and self.keys == other.keys
         )
 
     def __hash__(self):
-        return hash(self.digest)
+        return hash(self.keys)
 
     def __repr__(self):
         return f"Subgroup(order={self.order()}, degree={self.parent.degree}, p={self.parent.p})"
 
 
 def reduced_generators(parent: UnipotentGroup, candidates: list[np.ndarray],
-                       base: Subgroup | None = None) -> tuple[list[np.ndarray], ElementSet]:
-    """Greedy generator thinning: keep a candidate only if it enlarges the group.
+                       base: Subgroup | None = None) -> Subgroup:
+    """The subgroup <base, candidates>, generated by base's generators and
+    each candidate that enlarges it (greedy generator thinning).
 
     The group grows from ``base`` (or the trivial group) by one coset
     extension per kept candidate, under the parent's element cap.  Kept
     lists stay O(log_p |result|), and so does the number of generators each
     extension steps through.
     """
-    p, degree = parent.p, parent.degree
+    p = parent.p
     if base is None:
-        kept: list[np.ndarray] = []
-        rows = np.eye(degree, dtype=np.uint8)[None]
-    else:
-        kept = list(base.generators)
-        rows = base.elements.array
-    known = set(_row_keys(rows))
+        base = parent.trivial_subgroup()
+    kept = list(base.generators)
+    rows = base.rows
+    known = set(base.keys)
     for c in candidates:
         c = np.mod(np.asarray(c, dtype=np.int64), p)
         if c.astype(np.uint8).tobytes() in known:
             continue
         rows = _extend(parent, rows, known, kept, c)
         kept.append(c)
-    return kept, ElementSet(p, degree, rows)
+    return Subgroup(parent, kept, rows, frozenset(known))
 
 
 def join(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -305,8 +257,8 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
         return a
     if b.contains(a):
         return b
-    big, small = (a, b) if len(a.elements) >= len(b.elements) else (b, a)
-    return Subgroup(a.parent, *reduced_generators(a.parent, small.generators, base=big))
+    big, small = (a, b) if a.order() >= b.order() else (b, a)
+    return reduced_generators(a.parent, small.generators, base=big)
 
 
 def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -317,25 +269,24 @@ def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     """
     parent = a.parent
     p, degree = parent.p, parent.degree
-    key = (a.digest, b.digest)
+    key = (a.keys, b.keys)
     cached = parent._comm_cache.get(key)
     if cached is not None:
         return cached
     sa, sb = _stack(a.generators, degree), _stack(b.generators, degree)
     seeds = commutator(sa[:, None], sb[None], p).reshape(-1, degree, degree)
-    kept, elems = reduced_generators(parent, seeds)
+    out = reduced_generators(parent, seeds)
     conj = np.concatenate([sa, sb])
     conj_inv = batch_inv(conj, p)
     while True:
-        ys = batch_mul(batch_mul(conj_inv, _stack(kept, degree)[:, None], p), conj, p)
+        ys = batch_mul(batch_mul(conj_inv, _stack(out.generators, degree)[:, None], p), conj, p)
         ys = ys.reshape(-1, degree, degree)
-        new = [y for k, y in zip(_row_keys(ys.astype(np.uint8)), ys) if k not in elems.keys]
+        new = [y for k, y in zip(_row_keys(ys.astype(np.uint8)), ys) if k not in out.keys]
         if not new:
             break
-        kept, elems = reduced_generators(parent, new, base=Subgroup(parent, kept, elems))
-    out = Subgroup(parent, kept, elems)
+        out = reduced_generators(parent, new, base=out)
     parent._comm_cache[key] = out
-    parent._comm_cache[(b.digest, a.digest)] = out
+    parent._comm_cache[(b.keys, a.keys)] = out
     return out
 
 
@@ -345,20 +296,22 @@ def power_subgroup(a: Subgroup, k: int) -> Subgroup:
         raise ValueError(f"power exponent {k} is not positive")
     parent = a.parent
     p = parent.p
-    key = (a.digest, k)
+    key = (a.keys, k)
     cached = parent._power_cache.get(key)
     if cached is not None:
         return cached
-    mats = a.elements.mats64()
+    mats = a.rows.astype(np.int64)
     # square-and-multiply over the bits of k below the leading one
     acc = mats
     for bit in bin(k)[3:]:
         acc = (acc @ acc) % p
         if bit == "1":
             acc = (acc @ mats) % p
+    # sorted, so that the kept generators (printed for kappa terms) do not
+    # depend on the row order of a
     flat = dict(zip(_row_keys(acc.astype(np.uint8)), acc))
     candidates = [flat[key_] for key_ in sorted(flat)]
-    out = Subgroup(parent, *reduced_generators(parent, candidates))
+    out = reduced_generators(parent, candidates)
     parent._power_cache[key] = out
     return out
 
@@ -370,7 +323,7 @@ def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
     outer = _stack(ambient.generators if ambient is not None else parent.generators, degree)
     ys = batch_mul(batch_mul(batch_inv(outer, p)[:, None], _stack(sub.generators, degree), p),
                    outer[:, None], p)
-    return sub.elements.keys.issuperset(_row_keys(ys.reshape(-1, degree, degree).astype(np.uint8)))
+    return sub.keys.issuperset(_row_keys(ys.reshape(-1, degree, degree).astype(np.uint8)))
 
 
 def lower_central_series(g: UnipotentGroup, n: Subgroup | None = None) -> list[Subgroup]:
@@ -431,11 +384,12 @@ class SectionBasis:
     in A with A/B abelian, as in every filter section; both are checked on
     generators.  Then B' contains [A,A] A^p, so every group H between B'
     and A is normal in A, and extending H by a rep r gives the cosets
-    H, H*r, ..., H*r^(p-1) in that order.  The reps are the least elements
-    of A, in sorted order, not yet covered.  The grown rows give the
-    coordinates of every element of A, so coordinatizing is a dict lookup,
-    and the least element of each coset of B', which is what lifting
-    returns.  Preimages of subspaces grow from B' the same way.
+    H, H*r, ..., H*r^(p-1) in that order.  Each rep is the least element
+    of A in row-major byte order not yet covered, found by walking A's rows
+    sorted once with ``np.lexsort``.  The grown rows give the coordinates
+    of every element of A, so coordinatizing is a dict lookup, and the
+    least element of each coset of B', which is what lifting returns.
+    Preimages of subspaces grow from B' the same way.
     """
 
     def __init__(self, num: Subgroup, den: Subgroup):
@@ -445,7 +399,7 @@ class SectionBasis:
             raise ValueError("denominator is not inside numerator")
         gens = _stack(num.generators, parent.degree)
         comms = commutator(gens[:, None], gens[None], p).reshape(-1, parent.degree, parent.degree)
-        if not den.elements.keys.issuperset(_row_keys(comms.astype(np.uint8))):
+        if not den.keys.issuperset(_row_keys(comms.astype(np.uint8))):
             raise NotAbelianSection("section numerator/denominator is not abelian")
         if not is_normal(den, num):
             raise NotNormal("section denominator is not normal in the numerator")
@@ -460,18 +414,20 @@ class SectionBasis:
         # b + k*n, so with reps r_1..r_j block b is den*r_1^c_1...r_j^c_j for
         # c the base-p digits of b.  The numerator bounds every group grown.
         reps: list[np.ndarray] = []
-        rows = self.den.elements.array
-        known = set(self.den.elements.keys)
-        total = len(num.elements)
-        for i, key in enumerate(_row_keys(num.elements.array)):
+        rows = self.den.rows
+        known = set(self.den.keys)
+        total = num.order()
+        flat = num.rows.reshape(total, -1)
+        ascending = flat[np.lexsort(flat.T[::-1])].reshape(num.rows.shape)
+        for i, key in enumerate(_row_keys(ascending)):
             if len(known) == total:
                 break
             if key not in known:
-                m = num.elements.array[i].astype(np.int64)
+                m = ascending[i].astype(np.int64)
                 rows = _extend(parent, rows, known, self.den.generators + reps, m)
                 reps.append(m)
         keys = _row_keys(rows)
-        size = len(self.den.elements)
+        size = self.den.order()
         self._coords: dict[bytes, int] = dict(zip(keys, (np.arange(total) // size).tolist()))
         self._coset_min: list[bytes] = [min(keys[i:i + size]) for i in range(0, total, size)]
         self.reps = reps
@@ -495,7 +451,7 @@ class SectionBasis:
     def preimage(self, space: Subspace) -> Subgroup:
         """Subgroup of elements whose coordinates land in the subspace."""
         lifts = [self.lift(row) for row in space.basis]
-        return Subgroup(self.parent, *reduced_generators(self.parent, lifts, base=self.den))
+        return reduced_generators(self.parent, lifts, base=self.den)
 
 
 def make_ut(d: int, p: int, cap: int = DEFAULT_CAP, all_transvections: bool = False) -> UnipotentGroup:
@@ -531,21 +487,39 @@ def make_heisenberg(ring, cap: int = DEFAULT_CAP) -> UnipotentGroup:
 
 
 def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> UnipotentGroup:
-    """Build a group from the JSON wire format (row-major generator entries)."""
+    """Build a group from the JSON wire format (row-major generator entries).
+
+    ``p`` and ``degree`` must be integers, ``generators`` a list of integer
+    lists and the optional ``name`` a string; nothing is coerced.
+    """
     if not isinstance(spec, dict):
         raise ValueError(f"group spec must be a JSON object, not {type(spec).__name__}")
     missing = [key for key in ("p", "degree", "generators") if key not in spec]
     if missing:
         raise ValueError(f"group spec lacks {', '.join(map(repr, missing))}")
-    p = int(spec["p"])
-    degree = int(spec["degree"])
+    for key in ("p", "degree"):
+        if type(spec[key]) is not int:  # a bool, float or string is not coerced
+            raise ValueError(f"group spec {key!r} must be an integer, not {spec[key]!r}")
+    p, degree = spec["p"], spec["degree"]
+    if degree < 1:
+        raise ValueError(f"group spec 'degree' must be positive, not {degree}")
+    flats = spec["generators"]
+    if not (isinstance(flats, list)
+            and all(isinstance(f, list) and all(type(x) is int for x in f) for f in flats)):
+        raise ValueError("group spec 'generators' must be a list of integer lists")
+    name = spec.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"group spec 'name' must be a string, not {name!r}")
     gens = []
-    for flat in spec["generators"]:
-        a = np.asarray(flat, dtype=np.int64)
+    for flat in flats:
+        try:
+            a = np.asarray(flat, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("group spec 'generators' entries must fit in 64 bits") from None
         if a.size != degree * degree:
             raise DimensionMismatch(f"generator has {a.size} entries, expected {degree * degree}")
         gens.append(a.reshape(degree, degree))
-    return UnipotentGroup(p, degree, gens, name=str(spec.get("name", "")), cap=cap)
+    return UnipotentGroup(p, degree, gens, name=name, cap=cap)
 
 
 def group_to_spec(g: UnipotentGroup) -> dict:

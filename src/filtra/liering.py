@@ -131,15 +131,15 @@ class GradedLieRing:
         """The bracket must not depend on the choice of coset representatives."""
         sec_s, sec_t = self.section(s), self.section(t)
         target = self.section(monoid.add(s, t))
-        den_s = sec_s.den.elements
-        den_t = sec_t.den.elements
+        den_s = sec_s.den.rows
+        den_t = sec_t.den.rows
         bad = []
         for i in range(sec_s.dim):
             for j in range(sec_t.dim):
                 want = self.product_tensor(s, t)[i, j]
                 for _ in range(trials):
-                    ds = den_s.array[rng.integers(0, len(den_s.array))]
-                    dt = den_t.array[rng.integers(0, len(den_t.array))]
+                    ds = den_s[rng.integers(0, len(den_s))]
+                    dt = den_t[rng.integers(0, len(den_t))]
                     g = (sec_s.reps[i] @ ds.astype(np.int64)) % self.p
                     h = (sec_t.reps[j] @ dt.astype(np.int64)) % self.p
                     try:

@@ -28,13 +28,13 @@ def exhaustive_commutator_subgroup(a: Subgroup, b: Subgroup,
     """[A, B] from the commutators of every element pair."""
     parent = a.parent
     p = parent.p
-    if len(a.elements) * len(b.elements) > pair_limit:
+    if a.order() * b.order() > pair_limit:
         raise ValueError("pair enumeration over limit; use the normal closure form")
-    amats = a.elements.mats64()
+    amats = a.rows.astype(np.int64)
     ainv = batch_inv(amats, p)
     seen: set[bytes] = set()
     gens: list[np.ndarray] = []
-    for y in b.elements.mats64():
+    for y in b.rows.astype(np.int64):
         yinv = batch_inv(y[None], p)[0]
         left = np.matmul(ainv, yinv[None]) % p
         right = np.matmul(amats, y[None]) % p
@@ -44,7 +44,7 @@ def exhaustive_commutator_subgroup(a: Subgroup, b: Subgroup,
             if key not in seen:
                 seen.add(key)
                 gens.append(c)
-    return Subgroup(parent, *reduced_generators(parent, gens))
+    return reduced_generators(parent, gens)
 
 
 def path_product_values(ambient: UnipotentGroup,
@@ -164,12 +164,12 @@ def conjugation_orbit_closure(parent: UnipotentGroup, seeds: list[np.ndarray]) -
     """Normal closure by closing the full element list under conjugation
     by every group element (definition-level, no generator tricks)."""
     p = parent.p
-    kept, elems = reduced_generators(parent, seeds)
+    sub = reduced_generators(parent, seeds)
     while True:
         new = []
-        seen = set(elems.keys)
-        emats = elems.mats64()
-        for g in parent.elements.mats64():
+        seen = set(sub.keys)
+        emats = sub.rows.astype(np.int64)
+        for g in parent.full_subgroup().rows.astype(np.int64):
             ginv = batch_inv(g[None], p)[0]
             conj = np.matmul(np.matmul(ginv[None], emats), g[None]) % p
             for c in conj:
@@ -178,5 +178,5 @@ def conjugation_orbit_closure(parent: UnipotentGroup, seeds: list[np.ndarray]) -
                     seen.add(key)
                     new.append(c)
         if not new:
-            return Subgroup(parent, kept, elems)
-        kept, elems = reduced_generators(parent, list(kept) + new)
+            return sub
+        sub = reduced_generators(parent, sub.generators + new)

@@ -112,16 +112,18 @@ def refine_once(f: Filter, method: str = "adjoint", check: bool = False,
         raise NoNontrivialComponent("filter has no nonzero graded component")
     rd = ring_at(lie, s, method, check=check, rng=rng)
     sec = lie.section(s)
-    plus_digest = f.plus(s).digest
+    # every preimage contains the section's denominator, which contains
+    # phi_s^+, so a preimage equals phi_s^+ exactly when their orders agree
+    plus_order = f.plus(s).order()
     a = sec.dim
     hs: list[Subgroup] = []
     spaces = rd.acting_powers + [Subspace(lie.p, a, [])]
     for space in spaces:
         h = sec.preimage(space)
         hs.append(h)
-        if h.digest == plus_digest:
+        if h.order() == plus_order:
             break
-    if hs[0].digest == plus_digest:
+    if hs[0].order() == plus_order:
         return RefineRound(f, False, s, a, rd.ring_dim, rd.radical_chain_dims())
     dom: dict[Index, Subgroup] = {u + (0,): f.support[u] for u in f.keys}
     for i, h in enumerate(hs, start=1):

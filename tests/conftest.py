@@ -59,7 +59,7 @@ def rng():
 
 
 def keys_of(sub) -> frozenset:
-    return sub.elements.keys
+    return sub.keys
 
 
 def pattern_keys(group, free) -> frozenset:
@@ -72,7 +72,7 @@ def pattern_keys(group, free) -> frozenset:
     mask = np.zeros((d, d), dtype=bool)
     for i, j in free:
         mask[i, j] = True
-    mats = group.elements.mats64()
+    mats = group.full_subgroup().rows.astype(np.int64)
     off = mats.copy()
     idx = np.arange(d)
     off[:, idx, idx] = 0
@@ -103,7 +103,7 @@ def hei_block_keys(group, ring, ia, ib, ic) -> frozenset:
               (slice(m, 2 * m), slice(2 * m, 3 * m)),
               (slice(0, m), slice(2 * m, 3 * m))]
     out = []
-    for mat in group.elements.mats64():
+    for mat in group.full_subgroup().rows.astype(np.int64):
         good = True
         for space, (rs, cs) in zip(spaces, slices):
             x = (ring.unit @ mat[rs, cs]) % ring.p
@@ -131,4 +131,4 @@ def flip_map(p: int, d: int):
 
 def mapped_keys(sub, auto) -> frozenset:
     return frozenset(auto(m).astype(np.uint8).tobytes()
-                     for m in sub.elements.mats64())
+                     for m in sub.rows.astype(np.int64))

@@ -12,7 +12,6 @@ compare the library against them bit for bit.
 import numpy as np
 
 from filtra.errors import CapExceeded
-from filtra.group import ElementSet
 from filtra.modlinalg import Subspace, inv_mod
 
 
@@ -100,7 +99,8 @@ def loop_spin(v, mats, p: int) -> np.ndarray:
 
 
 def _bfs_closure(p: int, degree: int, gens: list[np.ndarray], cap: int,
-                 seed: np.ndarray | None = None) -> ElementSet:
+                 seed: np.ndarray | None = None) -> tuple[np.ndarray, frozenset]:
+    """The rows, in the order found, and the key set of <seed, gens>."""
     eye = np.eye(degree, dtype=np.int64)
     if seed is None:
         seed = eye[None]
@@ -129,7 +129,7 @@ def _bfs_closure(p: int, degree: int, gens: list[np.ndarray], cap: int,
         if len(known) > cap:
             raise CapExceeded(cap, len(known))
     mats = np.stack(rows).reshape(-1, degree, degree) if rows else np.zeros((0, degree, degree), np.uint8)
-    return ElementSet(p, degree, mats)
+    return mats, frozenset(known)
 
 
 def naive_algebra_closure(mats, p: int, n: int, unital: bool = False) -> Subspace:

@@ -154,11 +154,17 @@ def test_bad_group_file_is_input_error(tmp_path):
     assert code2 == 1
     assert "bad group spec" in err2
 
-    # SL(2,2), of order 6, is not a 2-group; the other two are not specs at all
+    # SL(2,2), of order 6, is not a 2-group; the others are not specs at all,
+    # and none of their values is coerced into one
     for spec, message in (
         ({"p": 2, "degree": 2, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]}, "order 6"),
         ([[1, 1, 0, 1]], "JSON object"),
         ({"p": 2, "generators": [[1, 0, 0, 1]]}, "'degree'"),
+        ({"p": 2, "degree": 2, "generators": 5}, "'generators'"),
+        ({"p": 2.7, "degree": 2, "generators": [[1, 1, 0, 1]]}, "'p'"),
+        ({"p": 2, "degree": 2, "generators": [[1, 1.5, 0, 1]]}, "'generators'"),
+        ({"p": 2, "degree": 2, "generators": [[1, 1, 0, 1]], "name": None}, "'name'"),
+        ({"p": 2, "degree": 2, "generators": [[1, 2**70, 0, 1]]}, "64 bits"),
     ):
         path3 = tmp_path / "spec.json"
         path3.write_text(json.dumps(spec))

@@ -85,12 +85,12 @@ def test_commutator_oracle_grid(d, p):
     full = g.full_subgroup()
     sub = g.subgroup([transvection(d, 0, 1)])
     for a, b in [(full, full), (full, sub), (sub, full), (sub, sub)]:
-        assert commutator_subgroup(a, b).digest == exhaustive_commutator_subgroup(a, b).digest
+        assert commutator_subgroup(a, b) == exhaustive_commutator_subgroup(a, b)
 
 
 def powers_oracle(sub, k):
     g = sub.parent
-    mats = sub.elements.mats64()
+    mats = sub.rows.astype(np.int64)
     powed = []
     for m in mats:
         acc = np.eye(g.degree, dtype=np.int64)
@@ -105,7 +105,7 @@ def test_power_subgroup_examples():
     full = g.full_subgroup()
     sq = power_subgroup(full, 2)
     assert sq.order() == 2
-    assert sq.digest == powers_oracle(full, 2).digest
+    assert sq == powers_oracle(full, 2)
     # elementary abelian to the p is trivial
     c3 = make_ut(2, 3)
     assert power_subgroup(c3.full_subgroup(), 3).is_trivial()
@@ -115,11 +115,11 @@ def test_power_subgroup_examples():
 def test_power_subgroup_oracle_grid():
     for d, p in [(3, 3), (4, 2), (4, 3), (3, 5)]:
         full = ut(d, p).full_subgroup()
-        assert power_subgroup(full, p).digest == powers_oracle(full, p).digest
+        assert power_subgroup(full, p) == powers_oracle(full, p)
     # exponents whose bits take every branch of square-and-multiply
     full = ut(4, 2).full_subgroup()
     for k in (1, 3, 4, 6):
-        assert power_subgroup(full, k).digest == powers_oracle(full, k).digest, k
+        assert power_subgroup(full, k) == powers_oracle(full, k), k
     with pytest.raises(ValueError):
         power_subgroup(full, 0)
 
@@ -144,7 +144,7 @@ def test_eta_series():
     comm = exhaustive_commutator_subgroup(full, full)
     pows = powers_oracle(full, 2)
     want = join(comm, pows)
-    assert eta[1].digest == want.digest
+    assert eta[1] == want
     c3 = make_ut(2, 3)
     assert len(exponent_p_central_series(c3)) == 1  # eta_2 already trivial
 
@@ -154,8 +154,7 @@ def test_jennings_series():
     assert got == [8, 2]
     assert keys_of(jennings_series(ut(3, 2))[1]) == pattern_keys(ut(3, 2), [(0, 2)])
     # p >= class: kappa collapses to gamma
-    assert [h.digest for h in jennings_series(ut(3, 3))] == \
-        [h.digest for h in lower_central_series(ut(3, 3))]
+    assert jennings_series(ut(3, 3)) == lower_central_series(ut(3, 3))
     triv = ut(3, 2).trivial_subgroup()
     assert all(h.is_trivial() for h in jennings_series(ut(3, 2), triv))
 
@@ -194,7 +193,7 @@ def test_section_coordinatize_lift_roundtrip():
     gam = lower_central_series(g)
     sec = SectionBasis(gam[0], gam[1])
     rng = np.random.default_rng(5)
-    mats = g.elements.mats64()
+    mats = g.full_subgroup().rows.astype(np.int64)
     for m in mats[rng.integers(0, len(mats), 8)]:
         c = sec.coordinatize(m)
         lifted = sec.lift(c)
@@ -215,8 +214,8 @@ def test_section_preimage():
     g = ut(4, 2)
     gam = lower_central_series(g)
     sec = SectionBasis(gam[0], gam[1])
-    assert sec.preimage(full_space(2, 3)).digest == gam[0].digest
-    assert sec.preimage(Subspace(2, 3, None)).digest == gam[1].digest
+    assert sec.preimage(full_space(2, 3)) == gam[0]
+    assert sec.preimage(Subspace(2, 3, None)) == gam[1]
     half = sec.preimage(Subspace(2, 3, [sec.coordinatize(transvection(4, 0, 1))]))
     assert half.order() == gam[1].order() * 2
 
@@ -240,30 +239,34 @@ def filter_sections(group_name, series):
 def test_section_tables_match_closure_oracle(group_name, series):
     for sec in filter_sections(group_name, series):
         g, p = sec.parent, sec.p
-        num = sec.num.elements
-        den = sec.den.elements
+        num, den = sec.num, sec.den
+        mats = num.rows.astype(np.int64)
         # the denominator is the closure of B and the p-th powers of A
-        powers = [np.linalg.matrix_power(m, p) % p for m in num.mats64()]
-        _, want_den = reduced_generators(g, sec.den_given.generators + powers)
+        powers = [np.linalg.matrix_power(m, p) % p for m in mats]
+        want_den = reduced_generators(g, sec.den_given.generators + powers)
         assert den.keys == want_den.keys
-        assert len(num) == p ** sec.dim * len(den)
+        assert num.order() == p ** sec.dim * den.order()
         # every element of A coordinatizes, and m * lift(coords(m))^-1 lies in B'
-        mats = num.mats64()
         coords = np.array([sec.coordinatize(m) for m in mats])
-        assert coords.shape == (len(num), sec.dim)
+        assert coords.shape == (num.order(), sec.dim)
         lifts = np.array([sec.lift(c) for c in coords])
         quot = batch_mul(mats, batch_inv(lifts, p), p).astype(np.uint8)
-        assert all(q.tobytes() in den for q in quot)
+        assert all(q.tobytes() in den.keys for q in quot)
         # lift(c) is the least element of its coset B' lift(c)
         for c in {tuple(c) for c in coords.tolist()}:
             lift = sec.lift(c)
-            coset = batch_mul(den.mats64(), lift, p).astype(np.uint8)
+            coset = batch_mul(den.rows.astype(np.int64), lift, p).astype(np.uint8)
             assert min(m.tobytes() for m in coset) == lift.astype(np.uint8).tobytes()
+        # reps[i] is the least element of A in byte order outside <B', reps[:i]>
+        for i, r in enumerate(sec.reps):
+            _, covered = _bfs_closure(p, g.degree, den.generators + sec.reps[:i], g.cap)
+            least = min(k for k in num.keys if k not in covered)
+            assert r.astype(np.uint8).tobytes() == least
         # the reps are a basis, and coordinates add under multiplication
         for i, r in enumerate(sec.reps):
             assert np.array_equal(sec.coordinatize(r), np.eye(sec.dim, dtype=np.int64)[i])
-        rng = np.random.default_rng(len(num))
-        for i, j in rng.integers(0, len(num), (8, 2)):
+        rng = np.random.default_rng(num.order())
+        for i, j in rng.integers(0, num.order(), (8, 2)):
             prod = batch_mul(mats[i], mats[j], p)
             assert np.array_equal(sec.coordinatize(prod), (coords[i] + coords[j]) % p)
 
@@ -279,10 +282,10 @@ def test_section_preimage_matches_closure_oracle(group_name, series):
         for space in spaces:
             got = sec.preimage(space)
             gens = sec.den.generators + [sec.lift(v) for v in space.basis]
-            want = _bfs_closure(p, g.degree, gens, g.cap)
-            assert keys_of(got) == want.keys
-            assert got.order() == len(sec.den.elements) * p ** space.dim
-            inside = {m.tobytes() for m in sec.num.elements.array
+            _, want = _bfs_closure(p, g.degree, gens, g.cap)
+            assert keys_of(got) == want
+            assert got.order() == sec.den.order() * p ** space.dim
+            inside = {m.tobytes() for m in sec.num.rows
                       if space.contains(sec.coordinatize(m))}
             assert keys_of(got) == inside
 
@@ -331,7 +334,7 @@ def test_group_spec_roundtrip():
     spec = group_to_spec(g)
     back = group_from_spec(spec)
     assert back.order() == g.order()
-    assert back.elements.digest == g.elements.digest
+    assert back.full_subgroup() == g.full_subgroup()
     assert back.name == g.name
 
 
@@ -346,6 +349,18 @@ def test_group_from_spec_rejects_bad_shape():
     {"degree": 2, "generators": []},
     {"p": 2, "generators": []},
     {"p": 2, "degree": 2},
+    # nothing is coerced: p and degree are integers, generators a list of
+    # integer lists, name a string
+    {"p": 2, "degree": 3, "generators": 5},
+    {"p": 2, "degree": 3, "generators": [5]},
+    {"p": 2.7, "degree": 2, "generators": []},
+    {"p": True, "degree": 2, "generators": []},
+    {"p": 2, "degree": "2", "generators": []},
+    {"p": 2, "degree": 0, "generators": []},
+    {"p": 2, "degree": 2, "generators": [[1, 1.5, 0, 1]]},
+    {"p": 2, "degree": 2, "generators": [[1, True, 0, 1]]},
+    {"p": 2, "degree": 2, "generators": [[1, 1, 0, 1]], "name": None},
+    {"p": 2, "degree": 2, "generators": [[1, 2**70, 0, 1]]},
 ])
 def test_group_from_spec_rejects_malformed_spec(spec):
     with pytest.raises(ValueError, match="group spec"):
@@ -394,7 +409,7 @@ def greedy_reference(p, d, kept, candidates):
     """Keep each candidate outside the element-BFS closure of those kept before it."""
     kept = list(kept)
     for c in candidates:
-        if c.astype(np.uint8).tobytes() not in _bfs_closure(p, d, kept, BFS_CAP):
+        if c.astype(np.uint8).tobytes() not in _bfs_closure(p, d, kept, BFS_CAP)[1]:
             kept.append(c)
     return kept
 
@@ -404,19 +419,20 @@ def greedy_reference(p, d, kept, candidates):
 def test_coset_extension_matches_element_bfs(case, split):
     p, d, gens = case
     try:
-        want = _bfs_closure(p, d, gens, BFS_CAP)
+        _, want = _bfs_closure(p, d, gens, BFS_CAP)
     except CapExceeded:
         with pytest.raises(CapExceeded):
             UnipotentGroup(p, d, gens, cap=BFS_CAP)
         return
     g = UnipotentGroup(p, d, gens, cap=BFS_CAP)
-    assert g.elements.keys == want.keys
-    assert g.elements.digest == want.digest
+    assert g.full_subgroup().keys == want
+    assert g.order() == len(want)
     # thinning from the trivial group, and from the closure of the first `split` generators
-    for base in (None, Subgroup(g, gens[:split], _bfs_closure(p, d, gens[:split], BFS_CAP))):
+    for base in (None, Subgroup(g, gens[:split], *_bfs_closure(p, d, gens[:split], BFS_CAP))):
         head = [] if base is None else gens[:split]
-        kept, elems = reduced_generators(g, gens[len(head):], base=base)
+        got = reduced_generators(g, gens[len(head):], base=base)
         want_kept = greedy_reference(p, d, head, gens[len(head):])
-        assert len(kept) == len(want_kept)
-        assert all(np.array_equal(a, b) for a, b in zip(kept, want_kept))
-        assert elems.digest == want.digest
+        assert len(got.generators) == len(want_kept)
+        assert all(np.array_equal(a, b) for a, b in zip(got.generators, want_kept))
+        assert got.keys == want
+        assert got.order() == len(want)
