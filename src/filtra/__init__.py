@@ -50,8 +50,6 @@ from .bimap import (
     heisenberg_tensor,
     kronecker_pair_tensor,
     solve_ring,
-    tensor_from_json,
-    tensor_to_json,
 )
 from .algrep import MatAlgebra, algebra_closure, jacobson_radical, verify_radical
 from .refine import (

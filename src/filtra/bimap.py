@@ -3,7 +3,8 @@
 A bimap U x V -> W is stored as a structure tensor B of shape
 (a, b, c): B[i, j] is the coordinate vector of e_i * e_j.  Vectors are
 rows throughout; a matrix X acts on U on the right, so (uX)_l is
-sum_i u_i X[i, l].
+sum_i u_i X[i, l].  The slice B_k is the a x b matrix B[:, :, k], so the
+k-th coordinate of u * v is u B_k v^T.
 
 Three rings of scalars are computed by linear algebra over Z_p:
 
@@ -14,6 +15,40 @@ Three rings of scalars are computed by linear algebra over Z_p:
 The adjoint and centroid are multiplicatively closed and contain the
 identity; derivations close under the commutator bracket.  Verification
 helpers recheck all of that from the solved bases.
+
+Adjoint as a centralizer.  Slice by slice the adjoint condition reads
+
+  X B_k = B_k Y^T   for k = 1..c.
+
+When a = b and some C = sum lambda_k B_k is invertible, the same
+combination of these equations gives X C = C Y^T, so Y^T = C^-1 X C.
+Putting that back in, X B_k = B_k C^-1 X C, and multiplying by C^-1 on
+the right,
+
+  X M_k = M_k X   with M_k = B_k C^-1,
+
+so X ranges over the common centralizer of the M_k.  Conversely every X in
+that centralizer gives a solution (X, (C^-1 X C)^T).  That is a system in
+a^2 unknowns instead of a^2 + b^2; the adjoint is the row space of the
+pairs, and as a `Subspace` it is in rref, the same canonical basis the
+full system has.  C is looked for among the slices in order, then among
+COMBINATION_DRAWS combinations drawn from a fixed seed, so the route
+depends on the tensor alone, never on a caller's random state.
+
+Fallback.  When a != b, when c = 0, or when no invertible combination
+turns up, the adjoint is the nullspace of the full (a*b*c) x (a^2 + b^2)
+system in (X, Y).  Degenerate bimaps land here, and so does every
+alternating B of odd size, all of whose combinations are singular.
+
+Centroid inside the adjoint.  A centroid triple has (X, Y) in the adjoint
+and  X B_k = sum_m Z[m, k] B_m.  Over an adjoint basis (X_n, Y_n) the
+unknowns are the coefficients alpha and Z, dim Adj + c^2 of them:
+
+  sum_n alpha_n X_n B_k - sum_m Z[m, k] B_m = 0   for k = 1..c,
+
+and each solution gives the triple (sum alpha_n X_n, sum alpha_n Y_n, Z).
+This runs for every tensor, on whichever adjoint route applied.
+Derivations are solved on their full system.
 """
 
 from __future__ import annotations
@@ -22,7 +57,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modlinalg import Subspace, check_prime, solve_nullspace
+from .modlinalg import Subspace, check_prime, inv_matrix, nullspace, solve_nullspace
+
+# Combinations of slices tried, after the slices themselves, when looking for
+# an invertible one.
+COMBINATION_DRAWS = 8
 
 
 def as_tensor(entries, p: int) -> np.ndarray:
@@ -133,11 +172,60 @@ def _rows_z(b: np.ndarray) -> np.ndarray:
     return rows.reshape(a * bb * c, c * c)
 
 
+def _invertible_slice(b: np.ndarray, p: int):
+    """(C, C^-1) for an invertible C = sum lambda_k B_k, or None when the
+    adjoint takes the full-system fallback (see the module docstring)."""
+    a, bb, c = b.shape
+    if a != bb or c == 0:
+        return None
+    draws = np.random.default_rng(0).integers(0, p, (COMBINATION_DRAWS, c))
+    for lam in np.concatenate([np.eye(c, dtype=np.int64), draws]):
+        cm = (b @ lam) % p
+        try:
+            return cm, inv_matrix(cm, p)
+        except ValueError:
+            continue
+    return None
+
+
+def _centralizer(ms: np.ndarray, p: int) -> np.ndarray:
+    """Basis of {X : X M = M X for every M in ms}.
+
+    Scalar M commute with everything and are dropped.  The first M left
+    gives the a^2 x a^2 system (I (x) M^T - M (x) I) vec X = 0 (row-major
+    vec), whose solutions X_n are then cut down, for all other M at once,
+    to the combinations lambda with sum lambda_n (X_n M - M X_n) = 0.
+    """
+    a = ms.shape[-1]
+    eye = np.eye(a, dtype=np.int64)
+    ms = [m for m in ms if (m - m[0, 0] * eye).any()]
+    if not ms:
+        return np.eye(a * a, dtype=np.int64)
+    basis = nullspace(np.kron(eye, ms[0].T) - np.kron(ms[0], eye), p)
+    if len(ms) > 1:
+        xs = basis.reshape(-1, a, a)
+        images = np.concatenate([(xs @ m - m @ xs).reshape(len(xs), -1) for m in ms[1:]], axis=1)
+        basis = (nullspace(images.T, p) @ basis) % p
+    return basis
+
+
+def _adjoint_space(b: np.ndarray, p: int) -> Subspace:
+    a, bb, _ = b.shape
+    found = _invertible_slice(b, p)
+    if found is None:
+        rows = np.concatenate([_rows_x(b), -_rows_y_right(b) % p], axis=1)
+        return solve_nullspace(rows, p, a * a + bb * bb)
+    cm, inv = found
+    ms = (b.transpose(2, 0, 1) @ inv) % p
+    xs = _centralizer(ms, p).reshape(-1, a, a)
+    ys = ((inv @ xs % p) @ cm % p).transpose(0, 2, 1)
+    return Subspace(p, 2 * a * a, np.concatenate([xs, ys], axis=1).reshape(len(xs), -1))
+
+
 def adjoint_ring(tensor, p: int) -> ScalarRing:
     b = as_tensor(tensor, p)
     a, bb, _ = b.shape
-    rows = np.concatenate([_rows_x(b), -_rows_y_right(b) % p], axis=1)
-    space = solve_nullspace(rows, p, a * a + bb * bb)
+    space = _adjoint_space(b, p)
     members = tuple(tuple(_unflatten(v, [(a, a), (bb, bb)])) for v in space.basis)
     return ScalarRing("adjoint", p, b, members, space)
 
@@ -145,12 +233,12 @@ def adjoint_ring(tensor, p: int) -> ScalarRing:
 def centroid_ring(tensor, p: int) -> ScalarRing:
     b = as_tensor(tensor, p)
     a, bb, c = b.shape
-    zx = np.zeros((a * bb * c, a * a), dtype=np.int64)
-    zy = np.zeros((a * bb * c, bb * bb), dtype=np.int64)
-    eq1 = np.concatenate([_rows_x(b), zy, -_rows_z(b) % p], axis=1)
-    eq2 = np.concatenate([zx, _rows_y_right(b), -_rows_z(b) % p], axis=1)
-    rows = np.concatenate([eq1, eq2], axis=0)
-    space = solve_nullspace(rows, p, a * a + bb * bb + c * c)
+    adj = _adjoint_space(b, p).basis
+    xb = np.einsum("nil,ljk->ijkn", adj[:, : a * a].reshape(-1, a, a), b)
+    # Unknowns (Z, alpha): with the sparse Z block first, elimination is cheaper.
+    sol = nullspace(np.concatenate([_rows_z(b), -xb.reshape(a * bb * c, len(adj))], axis=1), p)
+    vecs = np.concatenate([sol[:, c * c:] @ adj % p, sol[:, : c * c]], axis=1)
+    space = Subspace(p, a * a + bb * bb + c * c, vecs)
     members = tuple(tuple(_unflatten(v, [(a, a), (bb, bb), (c, c)])) for v in space.basis)
     return ScalarRing("centroid", p, b, members, space)
 
@@ -211,19 +299,3 @@ def heisenberg_tensor(ring) -> np.ndarray:
             b[i, m + j] = prod
             b[m + j, i] = (-prod) % ring.p
     return b
-
-
-def tensor_to_json(tensor: np.ndarray) -> dict:
-    a, b, c = tensor.shape
-    entries = [[i, j, k, int(tensor[i, j, k])]
-               for i in range(a) for j in range(b) for k in range(c)
-               if tensor[i, j, k]]
-    return {"dims": [a, b, c], "entries": entries}
-
-
-def tensor_from_json(data: dict, p: int) -> np.ndarray:
-    a, b, c = data["dims"]
-    t = np.zeros((a, b, c), dtype=np.int64)
-    for i, j, k, v in data["entries"]:
-        t[i, j, k] = v
-    return t % p

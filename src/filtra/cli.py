@@ -25,7 +25,14 @@ from .filters import (
     kappa_filter,
     verify_axioms,
 )
-from .group import DEFAULT_CAP, UnipotentGroup, group_from_spec, make_heisenberg, make_ut
+from .group import (
+    DEFAULT_CAP,
+    UnipotentGroup,
+    check_degree,
+    group_from_spec,
+    make_heisenberg,
+    make_ut,
+)
 from .liering import GradedLieRing
 from .refine import METHODS, fingerprint, refine_stable, ring_at
 from .ring import make_poly_quotient
@@ -93,6 +100,8 @@ def _build_groups(args) -> list[tuple[UnipotentGroup, str]]:
         parts = [int(x) for x in spec.split(",")]
         if len(parts) < 3:
             raise ValueError("--heisenberg needs P and at least two coefficients")
+        # checked here too, because building a large ring is slow in itself
+        check_degree(3 * (len(parts) - 2), "H(R) degree 3 * dim R")
         g = make_heisenberg(make_poly_quotient(parts[0], parts[1:]), cap=cap)
         groups.append((g, g.name))
     for path in args.group or []:

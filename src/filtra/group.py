@@ -39,6 +39,24 @@ from .errors import CapExceeded, DimensionMismatch, NotAbelianSection, NotNormal
 from .modlinalg import Subspace, check_prime
 
 DEFAULT_CAP = 2**20
+MAX_DEGREE = 256
+
+
+def check_degree(degree: int, what: str = "degree") -> None:
+    """Reject a matrix degree outside 1..MAX_DEGREE before any d x d array exists.
+
+    The element cap bounds how many elements are enumerated, not how large
+    each one is: an element of degree d is held as d^2 bytes in ``rows``,
+    d^2 more in its key, and 8 d^2 in the int64 products of coset
+    extension.  At d = 256 that is 640 KiB per element, so a group of a
+    thousand elements already needs more than 600 MB, while the groups this
+    library is built for have degree a few dozen at most (H(R) has degree
+    3 dim R).  The bound keeps all of those and turns a typo such as 100000
+    into an input error instead of a 10 to 80 GB identity matrix.  Degree 0
+    and below name no group at all.
+    """
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"{what} must be between 1 and {MAX_DEGREE}, not {degree}")
 
 
 def _as_mat(m, p: int, degree: int) -> np.ndarray:
@@ -132,6 +150,7 @@ class UnipotentGroup:
         check_prime(p)
         if p > 251:
             raise ValueError("p must fit in one byte")
+        check_degree(degree)
         self.p = p
         self.degree = degree
         self.name = name
@@ -456,6 +475,7 @@ class SectionBasis:
 
 def make_ut(d: int, p: int, cap: int = DEFAULT_CAP, all_transvections: bool = False) -> UnipotentGroup:
     """Full upper unitriangular group UT(d, p) from transvection generators."""
+    check_degree(d, "UT degree")
     gens = []
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)] if all_transvections \
         else [(i, i + 1) for i in range(d - 1)]
@@ -474,6 +494,7 @@ def make_heisenberg(ring, cap: int = DEFAULT_CAP) -> UnipotentGroup:
     """
     p, m = ring.p, ring.dim
     d = 3 * m
+    check_degree(d, "H(R) degree 3 * dim R")
     gens = []
     for i in range(m):
         mul = ring.mult_matrix(ring.basis_vector(i))
@@ -501,8 +522,7 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CAP) -> UnipotentGroup:
         if type(spec[key]) is not int:  # a bool, float or string is not coerced
             raise ValueError(f"group spec {key!r} must be an integer, not {spec[key]!r}")
     p, degree = spec["p"], spec["degree"]
-    if degree < 1:
-        raise ValueError(f"group spec 'degree' must be positive, not {degree}")
+    check_degree(degree, "group spec 'degree'")
     flats = spec["generators"]
     if not (isinstance(flats, list)
             and all(isinstance(f, list) and all(type(x) is int for x in f) for f in flats)):

@@ -1,4 +1,4 @@
-"""Shared fixtures and element-set helpers.
+"""Shared fixtures, element-set helpers and the tensor JSON format.
 
 Group and ring constructions are cached at module level: element
 enumeration is most of the cost of a group, and every file wants the
@@ -132,3 +132,20 @@ def flip_map(p: int, d: int):
 def mapped_keys(sub, auto) -> frozenset:
     return frozenset(auto(m).astype(np.uint8).tobytes()
                      for m in sub.rows.astype(np.int64))
+
+
+def tensor_to_json(tensor: np.ndarray) -> dict:
+    """Sparse JSON form of a bimap tensor: dims and nonzero [i, j, k, value]."""
+    a, b, c = tensor.shape
+    entries = [[i, j, k, int(tensor[i, j, k])]
+               for i in range(a) for j in range(b) for k in range(c)
+               if tensor[i, j, k]]
+    return {"dims": [a, b, c], "entries": entries}
+
+
+def tensor_from_json(data: dict, p: int) -> np.ndarray:
+    a, b, c = data["dims"]
+    t = np.zeros((a, b, c), dtype=np.int64)
+    for i, j, k, v in data["entries"]:
+        t[i, j, k] = v
+    return t % p

@@ -7,12 +7,19 @@ and the element-by-element breadth-first closure that `filtra.group` used
 before subgroups were grown by coset extension.  They take one row or one
 element per step, so they are slow but easy to check by eye; the tests
 compare the library against them bit for bit.
+
+The full-system scalar-ring solvers at the end are the `adjoint_ring` and
+`centroid_ring` that `filtra.bimap` used before the adjoint became a
+centralizer and the centroid a system over the adjoint basis: one
+(a*b*c) x (a^2 + b^2) system for the adjoint and one (2*a*b*c) x
+(a^2 + b^2 + c^2) system for the centroid.
 """
 
 import numpy as np
 
 from filtra.errors import CapExceeded
-from filtra.modlinalg import Subspace, inv_mod
+from filtra.bimap import ScalarRing, _unflatten, as_tensor
+from filtra.modlinalg import Subspace, inv_mod, solve_nullspace
 
 
 def loop_rref(a, p: int) -> tuple[np.ndarray, list[int]]:
@@ -145,3 +152,52 @@ def naive_algebra_closure(mats, p: int, n: int, unital: bool = False) -> Subspac
         if not new:
             return space
         space = Subspace(p, n * n, np.vstack([space.basis] + new))
+
+
+def _rows_x(b: np.ndarray) -> np.ndarray:
+    """Coefficient block of X in  uX * v: entry ((i,j,k),(i',l)) = d_{ii'} B[l,j,k]."""
+    a, bb, c = b.shape
+    rows = np.zeros((a, bb, c, a, a), dtype=np.int64)
+    for i in range(a):
+        rows[i, :, :, i, :] = b.transpose(1, 2, 0)
+    return rows.reshape(a * bb * c, a * a)
+
+
+def _rows_y_right(b: np.ndarray) -> np.ndarray:
+    """Coefficient block of Y in  u * vY with v a row: uses Y[j,l] B[i,l,k]."""
+    a, bb, c = b.shape
+    rows = np.zeros((a, bb, c, bb, bb), dtype=np.int64)
+    for j in range(bb):
+        rows[:, j, :, j, :] = b.transpose(0, 2, 1)
+    return rows.reshape(a * bb * c, bb * bb)
+
+
+def _rows_z(b: np.ndarray) -> np.ndarray:
+    """Coefficient block of Z in  (u * v)Z: entry ((i,j,k),(m,k')) = d_{kk'} B[i,j,m]."""
+    a, bb, c = b.shape
+    rows = np.zeros((a, bb, c, c, c), dtype=np.int64)
+    for k in range(c):
+        rows[:, :, k, :, k] = b
+    return rows.reshape(a * bb * c, c * c)
+
+
+def full_adjoint_ring(tensor, p: int) -> ScalarRing:
+    b = as_tensor(tensor, p)
+    a, bb, _ = b.shape
+    rows = np.concatenate([_rows_x(b), -_rows_y_right(b) % p], axis=1)
+    space = solve_nullspace(rows, p, a * a + bb * bb)
+    members = tuple(tuple(_unflatten(v, [(a, a), (bb, bb)])) for v in space.basis)
+    return ScalarRing("adjoint", p, b, members, space)
+
+
+def full_centroid_ring(tensor, p: int) -> ScalarRing:
+    b = as_tensor(tensor, p)
+    a, bb, c = b.shape
+    zx = np.zeros((a * bb * c, a * a), dtype=np.int64)
+    zy = np.zeros((a * bb * c, bb * bb), dtype=np.int64)
+    eq1 = np.concatenate([_rows_x(b), zy, -_rows_z(b) % p], axis=1)
+    eq2 = np.concatenate([zx, _rows_y_right(b), -_rows_z(b) % p], axis=1)
+    rows = np.concatenate([eq1, eq2], axis=0)
+    space = solve_nullspace(rows, p, a * a + bb * bb + c * c)
+    members = tuple(tuple(_unflatten(v, [(a, a), (bb, bb), (c, c)])) for v in space.basis)
+    return ScalarRing("centroid", p, b, members, space)

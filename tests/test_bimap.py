@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import named_ring
+from conftest import named_ring, tensor_from_json, tensor_to_json
 from filtra.bimap import (
+    _invertible_slice,
     adjoint_ring,
     as_tensor,
     centroid_ring,
@@ -13,12 +14,12 @@ from filtra.bimap import (
     heisenberg_tensor,
     kronecker_pair_tensor,
     solve_ring,
-    tensor_from_json,
-    tensor_to_json,
 )
 from filtra.filters import gamma_filter
 from filtra.liering import GradedLieRing
+from filtra.modlinalg import inv_matrix
 from filtra.oracles import dense_adjoint_dim, dense_centroid_dim, dense_derivation_dim
+from loop_reference import full_adjoint_ring, full_centroid_ring
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -141,3 +142,124 @@ def test_adjoint_always_unital_closed(p, data):
     assert adj.has_identity()
     assert adj.closed()
     assert adj.satisfies_identity()
+
+
+# ---------------------------------------------------------------- slice routes
+# adjoint_ring solves a centralizer when some combination of slices is
+# invertible and the full system otherwise; centroid_ring always solves
+# inside the adjoint.  Each route must give the full system's rref basis.
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
+def assert_matches_full_systems(t, p):
+    for new, full in ((adjoint_ring, full_adjoint_ring), (centroid_ring, full_centroid_ring)):
+        got, want = new(t, p), full(t, p)
+        assert np.array_equal(got.space.basis, want.space.basis), new.__name__
+        assert got.space.pivots == want.space.pivots
+        for ms, ns in zip(got.members, want.members, strict=True):
+            assert all(np.array_equal(x, y) for x, y in zip(ms, ns, strict=True))
+
+
+def invertible(rng, a, p):
+    """L @ U with L unit lower and U upper triangular with a nonzero diagonal."""
+    lower = np.tril(rng.integers(0, p, (a, a)), -1) + np.eye(a, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, (a, a)), 1) + np.diag(rng.integers(1, p, a))
+    return (lower @ upper) % p
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=PRIMES, a=st.integers(1, 6), c=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_invertible_first_slice_route(p, a, c, seed):
+    rng = np.random.default_rng(seed)
+    t = rng.integers(0, p, (a, a, c))
+    t[:, :, 0] = invertible(rng, a, p)
+    cm, _ = _invertible_slice(t, p)
+    assert np.array_equal(cm, t[:, :, 0])
+    assert_matches_full_systems(t, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=PRIMES, a=st.integers(2, 6), c=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_invertible_combination_route(p, a, c, seed, data):
+    # In the frame g, h: B_0 = E, B_1 = I - E and B_k = E N_k with E a
+    # proper coordinate projection and N_k strictly upper triangular.  Every
+    # slice is singular; sum lambda_k B_k is invertible iff lambda_0 lambda_1 != 0.
+    rng = np.random.default_rng(seed)
+    r = data.draw(st.integers(1, a - 1))
+    e = np.diag([1] * r + [0] * (a - r))
+    frame = [e, np.eye(a, dtype=np.int64) - e]
+    frame += [e @ np.triu(rng.integers(0, p, (a, a)), 1) for _ in range(c - 2)]
+    g, h = invertible(rng, a, p), invertible(rng, a, p)
+    t = np.stack([(g @ s @ h) % p for s in frame], axis=2)
+    assert _invertible_slice(t, p) is not None
+    assert_matches_full_systems(t, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=PRIMES, a=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_slice_cuts_the_centralizer(p, a, seed, data):
+    # B_0 = C and B_k = G E_kk G^-1 C: then M_k = G E_kk G^-1, and leaving any
+    # one M_k out of the centralizer merges e_k with e_0 and grows the adjoint.
+    rng = np.random.default_rng(seed)
+    c = data.draw(st.integers(2, min(a, 4)))
+    g = invertible(rng, a, p)
+    g_inv = inv_matrix(g, p)
+    t = np.zeros((a, a, c), dtype=np.int64)
+    t[:, :, 0] = invertible(rng, a, p)
+    for k in range(1, c):
+        t[:, :, k] = g[:, [k]] @ g_inv[[k]] @ t[:, :, 0] % p
+    assert np.array_equal(_invertible_slice(t, p)[0], t[:, :, 0])
+    assert adjoint_ring(t, p).dim == (a - c + 1) ** 2 + c - 1
+    assert_matches_full_systems(t, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=PRIMES, a=st.integers(1, 6), c=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_no_invertible_combination_falls_back(p, a, c, seed, data):
+    # Slices that share a nonzero right radical: every combination is singular.
+    rng = np.random.default_rng(seed)
+    rank = data.draw(st.integers(0, a - 1))
+    right = np.diag([1] * rank + [0] * (a - rank)) @ invertible(rng, a, p)
+    t = np.zeros((a, a, c), dtype=np.int64)
+    for k in range(c):
+        t[:, :, k] = rng.integers(0, p, (a, a)) @ right % p
+    assert _invertible_slice(t, p) is None
+    assert_matches_full_systems(t, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2])
+def test_odd_kronecker_falls_back(p, m):
+    t = kronecker_pair_tensor(m, p)
+    assert _invertible_slice(t, p) is None
+    assert_matches_full_systems(t, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("shape", [(3, 3, 2), (4, 4, 4), (5, 5, 1), (2, 2, 0)])
+def test_zero_tensor_falls_back(p, shape):
+    t = np.zeros(shape, dtype=np.int64)
+    assert _invertible_slice(t, p) is None
+    assert_matches_full_systems(t, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=PRIMES, a=st.integers(1, 6), b=st.integers(1, 6), c=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_rectangular_tensor_falls_back(p, a, b, c, seed):
+    if a == b:
+        b = a % 6 + 1
+    t = np.random.default_rng(seed).integers(0, p, (a, b, c))
+    assert _invertible_slice(t, p) is None
+    assert_matches_full_systems(t, p)
+
+
+@pytest.mark.parametrize("name", ["F2", "F4", "F5", "F2[x]/x3", "F3[x]/x2", "F3[x]/x3"])
+def test_heisenberg_tensors_match_full_systems(name):
+    r = named_ring(name)
+    t = heisenberg_tensor(r)
+    assert _invertible_slice(t, r.p) is not None
+    assert_matches_full_systems(t, r.p)

@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from filtra.group import group_to_spec, make_ut
+from filtra.cli import main
+from filtra.group import MAX_DEGREE, group_to_spec, make_ut
 
 
 def run_cli(*args, env=None):
@@ -289,3 +291,35 @@ def test_nameless_group_file_summary_names_path(tmp_path):
     assert code == 0
     assert json.loads(out)["group"] == ""
     assert f"refined gamma of {path} with adjoint" in err
+
+
+BIG_HEISENBERG = "2," + ",".join(["1"] + ["0"] * 85 + ["1"])  # dim R = 86, degree 258
+
+
+@pytest.mark.parametrize(
+    "args,spec,bad",
+    [
+        (("series", "--ut", "0", "2"), None, "not 0"),
+        (("series", "--ut", "-1", "2"), None, "not -1"),
+        (("series", "--ut", str(MAX_DEGREE + 1), "2"), None, f"not {MAX_DEGREE + 1}"),
+        (("series", "--ut", "100000", "2"), None, "not 100000"),
+        (("series", "--heisenberg", BIG_HEISENBERG), None, "not 258"),
+        (("series",), {"p": 2, "degree": 100000, "generators": []}, "not 100000"),
+        (("series",), {"p": 2, "degree": 0, "generators": []}, "not 0"),
+        (("series",), {"p": 2, "degree": -3, "generators": []}, "not -3"),
+    ],
+)
+def test_degree_out_of_range_fails_fast(tmp_path, capsys, args, spec, bad):
+    # the check runs before any degree x degree array (or the ring of a
+    # Heisenberg group) is built, so even degree 100000 fails at once
+    argv = list(args)
+    if spec is not None:
+        argv += ["--group", write_spec(tmp_path, spec)]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert bad in err and f"between 1 and {MAX_DEGREE}" in err
+    assert "Traceback" not in err
+    assert elapsed < 0.5

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from loop_reference import _bfs_closure
 from filtra.errors import CapExceeded, NotNormal
 from filtra.filters import eta_filter, gamma_filter, kappa_filter
 from filtra.group import (
+    MAX_DEGREE,
     SectionBasis,
     Subgroup,
     UnipotentGroup,
@@ -365,6 +368,23 @@ def test_group_from_spec_rejects_bad_shape():
 def test_group_from_spec_rejects_malformed_spec(spec):
     with pytest.raises(ValueError, match="group spec"):
         group_from_spec(spec)
+
+
+@pytest.mark.parametrize("build", [
+    lambda d: make_ut(d, 2),
+    lambda d: UnipotentGroup(2, d, []),
+    lambda d: group_from_spec({"p": 2, "degree": d, "generators": []}),
+])
+@pytest.mark.parametrize("degree", [-1, 0, MAX_DEGREE + 1, 100000])
+def test_degree_out_of_range_rejected(build, degree):
+    with pytest.raises(ValueError, match=f"between 1 and {MAX_DEGREE}, not {degree}"):
+        build(degree)
+
+
+def test_heisenberg_degree_checked():
+    # the check comes before the ring is used, so a stand-in with p and dim will do
+    with pytest.raises(ValueError, match="not 258"):
+        make_heisenberg(SimpleNamespace(p=2, dim=86))
 
 
 def test_non_p_group_rejected():
