@@ -56,7 +56,6 @@ from .refine import (
     RefineRound,
     StableResult,
     fingerprint,
-    hyperplane_witness,
     refine_once,
     refine_stable,
     ring_at,

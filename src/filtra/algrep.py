@@ -81,10 +81,6 @@ class MatAlgebra:
             raise ValueError("matrix is not in the algebra")
         return np.mod(flat[..., self.space.pivots], self.p)
 
-    def contains_mat(self, mat) -> bool:
-        return self.space.contains(np.mod(np.asarray(mat, dtype=np.int64).reshape(-1), self.p))
-
-
 def _products(xs: np.ndarray, ys: np.ndarray, n: int, p: int):
     """Yield every product x @ y of n x n matrices given as flat rows, as
     flat rows (x major), in blocks of whole x rows of at most PRODUCT_BLOCK
@@ -268,11 +264,6 @@ class RadicalData:
     def chain_dims(self) -> list[int]:
         return [s.dim for s in self.chain]
 
-    @property
-    def nilpotency_index(self) -> int:
-        return len(self.chain) + 1
-
-
 def jacobson_radical(alg: MatAlgebra, rng: np.random.Generator | None = None) -> RadicalData:
     rng = rng or np.random.default_rng(0)
     k = alg.dim
@@ -350,15 +341,6 @@ def quotient_regular_rep(alg: MatAlgebra, rad: RadicalData) -> MatAlgebra | None
     # of the right action of rep_i
     actions = jc.residues(coeffs)[:, rep_idx].reshape(m, m, m).transpose(1, 0, 2)
     return MatAlgebra(alg.p, m, Subspace(alg.p, m * m, actions.reshape(m, m * m)), check=True)
-
-
-def module_image(space_basis: np.ndarray, mats: list[np.ndarray], p: int, n: int) -> Subspace:
-    """Span of u M over u in the row space and M in the list."""
-    rows = []
-    for m in mats:
-        if space_basis.shape[0]:
-            rows.extend((space_basis @ m) % p)
-    return Subspace(p, n, rows)
 
 
 def embed_adjoint_pairs(members, p: int) -> list[np.ndarray]:

@@ -18,8 +18,8 @@ into a filter by the bottom-up recursion
 processed in increasing lex order.  This is the path-product filter:
 commutators distribute over products of normal subgroups
 ([AB,C] = [A,C][B,C]), so folding paths through their last edge loses
-nothing.  A literal path enumeration lives in the oracles module for
-cross-checking.
+nothing.  A literal path enumeration lives in the test oracles
+(``tests/oracles.py``) for cross-checking.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ commutator, power, section, preimage) lies inside it, none of them takes a
 cap of its own.  The order of the ambient group must be a power of p.
 Commutator subgroups use the normal-closure identity
 [<S>,<T>] = <[s,t] : s in S, t in T>^<S,T> (conjugation by the generators
-suffices); the exhaustive element-pair version lives in the oracles
-module and is only feasible at toy sizes.
+suffices); the exhaustive element-pair version lives in the test oracles
+(``tests/oracles.py``) and is only feasible at toy sizes.
 
 In the section layer (``SectionBasis``) the denominator B contains
 [A,A] A^p, so B is normal in the numerator A with A/B elementary abelian.
@@ -222,10 +222,6 @@ class Subgroup:
 
     def is_trivial(self) -> bool:
         return len(self.rows) == 1
-
-    def contains_element(self, m) -> bool:
-        key = m if isinstance(m, bytes) else np.asarray(m, dtype=np.uint8).tobytes()
-        return key in self.keys
 
     def contains(self, other: "Subgroup") -> bool:
         return other.keys <= self.keys
@@ -473,15 +469,13 @@ class SectionBasis:
         return reduced_generators(self.parent, lifts, base=self.den)
 
 
-def make_ut(d: int, p: int, cap: int = DEFAULT_CAP, all_transvections: bool = False) -> UnipotentGroup:
+def make_ut(d: int, p: int, cap: int = DEFAULT_CAP) -> UnipotentGroup:
     """Full upper unitriangular group UT(d, p) from transvection generators."""
     check_degree(d, "UT degree")
     gens = []
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)] if all_transvections \
-        else [(i, i + 1) for i in range(d - 1)]
-    for i, j in pairs:
+    for i in range(d - 1):
         m = np.eye(d, dtype=np.int64)
-        m[i, j] = 1
+        m[i, i + 1] = 1
         gens.append(m)
     return UnipotentGroup(p, d, gens, name=f"UT({d},{p})", cap=cap)
 

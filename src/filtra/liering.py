@@ -44,9 +44,6 @@ class GradedLieRing:
                 return s
         return None
 
-    def dims(self) -> dict[Index, int]:
-        return {s: self.dim(s) for s in self.filter.keys}
-
     def product_tensor(self, s: Index, t: Index) -> np.ndarray:
         """Structure tensor B with B[i, j] = coords of [rep_i(s), rep_j(t)]."""
         key = (s, t)

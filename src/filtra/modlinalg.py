@@ -22,8 +22,6 @@ row-by-row elimination it replaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -99,51 +97,6 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     return rref(basis, p)[0]
 
 
-@dataclass(frozen=True)
-class FpMatrix:
-    """An immutable matrix over Z_p (p prime, checked)."""
-
-    p: int
-    array: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        check_prime(self.p)
-        a = as_array(self.array, self.p)
-        a.setflags(write=False)
-        object.__setattr__(self, "array", a)
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    def rref(self) -> tuple["FpMatrix", list[int]]:
-        r, piv = rref(self.array, self.p)
-        return FpMatrix(self.p, r), piv
-
-    def nullspace(self) -> "Subspace":
-        return Subspace(self.p, self.cols, nullspace(self.array, self.p))
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p or self.cols != other.rows:
-            raise DimensionMismatch("incompatible matrix product")
-        return FpMatrix(self.p, (self.array @ other.array) % self.p)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self.array.shape == other.array.shape
-            and bool(np.array_equal(self.array, other.array))
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.array.shape, self.array.tobytes()))
-
-
 class Subspace:
     """A subspace of Z_p^n stored as an rref row basis (canonical)."""
 
@@ -181,36 +134,6 @@ class Subspace:
         """Residue of vec after eliminating along the basis; None if inside."""
         v = self.residues(np.reshape(vec, -1))
         return v if v.any() else None
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace(self.p, self.n, np.vstack([self.basis, other.basis]))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.p, self.n)
-        stacked = np.vstack([self.basis, other.basis])
-        # left kernel rows (u | w) give u @ self.basis = -w @ other.basis
-        left = nullspace(stacked.T, self.p)
-        if left.shape[0] == 0:
-            return Subspace(self.p, self.n)
-        vecs = (left[:, : self.dim] @ self.basis) % self.p
-        return Subspace(self.p, self.n, vecs)
-
-    def le(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return not other.residues(self.basis).any()
-
-    def matrix_image(self, mat: np.ndarray) -> "Subspace":
-        """Row space of basis @ mat (the image of this space under mat)."""
-        if self.dim == 0:
-            return Subspace(self.p, mat.shape[1])
-        return Subspace(self.p, mat.shape[1], (self.basis @ np.mod(mat, self.p)) % self.p)
-
-    def _check_compatible(self, other: "Subspace") -> None:
-        if self.p != other.p or self.n != other.n:
-            raise DimensionMismatch("subspaces live in different ambients")
 
     def __eq__(self, other) -> bool:
         return (

@@ -9,9 +9,6 @@ divisibility implies lex order but not conversely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product as iproduct
-
 from .errors import DimensionMismatch
 
 Index = tuple[int, ...]
@@ -43,18 +40,8 @@ def divides(s: Index, t: Index) -> bool:
     return sub(t, s) is not None
 
 
-def lex_compare(s: Index, t: Index) -> int:
-    if len(s) != len(t):
-        raise DimensionMismatch(f"cannot compare {s} and {t}")
-    return -1 if s < t else (1 if s > t else 0)
-
-
 def is_zero(s: Index) -> bool:
     return all(c == 0 for c in s)
-
-
-def zero(dim: int) -> Index:
-    return (0,) * dim
 
 
 def decompositions(s: Index, gens: list[Index]) -> list[tuple[Index, Index]]:
@@ -65,98 +52,3 @@ def decompositions(s: Index, gens: list[Index]) -> list[tuple[Index, Index]]:
         if t is not None:
             out.append((t, x))
     return out
-
-
-@dataclass(frozen=True)
-class CyclicMonoid:
-    """The monoid <c | c^k = c^(k+m)>: elements c^0..c^(k+m-1).
-
-    k is the index where the cycle starts; k=None means no cycle (a copy
-    of N, truncated by whatever bound the caller enumerates to).
-    """
-
-    k: int | None
-    m: int
-
-    def elements(self, bound: int | None = None) -> list[int]:
-        if self.k is None:
-            if bound is None:
-                raise ValueError("unbounded monoid needs an enumeration bound")
-            return list(range(bound + 1))
-        return list(range(self.k + self.m))
-
-    def op(self, i: int, j: int) -> int:
-        n = i + j
-        if self.k is None or n < self.k + self.m:
-            return n
-        return self.k + ((n - self.k) % self.m)
-
-    def precedes(self, i: int, j: int, bound: int | None = None) -> bool:
-        """Exponent order c^i <= c^j.
-
-        This is the order the decomposition property is stated over.  It
-        refines reachability: i + t can wrap to a smaller label inside
-        the cycle, and under bare reachability the property fails (in
-        C_{3,2}, c^4 is reachable from c^3 = c^1 c^2 but not from any
-        pair below c^1, c^2).
-        """
-        return i <= j
-
-
-def check_star_table(elements: list, op, precedes) -> list[tuple]:
-    """Brute-force check of the decomposition property (star).
-
-    For every u1, u2 with u = u1+u2 in the element table and every
-    s preceding u, there must be s1 preceding u1 and s2 preceding u2
-    with s1+s2 = s.  Returns the list of violating (s, u1, u2).
-    """
-    eset = set(elements)
-    bad = []
-    for u1, u2 in iproduct(elements, repeat=2):
-        u = op(u1, u2)
-        if u not in eset:
-            continue
-        below1 = [t for t in elements if precedes(t, u1)]
-        below2 = [t for t in elements if precedes(t, u2)]
-        sums = {op(s1, s2) for s1, s2 in iproduct(below1, below2)}
-        for s in elements:
-            if precedes(s, u) and s not in sums:
-                bad.append((s, u1, u2))
-    return bad
-
-
-def check_star_cyclic(mon: CyclicMonoid, bound: int | None = None) -> list[tuple]:
-    els = mon.elements(bound)
-    if mon.k is None:
-        # keep sums inside the enumerated range
-        els_ok = set(els)
-        return check_star_table(
-            els, mon.op, lambda i, j: any(i + t == j for t in els if i + t in els_ok)
-        )
-    return check_star_table(els, mon.op, mon.precedes)
-
-
-def check_star_lex(dim: int, bound: int) -> list[tuple]:
-    """Check (star) for N^dim under the lex order, coordinates up to bound.
-
-    Sums leaving the box are skipped; the spec notes dim = 2 suffices to
-    certify the property for all dimensions.
-    """
-    box = [tuple(c) for c in iproduct(range(bound + 1), repeat=dim)]
-    boxset = set(box)
-
-    def op(a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    bad = []
-    for u1, u2 in iproduct(box, repeat=2):
-        u = op(u1, u2)
-        if u not in boxset:
-            continue
-        below1 = [t for t in box if t <= u1]
-        below2 = [t for t in box if t <= u2]
-        sums = {op(s1, s2) for s1, s2 in iproduct(below1, below2)}
-        for s in box:
-            if s <= u and s not in sums:
-                bad.append((s, u1, u2))
-    return bad

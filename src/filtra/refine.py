@@ -30,7 +30,7 @@ from .algrep import (
 from .bimap import ScalarRing, solve_ring
 from .errors import ClosureViolation, FiltraError, NoNontrivialComponent
 from .filters import Filter, generate, verify_axioms, eta_filter
-from .group import Subgroup, UnipotentGroup, commutator_subgroup
+from .group import Subgroup, UnipotentGroup
 from .liering import GradedLieRing
 from .modlinalg import Subspace
 from .monoid import Index
@@ -139,9 +139,14 @@ def refine_once(f: Filter, method: str = "adjoint", check: bool = False,
 
 @dataclass
 class StableResult:
+    """The filter a refinement stopped at, its proper rounds, and ``last``,
+    the non-proper round that proved it stable (None when the filter has no
+    nonzero graded component or the round budget ran out first)."""
+
     filter: Filter
     rounds: list[RefineRound]
     converged: bool
+    last: RefineRound | None = None
 
     @property
     def round_count(self) -> int:
@@ -160,7 +165,7 @@ def refine_stable(f: Filter, method: str = "adjoint", max_rounds: int = 16,
         except NoNontrivialComponent:
             return StableResult(cur, rounds, True)
         if not r.proper:
-            return StableResult(cur, rounds, True)
+            return StableResult(cur, rounds, True, r)
         rounds.append(r)
         cur = r.filter
     return StableResult(cur, rounds, False)
@@ -176,41 +181,14 @@ def fingerprint(group: UnipotentGroup, method: str = "adjoint", max_rounds: int 
     chain = stable.filter.chain()
     factor_dims = [chain[i].order_exp() - chain[i + 1].order_exp()
                    for i in range(len(chain) - 1)]
-    lie = GradedLieRing(stable.filter)
-    s = lie.leading_index()
-    out = {
+    last = stable.last
+    return {
         "p": group.p,
         "order_exp": group.full_subgroup().order_exp(),
         "method": method,
         "length": stable.filter.length(),
         "factor_dims": factor_dims,
         "rounds": len(stable.rounds),
+        "ring_dims": ({"ring": last.ring_dim, "radical_chain": last.radical_chain_dims}
+                      if last else {"ring": 0, "radical_chain": []}),
     }
-    if s is not None:
-        rd = ring_at(lie, s, method)
-        out["ring_dims"] = {"ring": rd.ring_dim, "radical_chain": rd.radical_chain_dims()}
-    else:
-        out["ring_dims"] = {"ring": 0, "radical_chain": []}
-    return out
-
-
-def hyperplane_witness(f: Filter) -> tuple[Subgroup, bool] | None:
-    """Preimage of L_s J^i for the half radical power (J^i != 0, J^2i = 0),
-    checked against the third term of the flattened chain.  Returns None
-    when the adjoint radical is trivial."""
-    lie = GradedLieRing(f)
-    s = lie.leading_index()
-    if s is None:
-        return None
-    rd = ring_at(lie, s, "adjoint")
-    r = len(rd.radical.chain) + 1
-    if r < 2:
-        return None
-    i = -(-r // 2)
-    space = rd.acting_powers[i - 1] if i - 1 < len(rd.acting_powers) \
-        else Subspace(lie.p, lie.dim(s), [])
-    h = lie.section(s).preimage(space)
-    chain = f.chain()
-    target = chain[2] if len(chain) > 2 else f.ambient.trivial_subgroup()
-    ok = target.contains(commutator_subgroup(h, h))
-    return h, ok

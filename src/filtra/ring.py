@@ -31,22 +31,22 @@ class FinCommRing:
         self._check()
 
     def _check(self) -> None:
-        d, t = self.dim, self.table
+        """Commutativity, associativity and the unit, on basis elements.
+
+        Associativity is checked one basis element e_i at a time:
+        (e_i e_j) e_k against e_i (e_j e_k) for all j, k at once."""
+        d, p, t = self.dim, self.p, self.table
         if not np.array_equal(t, t.transpose(1, 0, 2)):
             raise ClosureViolation("multiplication is not commutative")
         for i in range(d):
-            for j in range(d):
-                ij = t[i, j]
-                for k in range(d):
-                    left = (ij @ t[:, k, :]) % self.p
-                    right = (t[j, k] @ t[i, :, :]) % self.p
-                    if not np.array_equal(left, right):
-                        raise ClosureViolation(f"associativity fails at basis ({i},{j},{k})")
-        for i in range(d):
-            e = np.zeros(d, dtype=np.int64)
-            e[i] = 1
-            if not np.array_equal(self.mult(self.unit, e), e):
-                raise ClosureViolation("designated unit does not act as identity")
+            left = np.einsum("jm,mkl->jkl", t[i], t) % p
+            right = np.einsum("jkm,ml->jkl", t, t[i]) % p
+            bad = np.argwhere((left != right).any(axis=2))
+            if bad.size:
+                j, k = bad[0]
+                raise ClosureViolation(f"associativity fails at basis ({i},{j},{k})")
+        if not np.array_equal(self.mult_matrix(self.unit), np.eye(d, dtype=np.int64)):
+            raise ClosureViolation("designated unit does not act as identity")
 
     def basis_vector(self, i: int) -> np.ndarray:
         e = np.zeros(self.dim, dtype=np.int64)
@@ -96,22 +96,6 @@ class FinCommRing:
             prods = np.einsum("ai,bj,ijk->abk", cur.basis, j.basis, self.table)
             cur = Subspace(self.p, self.dim, prods.reshape(-1, self.dim) % self.p)
         return chain
-
-    def nilpotency_class(self) -> int:
-        """Least c with J^(c+1) = 0 (0 for semisimple input)."""
-        return len(self.radical_chain())
-
-    def elements_of(self, space: Subspace) -> list[np.ndarray]:
-        """All vectors of a subspace, in deterministic order."""
-        from itertools import product as iproduct
-
-        out = []
-        for coeffs in iproduct(range(self.p), repeat=space.dim):
-            v = np.zeros(self.dim, dtype=np.int64)
-            for c, row in zip(coeffs, space.basis):
-                v = (v + c * row) % self.p
-            out.append(v)
-        return out
 
     def __repr__(self):
         return f"FinCommRing({self.name or 'R'}, p={self.p}, dim={self.dim})"

@@ -8,6 +8,10 @@ before subgroups were grown by coset extension.  They take one row or one
 element per step, so they are slow but easy to check by eye; the tests
 compare the library against them bit for bit.
 
+`loop_associativity_failure` is the triple loop over basis elements that
+`filtra.ring.FinCommRing` used to check associativity before it compared
+all (j, k) for one i at once.
+
 The full-system scalar-ring solvers at the end are the `adjoint_ring` and
 `centroid_ring` that `filtra.bimap` used before the adjoint became a
 centralizer and the centroid a system over the adjoint basis: one
@@ -103,6 +107,21 @@ def loop_spin(v, mats, p: int) -> np.ndarray:
         if not frontier:
             break
     return basis
+
+
+def loop_associativity_failure(table: np.ndarray, p: int) -> tuple[int, int, int] | None:
+    """First basis triple (i, j, k), in loop order, with
+    (e_i e_j) e_k != e_i (e_j e_k), or None when the table is associative."""
+    d = table.shape[0]
+    for i in range(d):
+        for j in range(d):
+            ij = table[i, j]
+            for k in range(d):
+                left = (ij @ table[:, k, :]) % p
+                right = (table[j, k] @ table[i, :, :]) % p
+                if not np.array_equal(left, right):
+                    return i, j, k
+    return None
 
 
 def _bfs_closure(p: int, degree: int, gens: list[np.ndarray], cap: int,

@@ -17,10 +17,10 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from . import monoid
-from .group import Subgroup, UnipotentGroup, batch_inv, reduced_generators
-from .modlinalg import Subspace, rref
-from .monoid import Index
+from filtra import monoid
+from filtra.group import Subgroup, UnipotentGroup, batch_inv, reduced_generators
+from filtra.modlinalg import Subspace, rref
+from filtra.monoid import Index
 
 
 def exhaustive_commutator_subgroup(a: Subgroup, b: Subgroup,
@@ -51,7 +51,7 @@ def path_product_values(ambient: UnipotentGroup,
                         gens: dict[Index, Subgroup]) -> dict[Index, Subgroup]:
     """Filter values as joins of literal path products
     [[pi_x1, pi_x2], ...]; recursion stops when a branch dies."""
-    from .group import join
+    from filtra.group import join
 
     values: dict[Index, Subgroup] = {}
 

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import hei, hei_block_keys, keys_of, named_ring, pattern_keys, poly_ring, ut
+from oracles import path_product_values
 from filtra.algrep import algebra_closure, embed_adjoint_pairs, jacobson_radical
 from filtra.bimap import adjoint_ring, centroid_ring, kronecker_pair_tensor
 from filtra.filters import eta_filter, gamma_filter, generate, verify_axioms
 from filtra.group import make_heisenberg
 from filtra.liering import GradedLieRing
-from filtra.oracles import path_product_values
 from filtra.refine import refine_stable, ring_at
 from filtra.ring import make_r_circ
 from test_cli import distinct_chain_exps, run_cli

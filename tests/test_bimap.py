@@ -18,8 +18,8 @@ from filtra.bimap import (
 from filtra.filters import gamma_filter
 from filtra.liering import GradedLieRing
 from filtra.modlinalg import inv_matrix
-from filtra.oracles import dense_adjoint_dim, dense_centroid_dim, dense_derivation_dim
 from loop_reference import full_adjoint_ring, full_centroid_ring
+from oracles import dense_adjoint_dim, dense_centroid_dim, dense_derivation_dim
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

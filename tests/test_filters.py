@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hei, ut
+from oracles import path_product_values
 from filtra.errors import DimensionMismatch, NonNormalGenerator, NotOrderReversing
 from filtra.filters import (
     Filter,
@@ -17,7 +18,6 @@ from filtra.filters import (
 )
 from filtra.group import lower_central_series
 from filtra.liering import GradedLieRing
-from filtra.oracles import path_product_values
 
 
 def center_of(g):

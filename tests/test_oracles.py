@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import named_ring, ut
-from filtra.bimap import (
-    adjoint_ring,
-    centroid_ring,
-    derivation_ring,
-    heisenberg_tensor,
-    kronecker_pair_tensor,
-)
-from filtra.group import commutator_subgroup, lower_central_series, make_ut
-from filtra.oracles import (
+from oracles import (
     conjugation_orbit_closure,
     dense_adjoint_dim,
     dense_centroid_dim,
@@ -20,6 +12,14 @@ from filtra.oracles import (
     path_product_values,
     traceform_radical_dim,
 )
+from filtra.bimap import (
+    adjoint_ring,
+    centroid_ring,
+    derivation_ring,
+    heisenberg_tensor,
+    kronecker_pair_tensor,
+)
+from filtra.group import commutator_subgroup, lower_central_series, make_ut
 from filtra.ring import make_r_circ
 
 

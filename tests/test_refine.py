@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     flip_map,
@@ -12,12 +16,20 @@ from conftest import (
     ut,
 )
 from filtra.errors import NoNontrivialComponent
-from filtra.filters import eta_filter, gamma_filter, kappa_filter, verify_axioms
-from filtra.group import UnipotentGroup, group_from_spec, group_to_spec, make_heisenberg, make_ut
+from filtra.filters import Filter, eta_filter, gamma_filter, kappa_filter, verify_axioms
+from filtra.group import (
+    Subgroup,
+    UnipotentGroup,
+    commutator_subgroup,
+    group_from_spec,
+    group_to_spec,
+    make_heisenberg,
+    make_ut,
+)
 from filtra.liering import GradedLieRing
+from filtra.modlinalg import Subspace, inv_matrix
 from filtra.refine import (
     fingerprint,
-    hyperplane_witness,
     refine_once,
     refine_stable,
     ring_at,
@@ -124,6 +136,28 @@ def test_refined_terms_are_fixed_by_automorphisms(rng):
                 assert got == keys_of(sub)
 
 
+def hyperplane_witness(f: Filter) -> tuple[Subgroup, bool] | None:
+    """Preimage of L_s J^i for the half radical power (J^i != 0, J^2i = 0),
+    checked against the third term of the flattened chain.  Returns None
+    when the adjoint radical is trivial."""
+    lie = GradedLieRing(f)
+    s = lie.leading_index()
+    if s is None:
+        return None
+    rd = ring_at(lie, s, "adjoint")
+    r = len(rd.radical.chain) + 1
+    if r < 2:
+        return None
+    i = -(-r // 2)
+    space = rd.acting_powers[i - 1] if i - 1 < len(rd.acting_powers) \
+        else Subspace(lie.p, lie.dim(s), [])
+    h = lie.section(s).preimage(space)
+    chain = f.chain()
+    target = chain[2] if len(chain) > 2 else f.ambient.trivial_subgroup()
+    ok = target.contains(commutator_subgroup(h, h))
+    return h, ok
+
+
 def test_hyperplane_witness():
     h, ok = hyperplane_witness(gamma_filter(ut(4, 2)))
     assert h.order_exp() == 5 and ok
@@ -171,6 +205,44 @@ def test_fingerprint_ignores_generator_presentation():
     spec["name"] = "same group, reversed generators"
     g2 = group_from_spec(spec)
     assert fingerprint(make_ut(4, 2)) == fingerprint(g2)
+
+
+# UT(3..4, p) and H(F_p[x]/(f)) with deg f = 2, over p in {2, 3}: every
+# factorization pattern of f (irreducible, square, two distinct roots)
+INVARIANCE_GROUPS = {
+    **{f"UT({d},{p})": functools.partial(ut, d, p) for d in (3, 4) for p in (2, 3)},
+    **{f"H(F{p}[x]/{f})": functools.partial(hei, p, f)
+       for p, fs in ((2, [(1, 1, 1), (0, 0, 1), (0, 1, 1)]), (3, [(1, 0, 1), (0, 0, 1), (0, 1, 1)]))
+       for f in fs},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def plain_fingerprint(name: str, method: str) -> dict:
+    return fingerprint(INVARIANCE_GROUPS[name](), method)
+
+
+def disguise(g: UnipotentGroup, rng: np.random.Generator) -> UnipotentGroup:
+    """The same group up to isomorphism, presented differently: generators
+    conjugated by a random invertible upper-triangular matrix, permuted, and
+    one of them multiplied by another."""
+    p, d = g.p, g.degree
+    c = (np.triu(rng.integers(0, p, (d, d)), 1) + np.diag(rng.integers(1, p, d))) % p
+    ci = inv_matrix(c, p)
+    gens = [(ci @ x @ c) % p for x in g.generators]
+    gens = [gens[i] for i in rng.permutation(len(gens))]
+    i, j = rng.choice(len(gens), 2, replace=False)
+    gens[i] = (gens[i] @ gens[j]) % p
+    return UnipotentGroup(p, d, gens, name="disguised")
+
+
+@pytest.mark.parametrize("method", ["adjoint", "centroid"])
+@given(name=st.sampled_from(sorted(INVARIANCE_GROUPS)), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_fingerprint_is_invariant_under_disguise(method, name, seed):
+    g = disguise(INVARIANCE_GROUPS[name](), np.random.default_rng(seed))
+    assert g.order() == INVARIANCE_GROUPS[name]().order()
+    assert fingerprint(g, method) == plain_fingerprint(name, method)
 
 
 def test_fingerprint_separates_same_order_groups():
