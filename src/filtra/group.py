@@ -21,6 +21,17 @@ Commutator subgroups use the normal-closure identity
 suffices); the exhaustive element-pair version lives in the test oracles
 (``tests/oracles.py``) and is only feasible at toy sizes.
 
+Products C H^p with C normalized by H (the eta and Jennings series steps,
+and the denominator of a section) go through ``join_powers``.  On an
+abelian quotient x -> x^p is a homomorphism, so when every generator
+commutator and every generator p-th power of H lies in C, H^p <= C and the
+product is C itself; that is one stacked product and one key-set test.
+Only when the test fails are the p-th powers of all elements of H formed
+(``power_subgroup``), e.g. for a Jennings step with odd p whose H is not
+abelian modulo C, or for a section A/B whose A^p is not inside B.  The
+result is the same subgroup object either way, since ``join`` returns C
+when C contains H^p.
+
 In the section layer (``SectionBasis``) the denominator B contains
 [A,A] A^p, so B is normal in the numerator A with A/B elementary abelian.
 Extending a group H between B and A by r in A therefore gives exactly the
@@ -100,6 +111,18 @@ def batch_inv(a: np.ndarray, p: int) -> np.ndarray:
 def commutator(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a^-1 b^-1 a b for two matrices, or for two stacks that broadcast."""
     return batch_mul(batch_mul(batch_inv(a, p), batch_inv(b, p), p), batch_mul(a, b, p), p)
+
+
+def _powers(a: np.ndarray, k: int, p: int) -> np.ndarray:
+    """a^k mod p (k >= 1) for a matrix or a stack, by square-and-multiply
+    over the bits of k below the leading one; int64."""
+    mats = a.astype(np.int64)
+    acc = mats
+    for bit in bin(k)[3:]:
+        acc = (acc @ acc) % p
+        if bit == "1":
+            acc = (acc @ mats) % p
+    return acc
 
 
 def _stack(gens, degree: int) -> np.ndarray:
@@ -315,13 +338,7 @@ def power_subgroup(a: Subgroup, k: int) -> Subgroup:
     cached = parent._power_cache.get(key)
     if cached is not None:
         return cached
-    mats = a.rows.astype(np.int64)
-    # square-and-multiply over the bits of k below the leading one
-    acc = mats
-    for bit in bin(k)[3:]:
-        acc = (acc @ acc) % p
-        if bit == "1":
-            acc = (acc @ mats) % p
+    acc = _powers(a.rows, k, p)
     # sorted, so that the kept generators (printed for kappa terms) do not
     # depend on the row order of a
     flat = dict(zip(_row_keys(acc.astype(np.uint8)), acc))
@@ -329,6 +346,27 @@ def power_subgroup(a: Subgroup, k: int) -> Subgroup:
     out = reduced_generators(parent, candidates)
     parent._power_cache[key] = out
     return out
+
+
+def join_powers(c: Subgroup, h: Subgroup) -> Subgroup:
+    """C H^p for a subgroup C normalized by H; equal to
+    ``join(c, power_subgroup(h, p))``, generators included.
+
+    When every generator commutator and every generator p-th power of H lies
+    in C, HC/C is generated by commuting images of order p, so it is
+    elementary abelian and H^p <= C: the answer is C itself, which is also
+    what ``join`` returns when its first argument contains the second.  That
+    takes one stacked product and one key-set test instead of enumerating the
+    p-th power of every element of H.  Otherwise the powers are enumerated.
+    """
+    parent = h.parent
+    p, degree = parent.p, parent.degree
+    gens = _stack(h.generators, degree)
+    words = np.concatenate([commutator(gens[:, None], gens[None], p).reshape(-1, degree, degree),
+                            _powers(gens, p, p)])
+    if c.keys.issuperset(_row_keys(words.astype(np.uint8))):
+        return c
+    return join(c, power_subgroup(h, p))
 
 
 def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
@@ -361,7 +399,7 @@ def exponent_p_central_series(g: UnipotentGroup, n: Subgroup | None = None) -> l
     p = g.p
     terms = [n]
     while not terms[-1].is_trivial():
-        nxt = join(commutator_subgroup(n, terms[-1]), power_subgroup(terms[-1], p))
+        nxt = join_powers(commutator_subgroup(n, terms[-1]), terms[-1])
         if nxt.order() == terms[-1].order():
             raise NotNormal("series failed to descend")
         if nxt.is_trivial():
@@ -384,7 +422,7 @@ def jennings_series(g: UnipotentGroup, n: Subgroup | None = None) -> list[Subgro
         if i > bound:
             raise NotNormal("jennings series failed to terminate")
         half = terms[-(-i // p) - 1]
-        nxt = join(commutator_subgroup(n, terms[-1]), power_subgroup(half, p))
+        nxt = join_powers(commutator_subgroup(n, terms[-1]), half)
         if nxt.is_trivial():
             break
         terms.append(nxt)
@@ -397,14 +435,19 @@ class SectionBasis:
     Enlarging the denominator by p-th powers makes the section an
     elementary abelian p-group, hence a Z_p vector space.  B must be normal
     in A with A/B abelian, as in every filter section; both are checked on
-    generators.  Then B' contains [A,A] A^p, so every group H between B'
-    and A is normal in A, and extending H by a rep r gives the cosets
+    generators.  B' is ``join_powers(B, A)``: since A/B is abelian, it is B
+    itself as soon as the p-th powers of A's generators lie in B, which
+    holds for every section of an eta or kappa filter.  Only otherwise, as
+    for the cyclic group of a 3 x 3 Jordan block over F_2 over 1, is A^p
+    enumerated and joined to B.  Then B' contains [A,A] A^p, so every group
+    H between B' and A is normal in A, and extending H by a rep r gives the cosets
     H, H*r, ..., H*r^(p-1) in that order.  Each rep is the least element
     of A in row-major byte order not yet covered, found by walking A's rows
     sorted once with ``np.lexsort``.  The grown rows give the coordinates
     of every element of A, so coordinatizing is a dict lookup, and the
-    least element of each coset of B', which is what lifting returns.
-    Preimages of subspaces grow from B' the same way.
+    least element of each coset of B', which is what lifting returns.  Both
+    take one element or a whole stack at a time.  Preimages of subspaces
+    grow from B' the same way.
     """
 
     def __init__(self, num: Subgroup, den: Subgroup):
@@ -421,7 +464,7 @@ class SectionBasis:
         self.parent = parent
         self.num = num
         self.den_given = den
-        self.den = join(den, power_subgroup(num, p))
+        self.den = join_powers(den, num)
         self.p = p
 
         # rows holds the group grown so far as blocks of len(den) rows, the
@@ -444,24 +487,45 @@ class SectionBasis:
         keys = _row_keys(rows)
         size = self.den.order()
         self._coords: dict[bytes, int] = dict(zip(keys, (np.arange(total) // size).tolist()))
-        self._coset_min: list[bytes] = [min(keys[i:i + size]) for i in range(0, total, size)]
+        least = b"".join(min(keys[i:i + size]) for i in range(0, total, size))
+        self._lifts = np.frombuffer(least, dtype=np.uint8).reshape(-1, parent.degree, parent.degree)
         self.reps = reps
         self.dim = len(reps)
+        self._place = p ** np.arange(self.dim, dtype=np.int64)
 
-    def coordinatize(self, m) -> np.ndarray:
-        key = np.asarray(m, dtype=np.uint8).tobytes() if not isinstance(m, bytes) else m
-        b = self._coords.get(key)
-        if b is None:
-            raise ValueError("element is not in the section numerator")
-        return np.array([b // self.p ** i % self.p for i in range(self.dim)], dtype=np.int64)
+    def coordinatize(self, m):
+        """Coordinates of a matrix, or of each matrix of a stack.
+
+        Entries are reduced mod p first.  A (d, d) matrix gives its (dim,)
+        coordinates and raises ValueError when it lies outside the
+        numerator.  A (..., d, d) stack gives ``(coords, inside)``: the
+        (..., dim) coordinates, zero for an outsider, and the boolean mask
+        of the matrices inside the numerator, so that a caller can report
+        each outsider on its own.
+        """
+        d = self.parent.degree
+        m = np.mod(np.asarray(m, dtype=np.int64), self.p)
+        if m.shape[-2:] != (d, d):
+            raise DimensionMismatch(f"matrix shape {m.shape[-2:]}, expected {(d, d)}")
+        flat = m.reshape(-1, d, d).astype(np.uint8)
+        found = np.array([self._coords.get(key, -1) for key in _row_keys(flat)], dtype=np.int64)
+        inside = found >= 0
+        coords = np.where(inside, found, 0)[:, None] // self._place % self.p
+        if m.ndim == 2:
+            if not inside[0]:
+                raise ValueError("element is not in the section numerator")
+            return coords[0]
+        lead = m.shape[:-2]
+        return coords.reshape(lead + (self.dim,)), inside.reshape(lead)
 
     def lift(self, coords) -> np.ndarray:
-        c = [int(x) % self.p for x in coords]
-        if len(c) != self.dim:
+        """The least element, in row-major byte order, of the coset of B'
+        with these coordinates (taken mod p); a (..., dim) stack of
+        coordinates gives a (..., d, d) stack of lifts."""
+        c = np.mod(np.asarray(coords, dtype=np.int64), self.p)
+        if c.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"expected {self.dim} coordinates")
-        key = self._coset_min[sum(x * self.p ** i for i, x in enumerate(c))]
-        d = self.parent.degree
-        return np.frombuffer(key, dtype=np.uint8).reshape(d, d).astype(np.int64)
+        return self._lifts[c @ self._place].astype(np.int64)
 
     def preimage(self, space: Subspace) -> Subgroup:
         """Subgroup of elements whose coordinates land in the subspace."""

@@ -6,6 +6,15 @@ Z_p-space.  The bracket of homogeneous elements is induced by the group
 commutator of coset representatives; it lands in the component at s+t
 by the filter axioms.  Components and product tensors are built lazily
 and cached, since a refinement round only ever touches a few indices.
+
+Brackets are formed in batches: a product tensor, and each bilinearity or
+well-definedness check, stacks its representatives (or lifts, or
+representatives times denominator elements), takes one stacked commutator
+and coordinatizes the whole stack with one ``SectionBasis.coordinatize``
+call.  The random draws of the checks are made one trial at a time first,
+in the order and sizes of a trial-by-trial loop, so a seeded generator
+leaves them in the same state as that loop would, and violations are
+reported per failing trial in loop order.
 """
 
 from __future__ import annotations
@@ -51,17 +60,12 @@ class GradedLieRing:
             return self._tensors[key]
         sec_s, sec_t = self.section(s), self.section(t)
         target = self.section(monoid.add(s, t))
-        a, b, c = sec_s.dim, sec_t.dim, target.dim
-        tensor = np.zeros((a, b, c), dtype=np.int64)
-        for i in range(a):
-            for j in range(b):
-                g = commutator(sec_s.reps[i], sec_t.reps[j], self.p)
-                try:
-                    tensor[i, j] = target.coordinatize(g)
-                except ValueError:
-                    raise ClosureViolation(
-                        f"commutator of components at {s}, {t} misses the component at "
-                        f"{monoid.add(s, t)}") from None
+        comms = commutator(_reps(sec_s)[:, None], _reps(sec_t)[None], self.p)
+        tensor, inside = target.coordinatize(comms)
+        if not inside.all():
+            raise ClosureViolation(
+                f"commutator of components at {s}, {t} misses the component at "
+                f"{monoid.add(s, t)}")
         self._tensors[key] = tensor
         return tensor
 
@@ -73,23 +77,21 @@ class GradedLieRing:
         """Bracket agrees with the tensor on random coordinate pairs: the
         tensor contraction of a sum equals the bracket of the product of
         lifted representatives."""
-        bad = []
         sec_s, sec_t = self.section(s), self.section(t)
         target = self.section(monoid.add(s, t))
-        for _ in range(trials):
-            x1 = rng.integers(0, self.p, sec_s.dim)
-            x2 = rng.integers(0, self.p, sec_s.dim)
-            y = rng.integers(0, self.p, sec_t.dim)
-            g = sec_s.lift((x1 + x2) % self.p)
-            h = sec_t.lift(y)
-            try:
-                got = target.coordinatize(commutator(g, h, self.p))
-            except ValueError:
-                got = None
-            want = (self.bracket_coords(s, t, x1, y) + self.bracket_coords(s, t, x2, y)) % self.p
-            if got is None or not np.array_equal(got, want):
-                bad.append((s, t, x1.tolist(), x2.tolist(), y.tolist()))
-        return bad
+        p = self.p
+        draws = [(rng.integers(0, p, sec_s.dim), rng.integers(0, p, sec_s.dim),
+                  rng.integers(0, p, sec_t.dim)) for _ in range(trials)]
+        if not draws:
+            return []
+        x1, x2, y = (np.stack(v) for v in zip(*draws))
+        got, inside = target.coordinatize(commutator(sec_s.lift((x1 + x2) % p), sec_t.lift(y), p))
+        tensor = self.product_tensor(s, t)
+        want = (np.einsum("ni,nj,ijk->nk", x1, y, tensor)
+                + np.einsum("ni,nj,ijk->nk", x2, y, tensor)) % p
+        ok = inside & (got == want).all(axis=1)
+        return [(s, t, x1[n].tolist(), x2[n].tolist(), y[n].tolist())
+                for n in np.flatnonzero(~ok)]
 
     def check_antisymmetry(self, s: Index, t: Index) -> list:
         bst = self.product_tensor(s, t)
@@ -125,25 +127,32 @@ class GradedLieRing:
 
     def check_well_defined(self, s: Index, t: Index, trials: int,
                            rng: np.random.Generator) -> list:
-        """The bracket must not depend on the choice of coset representatives."""
+        """The bracket must not depend on the choice of coset representatives.
+
+        For each pair of reps (i, j) and each trial, the reps are multiplied
+        by random denominator elements and their commutator is compared with
+        the tensor entry B[i, j].
+        """
         sec_s, sec_t = self.section(s), self.section(t)
         target = self.section(monoid.add(s, t))
-        den_s = sec_s.den.rows
-        den_t = sec_t.den.rows
-        bad = []
-        for i in range(sec_s.dim):
-            for j in range(sec_t.dim):
-                want = self.product_tensor(s, t)[i, j]
-                for _ in range(trials):
-                    ds = den_s[rng.integers(0, len(den_s))]
-                    dt = den_t[rng.integers(0, len(den_t))]
-                    g = (sec_s.reps[i] @ ds.astype(np.int64)) % self.p
-                    h = (sec_t.reps[j] @ dt.astype(np.int64)) % self.p
-                    try:
-                        got = target.coordinatize(commutator(g, h, self.p))
-                    except ValueError:
-                        got = None
-                    if got is None or not np.array_equal(got, want):
-                        bad.append(("well_defined", s, t, i, j))
-        return bad
+        a, b = sec_s.dim, sec_t.dim
+        if a == 0 or b == 0:
+            return []
+        want = self.product_tensor(s, t)
+        den_s, den_t = sec_s.den.rows, sec_t.den.rows
+        picks = [(rng.integers(0, len(den_s)), rng.integers(0, len(den_t)))
+                 for _ in range(a * b * trials)]
+        ds, dt = np.array(picks, dtype=np.int64).reshape(-1, 2).T
+        # draw n belongs to the pair (i, j) = divmod(n // trials, b)
+        pair = np.arange(a * b * trials) // trials
+        g = (_reps(sec_s)[pair // b] @ den_s[ds].astype(np.int64)) % self.p
+        h = (_reps(sec_t)[pair % b] @ den_t[dt].astype(np.int64)) % self.p
+        got, inside = target.coordinatize(commutator(g, h, self.p))
+        ok = inside & (got == want.reshape(a * b, -1)[pair]).all(axis=1)
+        return [("well_defined", s, t, int(n // b), int(n % b)) for n in pair[~ok]]
 
+
+def _reps(sec: SectionBasis) -> np.ndarray:
+    """The section's reps as one int64 (dim, d, d) stack."""
+    d = sec.parent.degree
+    return np.array(sec.reps, dtype=np.int64).reshape(sec.dim, d, d)

@@ -17,12 +17,20 @@ The full-system scalar-ring solvers at the end are the `adjoint_ring` and
 centralizer and the centroid a system over the adjoint basis: one
 (a*b*c) x (a^2 + b^2) system for the adjoint and one (2*a*b*c) x
 (a^2 + b^2 + c^2) system for the centroid.
+
+`loop_product_tensor`, `loop_check_bilinear` and `loop_check_well_defined`
+are the `filtra.liering.GradedLieRing` methods from before brackets were
+batched: one commutator and one coordinate lookup per (i, j) pair or trial.
+They take the ring as their first argument; `loop_product_tensor` computes
+the tensor afresh and does not read or fill the ring's tensor cache.
 """
 
 import numpy as np
 
-from filtra.errors import CapExceeded
+from filtra import monoid
+from filtra.errors import CapExceeded, ClosureViolation
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
+from filtra.group import commutator
 from filtra.modlinalg import Subspace, inv_mod, solve_nullspace
 
 
@@ -220,3 +228,63 @@ def full_centroid_ring(tensor, p: int) -> ScalarRing:
     space = solve_nullspace(rows, p, a * a + bb * bb + c * c)
     members = tuple(tuple(_unflatten(v, [(a, a), (bb, bb), (c, c)])) for v in space.basis)
     return ScalarRing("centroid", p, b, members, space)
+
+
+def loop_product_tensor(ring, s, t) -> np.ndarray:
+    sec_s, sec_t = ring.section(s), ring.section(t)
+    target = ring.section(monoid.add(s, t))
+    a, b, c = sec_s.dim, sec_t.dim, target.dim
+    tensor = np.zeros((a, b, c), dtype=np.int64)
+    for i in range(a):
+        for j in range(b):
+            g = commutator(sec_s.reps[i], sec_t.reps[j], ring.p)
+            try:
+                tensor[i, j] = target.coordinatize(g)
+            except ValueError:
+                raise ClosureViolation(
+                    f"commutator of components at {s}, {t} misses the component at "
+                    f"{monoid.add(s, t)}") from None
+    return tensor
+
+
+def loop_check_bilinear(ring, s, t, trials: int, rng: np.random.Generator) -> list:
+    bad = []
+    sec_s, sec_t = ring.section(s), ring.section(t)
+    target = ring.section(monoid.add(s, t))
+    for _ in range(trials):
+        x1 = rng.integers(0, ring.p, sec_s.dim)
+        x2 = rng.integers(0, ring.p, sec_s.dim)
+        y = rng.integers(0, ring.p, sec_t.dim)
+        g = sec_s.lift((x1 + x2) % ring.p)
+        h = sec_t.lift(y)
+        try:
+            got = target.coordinatize(commutator(g, h, ring.p))
+        except ValueError:
+            got = None
+        want = (ring.bracket_coords(s, t, x1, y) + ring.bracket_coords(s, t, x2, y)) % ring.p
+        if got is None or not np.array_equal(got, want):
+            bad.append((s, t, x1.tolist(), x2.tolist(), y.tolist()))
+    return bad
+
+
+def loop_check_well_defined(ring, s, t, trials: int, rng: np.random.Generator) -> list:
+    sec_s, sec_t = ring.section(s), ring.section(t)
+    target = ring.section(monoid.add(s, t))
+    den_s = sec_s.den.rows
+    den_t = sec_t.den.rows
+    bad = []
+    for i in range(sec_s.dim):
+        for j in range(sec_t.dim):
+            want = ring.product_tensor(s, t)[i, j]
+            for _ in range(trials):
+                ds = den_s[rng.integers(0, len(den_s))]
+                dt = den_t[rng.integers(0, len(den_t))]
+                g = (sec_s.reps[i] @ ds.astype(np.int64)) % ring.p
+                h = (sec_t.reps[j] @ dt.astype(np.int64)) % ring.p
+                try:
+                    got = target.coordinatize(commutator(g, h, ring.p))
+                except ValueError:
+                    got = None
+                if got is None or not np.array_equal(got, want):
+                    bad.append(("well_defined", s, t, i, j))
+    return bad

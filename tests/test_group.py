@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import hei, keys_of, named_hei, named_ring, pattern_keys, ut
 from loop_reference import _bfs_closure
 from oracles import exhaustive_commutator_subgroup
+from filtra import group as group_module
 from filtra.errors import CapExceeded, NotNormal
 from filtra.filters import eta_filter, gamma_filter, kappa_filter
 from filtra.group import (
@@ -24,6 +25,7 @@ from filtra.group import (
     is_normal,
     jennings_series,
     join,
+    join_powers,
     lower_central_series,
     make_heisenberg,
     make_ut,
@@ -211,6 +213,37 @@ def test_section_coordinatize_rejects_outsiders():
     sec = SectionBasis(gam[1], gam[2])
     with pytest.raises(ValueError):
         sec.coordinatize(transvection(4, 0, 1))
+
+
+def test_section_coordinatize_reduces_mod_p():
+    g = ut(3, 3)
+    gam = lower_central_series(g)
+    sec = SectionBasis(gam[0], gam[1])
+    for r in sec.reps:
+        want = sec.coordinatize(r)
+        assert np.array_equal(sec.coordinatize(r + 3 * np.eye(3, dtype=np.int64)), want)
+        assert np.array_equal(sec.coordinatize(r - 3), want)
+    # 256 = 1 mod 3: the entry must not alias to 0 through a byte cast
+    assert np.array_equal(sec.coordinatize(transvection(3, 0, 1, 256)),
+                          sec.coordinatize(transvection(3, 0, 1)))
+    assert sec.coordinatize(transvection(3, 0, 1)).any()
+
+
+def test_section_stacks_report_outsiders():
+    g = ut(4, 2)
+    gam = lower_central_series(g)
+    sec = SectionBasis(gam[1], gam[2])
+    mats = np.stack([sec.reps[1], transvection(4, 0, 1), sec.reps[0] + 2, transvection(4, 1, 2)])
+    coords, inside = sec.coordinatize(mats)
+    assert inside.tolist() == [True, False, True, False]
+    assert coords.tolist() == [[0, 1], [0, 0], [1, 0], [0, 0]]
+    grid, inside = sec.coordinatize(mats.reshape(2, 2, 4, 4))
+    assert grid.shape == (2, 2, 2) and inside.shape == (2, 2)
+    assert np.array_equal(grid.reshape(4, 2), coords)
+    # a stack of coordinate rows lifts row by row, mod p
+    rows = np.array([[0, 0], [1, 0], [3, 1], [1, 1]])
+    assert np.array_equal(sec.lift(rows), np.stack([sec.lift(r) for r in rows]))
+    assert np.array_equal(sec.lift(rows[2]), sec.lift([1, 1]))
 
 
 def test_section_preimage():
@@ -456,3 +489,82 @@ def test_coset_extension_matches_element_bfs(case, split):
         assert all(np.array_equal(a, b) for a, b in zip(got.generators, want_kept))
         assert got.keys == want
         assert got.order() == len(want)
+
+
+def _join_powers_calls(run) -> list:
+    """(C, H, result, number of power_subgroup calls) for every join_powers
+    call that run() makes."""
+    calls, powers = [], []
+
+    def spy_power(a, k):
+        powers.append(k)
+        return power_subgroup(a, k)
+
+    def spy(c, h):
+        before = len(powers)
+        out = join_powers(c, h)
+        calls.append((c, h, out, len(powers) - before))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(group_module, "power_subgroup", spy_power)
+        mp.setattr(group_module, "join_powers", spy)
+        run()
+    return calls
+
+
+def assert_joins_powers(c, h, got):
+    want = join(c, power_subgroup(h, c.parent.p))
+    assert got.keys == want.keys
+    assert len(got.generators) == len(want.generators)
+    assert all(np.array_equal(a, b) for a, b in zip(got.generators, want.generators))
+
+
+@settings(max_examples=100, deadline=None)
+@given(unipotent_generators())
+def test_join_powers_matches_power_subgroup(case):
+    # join_powers(C, H) decides C H^p from H's generators when it can; it
+    # must give exactly join(C, power_subgroup(H, p)), generators included
+    p, d, gens = case
+    try:
+        g = UnipotentGroup(p, d, gens, cap=BFS_CAP)
+    except CapExceeded:
+        return
+
+    def run():
+        # the three callers: the eta and kappa series, and every filter section
+        for build in (gamma_filter, eta_filter, kappa_filter):
+            f = build(g)
+            for s in f.keys:
+                SectionBasis(f.at(s), f.plus(s))
+
+    calls = _join_powers_calls(run)
+    assert calls or g.order() == 1
+    # and subgroups C that the whole group normalizes, where G/C need not be abelian
+    full = g.full_subgroup()
+    for c in lower_central_series(g) + [g.trivial_subgroup()]:
+        calls.append((c, full, join_powers(c, full), None))
+    for c, h, got, _ in calls:
+        assert_joins_powers(c, h, got)
+
+
+def test_join_powers_falls_back():
+    # <J> for a 3x3 Jordan block over F_2 is cyclic of order 4: its G/1
+    # section is abelian, but G^2 = <J^2> is not inside 1
+    jordan = np.eye(3, dtype=np.int64) + np.eye(3, k=1, dtype=np.int64)
+    g = UnipotentGroup(2, 3, [jordan])
+    calls = _join_powers_calls(lambda: SectionBasis(g.full_subgroup(), g.trivial_subgroup()))
+    [(c, h, got, powered)] = calls
+    assert powered == 1 and got.order() == 2
+    assert_joins_powers(c, h, got)
+    # UT(5,3), kappa_3 = [G, kappa_2] G^3: the generators cube to 1 but do not
+    # commute modulo [G, kappa_2], so G^3 is enumerated (it lies in C anyway)
+    c, h, got, powered = _join_powers_calls(lambda: jennings_series(ut(5, 3)))[1]
+    assert h == ut(5, 3).full_subgroup() and powered == 1
+    assert_joins_powers(c, h, got)
+    # UT(3,2) over 1: the generators square to 1 but do not commute, and
+    # G^2 is the centre, so the commutator test is what keeps 1 out
+    g = ut(3, 2)
+    got = join_powers(g.trivial_subgroup(), g.full_subgroup())
+    assert got.keys == pattern_keys(g, [(0, 2)])
+    assert_joins_powers(g.trivial_subgroup(), g.full_subgroup(), got)
