@@ -135,16 +135,16 @@ def series_filter(ambient: UnipotentGroup, terms: list[Subgroup]) -> Filter:
     return Filter(ambient, 1, support, (bound,))
 
 
-def gamma_filter(g: UnipotentGroup, n: Subgroup | None = None) -> Filter:
-    return series_filter(g, lower_central_series(g, n))
+def gamma_filter(g: UnipotentGroup) -> Filter:
+    return series_filter(g, lower_central_series(g))
 
 
-def eta_filter(g: UnipotentGroup, n: Subgroup | None = None) -> Filter:
-    return series_filter(g, exponent_p_central_series(g, n))
+def eta_filter(g: UnipotentGroup) -> Filter:
+    return series_filter(g, exponent_p_central_series(g))
 
 
-def kappa_filter(g: UnipotentGroup, n: Subgroup | None = None) -> Filter:
-    return series_filter(g, jennings_series(g, n))
+def kappa_filter(g: UnipotentGroup) -> Filter:
+    return series_filter(g, jennings_series(g))
 
 
 @dataclass
@@ -178,8 +178,7 @@ def verify_axioms(f: Filter) -> AxiomReport:
             target = f.at(st)
             if not target.contains(comm):
                 v.append(("commutator_inclusion", s, t))
-            meet = f.at(s).keys & f.at(t).keys
-            if not target.keys <= meet:
+            if not (f.at(s).contains(target) and f.at(t).contains(target)):
                 v.append(("intersection_inclusion", s, t))
     return AxiomReport(ok=not v, violations=v)
 

@@ -5,8 +5,7 @@ uint8 arrays (p must fit in a byte) and multiplied in int64 to avoid
 overflow.  A subgroup holds its elements as uint8 rows, in the order coset
 extension produced them, and as the frozenset of their row-major byte
 keys; two subgroups are equal when their key sets are.  Nothing is sorted
-except where the order shows in the output: the section reps and the
-power-subgroup candidates.
+except the power-subgroup candidates, whose order shows in the output.
 
 Every subgroup is grown one generator at a time by coset extension
 (Dimino's algorithm): given H enumerated and a new element g, <H, g> is H
@@ -15,7 +14,9 @@ followed by its right cosets H*x, each found by one key lookup per
 group owns the element cap: its enumeration is checked against the cap
 before each coset is formed, and since every later subgroup (join,
 commutator, power, section, preimage) lies inside it, none of them takes a
-cap of its own.  The order of the ambient group must be a power of p.
+cap of its own.  The ambient group must be a p-group; that is decided from
+its generators before anything is enumerated, by the full flag of row
+vectors they must fix.
 Commutator subgroups use the normal-closure identity
 [<S>,<T>] = <[s,t] : s in S, t in T>^<S,T> (conjugation by the generators
 suffices); the exhaustive element-pair version lives in the test oracles
@@ -37,7 +38,9 @@ In the section layer (``SectionBasis``) the denominator B contains
 Extending a group H between B and A by r in A therefore gives exactly the
 cosets H, H*r, ..., H*r^(p-1), in that order, and every group between B
 and A is a union of cosets B r_1^c_1 ... r_j^c_j (0 <= c_i < p) laid out
-in that order.
+in that order.  A section grows A from B' by A's own generators, so no
+element of A is searched for a rep, and its coordinates and lifts are read
+off that layout.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import math
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, NotAbelianSection, NotNormal
-from .modlinalg import Subspace, check_prime
+from .modlinalg import Subspace, check_prime, rref
 
 DEFAULT_CAP = 2**20
 MAX_DEGREE = 256
@@ -75,17 +78,6 @@ def _as_mat(m, p: int, degree: int) -> np.ndarray:
     if a.shape != (degree, degree):
         raise DimensionMismatch(f"matrix shape {a.shape}, expected {(degree, degree)}")
     return a
-
-
-def is_unipotent(m: np.ndarray, p: int) -> bool:
-    d = m.shape[0]
-    n = (m.astype(np.int64) - np.eye(d, dtype=np.int64)) % p
-    acc = n.copy()
-    for _ in range(d - 1):
-        if not acc.any():
-            return True
-        acc = (acc @ n) % p
-    return not acc.any()
 
 
 def batch_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -128,6 +120,29 @@ def _powers(a: np.ndarray, k: int, p: int) -> np.ndarray:
 def _stack(gens, degree: int) -> np.ndarray:
     """A generator list as one int64 (k, d, d) stack; k may be 0."""
     return np.array(gens, dtype=np.int64).reshape(-1, degree, degree)
+
+
+def _fixes_full_flag(gens: list[np.ndarray], p: int, degree: int) -> bool:
+    """Whether the generators fix a full flag 0 = V_0 < V_1 < ... < V_d = Z_p^d
+    of row vectors, where V_{k+1} = {v : v (g - I) in V_k for every g}.
+
+    They do exactly when they generate a p-group: a p-subgroup of GL(d, p)
+    is conjugate into the upper unitriangular group, and a group that fixes
+    such a flag is too.  V_k is the null space of its annihilator A_k, the
+    rows a with v a^T = 0 for every v in V_k: A_0 = I, and A_{k+1} spans the
+    rows of A_k (g - I)^T over all g, one rref per step.  The flag is full
+    once A_k is empty; it stalls below Z_p^d when the rank of A_k stops
+    falling.  No element is enumerated.
+    """
+    eye = np.eye(degree, dtype=np.int64)
+    steps = ((_stack(gens, degree) - eye) % p).transpose(0, 2, 1)
+    ann = eye
+    while len(ann):
+        r, pivots = rref((ann @ steps).reshape(-1, degree), p)
+        if len(pivots) == len(ann):
+            return False
+        ann = r[:len(pivots)]
+    return True
 
 
 def _row_keys(rows: np.ndarray) -> list[bytes]:
@@ -179,20 +194,12 @@ class UnipotentGroup:
         self.name = name
         self.cap = cap
         gens = [_as_mat(g, p, degree) for g in generators]
-        for g in gens:
-            if not is_unipotent(g, p):
-                raise ValueError("generator is not unipotent")
+        if not _fixes_full_flag(gens, p, degree):
+            raise ValueError(f"generators do not generate a p-group (p = {p})")
         self.generators = gens
         full = reduced_generators(self, gens)
         self._full = Subgroup(self, gens, full.rows, full.keys)
-        n = full.order()
-        while n % p == 0:
-            n //= p
-        if n != 1:
-            raise ValueError(f"generators give a group of order {full.order()}, "
-                             f"not a power of {p}")
         self._comm_cache: dict = {}
-        self._power_cache: dict = {}
 
     def order(self) -> int:
         return self._full.order()
@@ -332,20 +339,11 @@ def power_subgroup(a: Subgroup, k: int) -> Subgroup:
     """Subgroup generated by all k-th powers (k >= 1) of elements of a."""
     if k < 1:
         raise ValueError(f"power exponent {k} is not positive")
-    parent = a.parent
-    p = parent.p
-    key = (a.keys, k)
-    cached = parent._power_cache.get(key)
-    if cached is not None:
-        return cached
-    acc = _powers(a.rows, k, p)
+    acc = _powers(a.rows, k, a.parent.p)
     # sorted, so that the kept generators (printed for kappa terms) do not
     # depend on the row order of a
     flat = dict(zip(_row_keys(acc.astype(np.uint8)), acc))
-    candidates = [flat[key_] for key_ in sorted(flat)]
-    out = reduced_generators(parent, candidates)
-    parent._power_cache[key] = out
-    return out
+    return reduced_generators(a.parent, [flat[key] for key in sorted(flat)])
 
 
 def join_powers(c: Subgroup, h: Subgroup) -> Subgroup:
@@ -379,12 +377,12 @@ def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
     return sub.keys.issuperset(_row_keys(ys.reshape(-1, degree, degree).astype(np.uint8)))
 
 
-def lower_central_series(g: UnipotentGroup, n: Subgroup | None = None) -> list[Subgroup]:
-    """gamma_1 = N, gamma_{i+1} = [N, gamma_i]; nontrivial terms only."""
-    n = n or g.full_subgroup()
-    terms = [n]
+def lower_central_series(g: UnipotentGroup) -> list[Subgroup]:
+    """gamma_1 = G, gamma_{i+1} = [G, gamma_i]; nontrivial terms only."""
+    top = g.full_subgroup()
+    terms = [top]
     while not terms[-1].is_trivial():
-        nxt = commutator_subgroup(n, terms[-1])
+        nxt = commutator_subgroup(top, terms[-1])
         if nxt.order() == terms[-1].order():
             raise NotNormal("series failed to descend; input is not nilpotent?")
         if nxt.is_trivial():
@@ -393,13 +391,12 @@ def lower_central_series(g: UnipotentGroup, n: Subgroup | None = None) -> list[S
     return terms
 
 
-def exponent_p_central_series(g: UnipotentGroup, n: Subgroup | None = None) -> list[Subgroup]:
-    """eta_1 = N, eta_{i+1} = [N, eta_i] * eta_i^p; nontrivial terms only."""
-    n = n or g.full_subgroup()
-    p = g.p
-    terms = [n]
+def exponent_p_central_series(g: UnipotentGroup) -> list[Subgroup]:
+    """eta_1 = G, eta_{i+1} = [G, eta_i] * eta_i^p; nontrivial terms only."""
+    top = g.full_subgroup()
+    terms = [top]
     while not terms[-1].is_trivial():
-        nxt = join_powers(commutator_subgroup(n, terms[-1]), terms[-1])
+        nxt = join_powers(commutator_subgroup(top, terms[-1]), terms[-1])
         if nxt.order() == terms[-1].order():
             raise NotNormal("series failed to descend")
         if nxt.is_trivial():
@@ -408,21 +405,21 @@ def exponent_p_central_series(g: UnipotentGroup, n: Subgroup | None = None) -> l
     return terms
 
 
-def jennings_series(g: UnipotentGroup, n: Subgroup | None = None) -> list[Subgroup]:
-    """kappa_1 = N, kappa_i = [N, kappa_{i-1}] * kappa_{ceil(i/p)}^p."""
-    n = n or g.full_subgroup()
+def jennings_series(g: UnipotentGroup) -> list[Subgroup]:
+    """kappa_1 = G, kappa_i = [G, kappa_{i-1}] * kappa_{ceil(i/p)}^p."""
+    top = g.full_subgroup()
     p = g.p
-    terms = [n]
+    terms = [top]
     # kappa may plateau (kappa_i = kappa_{i+1} between p-power jumps) but must
     # reach 1; the bound guards against a non-terminating recursion.
-    bound = 4 * n.order_exp() + 4
+    bound = 4 * top.order_exp() + 4
     i = 1
     while not terms[-1].is_trivial():
         i += 1
         if i > bound:
             raise NotNormal("jennings series failed to terminate")
         half = terms[-(-i // p) - 1]
-        nxt = join_powers(commutator_subgroup(n, terms[-1]), half)
+        nxt = join_powers(commutator_subgroup(top, terms[-1]), half)
         if nxt.is_trivial():
             break
         terms.append(nxt)
@@ -440,14 +437,16 @@ class SectionBasis:
     holds for every section of an eta or kappa filter.  Only otherwise, as
     for the cyclic group of a 3 x 3 Jordan block over F_2 over 1, is A^p
     enumerated and joined to B.  Then B' contains [A,A] A^p, so every group
-    H between B' and A is normal in A, and extending H by a rep r gives the cosets
-    H, H*r, ..., H*r^(p-1) in that order.  Each rep is the least element
-    of A in row-major byte order not yet covered, found by walking A's rows
-    sorted once with ``np.lexsort``.  The grown rows give the coordinates
-    of every element of A, so coordinatizing is a dict lookup, and the
-    least element of each coset of B', which is what lifting returns.  Both
-    take one element or a whole stack at a time.  Preimages of subspaces
-    grow from B' the same way.
+    H between B' and A is normal in A, and extending H by a rep r gives the
+    cosets H, H*r, ..., H*r^(p-1) in that order.
+
+    The reps r_1..r_j are A's generators, in order, that enlarge B' and the
+    reps before them, so A is grown from B' by ``reduced_generators``.  The
+    coordinates of an element are the base-p digits of its coset's block in
+    that layout, so coordinatizing is a dict lookup, and the lift of c is
+    the first row of its block, r_1^c_1 ... r_j^c_j.  Both take one element
+    or a whole stack at a time.  Any choice of reps gives the same
+    preimages, which grow from B' the same way.
     """
 
     def __init__(self, num: Subgroup, den: Subgroup):
@@ -467,30 +466,18 @@ class SectionBasis:
         self.den = join_powers(den, num)
         self.p = p
 
-        # rows holds the group grown so far as blocks of len(den) rows, the
-        # cosets of den.  Growing n blocks by r puts block b times r^k at
-        # b + k*n, so with reps r_1..r_j block b is den*r_1^c_1...r_j^c_j for
-        # c the base-p digits of b.  The numerator bounds every group grown.
-        reps: list[np.ndarray] = []
-        rows = self.den.rows
-        known = set(self.den.keys)
-        total = num.order()
-        flat = num.rows.reshape(total, -1)
-        ascending = flat[np.lexsort(flat.T[::-1])].reshape(num.rows.shape)
-        for i, key in enumerate(_row_keys(ascending)):
-            if len(known) == total:
-                break
-            if key not in known:
-                m = ascending[i].astype(np.int64)
-                rows = _extend(parent, rows, known, self.den.generators + reps, m)
-                reps.append(m)
-        keys = _row_keys(rows)
+        # Grown from B', the numerator is a run of blocks of len(B') rows,
+        # the cosets of B'.  Growing n blocks by r puts block b times r^k at
+        # b + k*n, so with reps r_1..r_j block b is B' r_1^c_1...r_j^c_j for
+        # c the base-p digits of b, and since B' starts with the identity,
+        # that product is the block's first row.
+        grown = reduced_generators(parent, num.generators, base=self.den)
         size = self.den.order()
-        self._coords: dict[bytes, int] = dict(zip(keys, (np.arange(total) // size).tolist()))
-        least = b"".join(min(keys[i:i + size]) for i in range(0, total, size))
-        self._lifts = np.frombuffer(least, dtype=np.uint8).reshape(-1, parent.degree, parent.degree)
-        self.reps = reps
-        self.dim = len(reps)
+        blocks = (np.arange(grown.order()) // size).tolist()
+        self._coords: dict[bytes, int] = dict(zip(_row_keys(grown.rows), blocks))
+        self._lifts = grown.rows[::size].copy()
+        self.reps = grown.generators[len(self.den.generators):]
+        self.dim = len(self.reps)
         self._place = p ** np.arange(self.dim, dtype=np.int64)
 
     def coordinatize(self, m):
@@ -519,9 +506,9 @@ class SectionBasis:
         return coords.reshape(lead + (self.dim,)), inside.reshape(lead)
 
     def lift(self, coords) -> np.ndarray:
-        """The least element, in row-major byte order, of the coset of B'
-        with these coordinates (taken mod p); a (..., dim) stack of
-        coordinates gives a (..., d, d) stack of lifts."""
+        """The element r_1^c_1 ... r_j^c_j of the coset of B' with
+        coordinates c (taken mod p); a (..., dim) stack of coordinates gives
+        a (..., d, d) stack of lifts."""
         c = np.mod(np.asarray(coords, dtype=np.int64), self.p)
         if c.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"expected {self.dim} coordinates")

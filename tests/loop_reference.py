@@ -23,6 +23,11 @@ are the `filtra.liering.GradedLieRing` methods from before brackets were
 batched: one commutator and one coordinate lookup per (i, j) pair or trial.
 They take the ring as their first argument; `loop_product_tensor` computes
 the tensor afresh and does not read or fill the ring's tensor cache.
+
+`ByteLeastSection` is the section basis `filtra.group.SectionBasis` built
+before its reps became the numerator's own generators: each rep is the
+least element of A, in row-major byte order, outside the group grown so
+far, and each lift is the least element of its coset of B'.
 """
 
 import numpy as np
@@ -30,7 +35,7 @@ import numpy as np
 from filtra import monoid
 from filtra.errors import CapExceeded, ClosureViolation
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
-from filtra.group import commutator
+from filtra.group import _extend, _row_keys, commutator, join_powers
 from filtra.modlinalg import Subspace, inv_mod, solve_nullspace
 
 
@@ -288,3 +293,32 @@ def loop_check_well_defined(ring, s, t, trials: int, rng: np.random.Generator) -
                 if got is None or not np.array_equal(got, want):
                     bad.append(("well_defined", s, t, i, j))
     return bad
+
+
+class ByteLeastSection:
+    """A/B' with byte-least reps and lifts, for one element at a time."""
+
+    def __init__(self, num, den):
+        parent, self.p = num.parent, num.parent.p
+        self.den = join_powers(den, num)
+        self.reps: list[np.ndarray] = []
+        rows, known = self.den.rows, set(self.den.keys)
+        for key, m in sorted(zip(_row_keys(num.rows), num.rows.astype(np.int64)),
+                             key=lambda pair: pair[0]):
+            if key not in known:
+                rows = _extend(parent, rows, known, self.den.generators + self.reps, m)
+                self.reps.append(m)
+        self.dim = len(self.reps)
+        keys = _row_keys(rows)
+        size = self.den.order()
+        self._block = {key: i // size for i, key in enumerate(keys)}
+        self._lifts = [min(keys[i:i + size]) for i in range(0, len(keys), size)]
+
+    def coordinatize(self, m) -> np.ndarray:
+        block = self._block[np.mod(m, self.p).astype(np.uint8).tobytes()]
+        return np.array([block // self.p ** i % self.p for i in range(self.dim)], dtype=np.int64)
+
+    def lift(self, coords) -> np.ndarray:
+        block = sum(int(c) * self.p ** i for i, c in enumerate(coords))
+        d = self.den.rows.shape[-1]
+        return np.frombuffer(self._lifts[block], dtype=np.uint8).reshape(d, d).astype(np.int64)

@@ -156,10 +156,12 @@ def test_bad_group_file_is_input_error(tmp_path):
     assert code2 == 1
     assert "bad group spec" in err2
 
-    # SL(2,2), of order 6, is not a 2-group; the others are not specs at all,
-    # and none of their values is coerced into one
+    # SL(2,2) and SL(2,251) are not p-groups, and the second is refused
+    # before its 15,813,000 elements are enumerated; the others are not specs
+    # at all, and none of their values is coerced into one
     for spec, message in (
-        ({"p": 2, "degree": 2, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]}, "order 6"),
+        ({"p": 2, "degree": 2, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]}, "p-group"),
+        ({"p": 251, "degree": 2, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]}, "p-group"),
         ([[1, 1, 0, 1]], "JSON object"),
         ({"p": 2, "generators": [[1, 0, 0, 1]]}, "'degree'"),
         ({"p": 2, "degree": 2, "generators": 5}, "'generators'"),
@@ -198,9 +200,9 @@ def test_output_is_byte_stable():
 # sha256 of stdout; the generator lists in the JSON are part of what is pinned
 GOLDEN = [
     (("refine", "--ut", "4", "2"),
-     "eec286b18bd76cc427461d2131f73c60c35855fe2940924129636e5098606d99"),
+     "64b96f52e68cb1d8551c809709fdc6b00fd76a58600e7a15cc1053307f0bd076"),
     (("refine", "--heisenberg", "2,0,0,1", "--check"),
-     "b8736c0d895852f4c2fffb0736942e361076dcb8d02385e3d75376ee228749f8"),
+     "e9bc781a20a775528b89c49991e7468b950bd15280acc7d652f6be640ce4efb4"),
     (("fingerprint", "--ut", "4", "3", "--method", "centroid"),
      "a5ed0a8ab7165b782045cbc5d3cc29d813f712b908ee17906eca1393b273e337"),
     (("series", "--ut", "5", "2", "--series", "kappa"),
@@ -208,12 +210,12 @@ GOLDEN = [
     (("verify", "--ut", "4", "2", "--series", "eta"),
      "1658e1325b8151695e87d2d71e3427e8963f6f41b560dc10faa35f8ab59ccd48"),
     (("refine", "--ut", "4", "2", "--rounds", "1"),
-     "4ca72baf37468415b9181c404ad15ff31b629ca2ec9caf7768df9b036545648e"),
+     "9a175d697947c82d864fca1650194d258a1af3cf6572f868066f5eed508f7598"),
     (("refine", "--ut", "4", "2", "--rounds", "0"),
      "0fecade10a5c507eb495d138405408866f40043f7b654f42013f33f79b5e206e"),
     # a cap equal to |UT(4,2)| gives the uncapped output
     (("refine", "--ut", "4", "2", "--cap", "64"),
-     "eec286b18bd76cc427461d2131f73c60c35855fe2940924129636e5098606d99"),
+     "64b96f52e68cb1d8551c809709fdc6b00fd76a58600e7a15cc1053307f0bd076"),
 ]
 
 

@@ -76,7 +76,12 @@ def test_chain_rejects_incomparable_values():
         f.chain()
     rep = verify_axioms(f)
     assert not rep.ok
-    assert any(v[0] == "order_reversal" for v in rep.violations)
+    # phi_{s+t} is b for every pair, and b is not inside a, so every pair but
+    # ((2,), (2,)) fails the intersection axiom
+    assert rep.violations == [
+        ("order_reversal", (2,)), ("not_eventually_trivial",),
+        ("intersection_inclusion", (1,), (1,)), ("intersection_inclusion", (1,), (2,)),
+        ("intersection_inclusion", (2,), (1,))]
 
 
 @pytest.mark.parametrize("make", [gamma_filter, eta_filter, kappa_filter])

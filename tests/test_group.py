@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hei, keys_of, named_hei, named_ring, pattern_keys, ut
-from loop_reference import _bfs_closure
+from loop_reference import ByteLeastSection, _bfs_closure
 from oracles import exhaustive_commutator_subgroup
 from filtra import group as group_module
 from filtra.errors import CapExceeded, NotNormal
@@ -32,7 +32,7 @@ from filtra.group import (
     power_subgroup,
     reduced_generators,
 )
-from filtra.modlinalg import Subspace, full_space
+from filtra.modlinalg import Subspace, full_space, rref
 
 
 def transvection(d, i, j, val=1):
@@ -160,8 +160,6 @@ def test_jennings_series():
     assert keys_of(jennings_series(ut(3, 2))[1]) == pattern_keys(ut(3, 2), [(0, 2)])
     # p >= class: kappa collapses to gamma
     assert jennings_series(ut(3, 3)) == lower_central_series(ut(3, 3))
-    triv = ut(3, 2).trivial_subgroup()
-    assert all(h.is_trivial() for h in jennings_series(ut(3, 2), triv))
 
 
 def test_is_normal_and_join():
@@ -288,16 +286,20 @@ def test_section_tables_match_closure_oracle(group_name, series):
         lifts = np.array([sec.lift(c) for c in coords])
         quot = batch_mul(mats, batch_inv(lifts, p), p).astype(np.uint8)
         assert all(q.tobytes() in den.keys for q in quot)
-        # lift(c) is the least element of its coset B' lift(c)
+        # the reps are A's generators outside the closure of B' and the reps before them
+        reps = []
+        for gen in num.generators:
+            _, covered = _bfs_closure(p, g.degree, den.generators + reps, g.cap)
+            if gen.astype(np.uint8).tobytes() not in covered:
+                reps.append(gen)
+        assert len(reps) == sec.dim
+        assert all(np.array_equal(a, b) for a, b in zip(reps, sec.reps))
+        # lift(c) is r_1^c_1 ... r_j^c_j
         for c in {tuple(c) for c in coords.tolist()}:
-            lift = sec.lift(c)
-            coset = batch_mul(den.rows.astype(np.int64), lift, p).astype(np.uint8)
-            assert min(m.tobytes() for m in coset) == lift.astype(np.uint8).tobytes()
-        # reps[i] is the least element of A in byte order outside <B', reps[:i]>
-        for i, r in enumerate(sec.reps):
-            _, covered = _bfs_closure(p, g.degree, den.generators + sec.reps[:i], g.cap)
-            least = min(k for k in num.keys if k not in covered)
-            assert r.astype(np.uint8).tobytes() == least
+            want = np.eye(g.degree, dtype=np.int64)
+            for r, k in zip(reps, c):
+                want = want @ np.linalg.matrix_power(r, k) % p
+            assert np.array_equal(sec.lift(c), want)
         # the reps are a basis, and coordinates add under multiplication
         for i, r in enumerate(sec.reps):
             assert np.array_equal(sec.coordinatize(r), np.eye(sec.dim, dtype=np.int64)[i])
@@ -305,6 +307,29 @@ def test_section_tables_match_closure_oracle(group_name, series):
         for i, j in rng.integers(0, num.order(), (8, 2)):
             prod = batch_mul(mats[i], mats[j], p)
             assert np.array_equal(sec.coordinatize(prod), (coords[i] + coords[j]) % p)
+
+
+@pytest.mark.parametrize("series", sorted(FILTERS))
+@pytest.mark.parametrize("group_name", sorted(SECTION_GROUPS))
+def test_section_basis_matches_byte_least_reference(group_name, series):
+    for sec in filter_sections(group_name, series):
+        old = ByteLeastSection(sec.num, sec.den_given)
+        p, dim = sec.p, sec.dim
+        assert old.den == sec.den and old.dim == dim
+        # row i of M is the new coordinates of old rep i; M is invertible and
+        # maps the old coordinates of every element of A to its new ones
+        change = np.array([sec.coordinatize(r) for r in old.reps]).reshape(dim, dim)
+        assert len(rref(change, p)[1]) == dim
+        mats = sec.num.rows.astype(np.int64)
+        old_coords = np.array([old.coordinatize(m) for m in mats]).reshape(len(mats), dim)
+        new_coords, inside = sec.coordinatize(mats)
+        assert inside.all()
+        assert np.array_equal(old_coords @ change % p, new_coords)
+        # old and new lifts of matching coordinates lie in one coset of B'
+        for c in {tuple(c) for c in old_coords.tolist()}:
+            new_lift = sec.lift(np.array(c, dtype=np.int64) @ change)
+            quot = batch_mul(old.lift(c), batch_inv(new_lift, p), p).astype(np.uint8)
+            assert quot.tobytes() in sec.den.keys
 
 
 @pytest.mark.parametrize("series", sorted(FILTERS))
@@ -423,10 +448,20 @@ def test_heisenberg_degree_checked():
 def test_non_p_group_rejected():
     # two unipotent transvections over F_2 generate SL(2,2), of order 6
     gens = [transvection(2, 0, 1), transvection(2, 1, 0)]
-    with pytest.raises(ValueError, match="order 6"):
+    with pytest.raises(ValueError, match="p-group"):
         UnipotentGroup(2, 2, gens)
-    with pytest.raises(ValueError, match="order 6"):
+    with pytest.raises(ValueError, match="p-group"):
         group_from_spec({"p": 2, "degree": 2, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]})
+    # over F_251 they generate SL(2,251), of order 15,813,000: refused from
+    # the generators, so a cap of 10 is never reached
+    with pytest.raises(ValueError, match="p-group"):
+        UnipotentGroup(251, 2, gens, cap=10)
+    # a generator that is not unipotent fixes no full flag either
+    with pytest.raises(ValueError, match="p-group"):
+        UnipotentGroup(3, 2, [2 * np.eye(2, dtype=np.int64)])
+    # a conjugate of UT(3,5) is a 5-group, though not upper triangular
+    lower = [transvection(3, 1, 0), transvection(3, 2, 1)]
+    assert UnipotentGroup(5, 3, lower).order() == 125
 
 
 def test_cap_enforced():
