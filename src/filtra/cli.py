@@ -84,7 +84,7 @@ def _add_group_args(sp):
     sp.add_argument("--group", action="append", metavar="FILE",
                     help="JSON file with p, degree and row-major generators")
     sp.add_argument("--cap", type=_int_at_least(1), default=None,
-                    help="element count cap (default: FILTRA_CAP or %d)" % DEFAULT_CAP)
+                    help="group order cap (default: FILTRA_CAP or %d)" % DEFAULT_CAP)
     sp.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")
 
 

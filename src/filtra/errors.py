@@ -10,10 +10,10 @@ class DimensionMismatch(FiltraError):
 
 
 class CapExceeded(FiltraError):
-    """A closure enumeration grew past the configured element cap."""
+    """The ambient group's order exceeds the cap; ``reached`` is a lower bound."""
 
     def __init__(self, cap: int, reached: int):
-        super().__init__(f"closure exceeded cap: reached {reached} elements, cap {cap}")
+        super().__init__(f"group order {reached} or more exceeds cap {cap}")
         self.cap = cap
         self.reached = reached
 

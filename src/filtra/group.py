@@ -1,56 +1,46 @@
 """Finite unipotent matrix groups over Z_p and their standard series.
 
-Elements are d x d unipotent matrices with entries in [0, p), stored as
-uint8 arrays (p must fit in a byte) and multiplied in int64 to avoid
-overflow.  A subgroup holds its elements as uint8 rows, in the order coset
-extension produced them, and as the frozenset of their row-major byte
-keys; two subgroups are equal when their key sets are.  Nothing is sorted
-except the power-subgroup candidates, whose order shows in the output.
+Elements are d x d unipotent matrices with entries in [0, p), multiplied in
+int64 to avoid overflow (p must fit in a byte).  A subgroup is held as a
+polycyclic sequence, never as its list of elements.
 
-Every subgroup is grown one generator at a time by coset extension
-(Dimino's algorithm): given H enumerated and a new element g, <H, g> is H
-followed by its right cosets H*x, each found by one key lookup per
-(coset rep, generator) and formed as one batched product.  The ambient
-group owns the element cap: its enumeration is checked against the cap
-before each coset is formed, and since every later subgroup (join,
-commutator, power, section, preimage) lies inside it, none of them takes a
-cap of its own.  The ambient group must be a p-group; that is decided from
-its generators before anything is enumerated, by the full flag of row
-vectors they must fix.
+The ambient group must be a p-group: the full flag of row vectors its
+generators fix (``_fixes_full_flag``) has a basis T that makes every
+element x upper unitriangular as T x T^-1.  Sequences live in these flag
+coordinates; every matrix a caller sees is in input coordinates.  T = I
+for ``make_ut`` and ``make_heisenberg``.
+
+Order the positions above the diagonal by height j - i, then by row; an
+element's depth is its first nonzero position.  Two elements that vanish
+below height k add their height-k entries when multiplied, so the elements
+of depth >= delta form a normal subgroup of UT(d, p), each of index p in
+the one before.  A subgroup H thus has a sequence with one element h of
+leading entry 1 at each depth where H meets that series in a new step;
+every element of H is h_1^e_1 ... h_n^e_n (depths ascending) for unique
+0 <= e_i < p, so |H| = p^n.  Sifting x (multiplying it by h^-e at each
+depth, e its entry there) yields those exponents and a residue that is 1
+exactly when x lies in H, with one batched product per depth for a stack.
+Membership, order, equality, joins, commutator and power subgroups,
+normality and section coordinates all sift.  The ambient group owns the
+order cap, and every later subgroup lies inside it.
+
 Commutator subgroups use the normal-closure identity
 [<S>,<T>] = <[s,t] : s in S, t in T>^<S,T> (conjugation by the generators
-suffices); the exhaustive element-pair version lives in the test oracles
-(``tests/oracles.py``) and is only feasible at toy sizes.
-
-Products C H^p with C normalized by H (the eta and Jennings series steps,
-and the denominator of a section) go through ``join_powers``.  On an
-abelian quotient x -> x^p is a homomorphism, so when every generator
-commutator and every generator p-th power of H lies in C, H^p <= C and the
-product is C itself; that is one stacked product and one key-set test.
-Only when the test fails are the p-th powers of all elements of H formed
-(``power_subgroup``), e.g. for a Jennings step with odd p whose H is not
-abelian modulo C, or for a section A/B whose A^p is not inside B.  The
-result is the same subgroup object either way, since ``join`` returns C
-when C contains H^p.
-
-In the section layer (``SectionBasis``) the denominator B contains
-[A,A] A^p, so B is normal in the numerator A with A/B elementary abelian.
-Extending a group H between B and A by r in A therefore gives exactly the
-cosets H, H*r, ..., H*r^(p-1), in that order, and every group between B
-and A is a union of cosets B r_1^c_1 ... r_j^c_j (0 <= c_i < p) laid out
-in that order.  A section grows A from B' by A's own generators, so no
-element of A is searched for a rep, and its coordinates and lifts are read
-off that layout.
+suffices).  Products C H^p with C normalized by H (the eta and Jennings
+series steps, and the denominator of a section) go through
+``join_powers``, which decides most of them from H's generators; only
+otherwise does ``power_subgroup`` list the elements of H, the one place
+where a subgroup's elements are formed.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, NotAbelianSection, NotNormal
-from .modlinalg import Subspace, check_prime, rref
+from .modlinalg import Subspace, check_prime, inv_matrix, inv_mod, nullspace, rref
 
 DEFAULT_CAP = 2**20
 MAX_DEGREE = 256
@@ -59,15 +49,9 @@ MAX_DEGREE = 256
 def check_degree(degree: int, what: str = "degree") -> None:
     """Reject a matrix degree outside 1..MAX_DEGREE before any d x d array exists.
 
-    The element cap bounds how many elements are enumerated, not how large
-    each one is: an element of degree d is held as d^2 bytes in ``rows``,
-    d^2 more in its key, and 8 d^2 in the int64 products of coset
-    extension.  At d = 256 that is 640 KiB per element, so a group of a
-    thousand elements already needs more than 600 MB, while the groups this
-    library is built for have degree a few dozen at most (H(R) has degree
-    3 dim R).  The bound keeps all of those and turns a typo such as 100000
-    into an input error instead of a 10 to 80 GB identity matrix.  Degree 0
-    and below name no group at all.
+    The groups this library is built for have degree a few dozen at most
+    (H(R) has degree 3 dim R); the bound turns a typo such as 100000 into an
+    input error instead of a 10 to 80 GB identity matrix.
     """
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"{what} must be between 1 and {MAX_DEGREE}, not {degree}")
@@ -117,68 +101,64 @@ def _powers(a: np.ndarray, k: int, p: int) -> np.ndarray:
     return acc
 
 
+def _power_table(a: np.ndarray, p: int) -> np.ndarray:
+    """a^0, ..., a^(p-1) as one int64 (p, d, d) array."""
+    table = np.empty((p,) + a.shape, dtype=np.int64)
+    table[0] = np.eye(len(a), dtype=np.int64)
+    for e in range(1, p):
+        table[e] = table[e - 1] @ a % p
+    return table
+
+
 def _stack(gens, degree: int) -> np.ndarray:
     """A generator list as one int64 (k, d, d) stack; k may be 0."""
     return np.array(gens, dtype=np.int64).reshape(-1, degree, degree)
 
 
-def _fixes_full_flag(gens: list[np.ndarray], p: int, degree: int) -> bool:
-    """Whether the generators fix a full flag 0 = V_0 < V_1 < ... < V_d = Z_p^d
-    of row vectors, where V_{k+1} = {v : v (g - I) in V_k for every g}.
+def _is_one(x: np.ndarray) -> np.ndarray:
+    """Which matrices of a (k, d, d) stack are the identity."""
+    return (x == np.eye(x.shape[-1], dtype=np.int64)).all(axis=(1, 2))
 
-    They do exactly when they generate a p-group: a p-subgroup of GL(d, p)
-    is conjugate into the upper unitriangular group, and a group that fixes
-    such a flag is too.  V_k is the null space of its annihilator A_k, the
-    rows a with v a^T = 0 for every v in V_k: A_0 = I, and A_{k+1} spans the
-    rows of A_k (g - I)^T over all g, one rref per step.  The flag is full
-    once A_k is empty; it stalls below Z_p^d when the rank of A_k stops
-    falling.  No element is enumerated.
+
+def _fixes_full_flag(gens: list[np.ndarray], p: int, degree: int) -> np.ndarray | None:
+    """The basis T of the flag 0 < V_1 < ... < V_m = Z_p^d of row vectors,
+    V_{k+1} = {v : v (g - I) in V_k for every g}, or None when it stalls
+    below Z_p^d, which happens exactly when the generators do not generate a
+    p-group.  V_k is the null space of its annihilator: A_0 = I, and A_{k+1}
+    spans the rows of A_k (g - I)^T over all g.  T lists the rref rows of
+    each V_k whose pivots V_{k-1} lacks, V_m's first and V_1's last, so
+    t_i (g - I) lies in span(t_{i+1}, ..., t_d).  Nothing is enumerated.
     """
     eye = np.eye(degree, dtype=np.int64)
     steps = ((_stack(gens, degree) - eye) % p).transpose(0, 2, 1)
-    ann = eye
+    ann, layers, seen = eye, [], set()
     while len(ann):
         r, pivots = rref((ann @ steps).reshape(-1, degree), p)
         if len(pivots) == len(ann):
-            return False
+            return None
         ann = r[:len(pivots)]
-    return True
+        space = nullspace(ann, p)
+        lead = np.argmax(space != 0, axis=1).tolist()
+        layers.append(space[[i for i, c in enumerate(lead) if c not in seen]])
+        seen.update(lead)
+    return np.concatenate(layers[::-1])
 
 
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """Byte keys of a uint8 (n, d, d) array, one per matrix, in row order."""
-    flat = np.ascontiguousarray(rows).reshape(len(rows), math.prod(rows.shape[1:]))
-    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel().tolist()
+def _depth_positions(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the positions above the diagonal, in depth order."""
+    rows, cols = np.triu_indices(d, 1)
+    order = np.lexsort((rows, cols - rows))
+    return rows[order], cols[order]
 
 
-def _extend(parent: UnipotentGroup, rows: np.ndarray, known: set, gens: list[np.ndarray],
-            new: np.ndarray) -> np.ndarray:
-    """Rows of <H, new> for H = <gens> given as uint8 rows (Dimino's algorithm).
-
-    The result is H followed by its right cosets H*x in the order they are
-    found.  The union of the cosets found so far is the group once x*s lies
-    in it for every rep x and every generator s of <H, new>; each x*s that
-    does not starts a new coset, formed as one batch H @ (x*s), whose keys
-    go into ``known`` at once.  The parent's cap is checked before a coset
-    is formed.
-    """
-    p, cap = parent.p, parent.cap
-    h64 = rows.astype(np.int64)
-    steps = _stack(gens + [new], rows.shape[-1])
-    chunks = [rows]
-    reps = [np.eye(rows.shape[-1], dtype=np.int64)]
-    for x in reps:  # reps grows while it is walked
-        ys = (x @ steps) % p
-        for key, y in zip(_row_keys(ys.astype(np.uint8)), ys):
-            if key in known:
-                continue
-            if len(known) + len(rows) > cap:
-                raise CapExceeded(cap, len(known) + len(rows))
-            coset = ((h64 @ y) % p).astype(np.uint8)
-            known.update(_row_keys(coset))
-            chunks.append(coset)
-            reps.append(y)
-    return np.concatenate(chunks)
+def _conj(parent: UnipotentGroup, x: np.ndarray, back: bool = False) -> np.ndarray:
+    """A fresh int64 copy of a stack mod p, in flag coordinates T x T^-1, or
+    with ``back`` from flag to input coordinates."""
+    x = np.mod(x, parent.p)
+    if parent._flag is None:
+        return x
+    a, b = (parent._unflag, parent._flag) if back else (parent._flag, parent._unflag)
+    return (a @ x % parent.p) @ b % parent.p
 
 
 class UnipotentGroup:
@@ -189,16 +169,17 @@ class UnipotentGroup:
         if p > 251:
             raise ValueError("p must fit in one byte")
         check_degree(degree)
-        self.p = p
-        self.degree = degree
-        self.name = name
-        self.cap = cap
+        self.p, self.degree, self.name, self.cap = p, degree, name, cap
         gens = [_as_mat(g, p, degree) for g in generators]
-        if not _fixes_full_flag(gens, p, degree):
+        flag = _fixes_full_flag(gens, p, degree)
+        if flag is None:
             raise ValueError(f"generators do not generate a p-group (p = {p})")
+        moved = not np.array_equal(flag, np.eye(degree, dtype=np.int64))
+        self._flag, self._unflag = (flag, inv_matrix(flag, p)) if moved else (None, None)
+        self._rows, self._cols = _depth_positions(degree)
         self.generators = gens
         full = reduced_generators(self, gens)
-        self._full = Subgroup(self, gens, full.rows, full.keys)
+        self._full = Subgroup(self, gens, full._depths, full._seq, full._inv)
         self._comm_cache: dict = {}
 
     def order(self) -> int:
@@ -208,13 +189,7 @@ class UnipotentGroup:
         return self._full
 
     def trivial_subgroup(self) -> "Subgroup":
-        one = np.eye(self.degree, dtype=np.uint8)[None]
-        return Subgroup(self, [], one, frozenset([one.tobytes()]))
-
-    def subgroup(self, gens) -> "Subgroup":
-        gens = [_as_mat(g, self.p, self.degree) for g in gens]
-        sub = reduced_generators(self, gens)
-        return Subgroup(self, gens, sub.rows, sub.keys)
+        return Subgroup(self, [], [], [], [])
 
     def __repr__(self):
         label = self.name or "group"
@@ -222,78 +197,125 @@ class UnipotentGroup:
 
 
 class Subgroup:
-    """A subgroup of a UnipotentGroup, fully enumerated.
-
-    ``rows`` is a read-only uint8 (order, d, d) array of the elements in the
-    order coset extension produced them; ``keys`` is the frozenset of their
-    byte keys.  Subgroups of one ambient group are equal exactly when their
-    key sets are, and hash by them.
+    """A subgroup of a UnipotentGroup, held as a polycyclic sequence:
+    elements ``_seq`` in flag coordinates, their ascending ``_depths``, and
+    their tables ``_inv`` of h^0, h^-1, ..., h^-(p-1) (uint8).  Subgroups
+    are equal when they have the same order and one holds the other's
+    generators, and hash by (p, degree, order).
     """
 
-    __slots__ = ("parent", "generators", "rows", "keys")
+    __slots__ = ("parent", "generators", "_depths", "_seq", "_inv")
 
-    def __init__(self, parent: UnipotentGroup, generators, rows: np.ndarray, keys: frozenset):
+    def __init__(self, parent: UnipotentGroup, generators, depths: list[int],
+                 seq: list[np.ndarray], inv: list[np.ndarray]):
         self.parent = parent
         self.generators = [np.mod(np.asarray(g, dtype=np.int64), parent.p) for g in generators]
-        rows.setflags(write=False)
-        self.rows = rows
-        self.keys = keys
+        self._depths, self._seq, self._inv = depths, seq, inv
 
     def order(self) -> int:
-        return len(self.rows)
+        return self.parent.p ** len(self._depths)
 
     def order_exp(self) -> int:
-        n = len(self.rows)
-        e = 0
-        while n > 1:
-            n //= self.parent.p
-            e += 1
-        return e
+        return len(self._depths)
 
     def is_trivial(self) -> bool:
-        return len(self.rows) == 1
+        return not self._depths
+
+    def _sift(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exponents (k, len) and residues (k, d, d) of a flag-coordinate
+        stack x, which is sifted in place: x = h_1^e_1 ... h_n^e_n r."""
+        parent = self.parent
+        exps = np.zeros((len(x), len(self._depths)), dtype=np.int64)
+        for k, (depth, inv) in enumerate(zip(self._depths, self._inv)):
+            e = x[:, parent._rows[depth], parent._cols[depth]].copy()
+            hit = np.flatnonzero(e)
+            if hit.size:
+                x[hit] = inv[e[hit]] @ x[hit] % parent.p
+            exps[:, k] = e
+        return exps, x
+
+    def _holds(self, mats) -> np.ndarray:
+        """Which matrices of a stack (input coordinates) lie in the subgroup."""
+        x = _conj(self.parent, _stack(mats, self.parent.degree))
+        return _is_one(self._sift(x)[1])
 
     def contains(self, other: "Subgroup") -> bool:
-        return other.keys <= self.keys
+        return bool(self._holds(other.generators).all())
+
+    def elements(self, exps) -> np.ndarray:
+        """The elements h_1^e_1 ... h_n^e_n, in input coordinates, of a
+        (..., len) stack of exponent vectors over the sequence."""
+        p, d = self.parent.p, self.parent.degree
+        e = np.mod(np.asarray(exps, dtype=np.int64), p)
+        acc = np.broadcast_to(np.eye(d, dtype=np.int64), e.shape[:-1] + (d, d))
+        for k, inv in enumerate(self._inv):  # the inverse, h_n^-e_n ... h_1^-e_1
+            acc = inv[e[..., k]] @ acc % p
+        return _conj(self.parent, batch_inv(acc, p), back=True)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.parent.p == other.parent.p
-            and self.parent.degree == other.parent.degree
-            and self.keys == other.keys
-        )
+        return isinstance(other, Subgroup) and self._key() == other._key() and self.contains(other)
+
+    def _key(self) -> tuple[int, int, int]:
+        return self.parent.p, self.parent.degree, len(self._depths)
 
     def __hash__(self):
-        return hash(self.keys)
+        return hash(self._key())
 
     def __repr__(self):
         return f"Subgroup(order={self.order()}, degree={self.parent.degree}, p={self.parent.p})"
 
 
+def _grow(sub: Subgroup, x: np.ndarray, generators: list[np.ndarray]) -> Subgroup:
+    """<sub, x> for a flag-coordinate stack x, with the given generators:
+    a residue that does not sift to 1 goes in at its depth, scaled to
+    leading entry 1, and its commutators with every element and its p-th
+    power are sifted in turn.  Only the ambient build can reach the cap."""
+    parent = sub.parent
+    p = parent.p
+    out = Subgroup(parent, generators, list(sub._depths), list(sub._seq), list(sub._inv))
+    queue = x
+    while len(queue):
+        res = out._sift(queue)[1]
+        res = res[~_is_one(res)]
+        if not len(res):
+            break
+        r = res[0]
+        depth = int(np.flatnonzero(r[parent._rows, parent._cols])[0])
+        lead = int(r[parent._rows[depth], parent._cols[depth]])
+        if lead != 1:
+            r = _powers(r, inv_mod(lead, p), p)
+        k = bisect_left(out._depths, depth)
+        out._depths.insert(k, depth)
+        out._seq.insert(k, r)
+        out._inv.insert(k, _power_table(batch_inv(r, p), p).astype(np.uint8))
+        if out.order() > parent.cap:
+            raise CapExceeded(parent.cap, out.order())
+        queue = np.concatenate([res[1:], commutator(r, np.stack(out._seq), p),
+                                _powers(r, p, p)[None]])
+    return out
+
+
 def reduced_generators(parent: UnipotentGroup, candidates: list[np.ndarray],
                        base: Subgroup | None = None) -> Subgroup:
     """The subgroup <base, candidates>, generated by base's generators and
-    each candidate that enlarges it (greedy generator thinning).
-
-    The group grows from ``base`` (or the trivial group) by one coset
-    extension per kept candidate, under the parent's element cap.  Kept
-    lists stay O(log_p |result|), and so does the number of generators each
-    extension steps through.
-    """
-    p = parent.p
-    if base is None:
-        base = parent.trivial_subgroup()
-    kept = list(base.generators)
-    rows = base.rows
-    known = set(base.keys)
-    for c in candidates:
-        c = np.mod(np.asarray(c, dtype=np.int64), p)
-        if c.astype(np.uint8).tobytes() in known:
-            continue
-        rows = _extend(parent, rows, known, kept, c)
-        kept.append(c)
-    return Subgroup(parent, kept, rows, frozenset(known))
+    each candidate that enlarges it (greedy generator thinning).  The
+    undecided candidates are sifted as one stack; the first one outside is
+    kept, and the rest sift on from their residues."""
+    out = base if base is not None else parent.trivial_subgroup()
+    kept = list(out.generators)
+    cands = np.mod(_stack(candidates, parent.degree), parent.p)
+    left = _conj(parent, cands)
+    i = 0
+    while i < len(cands):
+        res = out._sift(left[i:])[1]
+        fresh = np.flatnonzero(~_is_one(res))
+        if not fresh.size:
+            break
+        i += int(fresh[0])
+        kept.append(cands[i])
+        out = _grow(out, left[i][None], kept)
+        i += 1
+    return out
 
 
 def join(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -314,8 +336,7 @@ def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     """
     parent = a.parent
     p, degree = parent.p, parent.degree
-    key = (a.keys, b.keys)
-    cached = parent._comm_cache.get(key)
+    cached = parent._comm_cache.get((a, b))
     if cached is not None:
         return cached
     sa, sb = _stack(a.generators, degree), _stack(b.generators, degree)
@@ -325,25 +346,31 @@ def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     conj_inv = batch_inv(conj, p)
     while True:
         ys = batch_mul(batch_mul(conj_inv, _stack(out.generators, degree)[:, None], p), conj, p)
-        ys = ys.reshape(-1, degree, degree)
-        new = [y for k, y in zip(_row_keys(ys.astype(np.uint8)), ys) if k not in out.keys]
-        if not new:
+        grown = reduced_generators(parent, ys.reshape(-1, degree, degree), base=out)
+        if grown is out:
             break
-        out = reduced_generators(parent, new, base=out)
-    parent._comm_cache[key] = out
-    parent._comm_cache[(b.keys, a.keys)] = out
+        out = grown
+    parent._comm_cache[(a, b)] = parent._comm_cache[(b, a)] = out
     return out
 
 
 def power_subgroup(a: Subgroup, k: int) -> Subgroup:
-    """Subgroup generated by all k-th powers (k >= 1) of elements of a."""
+    """Subgroup generated by all k-th powers (k >= 1) of elements of a,
+    formed off a's sequence and deduplicated in flag coordinates."""
     if k < 1:
         raise ValueError(f"power exponent {k} is not positive")
-    acc = _powers(a.rows, k, a.parent.p)
-    # sorted, so that the kept generators (printed for kappa terms) do not
-    # depend on the row order of a
-    flat = dict(zip(_row_keys(acc.astype(np.uint8)), acc))
-    return reduced_generators(a.parent, [flat[key] for key in sorted(flat)])
+    parent = a.parent
+    p, d = parent.p, parent.degree
+    elems = np.eye(d, dtype=np.int64)[None]
+    for inv in a._inv:  # every h_n^-e_n ... h_1^-e_1, i.e. every element
+        elems = (inv[:, None] @ elems[None] % p).reshape(-1, d, d)
+    powers = _powers(elems, k, p).reshape(len(elems), d * d)
+    keys = powers.astype(np.uint8).view(np.dtype((np.void, d * d))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    back = _conj(parent, powers[first].reshape(-1, d, d), back=True).reshape(-1, d * d)
+    # sorted by their bytes, so that the kept generators (printed for
+    # kappa terms) do not depend on the order of the elements
+    return reduced_generators(parent, back[np.lexsort(back.T[::-1])])
 
 
 def join_powers(c: Subgroup, h: Subgroup) -> Subgroup:
@@ -351,18 +378,16 @@ def join_powers(c: Subgroup, h: Subgroup) -> Subgroup:
     ``join(c, power_subgroup(h, p))``, generators included.
 
     When every generator commutator and every generator p-th power of H lies
-    in C, HC/C is generated by commuting images of order p, so it is
-    elementary abelian and H^p <= C: the answer is C itself, which is also
-    what ``join`` returns when its first argument contains the second.  That
-    takes one stacked product and one key-set test instead of enumerating the
-    p-th power of every element of H.  Otherwise the powers are enumerated.
+    in C, HC/C is elementary abelian and H^p <= C: the answer is C itself,
+    as ``join`` returns when its first argument contains the second.
+    Otherwise the p-th powers of all elements of H are formed.
     """
     parent = h.parent
     p, degree = parent.p, parent.degree
     gens = _stack(h.generators, degree)
     words = np.concatenate([commutator(gens[:, None], gens[None], p).reshape(-1, degree, degree),
                             _powers(gens, p, p)])
-    if c.keys.issuperset(_row_keys(words.astype(np.uint8))):
+    if c._holds(words).all():
         return c
     return join(c, power_subgroup(h, p))
 
@@ -374,35 +399,32 @@ def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
     outer = _stack(ambient.generators if ambient is not None else parent.generators, degree)
     ys = batch_mul(batch_mul(batch_inv(outer, p)[:, None], _stack(sub.generators, degree), p),
                    outer[:, None], p)
-    return sub.keys.issuperset(_row_keys(ys.reshape(-1, degree, degree).astype(np.uint8)))
+    return bool(sub._holds(ys.reshape(-1, degree, degree)).all())
+
+
+def _descend(g: UnipotentGroup, step, stall: str) -> list[Subgroup]:
+    """G, step(G, G), step(G, step(G, G)), ... until 1; nontrivial terms only."""
+    top = g.full_subgroup()
+    terms = [top]
+    while not terms[-1].is_trivial():
+        nxt = step(top, terms[-1])
+        if nxt.order() == terms[-1].order():
+            raise NotNormal(stall)
+        if nxt.is_trivial():
+            break
+        terms.append(nxt)
+    return terms
 
 
 def lower_central_series(g: UnipotentGroup) -> list[Subgroup]:
     """gamma_1 = G, gamma_{i+1} = [G, gamma_i]; nontrivial terms only."""
-    top = g.full_subgroup()
-    terms = [top]
-    while not terms[-1].is_trivial():
-        nxt = commutator_subgroup(top, terms[-1])
-        if nxt.order() == terms[-1].order():
-            raise NotNormal("series failed to descend; input is not nilpotent?")
-        if nxt.is_trivial():
-            break
-        terms.append(nxt)
-    return terms
+    return _descend(g, commutator_subgroup, "series failed to descend; input is not nilpotent?")
 
 
 def exponent_p_central_series(g: UnipotentGroup) -> list[Subgroup]:
     """eta_1 = G, eta_{i+1} = [G, eta_i] * eta_i^p; nontrivial terms only."""
-    top = g.full_subgroup()
-    terms = [top]
-    while not terms[-1].is_trivial():
-        nxt = join_powers(commutator_subgroup(top, terms[-1]), terms[-1])
-        if nxt.order() == terms[-1].order():
-            raise NotNormal("series failed to descend")
-        if nxt.is_trivial():
-            break
-        terms.append(nxt)
-    return terms
+    return _descend(g, lambda top, eta: join_powers(commutator_subgroup(top, eta), eta),
+                    "series failed to descend")
 
 
 def jennings_series(g: UnipotentGroup) -> list[Subgroup]:
@@ -429,75 +451,59 @@ def jennings_series(g: UnipotentGroup) -> list[Subgroup]:
 class SectionBasis:
     """Z_p coordinates on a section A/B' where B' = B * (p-th powers of A).
 
-    Enlarging the denominator by p-th powers makes the section an
-    elementary abelian p-group, hence a Z_p vector space.  B must be normal
-    in A with A/B abelian, as in every filter section; both are checked on
-    generators.  B' is ``join_powers(B, A)``: since A/B is abelian, it is B
-    itself as soon as the p-th powers of A's generators lie in B, which
-    holds for every section of an eta or kappa filter.  Only otherwise, as
-    for the cyclic group of a 3 x 3 Jordan block over F_2 over 1, is A^p
-    enumerated and joined to B.  Then B' contains [A,A] A^p, so every group
-    H between B' and A is normal in A, and extending H by a rep r gives the
-    cosets H, H*r, ..., H*r^(p-1) in that order.
+    Enlarging the denominator by p-th powers makes the section a Z_p
+    vector space.  B must be normal in A with A/B abelian, as in every
+    filter section; both are checked on generators.  B' is
+    ``join_powers(B, A)``, which is B itself for every section of an eta or
+    kappa filter.
 
-    The reps r_1..r_j are A's generators, in order, that enlarge B' and the
-    reps before them, so A is grown from B' by ``reduced_generators``.  The
-    coordinates of an element are the base-p digits of its coset's block in
-    that layout, so coordinatizing is a dict lookup, and the lift of c is
-    the first row of its block, r_1^c_1 ... r_j^c_j.  Both take one element
-    or a whole stack at a time.  Any choice of reps gives the same
-    preimages, which grow from B' the same way.
+    The reps r_1..r_j (``reps``, one int64 stack) are A's generators, in
+    order, that enlarge B' and the reps before them, so A is grown from B'
+    by ``reduced_generators``, which keeps B''s sequence and adds an element
+    a_k at each new depth.  As B' is the kernel of the abelian A -> A/B', an
+    element with exponents e maps to sum_k e_k [a_k] over the new depths,
+    and the inverse of the reps' exponent matrix turns those exponents into
+    coordinates in the reps.  The lift of c is r_1^c_1 ... r_j^c_j, from
+    per-rep power tables.
     """
 
     def __init__(self, num: Subgroup, den: Subgroup):
         parent = num.parent
-        p = parent.p
+        p, d = parent.p, parent.degree
         if not num.contains(den):
             raise ValueError("denominator is not inside numerator")
-        gens = _stack(num.generators, parent.degree)
-        comms = commutator(gens[:, None], gens[None], p).reshape(-1, parent.degree, parent.degree)
-        if not den.keys.issuperset(_row_keys(comms.astype(np.uint8))):
+        gens = _stack(num.generators, d)
+        if not den._holds(commutator(gens[:, None], gens[None], p).reshape(-1, d, d)).all():
             raise NotAbelianSection("section numerator/denominator is not abelian")
         if not is_normal(den, num):
             raise NotNormal("section denominator is not normal in the numerator")
-        self.parent = parent
-        self.num = num
-        self.den_given = den
+        self.parent, self.num, self.den_given, self.p = parent, num, den, p
         self.den = join_powers(den, num)
-        self.p = p
-
-        # Grown from B', the numerator is a run of blocks of len(B') rows,
-        # the cosets of B'.  Growing n blocks by r puts block b times r^k at
-        # b + k*n, so with reps r_1..r_j block b is B' r_1^c_1...r_j^c_j for
-        # c the base-p digits of b, and since B' starts with the identity,
-        # that product is the block's first row.
-        grown = reduced_generators(parent, num.generators, base=self.den)
-        size = self.den.order()
-        blocks = (np.arange(grown.order()) // size).tolist()
-        self._coords: dict[bytes, int] = dict(zip(_row_keys(grown.rows), blocks))
-        self._lifts = grown.rows[::size].copy()
-        self.reps = grown.generators[len(self.den.generators):]
+        self._grown = reduced_generators(parent, num.generators, base=self.den)
+        self.reps = _stack(self._grown.generators[len(self.den.generators):], d)
         self.dim = len(self.reps)
-        self._place = p ** np.arange(self.dim, dtype=np.int64)
+        self._new = [k for k, depth in enumerate(self._grown._depths)
+                     if depth not in self.den._depths]
+        exps = self._grown._sift(_conj(parent, self.reps))[0]
+        self._change = inv_matrix(exps[:, self._new], p)
+        self._lifts = [_power_table(r, p) for r in self.reps]
 
     def coordinatize(self, m):
         """Coordinates of a matrix, or of each matrix of a stack.
 
         Entries are reduced mod p first.  A (d, d) matrix gives its (dim,)
-        coordinates and raises ValueError when it lies outside the
-        numerator.  A (..., d, d) stack gives ``(coords, inside)``: the
-        (..., dim) coordinates, zero for an outsider, and the boolean mask
-        of the matrices inside the numerator, so that a caller can report
-        each outsider on its own.
+        coordinates and raises ValueError outside the numerator.  A
+        (..., d, d) stack gives ``(coords, inside)``: the (..., dim)
+        coordinates, zero for an outsider, and the mask of the matrices
+        inside the numerator, so that each outsider can be reported.
         """
         d = self.parent.degree
-        m = np.mod(np.asarray(m, dtype=np.int64), self.p)
+        m = np.asarray(m, dtype=np.int64)
         if m.shape[-2:] != (d, d):
             raise DimensionMismatch(f"matrix shape {m.shape[-2:]}, expected {(d, d)}")
-        flat = m.reshape(-1, d, d).astype(np.uint8)
-        found = np.array([self._coords.get(key, -1) for key in _row_keys(flat)], dtype=np.int64)
-        inside = found >= 0
-        coords = np.where(inside, found, 0)[:, None] // self._place % self.p
+        exps, res = self._grown._sift(_conj(self.parent, m.reshape(-1, d, d)))
+        inside = _is_one(res)
+        coords = np.where(inside[:, None], exps[:, self._new] @ self._change % self.p, 0)
         if m.ndim == 2:
             if not inside[0]:
                 raise ValueError("element is not in the section numerator")
@@ -512,7 +518,11 @@ class SectionBasis:
         c = np.mod(np.asarray(coords, dtype=np.int64), self.p)
         if c.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"expected {self.dim} coordinates")
-        return self._lifts[c @ self._place].astype(np.int64)
+        d = self.parent.degree
+        out = np.broadcast_to(np.eye(d, dtype=np.int64), c.shape[:-1] + (d, d)).copy()
+        for k, table in enumerate(self._lifts):
+            out = out @ table[c[..., k]] % self.p
+        return out
 
     def preimage(self, space: Subspace) -> Subgroup:
         """Subgroup of elements whose coordinates land in the subspace."""
@@ -523,11 +533,9 @@ class SectionBasis:
 def make_ut(d: int, p: int, cap: int = DEFAULT_CAP) -> UnipotentGroup:
     """Full upper unitriangular group UT(d, p) from transvection generators."""
     check_degree(d, "UT degree")
-    gens = []
-    for i in range(d - 1):
-        m = np.eye(d, dtype=np.int64)
+    gens = [np.eye(d, dtype=np.int64) for _ in range(d - 1)]
+    for i, m in enumerate(gens):
         m[i, i + 1] = 1
-        gens.append(m)
     return UnipotentGroup(p, d, gens, name=f"UT({d},{p})", cap=cap)
 
 

@@ -14,7 +14,9 @@ and coordinatizes the whole stack with one ``SectionBasis.coordinatize``
 call.  The random draws of the checks are made one trial at a time first,
 in the order and sizes of a trial-by-trial loop, so a seeded generator
 leaves them in the same state as that loop would, and violations are
-reported per failing trial in loop order.
+reported per failing trial in loop order.  A random denominator element is
+a random exponent vector over the denominator's sequence, formed by
+``Subgroup.elements``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class GradedLieRing:
             return self._tensors[key]
         sec_s, sec_t = self.section(s), self.section(t)
         target = self.section(monoid.add(s, t))
-        comms = commutator(_reps(sec_s)[:, None], _reps(sec_t)[None], self.p)
+        comms = commutator(sec_s.reps[:, None], sec_t.reps[None], self.p)
         tensor, inside = target.coordinatize(comms)
         if not inside.all():
             raise ClosureViolation(
@@ -68,10 +70,6 @@ class GradedLieRing:
                 f"{monoid.add(s, t)}")
         self._tensors[key] = tensor
         return tensor
-
-    def bracket_coords(self, s: Index, t: Index, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        tensor = self.product_tensor(s, t)
-        return np.einsum("i,j,ijk->k", x, y, tensor) % self.p
 
     def check_bilinear(self, s: Index, t: Index, trials: int, rng: np.random.Generator) -> list:
         """Bracket agrees with the tensor on random coordinate pairs: the
@@ -139,20 +137,16 @@ class GradedLieRing:
         if a == 0 or b == 0:
             return []
         want = self.product_tensor(s, t)
-        den_s, den_t = sec_s.den.rows, sec_t.den.rows
-        picks = [(rng.integers(0, len(den_s)), rng.integers(0, len(den_t)))
+        den_s, den_t = sec_s.den, sec_t.den
+        n_s, n_t = den_s.order_exp(), den_t.order_exp()
+        picks = [(rng.integers(0, self.p, n_s), rng.integers(0, self.p, n_t))
                  for _ in range(a * b * trials)]
-        ds, dt = np.array(picks, dtype=np.int64).reshape(-1, 2).T
         # draw n belongs to the pair (i, j) = divmod(n // trials, b)
         pair = np.arange(a * b * trials) // trials
-        g = (_reps(sec_s)[pair // b] @ den_s[ds].astype(np.int64)) % self.p
-        h = (_reps(sec_t)[pair % b] @ den_t[dt].astype(np.int64)) % self.p
+        ds = np.array([e for e, _ in picks], dtype=np.int64).reshape(len(picks), n_s)
+        dt = np.array([e for _, e in picks], dtype=np.int64).reshape(len(picks), n_t)
+        g = (sec_s.reps[pair // b] @ den_s.elements(ds)) % self.p
+        h = (sec_t.reps[pair % b] @ den_t.elements(dt)) % self.p
         got, inside = target.coordinatize(commutator(g, h, self.p))
         ok = inside & (got == want.reshape(a * b, -1)[pair]).all(axis=1)
         return [("well_defined", s, t, int(n // b), int(n % b)) for n in pair[~ok]]
-
-
-def _reps(sec: SectionBasis) -> np.ndarray:
-    """The section's reps as one int64 (dim, d, d) stack."""
-    d = sec.parent.degree
-    return np.array(sec.reps, dtype=np.int64).reshape(sec.dim, d, d)

@@ -113,8 +113,9 @@ def refine_once(f: Filter, method: str = "adjoint", check: bool = False,
     rd = ring_at(lie, s, method, check=check, rng=rng)
     sec = lie.section(s)
     # every preimage contains the section's denominator, which contains
-    # phi_s^+, so a preimage equals phi_s^+ exactly when their orders agree
-    plus_order = f.plus(s).order()
+    # phi_s^+ (the section was built from it), so a preimage equals phi_s^+
+    # exactly when their orders agree
+    plus_order = sec.den_given.order()
     a = sec.dim
     hs: list[Subgroup] = []
     spaces = rd.acting_powers + [Subspace(lie.p, a, [])]
@@ -147,10 +148,6 @@ class StableResult:
     rounds: list[RefineRound]
     converged: bool
     last: RefineRound | None = None
-
-    @property
-    def round_count(self) -> int:
-        return len(self.rounds)
 
 
 def refine_stable(f: Filter, method: str = "adjoint", max_rounds: int = 16,

@@ -1,16 +1,18 @@
 """Shared fixtures, element-set helpers and the tensor JSON format.
 
-Group and ring constructions are cached at module level: element
-enumeration is most of the cost of a group, and every file wants the
-same handful of small groups.
+Group and ring constructions are cached at module level, since every file
+wants the same handful of small groups.  The library never lists a
+subgroup's elements; ``elements`` and ``keys_of`` are the test-only view
+of a subgroup as its element set, formed from its sequence.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
 
-from filtra.group import make_heisenberg, make_ut
+from filtra.group import make_heisenberg, make_ut, reduced_generators
 from filtra.modlinalg import Subspace, full_space, inv_matrix
 from filtra.ring import make_poly_quotient
 
@@ -58,8 +60,21 @@ def rng():
     return np.random.default_rng(0)
 
 
+def subgroup(group, gens):
+    """<gens> inside the group, generated by the gens that enlarge it."""
+    return reduced_generators(group, gens)
+
+
+def elements(sub) -> np.ndarray:
+    """Every element of a subgroup, as an int64 (order, d, d) stack."""
+    n = sub.order_exp()
+    exps = np.array(list(itertools.product(range(sub.parent.p), repeat=n)), dtype=np.int64)
+    return sub.elements(exps.reshape(sub.order(), n))
+
+
 def keys_of(sub) -> frozenset:
-    return sub.keys
+    """The row-major uint8 byte keys of a subgroup's elements."""
+    return frozenset(m.tobytes() for m in elements(sub).astype(np.uint8))
 
 
 def pattern_keys(group, free) -> frozenset:
@@ -72,7 +87,7 @@ def pattern_keys(group, free) -> frozenset:
     mask = np.zeros((d, d), dtype=bool)
     for i, j in free:
         mask[i, j] = True
-    mats = group.full_subgroup().rows.astype(np.int64)
+    mats = elements(group.full_subgroup())
     off = mats.copy()
     idx = np.arange(d)
     off[:, idx, idx] = 0
@@ -103,7 +118,7 @@ def hei_block_keys(group, ring, ia, ib, ic) -> frozenset:
               (slice(m, 2 * m), slice(2 * m, 3 * m)),
               (slice(0, m), slice(2 * m, 3 * m))]
     out = []
-    for mat in group.full_subgroup().rows.astype(np.int64):
+    for mat in elements(group.full_subgroup()):
         good = True
         for space, (rs, cs) in zip(spaces, slices):
             x = (ring.unit @ mat[rs, cs]) % ring.p
@@ -130,8 +145,7 @@ def flip_map(p: int, d: int):
 
 
 def mapped_keys(sub, auto) -> frozenset:
-    return frozenset(auto(m).astype(np.uint8).tobytes()
-                     for m in sub.rows.astype(np.int64))
+    return frozenset(auto(m).astype(np.uint8).tobytes() for m in elements(sub))
 
 
 def tensor_to_json(tensor: np.ndarray) -> dict:

@@ -24,18 +24,31 @@ batched: one commutator and one coordinate lookup per (i, j) pair or trial.
 They take the ring as their first argument; `loop_product_tensor` computes
 the tensor afresh and does not read or fill the ring's tensor cache.
 
+`bracket_coords` is the `GradedLieRing` method that contracted two
+coordinate vectors with a product tensor; only the tests used it.
+
 `ByteLeastSection` is the section basis `filtra.group.SectionBasis` built
 before its reps became the numerator's own generators: each rep is the
 least element of A, in row-major byte order, outside the group grown so
 far, and each lift is the least element of its coset of B'.
+
+`CosetSubgroup` and the functions after it are `filtra.group` from before
+subgroups became polycyclic sequences: a subgroup is its element list,
+grown by coset extension (Dimino's algorithm, `_extend`), and its key set.
+`CosetSection` is the section basis of that time, which read coordinates
+and lifts off the coset layout of the numerator grown from B'.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from conftest import elements
 from filtra import monoid
 from filtra.errors import CapExceeded, ClosureViolation
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
-from filtra.group import _extend, _row_keys, commutator, join_powers
+from filtra.group import _powers, _stack, batch_inv, batch_mul, commutator, join_powers
 from filtra.modlinalg import Subspace, inv_mod, solve_nullspace
 
 
@@ -266,26 +279,30 @@ def loop_check_bilinear(ring, s, t, trials: int, rng: np.random.Generator) -> li
             got = target.coordinatize(commutator(g, h, ring.p))
         except ValueError:
             got = None
-        want = (ring.bracket_coords(s, t, x1, y) + ring.bracket_coords(s, t, x2, y)) % ring.p
+        want = (bracket_coords(ring, s, t, x1, y) + bracket_coords(ring, s, t, x2, y)) % ring.p
         if got is None or not np.array_equal(got, want):
             bad.append((s, t, x1.tolist(), x2.tolist(), y.tolist()))
     return bad
 
 
+def bracket_coords(ring, s, t, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    tensor = ring.product_tensor(s, t)
+    return np.einsum("i,j,ijk->k", x, y, tensor) % ring.p
+
+
 def loop_check_well_defined(ring, s, t, trials: int, rng: np.random.Generator) -> list:
     sec_s, sec_t = ring.section(s), ring.section(t)
     target = ring.section(monoid.add(s, t))
-    den_s = sec_s.den.rows
-    den_t = sec_t.den.rows
+    den_s, den_t = sec_s.den, sec_t.den
     bad = []
     for i in range(sec_s.dim):
         for j in range(sec_t.dim):
             want = ring.product_tensor(s, t)[i, j]
             for _ in range(trials):
-                ds = den_s[rng.integers(0, len(den_s))]
-                dt = den_t[rng.integers(0, len(den_t))]
-                g = (sec_s.reps[i] @ ds.astype(np.int64)) % ring.p
-                h = (sec_t.reps[j] @ dt.astype(np.int64)) % ring.p
+                ds = den_s.elements(rng.integers(0, ring.p, den_s.order_exp()))
+                dt = den_t.elements(rng.integers(0, ring.p, den_t.order_exp()))
+                g = (sec_s.reps[i] @ ds) % ring.p
+                h = (sec_t.reps[j] @ dt) % ring.p
                 try:
                     got = target.coordinatize(commutator(g, h, ring.p))
                 except ValueError:
@@ -299,14 +316,16 @@ class ByteLeastSection:
     """A/B' with byte-least reps and lifts, for one element at a time."""
 
     def __init__(self, num, den):
-        parent, self.p = num.parent, num.parent.p
+        self.p = num.parent.p
         self.den = join_powers(den, num)
         self.reps: list[np.ndarray] = []
-        rows, known = self.den.rows, set(self.den.keys)
-        for key, m in sorted(zip(_row_keys(num.rows), num.rows.astype(np.int64)),
+        rows = elements(self.den).astype(np.uint8)
+        known = set(_row_keys(rows))
+        mats = elements(num)
+        for key, m in sorted(zip(_row_keys(mats.astype(np.uint8)), mats),
                              key=lambda pair: pair[0]):
             if key not in known:
-                rows = _extend(parent, rows, known, self.den.generators + self.reps, m)
+                rows = _extend(self.p, math.inf, rows, known, self.den.generators + self.reps, m)
                 self.reps.append(m)
         self.dim = len(self.reps)
         keys = _row_keys(rows)
@@ -320,5 +339,153 @@ class ByteLeastSection:
 
     def lift(self, coords) -> np.ndarray:
         block = sum(int(c) * self.p ** i for i, c in enumerate(coords))
-        d = self.den.rows.shape[-1]
+        d = self.den.parent.degree
         return np.frombuffer(self._lifts[block], dtype=np.uint8).reshape(d, d).astype(np.int64)
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """Byte keys of a uint8 (n, d, d) array, one per matrix, in row order."""
+    flat = np.ascontiguousarray(rows).reshape(len(rows), math.prod(rows.shape[1:]))
+    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel().tolist()
+
+
+def _extend(p: int, cap, rows: np.ndarray, known: set, gens: list[np.ndarray],
+            new: np.ndarray) -> np.ndarray:
+    """Rows of <H, new> for H = <gens> given as uint8 rows (Dimino's algorithm).
+
+    The result is H followed by its right cosets H*x in the order they are
+    found.  The union of the cosets found so far is the group once x*s lies
+    in it for every rep x and every generator s of <H, new>; each x*s that
+    does not starts a new coset, formed as one batch H @ (x*s), whose keys
+    go into ``known`` at once.  The cap is checked before a coset is formed.
+    """
+    h64 = rows.astype(np.int64)
+    steps = _stack(gens + [new], rows.shape[-1])
+    chunks = [rows]
+    reps = [np.eye(rows.shape[-1], dtype=np.int64)]
+    for x in reps:  # reps grows while it is walked
+        ys = (x @ steps) % p
+        for key, y in zip(_row_keys(ys.astype(np.uint8)), ys):
+            if key in known:
+                continue
+            if len(known) + len(rows) > cap:
+                raise CapExceeded(cap, len(known) + len(rows))
+            coset = ((h64 @ y) % p).astype(np.uint8)
+            known.update(_row_keys(coset))
+            chunks.append(coset)
+            reps.append(y)
+    return np.concatenate(chunks)
+
+
+@dataclass
+class CosetSubgroup:
+    """A subgroup as its uint8 element rows, in coset-extension order, and
+    the frozenset of their byte keys."""
+
+    p: int
+    generators: list
+    rows: np.ndarray
+    keys: frozenset
+
+    def order(self) -> int:
+        return len(self.rows)
+
+    def contains(self, other: "CosetSubgroup") -> bool:
+        return other.keys <= self.keys
+
+
+def coset_trivial(p: int, degree: int) -> CosetSubgroup:
+    one = np.eye(degree, dtype=np.uint8)[None]
+    return CosetSubgroup(p, [], one, frozenset([one.tobytes()]))
+
+
+def coset_reduced(p: int, degree: int, candidates, base: CosetSubgroup | None = None,
+                  cap=math.inf) -> CosetSubgroup:
+    """<base, candidates>, keeping each candidate outside the group grown so far."""
+    base = base if base is not None else coset_trivial(p, degree)
+    kept, rows, known = list(base.generators), base.rows, set(base.keys)
+    for c in candidates:
+        c = np.mod(np.asarray(c, dtype=np.int64), p)
+        if c.astype(np.uint8).tobytes() in known:
+            continue
+        rows = _extend(p, cap, rows, known, kept, c)
+        kept.append(c)
+    return CosetSubgroup(p, kept, rows, frozenset(known))
+
+
+def coset_join(a: CosetSubgroup, b: CosetSubgroup) -> CosetSubgroup:
+    if a.contains(b):
+        return a
+    if b.contains(a):
+        return b
+    big, small = (a, b) if a.order() >= b.order() else (b, a)
+    return coset_reduced(a.p, a.rows.shape[-1], small.generators, base=big)
+
+
+def coset_commutator(a: CosetSubgroup, b: CosetSubgroup) -> CosetSubgroup:
+    """Normal closure of the generator commutators under both generator lists."""
+    p, degree = a.p, a.rows.shape[-1]
+    sa, sb = _stack(a.generators, degree), _stack(b.generators, degree)
+    out = coset_reduced(p, degree, commutator(sa[:, None], sb[None], p).reshape(-1, degree, degree))
+    conj = np.concatenate([sa, sb])
+    conj_inv = batch_inv(conj, p)
+    while True:
+        ys = batch_mul(batch_mul(conj_inv, _stack(out.generators, degree)[:, None], p), conj, p)
+        ys = ys.reshape(-1, degree, degree)
+        new = [y for k, y in zip(_row_keys(ys.astype(np.uint8)), ys) if k not in out.keys]
+        if not new:
+            return out
+        out = coset_reduced(p, degree, new, base=out)
+
+
+def coset_power(a: CosetSubgroup, k: int) -> CosetSubgroup:
+    acc = _powers(a.rows, k, a.p)
+    flat = dict(zip(_row_keys(acc.astype(np.uint8)), acc))
+    return coset_reduced(a.p, a.rows.shape[-1], [flat[key] for key in sorted(flat)])
+
+
+def coset_join_powers(c: CosetSubgroup, h: CosetSubgroup) -> CosetSubgroup:
+    p, degree = h.p, h.rows.shape[-1]
+    gens = _stack(h.generators, degree)
+    words = np.concatenate([commutator(gens[:, None], gens[None], p).reshape(-1, degree, degree),
+                            _powers(gens, p, p)])
+    if c.keys.issuperset(_row_keys(words.astype(np.uint8))):
+        return c
+    return coset_join(c, coset_power(h, p))
+
+
+def coset_is_normal(sub: CosetSubgroup, outer_gens) -> bool:
+    p, degree = sub.p, sub.rows.shape[-1]
+    outer = _stack(outer_gens, degree)
+    ys = batch_mul(batch_mul(batch_inv(outer, p)[:, None], _stack(sub.generators, degree), p),
+                   outer[:, None], p)
+    return sub.keys.issuperset(_row_keys(ys.reshape(-1, degree, degree).astype(np.uint8)))
+
+
+class CosetSection:
+    """A/B' read off the coset layout of A grown from B' = B A^p by A's
+    generators: the coordinates of an element are the base-p digits of its
+    block, and the lift of c is the block's first row."""
+
+    def __init__(self, num: CosetSubgroup, den: CosetSubgroup):
+        self.p = num.p
+        self.den = coset_join_powers(den, num)
+        grown = coset_reduced(self.p, num.rows.shape[-1], num.generators, base=self.den)
+        size = self.den.order()
+        blocks = (np.arange(grown.order()) // size).tolist()
+        self._coords = dict(zip(_row_keys(grown.rows), blocks))
+        self._lifts = grown.rows[::size].copy()
+        self.reps = grown.generators[len(self.den.generators):]
+        self.dim = len(self.reps)
+        self._place = self.p ** np.arange(self.dim, dtype=np.int64)
+
+    def coordinatize(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(coords, inside) of a (k, d, d) stack, zero coordinates outside."""
+        flat = np.mod(mats, self.p).astype(np.uint8)
+        found = np.array([self._coords.get(key, -1) for key in _row_keys(flat)], dtype=np.int64)
+        inside = found >= 0
+        return np.where(inside, found, 0)[:, None] // self._place % self.p, inside
+
+    def lift(self, coords) -> np.ndarray:
+        c = np.mod(np.asarray(coords, dtype=np.int64), self.p)
+        return self._lifts[c @ self._place].astype(np.int64)

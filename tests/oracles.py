@@ -17,6 +17,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
+from conftest import elements, keys_of
 from filtra import monoid
 from filtra.group import Subgroup, UnipotentGroup, batch_inv, reduced_generators
 from filtra.modlinalg import Subspace, rref
@@ -30,11 +31,11 @@ def exhaustive_commutator_subgroup(a: Subgroup, b: Subgroup,
     p = parent.p
     if a.order() * b.order() > pair_limit:
         raise ValueError("pair enumeration over limit; use the normal closure form")
-    amats = a.rows.astype(np.int64)
+    amats = elements(a)
     ainv = batch_inv(amats, p)
     seen: set[bytes] = set()
     gens: list[np.ndarray] = []
-    for y in b.rows.astype(np.int64):
+    for y in elements(b):
         yinv = batch_inv(y[None], p)[0]
         left = np.matmul(ainv, yinv[None]) % p
         right = np.matmul(amats, y[None]) % p
@@ -167,9 +168,9 @@ def conjugation_orbit_closure(parent: UnipotentGroup, seeds: list[np.ndarray]) -
     sub = reduced_generators(parent, seeds)
     while True:
         new = []
-        seen = set(sub.keys)
-        emats = sub.rows.astype(np.int64)
-        for g in parent.full_subgroup().rows.astype(np.int64):
+        seen = set(keys_of(sub))
+        emats = elements(sub)
+        for g in elements(parent.full_subgroup()):
             ginv = batch_inv(g[None], p)[0]
             conj = np.matmul(np.matmul(ginv[None], emats), g[None]) % p
             for c in conj:

@@ -6,14 +6,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import hei, hei_block_keys, keys_of, named_ring, pattern_keys, poly_ring, ut
+from conftest import (
+    hei, hei_block_keys, keys_of, named_ring, pattern_keys, poly_ring, subgroup, ut,
+)
 from oracles import path_product_values
 from filtra.algrep import algebra_closure, embed_adjoint_pairs, jacobson_radical
 from filtra.bimap import adjoint_ring, centroid_ring, kronecker_pair_tensor
 from filtra.filters import eta_filter, gamma_filter, generate, verify_axioms
 from filtra.group import make_heisenberg
 from filtra.liering import GradedLieRing
-from filtra.refine import refine_stable, ring_at
+from filtra.refine import fingerprint, refine_stable, ring_at
 from filtra.ring import make_r_circ
 from test_cli import distinct_chain_exps, run_cli
 
@@ -43,7 +45,7 @@ def test_criterion_1_ut4_refined_chain(p):
         if e not in seen:
             gens = [np.array(flat, dtype=np.int64).reshape(4, 4)
                     for flat in term["generators"]]
-            seen[e] = g.subgroup(gens)
+            seen[e] = subgroup(g, gens)
     for e, free in zip([6, 5, 3, 1], UT4_LEVELS):
         assert keys_of(seen[e]) == pattern_keys(g, free)
     assert elapsed < 10.0
@@ -181,6 +183,16 @@ def test_criterion_7_axiom_suites_zero_violations(rng):
             if not sub.is_trivial() and f.at(s) != sub:
                 violations.append((g.name, "path_products_2d", s))
     assert violations == []
+
+
+def test_truncated_polynomial_heisenberg_fingerprints_grow():
+    # H(F_2[x]/x^k) has order 2^(3k) and a lower central series of length 2,
+    # but its fingerprint has length 2k: the refinement is as long as the
+    # group allows.  The cap is the group's order, so it holds at every k.
+    for k in range(2, 9):
+        g = make_heisenberg(poly_ring(2, (0,) * k + (1,)), cap=2 ** (3 * k))
+        assert g.order() == 2 ** (3 * k)
+        assert fingerprint(g)["length"] == 2 * k, k
 
 
 def test_criterion_8_fingerprint_separation():

@@ -1,3 +1,4 @@
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,8 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hei, keys_of, named_hei, named_ring, pattern_keys, ut
-from loop_reference import ByteLeastSection, _bfs_closure
+from conftest import elements, hei, keys_of, named_hei, named_ring, pattern_keys, subgroup, ut
+from loop_reference import (
+    ByteLeastSection,
+    CosetSection,
+    CosetSubgroup,
+    _bfs_closure,
+    coset_commutator,
+    coset_is_normal,
+    coset_join,
+    coset_join_powers,
+    coset_reduced,
+    coset_trivial,
+)
 from oracles import exhaustive_commutator_subgroup
 from filtra import group as group_module
 from filtra.errors import CapExceeded, NotNormal
@@ -14,7 +26,6 @@ from filtra.filters import eta_filter, gamma_filter, kappa_filter
 from filtra.group import (
     MAX_DEGREE,
     SectionBasis,
-    Subgroup,
     UnipotentGroup,
     batch_inv,
     batch_mul,
@@ -32,7 +43,7 @@ from filtra.group import (
     power_subgroup,
     reduced_generators,
 )
-from filtra.modlinalg import Subspace, full_space, rref
+from filtra.modlinalg import Subspace, full_space, inv_matrix, rref
 
 
 def transvection(d, i, j, val=1):
@@ -43,8 +54,8 @@ def transvection(d, i, j, val=1):
 
 def test_closure_examples():
     g = ut(3, 2)
-    assert g.subgroup([]).order() == 1
-    assert g.subgroup([transvection(3, 0, 1)]).order() == 2
+    assert subgroup(g, []).order() == 1
+    assert subgroup(g, [transvection(3, 0, 1)]).order() == 2
     assert ut(4, 2).order() == 64
 
 
@@ -88,21 +99,21 @@ def test_commutator_ut4():
 def test_commutator_oracle_grid(d, p):
     g = ut(d, p)
     full = g.full_subgroup()
-    sub = g.subgroup([transvection(d, 0, 1)])
+    sub = subgroup(g, [transvection(d, 0, 1)])
     for a, b in [(full, full), (full, sub), (sub, full), (sub, sub)]:
         assert commutator_subgroup(a, b) == exhaustive_commutator_subgroup(a, b)
 
 
 def powers_oracle(sub, k):
     g = sub.parent
-    mats = sub.rows.astype(np.int64)
+    mats = elements(sub)
     powed = []
     for m in mats:
         acc = np.eye(g.degree, dtype=np.int64)
         for _ in range(k):
             acc = (acc @ m) % g.p
         powed.append(acc)
-    return g.subgroup(powed)
+    return subgroup(g, powed)
 
 
 def test_power_subgroup_examples():
@@ -164,17 +175,17 @@ def test_jennings_series():
 
 def test_is_normal_and_join():
     g = ut(3, 2)
-    assert is_normal(g.subgroup([transvection(3, 0, 2)]))
-    assert not is_normal(g.subgroup([transvection(3, 0, 1)]))
-    a = g.subgroup([transvection(3, 0, 1)])
-    b = g.subgroup([transvection(3, 1, 2)])
+    assert is_normal(subgroup(g, [transvection(3, 0, 2)]))
+    assert not is_normal(subgroup(g, [transvection(3, 0, 1)]))
+    a = subgroup(g, [transvection(3, 0, 1)])
+    b = subgroup(g, [transvection(3, 1, 2)])
     assert join(a, b).order() == 8
 
 
 def test_section_basis_dims():
     g = ut(3, 2)
     full = g.full_subgroup()
-    center = g.subgroup([transvection(3, 0, 2)])
+    center = subgroup(g, [transvection(3, 0, 2)])
     assert SectionBasis(full, center).dim == 2
     assert SectionBasis(full, full).dim == 0
     g4 = ut(4, 2)
@@ -187,7 +198,7 @@ def test_section_basis_eta_den_includes_powers():
     # the section is a Z_p space: denominator absorbs p-th powers
     g = ut(3, 3)
     full = g.full_subgroup()
-    sec = SectionBasis(full, g.subgroup([transvection(3, 0, 2)]))
+    sec = SectionBasis(full, subgroup(g, [transvection(3, 0, 2)]))
     assert sec.dim == 2
 
 
@@ -196,13 +207,13 @@ def test_section_coordinatize_lift_roundtrip():
     gam = lower_central_series(g)
     sec = SectionBasis(gam[0], gam[1])
     rng = np.random.default_rng(5)
-    mats = g.full_subgroup().rows.astype(np.int64)
+    mats = elements(g.full_subgroup())
     for m in mats[rng.integers(0, len(mats), 8)]:
         c = sec.coordinatize(m)
         lifted = sec.lift(c)
         assert np.array_equal(sec.coordinatize(lifted), c)
     zero = sec.lift(np.zeros(sec.dim, dtype=np.int64))
-    assert zero.astype(np.uint8).tobytes() in gam[1].keys
+    assert zero.astype(np.uint8).tobytes() in keys_of(gam[1])
 
 
 def test_section_coordinatize_rejects_outsiders():
@@ -274,18 +285,19 @@ def test_section_tables_match_closure_oracle(group_name, series):
     for sec in filter_sections(group_name, series):
         g, p = sec.parent, sec.p
         num, den = sec.num, sec.den
-        mats = num.rows.astype(np.int64)
+        mats = elements(num)
         # the denominator is the closure of B and the p-th powers of A
         powers = [np.linalg.matrix_power(m, p) % p for m in mats]
         want_den = reduced_generators(g, sec.den_given.generators + powers)
-        assert den.keys == want_den.keys
+        den_keys = keys_of(den)
+        assert den_keys == keys_of(want_den)
         assert num.order() == p ** sec.dim * den.order()
         # every element of A coordinatizes, and m * lift(coords(m))^-1 lies in B'
         coords = np.array([sec.coordinatize(m) for m in mats])
         assert coords.shape == (num.order(), sec.dim)
         lifts = np.array([sec.lift(c) for c in coords])
         quot = batch_mul(mats, batch_inv(lifts, p), p).astype(np.uint8)
-        assert all(q.tobytes() in den.keys for q in quot)
+        assert all(q.tobytes() in den_keys for q in quot)
         # the reps are A's generators outside the closure of B' and the reps before them
         reps = []
         for gen in num.generators:
@@ -320,7 +332,7 @@ def test_section_basis_matches_byte_least_reference(group_name, series):
         # maps the old coordinates of every element of A to its new ones
         change = np.array([sec.coordinatize(r) for r in old.reps]).reshape(dim, dim)
         assert len(rref(change, p)[1]) == dim
-        mats = sec.num.rows.astype(np.int64)
+        mats = elements(sec.num)
         old_coords = np.array([old.coordinatize(m) for m in mats]).reshape(len(mats), dim)
         new_coords, inside = sec.coordinatize(mats)
         assert inside.all()
@@ -329,7 +341,38 @@ def test_section_basis_matches_byte_least_reference(group_name, series):
         for c in {tuple(c) for c in old_coords.tolist()}:
             new_lift = sec.lift(np.array(c, dtype=np.int64) @ change)
             quot = batch_mul(old.lift(c), batch_inv(new_lift, p), p).astype(np.uint8)
-            assert quot.tobytes() in sec.den.keys
+            assert quot.tobytes() in keys_of(sec.den)
+
+
+def assert_section_matches_coset_layout(sec, mats):
+    """Coordinates from exponents and lifts from power tables equal, bit for
+    bit, those read off the coset layout of A grown from B', on every
+    matrix of ``mats`` and every coordinate vector."""
+    p, d, dim = sec.p, sec.parent.degree, sec.dim
+    num, den = (coset_reduced(p, d, sub.generators) for sub in (sec.num, sec.den_given))
+    old = CosetSection(CosetSubgroup(p, sec.num.generators, num.rows, num.keys),
+                       CosetSubgroup(p, sec.den_given.generators, den.rows, den.keys))
+    assert old.den.keys == keys_of(sec.den)
+    assert all(np.array_equal(a, b) for a, b in zip(old.den.generators, sec.den.generators))
+    assert len(old.reps) == dim
+    assert all(np.array_equal(a, b) for a, b in zip(old.reps, sec.reps))
+    got, inside = sec.coordinatize(mats)
+    want, want_inside = old.coordinatize(mats)
+    assert np.array_equal(inside, want_inside)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    coords = np.array(list(product(range(p), repeat=dim)), dtype=np.int64).reshape(p ** dim, dim)
+    got, want = sec.lift(coords), old.lift(coords)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("series", sorted(FILTERS))
+@pytest.mark.parametrize("group_name", sorted(SECTION_GROUPS))
+def test_section_matches_coset_layout_reference(group_name, series):
+    for sec in filter_sections(group_name, series):
+        # every element of the ambient group, inside A or not
+        mats = elements(sec.parent.full_subgroup())
+        assert sec.coordinatize(mats)[1].sum() == sec.num.order()
+        assert_section_matches_coset_layout(sec, mats)
 
 
 @pytest.mark.parametrize("series", sorted(FILTERS))
@@ -346,7 +389,7 @@ def test_section_preimage_matches_closure_oracle(group_name, series):
             _, want = _bfs_closure(p, g.degree, gens, g.cap)
             assert keys_of(got) == want
             assert got.order() == sec.den.order() * p ** space.dim
-            inside = {m.tobytes() for m in sec.num.rows
+            inside = {m.astype(np.uint8).tobytes() for m in elements(sec.num)
                       if space.contains(sec.coordinatize(m))}
             assert keys_of(got) == inside
 
@@ -355,7 +398,7 @@ def test_section_rejects_non_normal_denominator():
     # <e02, e13> holds the generator commutators of UT(4,5) but is not normal:
     # conjugating e13 by e01 gives e03 e13
     g = ut(4, 5)
-    den = g.subgroup([transvection(4, 0, 2), transvection(4, 1, 3)])
+    den = subgroup(g, [transvection(4, 0, 2), transvection(4, 1, 3)])
     with pytest.raises(NotNormal):
         SectionBasis(g.full_subgroup(), den)
 
@@ -504,7 +547,7 @@ def greedy_reference(p, d, kept, candidates):
 
 @settings(max_examples=100, deadline=None)
 @given(unipotent_generators(), st.integers(0, 4))
-def test_coset_extension_matches_element_bfs(case, split):
+def test_sifting_matches_element_bfs(case, split):
     p, d, gens = case
     try:
         _, want = _bfs_closure(p, d, gens, BFS_CAP)
@@ -513,16 +556,17 @@ def test_coset_extension_matches_element_bfs(case, split):
             UnipotentGroup(p, d, gens, cap=BFS_CAP)
         return
     g = UnipotentGroup(p, d, gens, cap=BFS_CAP)
-    assert g.full_subgroup().keys == want
+    assert keys_of(g.full_subgroup()) == want
     assert g.order() == len(want)
-    # thinning from the trivial group, and from the closure of the first `split` generators
-    for base in (None, Subgroup(g, gens[:split], *_bfs_closure(p, d, gens[:split], BFS_CAP))):
+    # thinning from the trivial group, and from the group of the first `split` generators
+    for base in (None, reduced_generators(g, gens[:split])):
         head = [] if base is None else gens[:split]
         got = reduced_generators(g, gens[len(head):], base=base)
         want_kept = greedy_reference(p, d, head, gens[len(head):])
-        assert len(got.generators) == len(want_kept)
-        assert all(np.array_equal(a, b) for a, b in zip(got.generators, want_kept))
-        assert got.keys == want
+        tail = got.generators[0 if base is None else len(base.generators):]
+        assert len(tail) == len(want_kept) - len(head)
+        assert all(np.array_equal(a, b) for a, b in zip(tail, want_kept[len(head):]))
+        assert keys_of(got) == want
         assert got.order() == len(want)
 
 
@@ -550,7 +594,7 @@ def _join_powers_calls(run) -> list:
 
 def assert_joins_powers(c, h, got):
     want = join(c, power_subgroup(h, c.parent.p))
-    assert got.keys == want.keys
+    assert keys_of(got) == keys_of(want)
     assert len(got.generators) == len(want.generators)
     assert all(np.array_equal(a, b) for a, b in zip(got.generators, want.generators))
 
@@ -601,5 +645,94 @@ def test_join_powers_falls_back():
     # G^2 is the centre, so the commutator test is what keeps 1 out
     g = ut(3, 2)
     got = join_powers(g.trivial_subgroup(), g.full_subgroup())
-    assert got.keys == pattern_keys(g, [(0, 2)])
+    assert keys_of(got) == pattern_keys(g, [(0, 2)])
     assert_joins_powers(g.trivial_subgroup(), g.full_subgroup(), got)
+
+
+def test_flag_coordinates():
+    # the flag basis is the identity for UT and H(R): their generators are
+    # already upper unitriangular along the standard flag
+    for g in (ut(4, 2), ut(3, 5), named_hei("F4"), named_hei("F3[x]/x2")):
+        assert g._flag is None
+    # a lower unitriangular UT(3,5): the flag runs the other way, and every
+    # sequence element is upper unitriangular in flag coordinates
+    g = UnipotentGroup(5, 3, [transvection(3, 1, 0), transvection(3, 2, 1)])
+    assert np.array_equal(g._flag, np.eye(3, dtype=np.int64)[::-1])
+    for x in g.full_subgroup()._seq:
+        assert np.array_equal(np.tril(x), np.eye(3, dtype=np.int64))
+
+
+@st.composite
+def disguised_generators(draw):
+    """Unipotent generators, each conjugated by one random invertible matrix."""
+    p, d, gens = draw(unipotent_generators())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        m = rng.integers(0, p, (d, d))
+        if len(rref(m, p)[1]) == d:
+            break
+    minv = inv_matrix(m, p)
+    return p, d, [(minv @ x % p) @ m % p for x in gens]
+
+
+def assert_same_subgroup(got, want: CosetSubgroup):
+    """Equal element sets and equal generator lists."""
+    assert keys_of(got) == want.keys
+    assert len(got.generators) == len(want.generators)
+    assert all(np.array_equal(a, b) for a, b in zip(got.generators, want.generators))
+
+
+@settings(max_examples=60, deadline=None)
+@given(disguised_generators(), st.integers(0, 4))
+def test_sequences_match_coset_extension_reference(case, split):
+    # every subgroup operation against the element-list versions grown by
+    # coset extension, on groups that are not upper triangular
+    p, d, gens = case
+    try:
+        ref = coset_reduced(p, d, gens, cap=BFS_CAP)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            UnipotentGroup(p, d, gens, cap=BFS_CAP)
+        return
+    g = UnipotentGroup(p, d, gens, cap=BFS_CAP)
+    assert g.order() == ref.order()
+    assert keys_of(g.full_subgroup()) == ref.keys
+    # forming elements from exponents and sifting them are inverse
+    full = g.full_subgroup()
+    exps = np.random.default_rng(split).integers(0, p, (8, full.order_exp()))
+    got, residues = full._sift(group_module._conj(g, full.elements(exps)))
+    assert np.array_equal(got, exps) and (residues == np.eye(d, dtype=np.int64)).all()
+    head, head_ref = reduced_generators(g, gens[:split]), coset_reduced(p, d, gens[:split])
+    assert_same_subgroup(head, head_ref)
+    assert_same_subgroup(reduced_generators(g, gens[split:], base=head),
+                         coset_reduced(p, d, gens[split:], base=head_ref))
+    subs = [(g.full_subgroup(), CosetSubgroup(p, g.generators, ref.rows, ref.keys)),
+            (g.trivial_subgroup(), coset_trivial(p, d)), (head, head_ref)]
+    if gens:
+        subs.append((reduced_generators(g, gens[-1:]), coset_reduced(p, d, gens[-1:])))
+    for (a, ref_a), (b, ref_b) in product(subs, repeat=2):
+        assert_same_subgroup(join(a, b), coset_join(ref_a, ref_b))
+        assert is_normal(a, b) == coset_is_normal(ref_a, b.generators)
+        g._comm_cache.clear()  # an equal pair cached earlier keeps its own generators
+        comm, ref_comm = commutator_subgroup(a, b), coset_commutator(ref_a, ref_b)
+        assert_same_subgroup(comm, ref_comm)
+        # [A, B] is normalized by A
+        assert_same_subgroup(join_powers(comm, a), coset_join_powers(ref_comm, ref_a))
+    assert is_normal(head) == coset_is_normal(head_ref, g.generators)
+
+
+@settings(max_examples=40, deadline=None)
+@given(disguised_generators())
+def test_sections_match_coset_layout_reference_on_disguised_groups(case):
+    # random generators give reps whose exponents at the new depths are not
+    # the identity matrix, and sequence elements scaled to leading entry 1
+    p, d, gens = case
+    try:
+        g = UnipotentGroup(p, d, gens, cap=BFS_CAP)
+    except CapExceeded:
+        return
+    mats = elements(g.full_subgroup())
+    for build in FILTERS.values():
+        f = build(g)
+        for s in f.keys:
+            assert_section_matches_coset_layout(SectionBasis(f.at(s), f.plus(s)), mats)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import hei, named_hei, ut
-from loop_reference import loop_check_bilinear, loop_check_well_defined, loop_product_tensor
+from loop_reference import (
+    bracket_coords, loop_check_bilinear, loop_check_well_defined, loop_product_tensor,
+)
 from filtra.errors import ClosureViolation, FiltraError, NotAbelianSection
 from filtra.filters import Filter, eta_filter, gamma_filter, kappa_filter
 from filtra.liering import GradedLieRing
@@ -52,7 +54,7 @@ def test_bracket_coords_linear_in_tensor():
     y = np.array([0, 1, 0])
     t = ring.product_tensor((1,), (1,))
     want = np.einsum("i,j,ijk->k", x, y, t) % 2
-    assert np.array_equal(ring.bracket_coords((1,), (1,), x, y), want)
+    assert np.array_equal(bracket_coords(ring, (1,), (1,), x, y), want)
 
 
 @pytest.mark.parametrize(

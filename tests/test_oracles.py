@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import named_ring, ut
+from conftest import keys_of, named_ring, ut
 from oracles import (
     conjugation_orbit_closure,
     dense_adjoint_dim,
@@ -122,7 +122,7 @@ def test_conjugation_orbit_closure():
     assert closed.order() == 4
     e13 = np.eye(3, dtype=np.int64)
     e13[0, 2] = 1
-    assert e13.astype(np.uint8).tobytes() in closed.keys
+    assert e13.astype(np.uint8).tobytes() in keys_of(closed)
 
     g4 = make_ut(4, 2)
     full = g4.full_subgroup()
