@@ -1,5 +1,17 @@
 """Matrix algebras over Z_p: closure, module splitting, Jacobson radical.
 
+An algebra is closed from a kept generator set S, not from its whole
+basis.  The space starts at span(I) (unital) or 0; each input it does
+not yet hold joins S and the space is closed again under right
+multiplication by S, semi-naively: the old basis times the new
+generator, then only the fresh directions times all of S.  A space that
+contains S and is closed under right multiplication by S contains every
+word in S, so it is the algebra S generates.  Spaces grow by
+`Subspace.extend`, which eliminates only the new rows; the spins of the
+meataxe grow the same way.  A span is closed (`MatAlgebra(check=True)`)
+when the closure of its basis is no larger, so no d^2 products are
+formed to check it.
+
 Modules are row vectors with matrices acting on the right.  The radical
 of an algebra A <= M_n is computed from the natural module Z_p^n: split
 it into composition factors with a meataxe, certify each factor
@@ -26,6 +38,7 @@ re-tested for semisimplicity through its regular representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -61,9 +74,8 @@ class MatAlgebra:
             raise ClosureViolation("matrix span is not multiplicatively closed")
 
     def _closed(self) -> bool:
-        basis = self.space.basis
-        return not any(self.space.residues(block).any()
-                       for block in _products(basis, basis, self.n, self.p))
+        """The algebra the basis generates is no larger than its span."""
+        return _close(Subspace(self.p, self.n * self.n), self.space.basis, self.n).dim == self.dim
 
     @property
     def dim(self) -> int:
@@ -93,43 +105,54 @@ def _products(xs: np.ndarray, ys: np.ndarray, n: int, p: int):
 
 
 def algebra_closure(mats, p: int, n: int, unital: bool = False) -> MatAlgebra:
-    """Smallest span-closed algebra containing the given matrices.
+    """Smallest span-closed algebra containing the given matrices (and I
+    when `unital`), closed from the generators it needs (`_close`)."""
+    start = np.eye(n, dtype=np.int64).reshape(1, -1) if unital else None
+    vecs = np.mod(np.asarray(mats, dtype=np.int64), p).reshape(-1, n * n)
+    return MatAlgebra(p, n, _close(Subspace(p, n * n, start), vecs, n), check=False)
 
-    Semi-naive: each round multiplies only the directions added by the
-    round before (at first, the whole starting basis B) on the right by B.
-    A space that contains B and is closed under right multiplication by B
-    contains every word in B, and by associativity it is then closed under
-    products of its own elements, so no other product needs forming."""
-    vecs = [np.mod(np.asarray(m, dtype=np.int64), p).reshape(-1) for m in mats]
-    if unital:
-        vecs.append(np.eye(n, dtype=np.int64).reshape(-1))
-    space = Subspace(p, n * n, vecs)
-    gens = new = space.basis
+
+def _close(space: Subspace, vecs: np.ndarray, n: int) -> Subspace:
+    """Close `space`, which is closed under right multiplication by the
+    generators kept so far (none at the start), under the flat n x n
+    matrices `vecs` as well.
+
+    One `residues` call over the remaining inputs finds the first one the
+    space does not hold; it joins the kept generators S.  Then the old
+    basis is multiplied by it, and every direction the space gains, by all
+    of S, until no product adds one."""
+    p = space.p
+    gens = vecs[:0]
     while True:
-        grown = Subspace(p, n * n, np.vstack([space.basis] + [
-            r[r.any(axis=1)] for r in map(space.residues, _products(new, gens, n, p))]))
-        if grown.dim == space.dim:
-            return MatAlgebra(p, n, space, check=False)
-        # rows at the new pivots are independent modulo the old space
-        new = grown.basis[~np.isin(grown.pivots, space.pivots)]
-        space = grown
+        outside = np.flatnonzero(space.residues(vecs).any(axis=1))
+        if not outside.size:
+            return space
+        g, vecs = vecs[outside[0]:outside[0] + 1], vecs[outside[0] + 1:]
+        gens = np.vstack([gens, g])
+        blocks = _products(space.basis, g, n, p)
+        space, new = space.extend(g)
+        while new.shape[0]:
+            fresh = []
+            for block in chain(blocks, _products(new, gens, n, p)):
+                space, rows = space.extend(block)
+                fresh.append(rows)
+            blocks, new = (), np.vstack(fresh)
 
 
 def spin(v: np.ndarray, mats: list[np.ndarray], p: int) -> np.ndarray:
     """Rref basis of the submodule generated by the row vector v.
 
-    Each round reduces the whole frontier against the running basis at
-    once, adds only the new directions, and applies the generators to
-    those alone to form the next frontier."""
+    Each round extends the running space by the whole frontier at once
+    and applies the generators to the fresh directions alone to form the
+    next frontier."""
     front = np.mod(np.asarray(v, dtype=np.int64), p).reshape(1, -1)
     n = front.shape[1]
     gens = np.asarray(mats, dtype=np.int64).reshape(-1, n, n)
     space = Subspace(p, n)
     while True:
-        fresh = Subspace(p, n, space.residues(front)).basis
+        space, fresh = space.extend(front)
         if not fresh.shape[0]:
             return space.basis
-        space = Subspace(p, n, np.vstack([space.basis, fresh]))
         front = (fresh @ gens).reshape(-1, n) % p
 
 

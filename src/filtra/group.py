@@ -240,6 +240,12 @@ class Subgroup:
         return _is_one(self._sift(x)[1])
 
     def contains(self, other: "Subgroup") -> bool:
+        """Whether other <= self: sift other's generators, unless other is
+        self, trivial, or of larger order."""
+        if other is self or not other._depths:
+            return True
+        if len(other._depths) > len(self._depths):
+            return False
         return bool(self._holds(other.generators).all())
 
     def elements(self, exps) -> np.ndarray:
@@ -382,14 +388,17 @@ def join_powers(c: Subgroup, h: Subgroup) -> Subgroup:
     as ``join`` returns when its first argument contains the second.
     Otherwise the p-th powers of all elements of H are formed.
     """
-    parent = h.parent
-    p, degree = parent.p, parent.degree
+    return c if _held_words(c, h).all() else join(c, power_subgroup(h, h.parent.p))
+
+
+def _held_words(c: Subgroup, h: Subgroup) -> np.ndarray:
+    """Which of H's generator commutators [h_i, h_j] (the first k^2, i
+    major) and generator p-th powers (the last k) lie in C."""
+    p, degree = h.parent.p, h.parent.degree
     gens = _stack(h.generators, degree)
-    words = np.concatenate([commutator(gens[:, None], gens[None], p).reshape(-1, degree, degree),
-                            _powers(gens, p, p)])
-    if c._holds(words).all():
-        return c
-    return join(c, power_subgroup(h, p))
+    return c._holds(np.concatenate([
+        commutator(gens[:, None], gens[None], p).reshape(-1, degree, degree),
+        _powers(gens, p, p)]))
 
 
 def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
@@ -472,13 +481,15 @@ class SectionBasis:
         p, d = parent.p, parent.degree
         if not num.contains(den):
             raise ValueError("denominator is not inside numerator")
-        gens = _stack(num.generators, d)
-        if not den._holds(commutator(gens[:, None], gens[None], p).reshape(-1, d, d)).all():
+        held = _held_words(den, num)
+        if not held[:len(num.generators) ** 2].all():
             raise NotAbelianSection("section numerator/denominator is not abelian")
         if not is_normal(den, num):
             raise NotNormal("section denominator is not normal in the numerator")
         self.parent, self.num, self.den_given, self.p = parent, num, den, p
-        self.den = join_powers(den, num)
+        # B' = B when the sift above also holds A's generator p-th powers;
+        # otherwise join_powers enumerates A's p-th powers
+        self.den = den if held.all() else join_powers(den, num)
         self._grown = reduced_generators(parent, num.generators, base=self.den)
         self.reps = _stack(self._grown.generators[len(self.den.generators):], d)
         self.dim = len(self.reps)

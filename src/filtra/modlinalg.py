@@ -18,6 +18,13 @@ vector v of the span is v[pivots[i]], and the residue of any v is
 v - v[pivots] @ basis (mod p): zero exactly when v is in the span.  This
 is one product for a whole batch of vectors, and it equals the
 row-by-row elimination it replaces.
+
+Growing a space does not re-eliminate it.  `Subspace.extend` takes the
+residues of the new rows, which vanish at the old pivots, and runs
+`rref` on the nonzero ones alone: their pivots avoid the old ones.  One
+product clears the old rows at the new pivots, and merging the two row
+sets by pivot gives the rref basis of the sum, the same canonical basis
+as eliminating everything at once.
 """
 
 from __future__ import annotations
@@ -118,6 +125,26 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    def extend(self, rows) -> tuple["Subspace", np.ndarray]:
+        """The span of the basis and `rows`, and its `fresh` basis rows: the
+        rows at the pivots the old basis lacks.  Only the nonzero residues
+        of `rows` are eliminated; the old rows are cleared at the new pivots
+        with one product.  Returns self when nothing is new."""
+        res = self.residues(np.reshape(rows, (-1, self.n)))
+        res = res[res.any(axis=1)]
+        if not res.shape[0]:
+            return self, res
+        fresh, pivots = rref(res, self.p)
+        fresh = fresh[: len(pivots)]
+        old = (self.basis - self.basis[:, pivots] @ fresh) % self.p
+        merged = self.pivots + pivots
+        order = np.argsort(merged)
+        grown = object.__new__(Subspace)
+        grown.p, grown.n, grown.pivots = self.p, self.n, [merged[i] for i in order]
+        grown.basis = np.vstack([old, fresh])[order]
+        grown.basis.setflags(write=False)
+        return grown, fresh
 
     def contains(self, vec) -> bool:
         return self.reduce(vec) is None

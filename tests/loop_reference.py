@@ -3,7 +3,10 @@
 These are the loops that `filtra.modlinalg` and `filtra.algrep` used before
 elimination was vectorised, the algebra closure that multiplied the whole
 basis with itself every round before `algebra_closure` became semi-naive,
-and the element-by-element breadth-first closure that `filtra.group` used
+the semi-naive closure that multiplied new directions by the whole
+starting basis and re-eliminated the grown basis every round
+(`basis_algebra_closure`) before it kept only the generators it needs and
+grew its basis with `Subspace.extend`, and the element-by-element breadth-first closure that `filtra.group` used
 before subgroups were grown by coset extension.  They take one row or one
 element per step, so they are slow but easy to check by eye; the tests
 compare the library against them bit for bit.
@@ -197,6 +200,26 @@ def naive_algebra_closure(mats, p: int, n: int, unital: bool = False) -> Subspac
         if not new:
             return space
         space = Subspace(p, n * n, np.vstack([space.basis] + new))
+
+
+def basis_algebra_closure(mats, p: int, n: int, unital: bool = False) -> Subspace:
+    """Semi-naive span closure over the whole starting basis B: each round
+    multiplies only the directions added by the round before (at first,
+    all of B) on the right by B, and re-eliminates the stacked basis."""
+    vecs = [np.mod(np.asarray(m, dtype=np.int64), p).reshape(-1) for m in mats]
+    if unital:
+        vecs.append(np.eye(n, dtype=np.int64).reshape(-1))
+    space = Subspace(p, n * n, vecs)
+    gens = new = space.basis
+    while True:
+        prods = (new.reshape(-1, 1, n, n) @ gens.reshape(1, -1, n, n)).reshape(-1, n * n) % p
+        res = space.residues(prods)
+        grown = Subspace(p, n * n, np.vstack([space.basis, res[res.any(axis=1)]]))
+        if grown.dim == space.dim:
+            return space
+        # rows at the new pivots are independent modulo the old space
+        new = grown.basis[~np.isin(grown.pivots, space.pivots)]
+        space = grown
 
 
 def _rows_x(b: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import named_ring
-from loop_reference import loop_spin, naive_algebra_closure
+from loop_reference import basis_algebra_closure, loop_spin, naive_algebra_closure
 from oracles import traceform_radical_dim
 from filtra import algrep
 from filtra.algrep import (
@@ -304,13 +304,49 @@ def _generator_lists(draw):
     return mats, p, n, draw(st.booleans())
 
 
+# p = 251: a strictly upper triangular generator and a diagonal one with a
+# repeated entry close over several rounds to a 9-dimensional algebra
+P251 = ([np.triu(np.arange(1, 17).reshape(4, 4) * 37 % 251, 1), np.diag([3, 250, 7, 7])],
+        251, 4, False)
+
+
 @given(_generator_lists())
+@example(P251)
 @settings(max_examples=100, deadline=None)
 def test_semi_naive_closure_matches_naive(case):
+    # the kept-generator closure against the whole-basis semi-naive closure
+    # it replaces and the naive all-products closure, bit for bit
     mats, p, n, unital = case
     got = algebra_closure(mats, p, n, unital=unital)
-    assert got.space == naive_algebra_closure(mats, p, n, unital=unital)
+    for want in (basis_algebra_closure(mats, p, n, unital=unital),
+                 naive_algebra_closure(mats, p, n, unital=unital)):
+        assert got.space == want and got.space.pivots == want.pivots
     assert got._closed()
+
+
+def _all_products_closed(space: Subspace, n: int) -> bool:
+    b = space.basis.reshape(-1, n, n)
+    return not space.residues((b[:, None] @ b[None]).reshape(-1, n * n) % space.p).any()
+
+
+@given(_generator_lists(), st.booleans())
+@example(P251, True)
+@example(P251, False)
+@settings(max_examples=100, deadline=None)
+def test_closed_matches_all_products(case, close):
+    # the span of the generators (often not closed) and their closure
+    mats, p, n, unital = case
+    if close:
+        space = algebra_closure(mats, p, n, unital=unital).space
+    else:
+        eye = [np.eye(n, dtype=np.int64).reshape(-1)] if unital else []
+        space = Subspace(p, n * n, [np.reshape(m, -1) for m in mats] + eye)
+    closed = _all_products_closed(space, n)
+    assert MatAlgebra(p, n, space, check=False)._closed() == closed
+    assert closed or not close
+    if not closed:
+        with pytest.raises(ClosureViolation):
+            MatAlgebra(p, n, space)
 
 
 def test_product_blocks_do_not_change_results(monkeypatch):

@@ -21,7 +21,7 @@ from loop_reference import (
 )
 from oracles import exhaustive_commutator_subgroup
 from filtra import group as group_module
-from filtra.errors import CapExceeded, NotNormal
+from filtra.errors import CapExceeded, NotAbelianSection, NotNormal
 from filtra.filters import eta_filter, gamma_filter, kappa_filter
 from filtra.group import (
     MAX_DEGREE,
@@ -401,6 +401,16 @@ def test_section_rejects_non_normal_denominator():
     den = subgroup(g, [transvection(4, 0, 2), transvection(4, 1, 3)])
     with pytest.raises(NotNormal):
         SectionBasis(g.full_subgroup(), den)
+
+
+def test_section_rejects_non_abelian_quotient():
+    # UT(3,2) from (e02, e01, e12): the central first generator commutes with
+    # the others, so only the later pair [e01, e12] = e02 shows G/1 is not abelian
+    gens = [transvection(3, 0, 2), transvection(3, 0, 1), transvection(3, 1, 2)]
+    g = UnipotentGroup(2, 3, gens)
+    with pytest.raises(NotAbelianSection):
+        SectionBasis(g.full_subgroup(), g.trivial_subgroup())
+    assert SectionBasis(g.full_subgroup(), subgroup(g, gens[:1])).dim == 2
 
 
 def test_make_heisenberg_orders():

@@ -108,6 +108,34 @@ def test_subspace_reduce_matches_row_loop(a, p, data):
     assert not s.residues(a).any()
 
 
+@st.composite
+def _extensions(draw):
+    """A basis matrix and rows to add: fresh rows, combinations of the
+    basis rows, or their sum, so that the new rows are partly in the span."""
+    cols = draw(st.integers(1, 12))
+    shape = st.integers(0, 12)
+    base = draw(shape.flatmap(lambda r: st.one_of(_dense(r, cols), _low_rank(r, cols))))
+    k = draw(shape)
+    fresh = draw(st.one_of(_dense(k, cols), _low_rank(k, cols)))
+    inside = draw(_dense(k, base.shape[0])) @ base
+    return base, draw(st.sampled_from([fresh, inside, fresh + inside]))
+
+
+@given(_extensions(), st.sampled_from([2, 3, 5, 7, 251]))
+@settings(max_examples=200, deadline=None)
+def test_extend_matches_stacked_rref(case, p):
+    base, rows = case
+    space = Subspace(p, base.shape[1], base)
+    grown, fresh = space.extend(rows)
+    want = Subspace(p, base.shape[1], np.vstack([base, rows]))
+    assert grown == want and grown.pivots == want.pivots
+    assert grown.basis.dtype == want.basis.dtype and not grown.basis.flags.writeable
+    # the fresh rows are the grown basis rows at the pivots the old one lacks
+    new = [i for i, c in enumerate(want.pivots) if c not in space.pivots]
+    assert fresh.shape == (len(new), base.shape[1]) and np.array_equal(fresh, want.basis[new])
+    assert new or grown is space
+
+
 @given(sq, primes)
 @settings(max_examples=50)
 def test_rank_nullity(a, p):

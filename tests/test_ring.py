@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,4 +162,44 @@ def test_associativity_check_matches_loop(p, coeffs, flips):
         assert np.array_equal(FinCommRing(p, t, base.unit).table, t)
     else:
         with pytest.raises(ClosureViolation, match=r"associativity fails at basis \(%d,%d,%d\)" % want):
+            FinCommRing(p, t, base.unit)
+
+
+def test_power_basis_tables_are_checked_in_cubic_time():
+    # F_2[x]/(x^85 + x + 1): the table is checked against x^(i+j) mod f, in
+    # O(d^3) instead of the d^5 triple check
+    start = time.perf_counter()
+    r = make_poly_quotient(2, [1, 1] + [0] * 83 + [1])
+    assert time.perf_counter() - start < 0.5
+    x84, x = r.basis_vector(84), r.basis_vector(1)
+    assert r.dim == 85 and np.array_equal(r.mult(x84, x), (r.unit + x) % 2)
+    # a supplied table that is commutative but not associative is still
+    # refused: e_84 * e_84 = x^168 is changed, which breaks the recurrence
+    t = r.table.copy()
+    t[84, 84, 0] ^= 1
+    with pytest.raises(ClosureViolation, match=r"associativity fails at basis \(1,83,84\)"):
+        FinCommRing(2, t, r.unit)
+    t = r.table.copy()
+    t[3, 5, 0] ^= 1
+    with pytest.raises(ClosureViolation, match="not commutative"):
+        FinCommRing(2, t, r.unit)
+
+
+@given(p=st.sampled_from([2, 3, 5]), coeffs=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+       cell=st.tuples(st.integers(0, 10), st.integers(0, 5)))
+@settings(max_examples=80, deadline=None)
+def test_power_basis_check_matches_loop(p, coeffs, cell):
+    # the power-basis table of Z_p[x]/(f) with one x^k (k = i + j) moved
+    # keeps its Hankel shape; it must be accepted exactly when the old
+    # triple loop finds no failing triple
+    base = make_poly_quotient(p, coeffs + [1])
+    d, t = base.dim, base.table.copy()
+    k, m = cell[0] % (2 * d - 1), cell[1] % d
+    hankel = np.add.outer(np.arange(d), np.arange(d)) == k
+    t[hankel, m] = (t[hankel, m] + 1) % p
+    want = loop_associativity_failure(t, p)
+    if want is None and np.array_equal(np.einsum("j,ijk->ik", base.unit, t) % p, np.eye(d)):
+        assert np.array_equal(FinCommRing(p, t, base.unit).table, t)
+    else:
+        with pytest.raises(ClosureViolation):
             FinCommRing(p, t, base.unit)
