@@ -213,9 +213,13 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup],
         if not is_normal(sub):
             raise NonNormalGenerator(f"generator at {s} is not normal")
     items = sorted(dom)
-    for i, s in enumerate(items):
-        for t in items:
-            if s != t and monoid.divides(s, t) and not dom[s].contains(dom[t]):
+    for i, t in enumerate(items):
+        below = [s for s in items[:i] if monoid.divides(s, t)]  # ascending
+        for j, s in enumerate(below):
+            # containment is transitive, so only covering pairs need a test
+            if any(monoid.divides(s, u) for u in below[j + 1:]):
+                continue
+            if not dom[s].contains(dom[t]):
                 raise NotOrderReversing(f"generator at {t} not inside generator at {s}")
 
     if not items:
@@ -250,15 +254,10 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup],
             return None
         return computed[t[:-1] + (row[pos],)]
 
-    seen: set[Index] = set()
-    heap: list[Index] = []
-    for s in gen_indices:
-        heapq.heappush(heap, s)
+    heap = list(gen_indices)  # sorted, so already a heap; each index enters it once
+    queued = set(heap)
     while heap:
         s = heapq.heappop(heap)
-        if s in seen:
-            continue
-        seen.add(s)
         if any(monoid.divides(m, s) for m in trivial_mins):
             if s in dom and not dom[s].is_trivial():
                 raise NotOrderReversing(f"domain value at {s} conflicts with triviality below it")
@@ -297,7 +296,8 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup],
         by_head.setdefault(s[:-1], []).append(s[-1])
         for x in gen_indices:
             nxt = monoid.add(s, x)
-            if nxt not in seen:
+            if nxt not in queued:
+                queued.add(nxt)
                 heapq.heappush(heap, nxt)
     return Filter(ambient, dim, computed, tuple(trivial_mins))
 

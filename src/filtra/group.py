@@ -28,14 +28,18 @@ Commutator subgroups use the normal-closure identity
 [<S>,<T>] = <[s,t] : s in S, t in T>^<S,T> (conjugation by the generators
 suffices).  Products C H^p with C normalized by H (the eta and Jennings
 series steps, and the denominator of a section) go through
-``join_powers``, which decides most of them from H's generators; only
-otherwise does ``power_subgroup`` list the elements of H, the one place
-where a subgroup's elements are formed.
+``join_powers`` in three steps.  The answer is C when H's generator
+commutators and p-th powers lie in C.  When some generator p-th power lies
+outside C, ``power_subgroup`` lists the elements of H.  Otherwise, for odd
+p, the answer is C when HC/C has class < p (P. Hall's regular p-groups),
+and H is listed only when it has not.  That listing, in blocks of bounded
+size, is the one place where a subgroup's elements are formed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import product
 
 import numpy as np
 
@@ -360,20 +364,46 @@ def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     return out
 
 
+# the elements power_subgroup forms at once, counted in matrix entries
+POWER_BLOCK = 1 << 20
+
+
+def _element_blocks(a: Subgroup, size: int):
+    """The elements of a (flag coordinates, int64) in stacks of at most
+    max(1, size // d^2) elements.  The first m sequence tables are
+    multiplied out once into an inner stack of p^m elements; each product
+    of the remaining tables, one exponent tuple at a time, times that stack
+    is one block."""
+    p, d = a.parent.p, a.parent.degree
+    m = 0
+    while m < len(a._inv) and p ** (m + 1) * d * d <= size:
+        m += 1
+    inner = np.eye(d, dtype=np.int64)[None]
+    for inv in a._inv[:m]:  # every h_m^-e_m ... h_1^-e_1
+        inner = (inv[:, None] @ inner[None] % p).reshape(-1, d, d)
+    for exps in product(range(p), repeat=len(a._inv) - m):
+        outer = np.eye(d, dtype=np.int64)
+        for inv, e in zip(a._inv[m:], exps):
+            outer = inv[e] @ outer % p
+        yield outer @ inner % p
+
+
 def power_subgroup(a: Subgroup, k: int) -> Subgroup:
-    """Subgroup generated by all k-th powers (k >= 1) of elements of a,
-    formed off a's sequence and deduplicated in flag coordinates."""
+    """Subgroup generated by all k-th powers (k >= 1) of elements of a.
+
+    The elements are formed off a's sequence in blocks of at most
+    POWER_BLOCK entries; between blocks only the distinct powers are kept,
+    as flag-coordinate byte keys."""
     if k < 1:
         raise ValueError(f"power exponent {k} is not positive")
     parent = a.parent
     p, d = parent.p, parent.degree
-    elems = np.eye(d, dtype=np.int64)[None]
-    for inv in a._inv:  # every h_n^-e_n ... h_1^-e_1, i.e. every element
-        elems = (inv[:, None] @ elems[None] % p).reshape(-1, d, d)
-    powers = _powers(elems, k, p).reshape(len(elems), d * d)
-    keys = powers.astype(np.uint8).view(np.dtype((np.void, d * d))).ravel()
-    _, first = np.unique(keys, return_index=True)
-    back = _conj(parent, powers[first].reshape(-1, d, d), back=True).reshape(-1, d * d)
+    keys = np.empty(0, dtype=np.dtype((np.void, d * d)))
+    for elems in _element_blocks(a, POWER_BLOCK):
+        powers = _powers(elems, k, p).astype(np.uint8).reshape(len(elems), d * d)
+        keys = np.unique(np.concatenate([keys, powers.view(keys.dtype).ravel()]))
+    powers = keys.view(np.uint8).reshape(-1, d, d).astype(np.int64)
+    back = _conj(parent, powers, back=True).reshape(-1, d * d)
     # sorted by their bytes, so that the kept generators (printed for
     # kappa terms) do not depend on the order of the elements
     return reduced_generators(parent, back[np.lexsort(back.T[::-1])])
@@ -383,12 +413,49 @@ def join_powers(c: Subgroup, h: Subgroup) -> Subgroup:
     """C H^p for a subgroup C normalized by H; equal to
     ``join(c, power_subgroup(h, p))``, generators included.
 
-    When every generator commutator and every generator p-th power of H lies
-    in C, HC/C is elementary abelian and H^p <= C: the answer is C itself,
-    as ``join`` returns when its first argument contains the second.
-    Otherwise the p-th powers of all elements of H are formed.
+    With Q = HC/C, three steps decide it from H's generators:
+
+    1. Every generator commutator and generator p-th power of H lies in C.
+       Q is elementary abelian, so H^p <= C.
+    2. Some generator p-th power lies outside C, and so H^p does.  The
+       p-th powers of all elements of H are formed.
+    3. Otherwise, for odd p, Q is generated by elements of order p.  When
+       Q has class < p (``_class_below_p``), Q is regular (P. Hall 1934;
+       Huppert, Endliche Gruppen I, III.10), so its elements of order p
+       form a subgroup: Q has exponent p and H^p <= C.  Otherwise the
+       powers are formed.  For p = 2, class < 2 is step 1.
+
+    When H^p <= C the answer is C itself, as ``join`` returns when its
+    first argument contains the second.
     """
-    return c if _held_words(c, h).all() else join(c, power_subgroup(h, h.parent.p))
+    p = h.parent.p
+    held = _held_words(c, h)
+    if held.all():
+        return c
+    if p > 2 and held[len(h.generators) ** 2:].all() and _class_below_p(c, h):
+        return c
+    return join(c, power_subgroup(h, p))
+
+
+def _class_below_p(c: Subgroup, h: Subgroup) -> bool:
+    """Whether Q = HC/C has class < p, for C normalized by H.
+
+    Y_1 = Q, and Y_(k+1) is generated by the commutators of H's generators
+    with Y_k's generators.  Commutation is bilinear from Q/gamma_2(Q) x
+    gamma_k(Q)/gamma_(k+1)(Q) to the next quotient, so Y_k gamma_(k+1)(Q) =
+    gamma_k(Q) by induction, and Y_k = 1 exactly when gamma_k(Q) = 1: no
+    normal closure is needed.  Each Y_k is grown over C, up to Y_p; none
+    goes into the commutator cache."""
+    parent = c.parent
+    p, degree = parent.p, parent.degree
+    gens = tops = _stack(h.generators, degree)
+    for _ in range(p - 1):
+        seeds = commutator(gens[:, None], tops[None], p).reshape(-1, degree, degree)
+        y = reduced_generators(parent, seeds, base=c)
+        if y is c:
+            return True
+        tops = _stack(y.generators[len(c.generators):], degree)
+    return False
 
 
 def _held_words(c: Subgroup, h: Subgroup) -> np.ndarray:

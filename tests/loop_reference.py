@@ -35,6 +35,10 @@ before its reps became the numerator's own generators: each rep is the
 least element of A, in row-major byte order, outside the group grown so
 far, and each lift is the least element of its coset of B'.
 
+`one_shot_power_subgroup` is `filtra.group.power_subgroup` from before it
+formed the elements in blocks: every element of the subgroup at once, then
+the distinct powers.
+
 `CosetSubgroup` and the functions after it are `filtra.group` from before
 subgroups became polycyclic sequences: a subgroup is its element list,
 grown by coset extension (Dimino's algorithm, `_extend`), and its key set.
@@ -51,7 +55,9 @@ from conftest import elements
 from filtra import monoid
 from filtra.errors import CapExceeded, ClosureViolation
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
-from filtra.group import _powers, _stack, batch_inv, batch_mul, commutator, join_powers
+from filtra.group import (
+    _conj, _powers, _stack, batch_inv, batch_mul, commutator, join_powers, reduced_generators,
+)
 from filtra.modlinalg import Subspace, inv_mod, solve_nullspace
 
 
@@ -364,6 +370,21 @@ class ByteLeastSection:
         block = sum(int(c) * self.p ** i for i, c in enumerate(coords))
         d = self.den.parent.degree
         return np.frombuffer(self._lifts[block], dtype=np.uint8).reshape(d, d).astype(np.int64)
+
+
+def one_shot_power_subgroup(a, k: int):
+    """The subgroup generated by the k-th powers of all elements of a,
+    formed in one stack off a's sequence."""
+    parent = a.parent
+    p, d = parent.p, parent.degree
+    elems = np.eye(d, dtype=np.int64)[None]
+    for inv in a._inv:
+        elems = (inv[:, None] @ elems[None] % p).reshape(-1, d, d)
+    powers = _powers(elems, k, p).reshape(len(elems), d * d)
+    keys = powers.astype(np.uint8).view(np.dtype((np.void, d * d))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    back = _conj(parent, powers[first].reshape(-1, d, d), back=True).reshape(-1, d * d)
+    return reduced_generators(parent, back[np.lexsort(back.T[::-1])])
 
 
 def _row_keys(rows: np.ndarray) -> list[bytes]:

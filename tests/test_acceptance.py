@@ -13,7 +13,10 @@ from oracles import path_product_values
 from filtra.algrep import algebra_closure, embed_adjoint_pairs, jacobson_radical
 from filtra.bimap import adjoint_ring, centroid_ring, kronecker_pair_tensor
 from filtra.filters import eta_filter, gamma_filter, generate, verify_axioms
-from filtra.group import make_heisenberg
+from filtra import group as group_module
+from filtra.group import (
+    exponent_p_central_series, jennings_series, lower_central_series, make_heisenberg, make_ut,
+)
 from filtra.liering import GradedLieRing
 from filtra.refine import fingerprint, refine_stable, ring_at
 from filtra.ring import make_r_circ
@@ -193,6 +196,26 @@ def test_truncated_polynomial_heisenberg_fingerprints_grow():
         g = make_heisenberg(poly_ring(2, (0,) * k + (1,)), cap=2 ** (3 * k))
         assert g.order() == 2 ** (3 * k)
         assert fingerprint(g)["length"] == 2 * k, k
+
+
+@pytest.mark.parametrize("d, p", [(6, 3), (7, 3), (6, 5)])
+def test_unitriangular_kappa_and_eta_equal_gamma(monkeypatch, d, p):
+    # For x = 1 + N in UT(d, p), x^p - 1 = N^p has height at least
+    # p * height(N), so gamma_j^p <= gamma_(pj) and kappa = eta = gamma.
+    # Every C H^p step is decided from generators (Hall's criterion for the
+    # kappa steps), so no element of these groups is formed: |UT(7,3)| = 3^21
+    # and |UT(6,5)| = 5^15.  The cap is the group's order.
+    def refuse(a, k):
+        raise AssertionError(f"power_subgroup called on a subgroup of order {a.order()}")
+
+    monkeypatch.setattr(group_module, "power_subgroup", refuse)
+    t0 = time.monotonic()
+    g = make_ut(d, p, cap=p ** (d * (d - 1) // 2))
+    want = [t.order_exp() for t in lower_central_series(g)]
+    assert want == [(d - i) * (d - i + 1) // 2 for i in range(1, d)]
+    assert [t.order_exp() for t in jennings_series(g)] == want
+    assert [t.order_exp() for t in exponent_p_central_series(g)] == want
+    assert time.monotonic() - t0 < 30.0
 
 
 def test_criterion_8_fingerprint_separation():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import hei, subgroup, ut
 from oracles import path_product_values
+from filtra import monoid
 from filtra.errors import DimensionMismatch, NonNormalGenerator, NotOrderReversing
 from filtra.filters import (
     Filter,
@@ -149,6 +150,44 @@ def test_generate_rejects_bad_domains():
         generate(g, 1, {(1,): subgroup(g, [e12])})
     with pytest.raises(NotOrderReversing):
         generate(g, 1, {(1,): center_of(g), (2,): g.full_subgroup()})
+
+
+def test_generate_rejects_a_reversal_inside_a_chain():
+    # (1,0) | (1,1) | (2,1) | (2,2): the one failing pair, ((1,1), (2,1)),
+    # covers; the pairs that skip over it hold
+    g = ut(4, 2)
+    g1, g2, g3 = lower_central_series(g)
+    dom = {(1, 0): g1, (1, 1): g3, (2, 1): g2, (2, 2): g3}
+    with pytest.raises(NotOrderReversing, match=r"at \(2, 1\) not inside generator at \(1, 1\)"):
+        generate(g, 2, dom)
+    # (1,1) covers both (0,1) and (1,0); only the second pair fails
+    dom = {(0, 1): g1, (1, 0): g3, (1, 1): g2}
+    with pytest.raises(NotOrderReversing, match=r"at \(1, 1\) not inside generator at \(1, 0\)"):
+        generate(g, 2, dom)
+    # (1,) | (2,) | (3,): (1,) and (2,) both fail to hold (3,), and the
+    # covering pair is the one reported
+    with pytest.raises(NotOrderReversing, match=r"at \(3,\) not inside generator at \(2,\)"):
+        generate(g, 1, {(1,): g3, (2,): g3, (3,): g2})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+                       st.integers(0, 2), max_size=6))
+def test_generate_order_check_matches_all_pairs(levels):
+    # generate tests containment on covering divisibility pairs only; it
+    # must reject exactly the domains where some dividing pair fails
+    g = ut(4, 2)
+    terms = lower_central_series(g)
+    dom = {s: terms[k] for s, k in levels.items()}
+    bad = any(s != t and monoid.divides(s, t) and not dom[s].contains(dom[t])
+              for s in dom for t in dom)
+    try:
+        generate(g, 2, dom)
+    except NotOrderReversing as e:
+        # a domain value below a trivial sum is rejected too, after the check
+        assert bad == ("not inside generator" in str(e))
+    else:
+        assert not bad
 
 
 def test_generate_empty_domain_is_trivial_below_zero():

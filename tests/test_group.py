@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import elements, hei, keys_of, named_hei, named_ring, pattern_keys, subgroup, ut
@@ -18,6 +18,7 @@ from loop_reference import (
     coset_join_powers,
     coset_reduced,
     coset_trivial,
+    one_shot_power_subgroup,
 )
 from oracles import exhaustive_commutator_subgroup
 from filtra import group as group_module
@@ -609,8 +610,21 @@ def assert_joins_powers(c, h, got):
     assert all(np.array_equal(a, b) for a, b in zip(got.generators, want.generators))
 
 
+def _transvection_case(d, p):
+    """UT(d, p) as a (p, d, generators) case of ``unipotent_generators``."""
+    return p, d, [transvection(d, i, i + 1) for i in range(d - 1)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(unipotent_generators())
+# odd p: Hall's criterion decides UT(3,3), UT(3,5) and H(F_3[x]/x^2) over 1
+# (class 2 < p); UT(4,3) over 1 has class 3 = p and falls back; a 4x4
+# Jordan block over F_3 has a cube outside 1
+@example(_transvection_case(3, 3))
+@example(_transvection_case(4, 3))
+@example(_transvection_case(3, 5))
+@example((3, 6, named_hei("F3[x]/x2").generators))
+@example((3, 4, [np.eye(4, dtype=np.int64) + np.eye(4, k=1, dtype=np.int64)]))
 def test_join_powers_matches_power_subgroup(case):
     # join_powers(C, H) decides C H^p from H's generators when it can; it
     # must give exactly join(C, power_subgroup(H, p)), generators included
@@ -647,16 +661,61 @@ def test_join_powers_falls_back():
     assert powered == 1 and got.order() == 2
     assert_joins_powers(c, h, got)
     # UT(5,3), kappa_3 = [G, kappa_2] G^3: the generators cube to 1 but do not
-    # commute modulo [G, kappa_2], so G^3 is enumerated (it lies in C anyway)
+    # commute modulo C = [G, kappa_2]; G/C has class 2 < 3, so it is regular
+    # of exponent 3 and Hall's criterion gives C without listing G
     c, h, got, powered = _join_powers_calls(lambda: jennings_series(ut(5, 3)))[1]
-    assert h == ut(5, 3).full_subgroup() and powered == 1
+    assert h == ut(5, 3).full_subgroup() and powered == 0 and got is c
     assert_joins_powers(c, h, got)
     # UT(3,2) over 1: the generators square to 1 but do not commute, and
     # G^2 is the centre, so the commutator test is what keeps 1 out
     g = ut(3, 2)
-    got = join_powers(g.trivial_subgroup(), g.full_subgroup())
-    assert keys_of(got) == pattern_keys(g, [(0, 2)])
-    assert_joins_powers(g.trivial_subgroup(), g.full_subgroup(), got)
+    [(c, h, got, powered)] = _join_powers_calls(
+        lambda: group_module.join_powers(g.trivial_subgroup(), g.full_subgroup()))
+    assert powered == 1 and keys_of(got) == pattern_keys(g, [(0, 2)])
+    assert_joins_powers(c, h, got)
+
+
+def test_join_powers_hall_criterion_at_odd_p():
+    # UT(d, p) over 1 has class d - 1 and transvection generators of order p
+    # (the fallback lists H, the criterion does not):
+    # UT(4,5) has class 3 < 5, so it has exponent 5, found in three steps;
+    # UT(4,3) has class 3 = 3 and G^3 = <e_14> is not 1
+    for d, p, powered, order in [(4, 5, 0, 1), (4, 3, 1, 3), (3, 7, 0, 1)]:
+        g = ut(d, p)
+        [(c, h, got, n)] = _join_powers_calls(
+            lambda: group_module.join_powers(g.trivial_subgroup(), g.full_subgroup()))
+        assert (n, got.order()) == (powered, order), (d, p)
+        assert_joins_powers(c, h, got)
+    # the criterion leaves the commutator cache alone: its subgroups are
+    # never handed to a later commutator_subgroup call
+    g = make_ut(5, 3)
+    top = g.full_subgroup()
+    c = commutator_subgroup(top, commutator_subgroup(top, top))
+    before = dict(g._comm_cache)
+    assert join_powers(c, top) is c
+    assert g._comm_cache == before
+
+
+@pytest.mark.parametrize("size", [1, 16, 200, 5000])
+def test_power_blocks_match_one_shot(monkeypatch, size):
+    # blocks of one element, of under a table, of a few tables and of whole
+    # subgroups give the subgroup and generators of forming every element
+    # at once; each block holds at most max(1, size // d^2) elements
+    lower = UnipotentGroup(5, 3, [transvection(3, 1, 0), transvection(3, 2, 1)])
+    g43 = ut(4, 3)
+    subs = [g43.full_subgroup(), lower_central_series(g43)[1], ut(4, 2).full_subgroup(),
+            named_hei("F3[x]/x2").full_subgroup(), lower.full_subgroup(), g43.trivial_subgroup()]
+    monkeypatch.setattr(group_module, "POWER_BLOCK", size)
+    for a in subs:
+        d = a.parent.degree
+        blocks = list(group_module._element_blocks(a, size))
+        assert max(len(b) for b in blocks) <= max(1, size // (d * d))
+        assert sum(len(b) for b in blocks) == a.order()
+        for k in (a.parent.p, 2, 4):
+            got, want = power_subgroup(a, k), one_shot_power_subgroup(a, k)
+            assert got == want
+            assert len(got.generators) == len(want.generators)
+            assert all(np.array_equal(x, y) for x, y in zip(got.generators, want.generators))
 
 
 def test_flag_coordinates():
