@@ -263,10 +263,9 @@ def composition_factors(mats: list[np.ndarray], p: int, n: int,
     k = w.shape[0]
     t = _basis_complement(w, n, p)
     tinv = inv_matrix(t, p)
-    conj = [(t @ m @ tinv) % p for m in mats]
-    for c in conj:
-        if c[:k, k:].any():
-            raise ClosureViolation("submodule is not invariant after base change")
+    conj = (t @ np.reshape(mats, (-1, n, n)) % p) @ tinv % p
+    if conj[:, :k, k:].any():
+        raise ClosureViolation("submodule is not invariant after base change")
     sub = [c[:k, :k].copy() for c in conj]
     quo = [c[k:, k:].copy() for c in conj]
     return (composition_factors(sub, p, k, rng)

@@ -1,16 +1,23 @@
-"""Exact linear algebra over Z_p.
+"""Exact linear algebra over Z_p, for primes p up to MAX_PRIME = 65521.
 
 Matrices are numpy int64 arrays with entries reduced into [0, p).  No
 floats anywhere: pivoting uses modular inverses, so every result is
 exact.  Row spaces are kept in reduced row echelon form, which makes
-subspace equality a plain array comparison.
+subspace equality a plain array comparison.  Below MAX_PRIME, the largest
+prime under 2**16, an entry product is below 2**32, so any int64 sum of
+fewer than 2**31 such products is exact; `check_prime` and `rref` refuse
+larger moduli.
 
-One elimination kernel, `rref`, carries everything else.  Per pivot it
-skips the all-zero columns in one step, takes the first row with a
-nonzero entry, scales it, and clears the column with one masked outer
-product on the rows that hit it, restricted to the columns from the
-pivot on (the pivot row is zero before it).  Entries stay below p, so
-every product fits in int64.
+One elimination kernel, `rref`, carries everything else.  It reduces its
+input once into the narrowest unsigned dtype that holds (p - 1) +
+(p - 1)**2, the largest value a pivot step forms: uint8 for p <= 13,
+uint16 for p <= 251 and uint32 up to MAX_PRIME.  Per pivot it skips the
+all-zero columns in one step, takes the first row with a nonzero entry,
+scales it unless the pivot is already 1, and clears the column with one
+masked outer product on the rows that hit it, restricted to the columns
+from the pivot on (the pivot row is zero before it): a row with entry e
+at the pivot gains (p - e) times the pivot row, which keeps every value
+unsigned.  The result is widened back to int64 once, at the end.
 
 Membership is a read-off.  An rref basis has a unit at its own pivot and
 zeros at every other pivot, so the coefficient of basis row i in a
@@ -29,9 +36,15 @@ as eliminating everything at once.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionMismatch
+
+# The largest prime below 2**16: the int64 and uint32 bounds of the module
+# docstring hold for every p up to it.
+MAX_PRIME = 65521
 
 
 def is_prime(p: int) -> bool:
@@ -45,7 +58,13 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _check_bound(p: int) -> None:
+    if p > MAX_PRIME:
+        raise ValueError(f"modulus {p} is above MAX_PRIME = {MAX_PRIME}")
+
+
 def check_prime(p: int) -> None:
+    _check_bound(p)
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
 
@@ -59,11 +78,27 @@ def inv_mod(x: int, p: int) -> int:
     return pow(int(x) % p, p - 2, p)
 
 
+@functools.cache
+def _work_dtype(p: int) -> type:
+    """Narrowest unsigned dtype that holds (p - 1) + (p - 1)**2, the largest
+    value one pivot step of `rref` forms before it reduces."""
+    _check_bound(p)
+    return np.min_scalar_type((p - 1) * p).type
+
+
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns of a over Z_p."""
-    m = np.mod(np.asarray(a, dtype=np.int64), p)
-    if m.ndim != 2:
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2:
         raise DimensionMismatch("rref expects a 2-d array")
+    t = _work_dtype(p)
+    # Most inputs are reduced already, and an int64 mod costs about ten
+    # times the range check.  Negative entries read as huge in the uint64
+    # view, so one max checks both ends.
+    if a.size and a.view(np.uint64).max() >= p:
+        a = a % p
+    m = a.astype(t)
+    q = t(p)
     rows, cols = m.shape
     pivots: list[int] = []
     r = c = 0
@@ -78,15 +113,16 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         sel = r + int(below[0])
         if sel != r:
             m[[r, sel]] = m[[sel, r]]
-        m[r, c:] = m[r, c:] * inv_mod(m[r, c], p) % p
+        if m[r, c] != 1:
+            m[r, c:] = m[r, c:] * t(inv_mod(m[r, c], p)) % q
         hit = m[:, c].nonzero()[0]
         hit = hit[hit != r]
         if hit.size:
-            m[hit, c:] = (m[hit, c:] - np.outer(m[hit, c], m[r, c:])) % p
+            m[hit, c:] = (m[hit, c:] + np.outer(q - m[hit, c], m[r, c:])) % q
         pivots.append(c)
         r += 1
         c += 1
-    return m, pivots
+    return m.astype(np.int64), pivots
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
@@ -115,7 +151,7 @@ class Subspace:
             self.basis = np.zeros((0, n), dtype=np.int64)
             self.pivots: list[int] = []
         else:
-            v = as_array(vectors, p)
+            v = np.asarray(vectors, dtype=np.int64)
             if v.ndim != 2 or v.shape[1] != n:
                 raise DimensionMismatch(f"vectors must be rows of length {n}")
             r, self.pivots = rref(v, p)
@@ -196,7 +232,7 @@ def inv_matrix(a: np.ndarray, p: int) -> np.ndarray:
 def solve_nullspace(rows, p: int, n_unknowns: int) -> Subspace:
     """Nullspace of a stacked constraint system (each row has n_unknowns)."""
     if isinstance(rows, np.ndarray):
-        a = np.mod(rows.reshape(-1, rows.shape[-1]).astype(np.int64), p)
+        a = rows.reshape(-1, rows.shape[-1])
     elif rows:
         a = np.vstack([as_array(r, p).reshape(1, -1) for r in rows])
     else:

@@ -5,8 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from loop_reference import loop_nullspace, loop_reduce, loop_rref
+from filtra import modlinalg
+from filtra.bimap import solve_ring
 from filtra.modlinalg import (
+    MAX_PRIME,
     Subspace,
+    _work_dtype,
+    check_prime,
     full_space,
     inv_matrix,
     inv_mod,
@@ -53,42 +58,63 @@ def test_nullspace_examples():
 
 primes = st.sampled_from([2, 3, 5, 7])
 entries = st.integers(-3, 9)
+# the last prime of each working dtype of rref and the first of the next:
+# uint8 up to 13, uint16 up to 251, uint32 up to MAX_PRIME
+boundary_primes = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 251, 257, 65521])
 
 
-def _dense(rows, cols):
-    return arrays(np.int64, (rows, cols), elements=entries)
+def _dense(rows, cols, elements=entries):
+    return arrays(np.int64, (rows, cols), elements=elements)
 
 
 @st.composite
-def _low_rank(draw, rows, cols):
+def _low_rank(draw, rows, cols, elements=entries):
     """A product b @ c of rank at most k: dependent rows and zero columns."""
     k = draw(st.integers(0, min(rows, cols)))
-    return draw(_dense(rows, k)) @ draw(_dense(k, cols))
+    return draw(_dense(rows, k, elements)) @ draw(_dense(k, cols, elements))
 
 
 sides = st.tuples(st.integers(0, 12), st.integers(0, 12))
-# rectangular 0-12 x 0-12, full or low rank, and tall 48 x 8 systems shaped
-# like the ring constraint systems (many more equations than unknowns)
-sq = st.one_of(
-    sides.flatmap(lambda s: _dense(*s)),
-    sides.flatmap(lambda s: _low_rank(*s)),
-    _dense(48, 8),
-    _low_rank(48, 8),
-)
 
 
-@given(sq, primes)
-@settings(max_examples=200, deadline=None)
-def test_rref_matches_row_loop(a, p):
+def _systems(elements=entries):
+    """Rectangular 0-12 x 0-12, full or low rank, and tall 48 x 8 systems
+    shaped like the ring constraint systems (many more equations than
+    unknowns)."""
+    return st.one_of(
+        sides.flatmap(lambda s: _dense(*s, elements)),
+        sides.flatmap(lambda s: _low_rank(*s, elements)),
+        _dense(48, 8, elements),
+        _low_rank(48, 8, elements),
+    )
+
+
+sq = _systems()
+
+
+@st.composite
+def _boundary_systems(draw):
+    """A prime at a dtype boundary and a system with entries in [-p, 2p):
+    unreduced entries of both signs, and p - 1 (as -1 or 2p - 1), so that a
+    pivot step forms (p - 1) + (p - 1)**2."""
+    p = draw(boundary_primes)
+    return draw(_systems(st.integers(-p, 2 * p - 1))), p
+
+
+@given(_boundary_systems())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_row_loop(case):
+    a, p = case
     r, piv = rref(a, p)
     want_r, want_piv = loop_rref(a, p)
     assert r.dtype == want_r.dtype and np.array_equal(r, want_r)
     assert piv == want_piv
 
 
-@given(sq, primes)
-@settings(max_examples=100, deadline=None)
-def test_nullspace_matches_row_loop(a, p):
+@given(_boundary_systems())
+@settings(max_examples=150, deadline=None)
+def test_nullspace_matches_row_loop(case):
+    a, p = case
     ns = nullspace(a, p)
     want = loop_nullspace(a, p)
     assert ns.shape == want.shape and np.array_equal(ns, want)
@@ -121,7 +147,7 @@ def _extensions(draw):
     return base, draw(st.sampled_from([fresh, inside, fresh + inside]))
 
 
-@given(_extensions(), st.sampled_from([2, 3, 5, 7, 251]))
+@given(_extensions(), st.sampled_from([2, 3, 5, 7, 13, 17, 251]))
 @settings(max_examples=200, deadline=None)
 def test_extend_matches_stacked_rref(case, p):
     base, rows = case
@@ -134,6 +160,55 @@ def test_extend_matches_stacked_rref(case, p):
     new = [i for i, c in enumerate(want.pivots) if c not in space.pivots]
     assert fresh.shape == (len(new), base.shape[1]) and np.array_equal(fresh, want.basis[new])
     assert new or grown is space
+
+
+@pytest.mark.parametrize("p, dtype", [(2, np.uint8), (13, np.uint8), (17, np.uint16),
+                                      (251, np.uint16), (257, np.uint32), (65521, np.uint32)])
+def test_rref_works_in_the_narrowest_dtype(monkeypatch, p, dtype):
+    """rref picks the narrowest unsigned dtype that holds a pivot step,
+    leaves its argument alone and returns int64."""
+    picked = []
+
+    def spy(q):
+        picked.append(_work_dtype(q))
+        return picked[-1]
+
+    monkeypatch.setattr(modlinalg, "_work_dtype", spy)
+    # the clearing step forms (p - 1) + (p - 1)**2 here, the largest value
+    # any pivot step forms; one dtype narrower would wrap it
+    a = np.array([[1, p - 1, 3], [1, p - 1, 2 * p], [-1, -p, p + 1]])
+    a.setflags(write=False)
+    kept = a.copy()
+    r, piv = rref(a, p)
+    assert picked == [dtype]
+    assert (p - 1) * p <= np.iinfo(dtype).max
+    if dtype is not np.uint8:
+        narrower = {np.uint16: np.uint8, np.uint32: np.uint16}[dtype]
+        assert (p - 1) * p > np.iinfo(narrower).max
+    want_r, want_piv = loop_rref(a, p)
+    assert r.dtype == np.int64 and np.array_equal(r, want_r) and piv == want_piv
+    assert np.array_equal(a, kept)
+
+
+def test_max_prime_is_the_largest_prime_below_2_16():
+    assert is_prime(MAX_PRIME) and MAX_PRIME < 2**16
+    assert not any(is_prime(q) for q in range(MAX_PRIME + 1, 2**16))
+    check_prime(MAX_PRIME)
+
+
+@pytest.mark.parametrize("p", [65537, 2**31 - 1, 3037000507])
+def test_primes_above_max_prime_are_refused(p):
+    # int64 arithmetic went wrong silently at these primes: rref of
+    # [[p-1, p-1], [p-1, 1]] at p = 3037000507 gave [290948287, 0] as a pivot row
+    a = np.array([[p - 1, p - 1], [p - 1, 1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="MAX_PRIME"):
+        rref(a, p)
+    with pytest.raises(ValueError, match="MAX_PRIME"):
+        Subspace(p, 2, a)
+    with pytest.raises(ValueError, match="MAX_PRIME"):
+        check_prime(p)
+    with pytest.raises(ValueError, match="MAX_PRIME"):
+        solve_ring(np.array([[[0], [1]], [[-1], [0]]]), p, "adjoint")
 
 
 @given(sq, primes)
