@@ -7,10 +7,15 @@ multiplication by S, semi-naively: the old basis times the new
 generator, then only the fresh directions times all of S.  A space that
 contains S and is closed under right multiplication by S contains every
 word in S, so it is the algebra S generates.  Spaces grow by
-`Subspace.extend`, which eliminates only the new rows; the spins of the
-meataxe grow the same way.  A span is closed (`MatAlgebra(check=True)`)
-when the closure of its basis is no larger, so no d^2 products are
-formed to check it.
+`Subspace.extend`, which eliminates only the new rows.  A span is closed
+(`MatAlgebra(check=True)`) when the closure of its basis is no larger,
+so no d^2 products are formed to check it.
+
+Every action the meataxe sees spans a closed algebra A: `MatAlgebra.mats`,
+its images on a submodule or quotient, or their transposes.  So v
+generates the submodule span(v, vA), one product and one elimination
+(`spin`), and the actions on a split read off at the pivots of its rref
+basis (`_split_action`): no complement is built and nothing is inverted.
 
 Modules are row vectors with matrices acting on the right.  The radical
 of an algebra A <= M_n is computed from the natural module Z_p^n: split
@@ -43,7 +48,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ClosureViolation, FiltraError, MeataxeExhausted
-from .modlinalg import Subspace, check_prime, inv_matrix, nullspace, rref
+from .modlinalg import Subspace, check_prime, nullspace, rref
 from .poly import at_matrix, charpoly, degree, factor, is_irreducible, norm
 
 # Random algebra elements `try_split` draws before it gives up.  A draw b
@@ -139,21 +144,17 @@ def _close(space: Subspace, vecs: np.ndarray, n: int) -> Subspace:
             blocks, new = (), np.vstack(fresh)
 
 
-def spin(v: np.ndarray, mats: list[np.ndarray], p: int) -> np.ndarray:
-    """Rref basis of the submodule generated by the row vector v.
+def spin(v: np.ndarray, mats, p: int) -> np.ndarray:
+    """Rref basis of the submodule that the row vector v generates.
 
-    Each round extends the running space by the whole frontier at once
-    and applies the generators to the fresh directions alone to form the
-    next frontier."""
-    front = np.mod(np.asarray(v, dtype=np.int64), p).reshape(1, -1)
-    n = front.shape[1]
-    gens = np.asarray(mats, dtype=np.int64).reshape(-1, n, n)
-    space = Subspace(p, n)
-    while True:
-        space, fresh = space.extend(front)
-        if not fresh.shape[0]:
-            return space.basis
-        front = (fresh @ gens).reshape(-1, n) % p
+    `mats` must span a closed algebra A; then vA is a submodule and the
+    answer is span(v, v @ mats).  For a span that is not closed this lies
+    inside the submodule that words in `mats` generate, and can be smaller."""
+    v = np.mod(np.asarray(v, dtype=np.int64), p).reshape(1, -1)
+    n = v.shape[1]
+    images = (v @ np.asarray(mats, dtype=np.int64).reshape(-1, n, n)).reshape(-1, n) % p
+    basis, pivots = rref(np.vstack([v, images]), p)
+    return basis[: len(pivots)]
 
 
 @dataclass
@@ -167,16 +168,16 @@ def try_split(mats: list[np.ndarray], p: int, n: int,
               rng: np.random.Generator) -> tuple[str, object]:
     """Find a proper nonzero submodule of Z_p^n or certify irreducibility.
 
-    Returns ("sub", rows) with an rref basis of a submodule, or ("irr",
-    certificate).  First each standard basis vector is spun.  Then come
-    up to MAX_DRAWS draws of the Holt-Rees test: a random element
-    b = sum c_i mats_i, the irreducible factors f of its characteristic
-    polynomial by increasing degree, and for each the null space N of
-    a = f(b).  A vector of N that spins to a proper subspace splits the
-    module.  When dim N = deg f, N is one-dimensional over the field
-    Z_p[x]/(f), so every proper submodule either contains N or has an
-    annihilator containing the null space of the transpose of a; one spin
-    of each decides the question.  Certificates:
+    `mats` must span a closed algebra, as for `spin`.  Returns ("sub", rows)
+    with an rref basis of a submodule, or ("irr", certificate).  First each
+    standard basis vector is spun.  Then come up to MAX_DRAWS draws of the
+    Holt-Rees test: a random element b = sum c_i mats_i, the irreducible
+    factors f of its characteristic polynomial by increasing degree, and
+    for each the null space N of a = f(b).  A vector of N that spins to a
+    proper subspace splits the module.  When dim N = deg f, N is
+    one-dimensional over the field Z_p[x]/(f), so every proper submodule
+    either contains N or has an annihilator containing the null space of
+    the transpose of a; one spin of each decides the question.  Certificates:
 
     ("allvec",)       n = 1, where every nonzero vector spans the module;
     ("norton", c, f)  c the coefficient row of b over `mats`, f the
@@ -191,13 +192,11 @@ def try_split(mats: list[np.ndarray], p: int, n: int,
     """
     if n == 1:
         return "irr", ("allvec",)
-    for i in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[i] = 1
-        sub = spin(e, mats, p)
+    gens = np.asarray(mats, dtype=np.int64).reshape(-1, n, n)
+    for e in np.eye(n, dtype=np.int64):
+        sub = spin(e, gens, p)
         if 0 < sub.shape[0] < n:
             return "sub", sub
-    gens = np.asarray(mats, dtype=np.int64).reshape(-1, n, n)
     for _ in range(MAX_DRAWS):
         c = rng.integers(0, p, gens.shape[0])
         b = np.tensordot(c, gens, 1) % p
@@ -225,7 +224,9 @@ def check_certificate(factor_data: FactorData, p: int) -> bool:
     from the action: b = sum c_i action_i must have nullity f(b) = deg f
     for an irreducible f, and the two spins of `try_split`, here of the
     first null rows, must both give the full space.  No vector is
-    enumerated."""
+    enumerated.  A factor's action spans a closed algebra, as `spin` needs;
+    on a forged one that does not, spins only come out too small, so the
+    replay can fail but never pass wrongly."""
     n, cert = factor_data.dim, factor_data.certificate
     if cert[0] == "allvec":
         return n == 1
@@ -242,16 +243,24 @@ def check_certificate(factor_data: FactorData, p: int) -> bool:
             and spin(nullspace(a, p)[0], gens.transpose(0, 2, 1), p).shape[0] == n)
 
 
-def _basis_complement(w: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Invertible matrix whose first rows are the rref rows of w."""
-    wr, pivots = rref(w, p)
-    wr = wr[: len(pivots)]
-    extra = [np.eye(n, dtype=np.int64)[j] for j in range(n) if j not in pivots]
-    return np.vstack([wr] + [e.reshape(1, -1) for e in extra])
+def _split_action(mats, w: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Actions of `mats` on span(w), in the rref basis w, and on the
+    quotient, in the unit vectors off w's pivots.  u in span(w) has
+    coordinates u[pivots]; the class of u has u[rest] - u[pivots] @ w[:, rest].
+    Raises ClosureViolation unless each residue of w @ M vanishes."""
+    gens = np.asarray(mats, dtype=np.int64).reshape(-1, w.shape[1], w.shape[1])
+    pivots = (w != 0).argmax(axis=1)
+    rest = np.ones(w.shape[1], dtype=bool)
+    rest[pivots] = False
+    wm = w @ gens % p
+    sub = wm[..., pivots]
+    if ((wm[..., rest] - sub @ w[:, rest]) % p).any():
+        raise ClosureViolation("subspace is not invariant under the action")
+    below = gens[:, rest]
+    return sub, (below[..., rest] - below[..., pivots] @ w[:, rest]) % p
 
 
-def composition_factors(mats: list[np.ndarray], p: int, n: int,
-                        rng: np.random.Generator) -> list[FactorData]:
+def composition_factors(mats, p: int, n: int, rng: np.random.Generator) -> list[FactorData]:
     """Factors of the natural module, each carrying the images of the
     original algebra basis (same coefficients throughout)."""
     if n == 0:
@@ -259,17 +268,8 @@ def composition_factors(mats: list[np.ndarray], p: int, n: int,
     verdict, data = try_split(mats, p, n, rng)
     if verdict == "irr":
         return [FactorData(n, [m.copy() for m in mats], data)]
-    w = np.asarray(data, dtype=np.int64)
-    k = w.shape[0]
-    t = _basis_complement(w, n, p)
-    tinv = inv_matrix(t, p)
-    conj = (t @ np.reshape(mats, (-1, n, n)) % p) @ tinv % p
-    if conj[:, :k, k:].any():
-        raise ClosureViolation("submodule is not invariant after base change")
-    sub = [c[:k, :k].copy() for c in conj]
-    quo = [c[k:, k:].copy() for c in conj]
-    return (composition_factors(sub, p, k, rng)
-            + composition_factors(quo, p, n - k, rng))
+    return [f for action in _split_action(mats, data, p)
+            for f in composition_factors(action, p, action.shape[-1], rng)]
 
 
 @dataclass
@@ -292,11 +292,9 @@ def jacobson_radical(alg: MatAlgebra, rng: np.random.Generator | None = None) ->
     if k == 0:
         return RadicalData(Subspace(alg.p, 0, []), [], [], [])
     factors = composition_factors(alg.mats, alg.p, alg.n, rng)
-    rows = [np.stack([m.reshape(-1) for m in f.action], axis=0) for f in factors]
-    stacked = np.concatenate(rows, axis=1)
-    coeff = Subspace(alg.p, k, nullspace(stacked.T, alg.p))
-    basis_flat = np.stack([m.reshape(-1) for m in alg.mats])
-    mats = [((row @ basis_flat) % alg.p).reshape(alg.n, alg.n) for row in coeff.basis]
+    stacked = np.concatenate([np.reshape(f.action, (k, -1)) for f in factors], axis=1)
+    coeff = Subspace.adopt(alg.p, k, nullspace(stacked.T, alg.p))
+    mats = [((row @ alg.space.basis) % alg.p).reshape(alg.n, alg.n) for row in coeff.basis]
     chain = radical_chain(mats, alg.p, alg.n)
     return RadicalData(coeff, mats, chain, factors)
 

@@ -31,7 +31,8 @@ residues of the new rows, which vanish at the old pivots, and runs
 `rref` on the nonzero ones alone: their pivots avoid the old ones.  One
 product clears the old rows at the new pivots, and merging the two row
 sets by pivot gives the rref basis of the sum, the same canonical basis
-as eliminating everything at once.
+as eliminating everything at once.  A canonical basis such as a
+`nullspace` result is adopted as it is (`Subspace.adopt`).
 """
 
 from __future__ import annotations
@@ -176,11 +177,20 @@ class Subspace:
         old = (self.basis - self.basis[:, pivots] @ fresh) % self.p
         merged = self.pivots + pivots
         order = np.argsort(merged)
-        grown = object.__new__(Subspace)
-        grown.p, grown.n, grown.pivots = self.p, self.n, [merged[i] for i in order]
-        grown.basis = np.vstack([old, fresh])[order]
-        grown.basis.setflags(write=False)
-        return grown, fresh
+        return (Subspace.adopt(self.p, self.n, np.vstack([old, fresh])[order],
+                               [merged[i] for i in order]), fresh)
+
+    @classmethod
+    def adopt(cls, p: int, n: int, basis: np.ndarray, pivots=None) -> "Subspace":
+        """The span of `basis`, whose rows are a canonical rref basis already,
+        kept without a second elimination and made read-only, not copied.
+        Unless given, each pivot is read off as its row's first nonzero column."""
+        space = object.__new__(cls)
+        if pivots is None:
+            pivots = (basis != 0).argmax(axis=1).tolist() if basis.size else []
+        space.p, space.n, space.pivots, space.basis = p, n, pivots, basis
+        basis.setflags(write=False)
+        return space
 
     def contains(self, vec) -> bool:
         return self.reduce(vec) is None
@@ -241,4 +251,4 @@ def solve_nullspace(rows, p: int, n_unknowns: int) -> Subspace:
         return full_space(p, n_unknowns)
     if a.shape[1] != n_unknowns:
         raise DimensionMismatch("constraint width disagrees with unknown count")
-    return Subspace(p, n_unknowns, nullspace(a, p))
+    return Subspace.adopt(p, n_unknowns, nullspace(a, p))

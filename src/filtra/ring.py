@@ -87,7 +87,7 @@ class FinCommRing:
             acc = (acc @ f) % self.p
             pk *= self.p
             k += 1
-        return Subspace(self.p, self.dim, nullspace(acc.T, self.p))
+        return Subspace.adopt(self.p, self.dim, nullspace(acc.T, self.p))
 
     def radical_chain(self) -> list[Subspace]:
         """[J, J^2, ...] down to (and excluding) zero."""

@@ -11,6 +11,12 @@ before subgroups were grown by coset extension.  They take one row or one
 element per step, so they are slow but easy to check by eye; the tests
 compare the library against them bit for bit.
 
+`base_change_split` is how `filtra.algrep.composition_factors` found the
+actions on a submodule span(w) and on its quotient before they were read
+off at the pivots of w: it completes the rref rows of w to an invertible
+t with unit vectors, inverts t (`inv_matrix`, one `rref` of [t | I]) and
+takes the diagonal blocks of t M t^-1.
+
 `loop_associativity_failure` is the triple loop over basis elements that
 `filtra.ring.FinCommRing` used to check associativity before it compared
 all (j, k) for one i at once.
@@ -58,7 +64,7 @@ from filtra.bimap import ScalarRing, _unflatten, as_tensor
 from filtra.group import (
     _conj, _powers, _stack, batch_inv, batch_mul, commutator, join_powers, reduced_generators,
 )
-from filtra.modlinalg import Subspace, inv_mod, solve_nullspace
+from filtra.modlinalg import Subspace, inv_matrix, inv_mod, rref, solve_nullspace
 
 
 def loop_rref(a, p: int) -> tuple[np.ndarray, list[int]]:
@@ -142,6 +148,25 @@ def loop_spin(v, mats, p: int) -> np.ndarray:
         if not frontier:
             break
     return basis
+
+
+def _basis_complement(w: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Invertible matrix whose first rows are the rref rows of w."""
+    wr, pivots = rref(w, p)
+    wr = wr[: len(pivots)]
+    extra = [np.eye(n, dtype=np.int64)[j] for j in range(n) if j not in pivots]
+    return np.vstack([wr] + [e.reshape(1, -1) for e in extra])
+
+
+def base_change_split(mats, w: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sub and quotient actions of `mats` for the invariant span of the
+    independent rows w, as the diagonal blocks of t M t^-1."""
+    n, k = w.shape[1], w.shape[0]
+    t = _basis_complement(w, n, p)
+    conj = (t @ np.reshape(mats, (-1, n, n)) % p) @ inv_matrix(t, p) % p
+    if conj[:, :k, k:].any():
+        raise ClosureViolation("submodule is not invariant after base change")
+    return conj[:, :k, :k], conj[:, k:, k:]
 
 
 def loop_associativity_failure(table: np.ndarray, p: int) -> tuple[int, int, int] | None:

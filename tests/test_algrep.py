@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import named_ring
-from loop_reference import basis_algebra_closure, loop_spin, naive_algebra_closure
+from loop_reference import (basis_algebra_closure, base_change_split, loop_spin,
+                            naive_algebra_closure)
 from oracles import traceform_radical_dim
 from filtra import algrep
 from filtra.algrep import (
     FactorData,
     MatAlgebra,
     RadicalData,
+    _split_action,
     algebra_closure,
     check_certificate,
     composition_factors,
@@ -27,7 +29,7 @@ from filtra.algrep import (
 from filtra.bimap import (adjoint_ring, centroid_ring, heisenberg_tensor, kronecker_pair_tensor,
                           solve_ring)
 from filtra.errors import ClosureViolation, MeataxeExhausted
-from filtra.modlinalg import Subspace
+from filtra.modlinalg import Subspace, nullspace
 from filtra.ring import make_poly_quotient
 
 
@@ -90,9 +92,68 @@ def _modules(draw):
 @given(_modules())
 @settings(max_examples=150, deadline=None)
 def test_spin_matches_row_loop(case):
+    # one product over the closed algebra reaches what the row loop reaches
+    # by words in the generators
     v, mats, p = case
-    got, want = spin(v, mats, p), loop_spin(v, mats, p)
+    got = spin(v, algebra_closure(mats, p, len(v)).mats, p)
+    want = loop_spin(v, mats, p)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@given(_modules())
+@settings(max_examples=150, deadline=None)
+def test_spin_of_an_open_span_lies_inside_row_loop(case):
+    # generators whose span does not close spin too small, never too large,
+    # so a certificate replay on a forged action can fail but not pass
+    v, mats, p = case
+    inside = Subspace(p, len(v), loop_spin(v, mats, p))
+    assert not inside.residues(spin(v, mats, p)).any()
+
+
+@st.composite
+def _split_cases(draw):
+    """A closed algebra's basis and an rref basis w: the spin of a vector or
+    the annihilator of a spin under the transposes (both invariant), or the
+    span of random rows (seldom invariant)."""
+    v, mats, p = draw(_modules())
+    n = len(v)
+    alg = algebra_closure(mats, p, n, unital=True)
+    kind = draw(st.sampled_from(["spin", "dual", "random"]))
+    if kind == "spin":
+        w = spin(v, alg.mats, p)
+    elif kind == "dual":
+        w = nullspace(spin(v, np.transpose(alg.mats, (0, 2, 1)), p), p)
+    else:
+        rows = draw(arrays(np.int64, (draw(st.integers(0, n)), n), elements=st.integers(0, p - 1)))
+        w = Subspace(p, n, rows).basis
+    return alg.mats, w, p, kind
+
+
+@given(_split_cases())
+@settings(max_examples=200, deadline=None)
+def test_split_action_matches_base_change(case):
+    # the read-off actions are the diagonal blocks of t M t^-1, and a span
+    # that is not invariant raises as the base change did
+    mats, w, p, kind = case
+    try:
+        want = base_change_split(mats, w, p)
+    except ClosureViolation:
+        assert kind == "random"
+        with pytest.raises(ClosureViolation):
+            _split_action(mats, w, p)
+        return
+    for got, block in zip(_split_action(mats, w, p), want):
+        assert got.shape == block.shape and np.array_equal(got, block)
+
+
+def test_split_action_rejects_a_span_that_is_not_invariant():
+    # upper triangular matrices move e_0 into span(e_1), so span(e_0) is not
+    # a submodule, while span(e_1) is
+    tri = algebra_closure([unit(2, 0, 1)], 3, 2, unital=True)
+    with pytest.raises(ClosureViolation):
+        _split_action(tri.mats, np.array([[1, 0]]), 3)
+    sub, quo = _split_action(tri.mats, np.array([[0, 1]]), 3)
+    assert sub.shape == quo.shape == (2, 1, 1)
 
 
 def test_radical_of_full_matrix_algebra(rng):

@@ -134,6 +134,19 @@ def test_subspace_reduce_matches_row_loop(a, p, data):
     assert not s.residues(a).any()
 
 
+@given(_boundary_systems())
+@settings(max_examples=150, deadline=None)
+def test_adopt_matches_elimination(case):
+    # a nullspace result and the basis of a span are rref already: adopted
+    # as they are, they give the space that eliminating them again gives
+    a, p = case
+    for rows in (nullspace(a, p), Subspace(p, a.shape[1], a).basis.copy()):
+        want = Subspace(p, a.shape[1], rows)
+        got = Subspace.adopt(p, a.shape[1], rows)
+        assert got == want and got.pivots == want.pivots
+        assert got.basis.dtype == want.basis.dtype and not got.basis.flags.writeable
+
+
 @st.composite
 def _extensions(draw):
     """A basis matrix and rows to add: fresh rows, combinations of the
