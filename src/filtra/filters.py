@@ -106,24 +106,6 @@ class Filter:
         """Number of nonzero graded pieces: strict drops below the top term."""
         return len(self.chain()) - 1
 
-    def compact(self) -> "Filter":
-        """Drop coordinates that are zero on all recorded indices."""
-        used = [
-            i for i in range(self.dim)
-            if any(s[i] for s in self.keys) or any(t[i] for t in self.trivial_minimals)
-        ]
-        if len(used) == self.dim:
-            return self
-        if not used:
-            used = [self.dim - 1]
-
-        def proj(s: Index) -> Index:
-            return tuple(s[i] for i in used)
-
-        supp = {proj(s): v for s, v in self.support.items()}
-        mins = tuple(proj(t) for t in self.trivial_minimals)
-        return Filter(self.ambient, len(used), supp, mins)
-
     def __repr__(self):
         return f"Filter(dim={self.dim}, support={len(self.keys)}, length={self.length()})"
 
@@ -155,7 +137,8 @@ class AxiomReport:
 
 def verify_axioms(f: Filter) -> AxiomReport:
     """Check normality, lex order reversal, both filter inclusions, and
-    eventual triviality on the recorded support."""
+    eventual triviality on the recorded support, and that no recorded
+    trivial index lies lex-below a nontrivial value."""
     v: list[tuple] = []
     full = f.ambient.full_subgroup()
     prev = full
@@ -166,6 +149,10 @@ def verify_axioms(f: Filter) -> AxiomReport:
         if not prev.contains(sub):
             v.append(("order_reversal", s))
         prev = sub
+    for t in f.trivial_minimals:
+        for k in f.keys[bisect_right(f.keys, t):]:
+            if not f.at(k).is_trivial():
+                v.append(("lex_hole", t, k))
     if not f.trivial_minimals and not full.is_trivial():
         last = f.support[f.keys[-1]] if f.keys else full
         if not last.is_trivial():
@@ -183,23 +170,23 @@ def verify_axioms(f: Filter) -> AxiomReport:
     return AxiomReport(ok=not v, violations=v)
 
 
-def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup],
-             persistent: tuple[Index, ...] = ()) -> Filter:
+def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> Filter:
     """Filter generated by an order-reversing map on a sparse support.
 
     Every value must be normal in the ambient group; the map must be
     order-reversing along divisibility on its own support (checked
     exactly there, the support being sparse).
 
-    Heads listed in ``persistent`` name rows (indices agreeing in all but
-    the last coordinate) whose final recorded value holds at every larger
-    last coordinate as well.  Explicitly enumerating the tail would make
-    the support infinite, so the tail enters through its one dominant
-    decomposition: for a target s past the row end, the tail entries at
-    (h, j) contribute [pi_{s-(h,j)}, tail] for every admissible j, and
-    since pi rows descend, the j = s[-1] term (t-part (s[:-1]-h, 0))
-    contains all the others.  Likewise lookups of t-parts past a computed
-    row clip back to the last computed entry of that row.
+    A refined row (h, 1), ..., (h, m) means its last value H_m to hold at
+    every (h, j > m), and needs no entries past m for that.  Proved:
+    lookup() and Filter.at() read (h, j > m) as pi_(h, m), which contains
+    H_m; no (h, j > m) is pushed, as every domain index has a nonzero head;
+    and at a target (h + w, k > m) with (w, 0) in the domain, the
+    decomposition t = (h, k), x = (w, 0) adds [pi_(h, m), dom(w, 0)], which
+    contains [pi_(w, 0), H_m] when pi_(w, 0) = dom(w, 0).  Not proved, but
+    checked on random refinements against ``generate_with_tails`` in
+    tests/loop_reference.py: that equality, and that a target with (w, 0)
+    outside the domain gains nothing from the held row.
     """
     dom: dict[Index, Subgroup] = {}
     for s, sub in gens.items():
@@ -226,13 +213,6 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup],
         # nothing generates: trivial at every nonzero index
         units = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
         return Filter(ambient, dim, {}, units)
-
-    tails: dict[Index, tuple[int, Subgroup]] = {}
-    for h in persistent:
-        js = [s[-1] for s in items if s[:-1] == h]
-        if not js:
-            raise ValueError(f"persistent head {h} has no recorded entries")
-        tails[h] = (max(js), dom[h + (max(js),)])
 
     gen_indices = items
     computed: dict[Index, Subgroup] = {}
@@ -272,25 +252,11 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup],
             if pt is None:
                 continue
             parts.append(commutator_subgroup(pt, dom[x]))
-        for h, (maxj, tail) in tails.items():
-            if s[-1] <= maxj:
-                continue
-            th = monoid.sub(s[:-1], h)
-            if th is None:
-                continue
-            t = th + (0,)
-            if monoid.is_zero(t):
-                parts.append(tail)
-                continue
-            pt = lookup(t)
-            if pt is not None:
-                parts.append(commutator_subgroup(pt, tail))
         value = ambient.trivial_subgroup()
         for part in parts:
             value = join(value, part)
         if value.is_trivial():
-            if not any(monoid.divides(m, s) for m in trivial_mins):
-                trivial_mins.append(s)
+            trivial_mins.append(s)  # no recorded minimal divides s: checked on popping it
             continue
         computed[s] = value
         by_head.setdefault(s[:-1], []).append(s[-1])

@@ -49,13 +49,6 @@ class RingData:
     radical: RadicalData
     acting_powers: list[Subspace]
 
-    @property
-    def ring_dim(self) -> int:
-        return self.ring.dim
-
-    def radical_chain_dims(self) -> list[int]:
-        return self.radical.chain_dims()
-
 
 def ring_at(lie: GradedLieRing, s: Index, method: str, check: bool = False,
             rng: np.random.Generator | None = None) -> RingData:
@@ -125,16 +118,16 @@ def refine_once(f: Filter, method: str = "adjoint", check: bool = False,
         if h.order() == plus_order:
             break
     if hs[0].order() == plus_order:
-        return RefineRound(f, False, s, a, rd.ring_dim, rd.radical_chain_dims())
+        return RefineRound(f, False, s, a, rd.ring.dim, rd.radical.chain_dims())
     dom: dict[Index, Subgroup] = {u + (0,): f.support[u] for u in f.keys}
     for i, h in enumerate(hs, start=1):
         dom[s + (i,)] = h
-    newf = generate(f.ambient, f.dim + 1, dom, persistent=(s,)).compact()
+    newf = generate(f.ambient, f.dim + 1, dom)
     if check:
         report = verify_axioms(newf)
         if not report.ok:
             raise FiltraError(f"refined filter failed verification: {report.violations}")
-    return RefineRound(newf, True, s, a, rd.ring_dim, rd.radical_chain_dims(),
+    return RefineRound(newf, True, s, a, rd.ring.dim, rd.radical.chain_dims(),
                        [h.order_exp() for h in hs])
 
 

@@ -163,3 +163,16 @@ def tensor_from_json(data: dict, p: int) -> np.ndarray:
     for i, j, k, v in data["entries"]:
         t[i, j, k] = v
     return t % p
+
+
+# refined kappa filters at p = 3 that break the lex descent: the first records
+# the trivial index (2, 2) before the nontrivial key (3, 0); in the second the
+# value at (3, 0) is not inside its predecessor (an open defect of generate)
+LEX_HOLE = {"p": 3, "degree": 5, "generators": [
+    [1, 2, 2, 1, 0, 0, 2, 1, 2, 0, 0, 1, 2, 2, 0, 0, 2, 2, 2, 0, 0, 0, 0, 0, 1],
+    [1, 1, 0, 1, 1, 0, 1, 2, 2, 1, 0, 1, 0, 0, 2, 0, 1, 1, 0, 0, 0, 2, 0, 2, 0],
+    [0, 2, 0, 2, 1, 1, 0, 0, 2, 0, 0, 2, 1, 2, 2, 1, 1, 0, 2, 2, 1, 1, 1, 2, 2]]}
+CHAIN_BREAK = {"p": 3, "degree": 5, "generators": [
+    [1, 2, 0, 0, 0, 0, 1, 2, 0, 2, 0, 0, 1, 1, 1, 0, 0, 0, 1, 2, 0, 0, 0, 0, 1],
+    [1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1],
+    [1, 0, 2, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 2, 2, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1]]}

@@ -50,20 +50,31 @@ subgroups became polycyclic sequences: a subgroup is its element list,
 grown by coset extension (Dimino's algorithm, `_extend`), and its key set.
 `CosetSection` is the section basis of that time, which read coordinates
 and lifts off the coset layout of the numerator grown from B'.
+
+`generate_with_tails` is `filtra.filters.generate` from before refinement
+regenerated filters from the plain domain: rows named in ``persistent`` keep
+their last value at every later last coordinate, through an extra part per
+tail in the heap pass.  `compact` is the `Filter` method that refinement
+called on the result to drop coordinates no recorded index uses.
 """
 
+import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from conftest import elements
 from filtra import monoid
-from filtra.errors import CapExceeded, ClosureViolation
+from filtra.errors import CapExceeded, ClosureViolation, NonNormalGenerator, NotOrderReversing
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
+from filtra.filters import Filter
 from filtra.group import (
-    _conj, _powers, _stack, batch_inv, batch_mul, commutator, join_powers, reduced_generators,
+    Subgroup, UnipotentGroup, _conj, _powers, _stack, batch_inv, batch_mul, commutator,
+    commutator_subgroup, is_normal, join, join_powers, reduced_generators,
 )
+from filtra.monoid import Index
 from filtra.modlinalg import Subspace, inv_matrix, inv_mod, rref, solve_nullspace
 
 
@@ -558,3 +569,141 @@ class CosetSection:
     def lift(self, coords) -> np.ndarray:
         c = np.mod(np.asarray(coords, dtype=np.int64), self.p)
         return self._lifts[c @ self._place].astype(np.int64)
+
+
+def generate_with_tails(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup],
+                          persistent: tuple[Index, ...] = ()) -> Filter:
+    """Filter generated by an order-reversing map on a sparse support.
+
+    Every value must be normal in the ambient group; the map must be
+    order-reversing along divisibility on its own support (checked
+    exactly there, the support being sparse).
+
+    Heads listed in ``persistent`` name rows (indices agreeing in all but
+    the last coordinate) whose final recorded value holds at every larger
+    last coordinate as well.  Explicitly enumerating the tail would make
+    the support infinite, so the tail enters through its one dominant
+    decomposition: for a target s past the row end, the tail entries at
+    (h, j) contribute [pi_{s-(h,j)}, tail] for every admissible j, and
+    since pi rows descend, the j = s[-1] term (t-part (s[:-1]-h, 0))
+    contains all the others.  Likewise lookups of t-parts past a computed
+    row clip back to the last computed entry of that row.
+    """
+    dom: dict[Index, Subgroup] = {}
+    for s, sub in gens.items():
+        monoid.check_index(s, dim)
+        if monoid.is_zero(s):
+            if sub.order() != ambient.order():
+                raise NotOrderReversing("index 0 must carry the full group")
+            continue
+        dom[s] = sub
+    for s, sub in dom.items():
+        if not is_normal(sub):
+            raise NonNormalGenerator(f"generator at {s} is not normal")
+    items = sorted(dom)
+    for i, t in enumerate(items):
+        below = [s for s in items[:i] if monoid.divides(s, t)]  # ascending
+        for j, s in enumerate(below):
+            # containment is transitive, so only covering pairs need a test
+            if any(monoid.divides(s, u) for u in below[j + 1:]):
+                continue
+            if not dom[s].contains(dom[t]):
+                raise NotOrderReversing(f"generator at {t} not inside generator at {s}")
+
+    if not items:
+        # nothing generates: trivial at every nonzero index
+        units = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
+        return Filter(ambient, dim, {}, units)
+
+    tails: dict[Index, tuple[int, Subgroup]] = {}
+    for h in persistent:
+        js = [s[-1] for s in items if s[:-1] == h]
+        if not js:
+            raise ValueError(f"persistent head {h} has no recorded entries")
+        tails[h] = (max(js), dom[h + (max(js),)])
+
+    gen_indices = items
+    computed: dict[Index, Subgroup] = {}
+    by_head: dict[Index, list[int]] = {}
+    trivial_mins: list[Index] = []
+
+    def lookup(t: Index) -> Subgroup | None:
+        """pi at t: exact, else row-clipped, else None (trivial or unreached)."""
+        if any(monoid.divides(m, t) for m in trivial_mins):
+            return None
+        got = computed.get(t)
+        if got is not None:
+            return got
+        row = by_head.get(t[:-1])
+        if not row:
+            return None
+        pos = bisect_right(row, t[-1]) - 1
+        if pos < 0:
+            return None
+        return computed[t[:-1] + (row[pos],)]
+
+    heap = list(gen_indices)  # sorted, so already a heap; each index enters it once
+    queued = set(heap)
+    while heap:
+        s = heapq.heappop(heap)
+        if any(monoid.divides(m, s) for m in trivial_mins):
+            if s in dom and not dom[s].is_trivial():
+                raise NotOrderReversing(f"domain value at {s} conflicts with triviality below it")
+            continue
+        parts: list[Subgroup] = []
+        if s in dom:
+            parts.append(dom[s])
+        for t, x in monoid.decompositions(s, gen_indices):
+            if monoid.is_zero(t):
+                continue
+            pt = lookup(t)
+            if pt is None:
+                continue
+            parts.append(commutator_subgroup(pt, dom[x]))
+        for h, (maxj, tail) in tails.items():
+            if s[-1] <= maxj:
+                continue
+            th = monoid.sub(s[:-1], h)
+            if th is None:
+                continue
+            t = th + (0,)
+            if monoid.is_zero(t):
+                parts.append(tail)
+                continue
+            pt = lookup(t)
+            if pt is not None:
+                parts.append(commutator_subgroup(pt, tail))
+        value = ambient.trivial_subgroup()
+        for part in parts:
+            value = join(value, part)
+        if value.is_trivial():
+            if not any(monoid.divides(m, s) for m in trivial_mins):
+                trivial_mins.append(s)
+            continue
+        computed[s] = value
+        by_head.setdefault(s[:-1], []).append(s[-1])
+        for x in gen_indices:
+            nxt = monoid.add(s, x)
+            if nxt not in queued:
+                queued.add(nxt)
+                heapq.heappush(heap, nxt)
+    return Filter(ambient, dim, computed, tuple(trivial_mins))
+
+
+def compact(f: Filter) -> Filter:
+    """Drop coordinates that are zero on all recorded indices."""
+    used = [
+        i for i in range(f.dim)
+        if any(s[i] for s in f.keys) or any(t[i] for t in f.trivial_minimals)
+    ]
+    if len(used) == f.dim:
+        return f
+    if not used:
+        used = [f.dim - 1]
+
+    def proj(s: Index) -> Index:
+        return tuple(s[i] for i in used)
+
+    supp = {proj(s): v for s, v in f.support.items()}
+    mins = tuple(proj(t) for t in f.trivial_minimals)
+    return Filter(f.ambient, len(used), supp, mins)

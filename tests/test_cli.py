@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import CHAIN_BREAK, LEX_HOLE
 from filtra.cli import main
 from filtra.group import MAX_DEGREE, group_to_spec, make_ut
 
@@ -216,6 +217,11 @@ GOLDEN = [
     # a cap equal to |UT(4,2)| gives the uncapped output
     (("refine", "--ut", "4", "2", "--cap", "64"),
      "64b96f52e68cb1d8551c809709fdc6b00fd76a58600e7a15cc1053307f0bd076"),
+    # refinements whose targets lie past the end of a refined row
+    (("refine", "--ut", "7", "2", "--cap", "2097152"),
+     "bb1022a2fdd71349ff0bc19c9fa5f3b401ecb94732a3ca4f47df05200759101c"),
+    (("refine", "--ut", "6", "5", "--cap", "30517578125"),
+     "f877a88d6774a16cff79a16bb72235b234a58d17e451841445570ab718f0aabf"),
 ]
 
 
@@ -283,6 +289,17 @@ def test_trivial_group_refine_rounds(tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["rounds"] == [] and doc["filter"]["length"] == 0
+
+
+@pytest.mark.parametrize("spec,violation", [
+    (LEX_HOLE, "('lex_hole', (2, 2), (3, 0))"),
+    (CHAIN_BREAK, "('order_reversal', (3, 0))"),
+], ids=["lex_hole", "chain_break"])
+def test_refine_check_rejects_broken_lex_descent(tmp_path, spec, violation):
+    path = write_spec(tmp_path, spec)
+    code, out, err = run_cli("refine", "--series", "kappa", "--check", "--group", path)
+    assert (code, out) == (2, "")
+    assert violation in err
 
 
 def test_nameless_group_file_summary_names_path(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hei, subgroup, ut
+from loop_reference import compact, generate_with_tails
 from oracles import path_product_values
 from filtra import monoid
 from filtra.errors import DimensionMismatch, NonNormalGenerator, NotOrderReversing
@@ -115,6 +116,14 @@ def test_verify_flags_never_trivial():
     assert ("not_eventually_trivial",) in rep.violations
 
 
+def test_verify_flags_trivial_index_before_nontrivial_key():
+    # (1, 1) is recorded trivial, and (2, 0) lies after it in lex order
+    # without being divisible by it
+    g = ut(3, 2)
+    f = Filter(g, 2, {(1, 0): g.full_subgroup(), (2, 0): center_of(g)}, ((1, 1),))
+    assert verify_axioms(f).violations == [("lex_hole", (1, 1), (2, 0))]
+
+
 def test_generate_reproduces_series_domain():
     g = ut(4, 2)
     terms = lower_central_series(g)
@@ -210,23 +219,26 @@ def test_generate_matches_path_product_oracle():
 
 
 def test_generate_persistent_row_matches_materialized_tail():
+    # a row held at its last value: the reference's tail, the plain domain
+    # and the materialized row agree
     g = ut(4, 2)
     terms = lower_central_series(g)
     dom = {(1, 0): g.full_subgroup(), (1, 1): terms[1], (1, 2): terms[2]}
-    fp = generate(g, 2, dom, persistent=((1,),))
+    fp = generate_with_tails(g, 2, dom, persistent=((1,),))
+    plain = generate(g, 2, dom)
     dense = dict(dom)
     for j in range(3, 7):
         dense[(1, j)] = terms[2]
     fd = generate(g, 2, dense)
     for i in range(4):
         for j in range(7):
-            assert fp.at((i, j)) == fd.at((i, j)), (i, j)
+            assert fp.at((i, j)) == fd.at((i, j)) == plain.at((i, j)), (i, j)
 
 
 def test_generate_persistent_requires_recorded_row():
     g = ut(3, 2)
     with pytest.raises(ValueError):
-        generate(g, 2, {(0, 1): g.full_subgroup()}, persistent=((1,),))
+        generate_with_tails(g, 2, {(0, 1): g.full_subgroup()}, persistent=((1,),))
 
 
 def test_generated_values_contain_gamma():
@@ -252,18 +264,18 @@ def test_compact():
     g = ut(3, 2)
     z = center_of(g)
     f = Filter(g, 3, {(0, 1, 0): z}, ((0, 2, 0),))
-    c = f.compact()
+    c = compact(f)
     assert c.dim == 1
     assert c.keys == [(1,)]
     assert c.trivial_minimals == ((2,),)
     assert c.at((1,)) == z
-    assert c.compact() is c
+    assert compact(c) is c
 
     untouched = gamma_filter(g)
-    assert untouched.compact() is untouched
+    assert compact(untouched) is untouched
 
     empty = Filter(g, 2, {}, ())
-    assert empty.compact().dim == 1
+    assert compact(empty).dim == 1
 
 
 def test_series_filter_skips_trivial_terms():

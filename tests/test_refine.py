@@ -1,11 +1,14 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CHAIN_BREAK,
+    LEX_HOLE,
     elements,
     flip_map,
     hei,
@@ -16,8 +19,10 @@ from conftest import (
     poly_ring,
     ut,
 )
+from loop_reference import compact, generate_with_tails
+from test_group import disguised_generators, unipotent_generators
 from filtra.errors import NoNontrivialComponent
-from filtra.filters import Filter, eta_filter, gamma_filter, kappa_filter, verify_axioms
+from filtra.filters import Filter, eta_filter, gamma_filter, generate, kappa_filter, verify_axioms
 from filtra.group import (
     Subgroup,
     UnipotentGroup,
@@ -30,6 +35,7 @@ from filtra.group import (
 from filtra.liering import GradedLieRing
 from filtra.modlinalg import Subspace, inv_matrix
 from filtra.refine import (
+    METHODS,
     fingerprint,
     refine_once,
     refine_stable,
@@ -268,3 +274,43 @@ def test_fingerprint_separates_heisenberg_rings(method):
     assert fa["order_exp"] == fb["order_exp"] == 6
     assert fa != fb
     assert fa["length"] == 2 and fb["length"] == 4
+
+
+def case_of(g: UnipotentGroup) -> tuple:
+    return g.p, g.degree, list(g.generators)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(unipotent_generators(), disguised_generators()),
+       st.sampled_from([gamma_filter, eta_filter, kappa_filter]), st.sampled_from(METHODS))
+@example(case_of(make_ut(5, 3)), kappa_filter, "adjoint")
+@example(case_of(make_ut(6, 2)), gamma_filter, "centroid")
+@example(case_of(group_from_spec(LEX_HOLE)), kappa_filter, "adjoint")
+@example(case_of(group_from_spec(CHAIN_BREAK)), kappa_filter, "derivation")
+def test_plain_domain_regenerates_like_held_rows(case, series, method):
+    # every round's domain, regenerated as is and with the new row held at
+    # its last value past its end, gives the same filter
+    p, d, gens = case
+    g = UnipotentGroup(p, d, gens, cap=p ** (d * (d - 1) // 2))
+    domains = []
+
+    def record(ambient, dim, dom):
+        domains.append((dim, dom))
+        return generate(ambient, dim, dom)
+
+    with mock.patch("filtra.refine.generate", record):
+        refine_stable(series(g), method)
+    for dim, dom in domains:
+        (head,) = {t[:-1] for t in dom if t[-1]}
+        g._comm_cache.clear()  # an equal pair cached earlier keeps its own generators
+        plain = generate(g, dim, dom)
+        g._comm_cache.clear()
+        held = generate_with_tails(g, dim, dom, persistent=(head,))
+        assert compact(plain) is plain  # every coordinate is in use
+        assert plain.keys == held.keys
+        assert plain.trivial_minimals == held.trivial_minimals
+        for k in plain.keys:
+            a, b = plain.support[k], held.support[k]
+            assert a.order() == b.order()
+            assert len(a.generators) == len(b.generators)
+            assert all(np.array_equal(x, y) for x, y in zip(a.generators, b.generators))
