@@ -30,7 +30,7 @@ from .group import (
     make_ut,
     power_subgroup,
 )
-from .ring import FinCommRing, make_field, make_poly_quotient, make_r_circ
+from .ring import FinCommRing, make_poly_quotient, make_r_circ
 from .filters import (
     Filter,
     eta_filter,
@@ -46,7 +46,6 @@ from .bimap import (
     adjoint_ring,
     centroid_ring,
     derivation_ring,
-    exterior_square_tensor,
     heisenberg_tensor,
     kronecker_pair_tensor,
     solve_ring,

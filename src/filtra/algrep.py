@@ -200,7 +200,7 @@ def try_split(mats: list[np.ndarray], p: int, n: int,
     for _ in range(MAX_DRAWS):
         c = rng.integers(0, p, gens.shape[0])
         b = np.tensordot(c, gens, 1) % p
-        for f, _ in factor(charpoly(b, p), p):
+        for f in factor(charpoly(b, p), p):
             a = at_matrix(f, b, p)
             null = nullspace(a.T, p)
             # a random vector of N; when dim N = deg f every nonzero vector

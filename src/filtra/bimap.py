@@ -14,7 +14,11 @@ Three rings of scalars are computed by linear algebra over Z_p:
 
 The adjoint and centroid are multiplicatively closed and contain the
 identity; derivations close under the commutator bracket.  Verification
-helpers recheck all of that from the solved bases.
+helpers recheck the identity element and the defining identity from the
+solved bases.  Closure of the adjoint and centroid is proved where they
+enter a matrix algebra (`filtra.refine.ring_at`): the span of an injective,
+multiplicative embedding of the basis is closed and unital exactly when
+its unital closure has the same dimension.
 
 Adjoint as a centralizer.  Slice by slice the adjoint condition reads
 
@@ -108,19 +112,6 @@ class ScalarRing:
         if self.kind == "centroid":
             return self.contains(ia, ib, ic)
         return self.contains(ia, ib, (2 * ic) % self.p)
-
-    def closed(self) -> bool:
-        for ms in self.members:
-            for ns in self.members:
-                if self.kind == "adjoint":
-                    prod = ((ms[0] @ ns[0]) % self.p, (ns[1] @ ms[1]) % self.p)
-                elif self.kind == "centroid":
-                    prod = tuple((x @ y) % self.p for x, y in zip(ms, ns))
-                else:
-                    prod = tuple((x @ y - y @ x) % self.p for x, y in zip(ms, ns))
-                if not self.contains(*prod):
-                    return False
-        return True
 
     def satisfies_identity(self) -> bool:
         b = self.tensor
@@ -259,16 +250,6 @@ def solve_ring(tensor, p: int, method: str) -> ScalarRing:
     except KeyError:
         raise ValueError(f"unknown ring method {method!r}") from None
     return fn(tensor, p)
-
-
-def exterior_square_tensor(r: int, p: int) -> np.ndarray:
-    """Alternating bimap Z_p^r x Z_p^r -> wedge^2 with the lex pair basis."""
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    b = np.zeros((r, r, len(pairs)), dtype=np.int64)
-    for k, (i, j) in enumerate(pairs):
-        b[i, j, k] = 1
-        b[j, i, k] = (-1) % p
-    return b
 
 
 def kronecker_pair_tensor(m: int, p: int) -> np.ndarray:

@@ -193,7 +193,7 @@ class Subspace:
         return space
 
     def contains(self, vec) -> bool:
-        return self.reduce(vec) is None
+        return not self.residues(np.reshape(vec, -1)).any()
 
     def residues(self, rows) -> np.ndarray:
         """Residue of each row (or of one vector) after eliminating along the
@@ -202,11 +202,6 @@ class Subspace:
         if v.shape[-1] != self.n:
             raise DimensionMismatch(f"vector length {v.shape[-1]}, ambient {self.n}")
         return (v - v[..., self.pivots] @ self.basis) % self.p
-
-    def reduce(self, vec) -> np.ndarray | None:
-        """Residue of vec after eliminating along the basis; None if inside."""
-        v = self.residues(np.reshape(vec, -1))
-        return v if v.any() else None
 
     def __eq__(self, other) -> bool:
         return (
@@ -223,10 +218,6 @@ class Subspace:
         return f"Subspace(p={self.p}, n={self.n}, dim={self.dim})"
 
 
-def full_space(p: int, n: int) -> Subspace:
-    return Subspace(p, n, np.eye(n, dtype=np.int64))
-
-
 def inv_matrix(a: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a square matrix over Z_p via rref of [a | I]."""
     a = np.mod(np.asarray(a, dtype=np.int64), p)
@@ -239,16 +230,9 @@ def inv_matrix(a: np.ndarray, p: int) -> np.ndarray:
     return aug[:, n:]
 
 
-def solve_nullspace(rows, p: int, n_unknowns: int) -> Subspace:
-    """Nullspace of a stacked constraint system (each row has n_unknowns)."""
-    if isinstance(rows, np.ndarray):
-        a = rows.reshape(-1, rows.shape[-1])
-    elif rows:
-        a = np.vstack([as_array(r, p).reshape(1, -1) for r in rows])
-    else:
-        return full_space(p, n_unknowns)
-    if len(a) == 0:
-        return full_space(p, n_unknowns)
-    if a.shape[1] != n_unknowns:
+def solve_nullspace(rows: np.ndarray, p: int, n_unknowns: int) -> Subspace:
+    """Nullspace of a constraint matrix whose rows have n_unknowns entries;
+    a system with no rows gives the whole space."""
+    if rows.shape[1] != n_unknowns:
         raise DimensionMismatch("constraint width disagrees with unknown count")
-    return Subspace.adopt(p, n_unknowns, nullspace(a, p))
+    return Subspace.adopt(p, n_unknowns, nullspace(rows, p))

@@ -6,12 +6,12 @@ Everything here is exact and deterministic.
 
 `charpoly` reduces a matrix to upper Hessenberg form by similarity and
 reads the polynomial off its leading principal blocks with the standard
-recurrence.  `factor` splits a polynomial into monic irreducible factors in
-three steps: square-free parts (Yun's algorithm, adapted to characteristic
-p by taking p-th roots), distinct-degree factorization (the product of the
-irreducible factors of degree d is gcd(f, x^(p^d) - x) once the smaller
-degrees are divided out), and Berlekamp's algorithm for the factors of one
-degree, whose subalgebra {h : h^p = h mod g} is a nullspace over Z_p.
+recurrence.  `factor` finds the distinct monic irreducible factors of a
+polynomial, without their multiplicities, in two steps: distinct-degree
+factorization (the product of the distinct irreducible factors of degree d
+is gcd(f, x^(p^d) - x) once every power of a smaller-degree factor is
+divided out) and Berlekamp's algorithm for the factors of one degree,
+whose subalgebra {h : h^p = h mod g} is a nullspace over Z_p.
 `is_irreducible` is Ben-Or's test, which shares only the arithmetic with
 `factor` and so can check it.
 """
@@ -141,33 +141,9 @@ def charpoly(b: np.ndarray, p: int) -> np.ndarray:
     return polys[n]
 
 
-def squarefree_parts(f, p: int) -> list[tuple[np.ndarray, int]]:
-    """Pairs (g, e) of pairwise coprime square-free monic g of positive
-    degree with monic(f) = prod g^e."""
-    f = monic(f, p)
-    if degree(f) < 1:
-        return []
-    d = norm(f[1:] * np.arange(1, len(f)), p)
-    if not d.size:
-        # f(x) = g(x^p) = g(x)^p, as a^p = a in Z_p
-        return [(g, e * p) for g, e in squarefree_parts(f[::p], p)]
-    out = []
-    c = gcd(f, d, p)
-    w = divmod_poly(f, c, p)[0]
-    e = 1
-    while degree(w) > 0:
-        y = gcd(w, c, p)
-        fac = divmod_poly(w, y, p)[0]
-        if degree(fac) > 0:
-            out.append((fac, e))
-        w, c, e = y, divmod_poly(c, y, p)[0], e + 1
-    # what is left of c has every multiplicity divisible by p
-    return out + [(g, k * p) for g, k in squarefree_parts(c[::p], p)]
-
-
 def distinct_degree(f, p: int) -> list[tuple[np.ndarray, int]]:
-    """Pairs (h, d), d increasing: h is the product of the irreducible
-    factors of degree d of a square-free monic f."""
+    """Pairs (h, d), d increasing: h is the product of the distinct
+    irreducible factors of degree d of a monic f, so h is square-free."""
     out = []
     rest, xpow, d = f, X, 0
     while degree(rest) >= 2 * (d + 1):
@@ -176,7 +152,12 @@ def distinct_degree(f, p: int) -> list[tuple[np.ndarray, int]]:
         h = gcd(rest, add(xpow, -X, p), p)
         if degree(h) > 0:
             out.append((h, d))
-            rest = divmod_poly(rest, h, p)[0]
+            # divide out every power of the factors of h, so that rest keeps
+            # no factor of degree <= d and its degree bounds what is left
+            g = h
+            while degree(g) > 0:
+                rest = divmod_poly(rest, g, p)[0]
+                g = gcd(rest, h, p)
             xpow = divmod_poly(xpow, rest, p)[1]
     if degree(rest) > 0:
         out.append((rest, degree(rest)))
@@ -214,13 +195,11 @@ def berlekamp(f, d: int, p: int) -> list[np.ndarray]:
     return factors
 
 
-def factor(f, p: int) -> list[tuple[np.ndarray, int]]:
-    """Monic irreducible factors of f with their multiplicities, ordered
-    by degree and then by coefficients."""
-    out = [(u, e) for g, e in squarefree_parts(f, p)
-           for h, d in distinct_degree(g, p)
-           for u in berlekamp(h, d, p)]
-    return sorted(out, key=lambda ue: (len(ue[0]), ue[0].tolist()))
+def factor(f, p: int) -> list[np.ndarray]:
+    """Distinct monic irreducible factors of f, ordered by degree and then
+    by coefficients."""
+    out = [u for h, d in distinct_degree(monic(f, p), p) for u in berlekamp(h, d, p)]
+    return sorted(out, key=lambda u: (len(u), u.tolist()))
 
 
 def is_irreducible(f, p: int) -> bool:

@@ -176,6 +176,3 @@ def make_r_circ(p: int, v_dim: int, w_dim: int, circ) -> FinCommRing:
     unit[0] = 1
     return FinCommRing(p, table, unit, name=f"R(circ,{v_dim},{w_dim})")
 
-
-def make_field(p: int) -> FinCommRing:
-    return make_poly_quotient(p, [0, 1])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from filtra.group import make_heisenberg, make_ut, reduced_generators
-from filtra.modlinalg import Subspace, full_space, inv_matrix
+from filtra.modlinalg import Subspace, inv_matrix
 from filtra.ring import make_poly_quotient
 
 
@@ -53,6 +53,11 @@ def named_ring(name: str):
 def named_hei(name: str):
     p, coeffs = RING_SPECS[name]
     return hei(p, coeffs)
+
+
+def make_field(p: int):
+    """The prime field Z_p as the ring Z_p[x]/(x)."""
+    return make_poly_quotient(p, [0, 1])
 
 
 @pytest.fixture
@@ -98,7 +103,7 @@ def pattern_keys(group, free) -> frozenset:
 def ring_jpow(ring, i: int) -> Subspace:
     """J(R)^i as a coefficient subspace; J^0 is all of R."""
     if i == 0:
-        return full_space(ring.p, ring.dim)
+        return Subspace(ring.p, ring.dim, np.eye(ring.dim, dtype=np.int64))
     chain = ring.radical_chain()
     if i <= len(chain):
         return chain[i - 1]
@@ -146,6 +151,16 @@ def flip_map(p: int, d: int):
 
 def mapped_keys(sub, auto) -> frozenset:
     return frozenset(auto(m).astype(np.uint8).tobytes() for m in elements(sub))
+
+
+def exterior_square_tensor(r: int, p: int) -> np.ndarray:
+    """Alternating bimap Z_p^r x Z_p^r -> wedge^2 with the lex pair basis."""
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    b = np.zeros((r, r, len(pairs)), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        b[i, j, k] = 1
+        b[j, i, k] = (-1) % p
+    return b
 
 
 def tensor_to_json(tensor: np.ndarray) -> dict:

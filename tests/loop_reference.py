@@ -238,7 +238,7 @@ def naive_algebra_closure(mats, p: int, n: int, unital: bool = False) -> Subspac
     while True:
         prods = [(x.reshape(n, n) @ y.reshape(n, n)).reshape(-1) % p
                  for x in space.basis for y in space.basis]
-        new = [r for r in prods if space.reduce(r) is not None]
+        new = [r for r in prods if not space.contains(r)]
         if not new:
             return space
         space = Subspace(p, n * n, np.vstack([space.basis] + new))

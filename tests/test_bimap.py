@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import named_ring, tensor_from_json, tensor_to_json
+from conftest import exterior_square_tensor, named_ring, tensor_from_json, tensor_to_json
+from filtra.algrep import algebra_closure, embed_adjoint_pairs, embed_centroid_triples
 from filtra.bimap import (
     _invertible_slice,
     adjoint_ring,
     as_tensor,
     centroid_ring,
     derivation_ring,
-    exterior_square_tensor,
     heisenberg_tensor,
     kronecker_pair_tensor,
     solve_ring,
@@ -22,18 +22,34 @@ from loop_reference import full_adjoint_ring, full_centroid_ring
 from oracles import dense_adjoint_dim, dense_centroid_dim, dense_derivation_dim
 
 
+def closed(ring) -> bool:
+    """Adjoint and centroid: the unital closure of the embedded basis is no
+    larger than the ring.  Derivations: the commutator of two basis members
+    is a member."""
+    a, b, c = ring.tensor.shape
+    p = ring.p
+    if ring.kind == "adjoint":
+        return algebra_closure(embed_adjoint_pairs(ring.members, p), p, a + b,
+                               unital=True).dim == ring.dim
+    if ring.kind == "centroid":
+        return algebra_closure(embed_centroid_triples(ring.members, p), p, a + b + c,
+                               unital=True).dim == ring.dim
+    return all(ring.contains(*((x @ y - y @ x) % p for x, y in zip(ms, ns)))
+               for ms in ring.members for ns in ring.members)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_heisenberg_field_scalar_rings(p):
     t = heisenberg_tensor(named_ring(f"F{p}"))
     adj = adjoint_ring(t, p)
     assert adj.dim == 4
-    assert adj.has_identity() and adj.closed() and adj.satisfies_identity()
+    assert adj.has_identity() and closed(adj) and adj.satisfies_identity()
     cent = centroid_ring(t, p)
     assert cent.dim == 1
-    assert cent.has_identity() and cent.closed() and cent.satisfies_identity()
+    assert cent.has_identity() and closed(cent) and cent.satisfies_identity()
     der = derivation_ring(t, p)
     assert der.dim == 5
-    assert der.has_identity() and der.closed() and der.satisfies_identity()
+    assert der.has_identity() and closed(der) and der.satisfies_identity()
 
 
 @pytest.mark.parametrize("name,deg,defect", [("F4", 2, 0), ("F2[x]/x2", 2, 1)])
@@ -65,7 +81,7 @@ def test_kronecker_m1(p):
     assert np.array_equal(t, (-t.transpose(1, 0, 2)) % p)
     adj = adjoint_ring(t, p)
     assert adj.dim == 4
-    assert adj.has_identity() and adj.closed() and adj.satisfies_identity()
+    assert adj.has_identity() and closed(adj) and adj.satisfies_identity()
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -140,7 +156,7 @@ def test_adjoint_always_unital_closed(p, data):
     t = np.array(flat, dtype=np.int64).reshape(shape)
     adj = adjoint_ring(t, p)
     assert adj.has_identity()
-    assert adj.closed()
+    assert closed(adj)
     assert adj.satisfies_identity()
 
 

@@ -222,6 +222,15 @@ GOLDEN = [
      "bb1022a2fdd71349ff0bc19c9fa5f3b401ecb94732a3ca4f47df05200759101c"),
     (("refine", "--ut", "6", "5", "--cap", "30517578125"),
      "f877a88d6774a16cff79a16bb72235b234a58d17e451841445570ab718f0aabf"),
+    # derivation and centroid rings under --check, where characteristic
+    # polynomials in the meataxe repeat factors, some to a p-th power
+    (("refine", "--heisenberg", "5,0,0,1", "--series", "kappa", "--method", "derivation",
+      "--check"),
+     "c64a5848c84d39b8a58687e768ae3fd69b9311eb7e76bf50cc6d6f4fab0e9742"),
+    (("refine", "--heisenberg", "2,1,1,0,0,1", "--method", "centroid", "--check"),
+     "742a7a3bd1c96cda5fc4cca7f3c1f15f157ba1e31dce7dd414fb306d0deb2b8d"),
+    (("fingerprint", "--heisenberg", "3,1,0,1", "--method", "derivation"),
+     "7b5e731a090ef97d5ee03f03fa4106a74038e442626a7082cda43f59d2190120"),
 ]
 
 

@@ -44,7 +44,7 @@ from filtra.group import (
     power_subgroup,
     reduced_generators,
 )
-from filtra.modlinalg import Subspace, full_space, inv_matrix, rref
+from filtra.modlinalg import Subspace, inv_matrix, rref
 
 
 def transvection(d, i, j, val=1):
@@ -260,7 +260,7 @@ def test_section_preimage():
     g = ut(4, 2)
     gam = lower_central_series(g)
     sec = SectionBasis(gam[0], gam[1])
-    assert sec.preimage(full_space(2, 3)) == gam[0]
+    assert sec.preimage(Subspace(2, 3, np.eye(3, dtype=np.int64))) == gam[0]
     assert sec.preimage(Subspace(2, 3, None)) == gam[1]
     half = sec.preimage(Subspace(2, 3, [sec.coordinatize(transvection(4, 0, 1))]))
     assert half.order() == gam[1].order() * 2
@@ -382,7 +382,7 @@ def test_section_preimage_matches_closure_oracle(group_name, series):
     rng = np.random.default_rng(1)
     for sec in filter_sections(group_name, series):
         g, p, dim = sec.parent, sec.p, sec.dim
-        spaces = [Subspace(p, dim, None), full_space(p, dim),
+        spaces = [Subspace(p, dim, None), Subspace(p, dim, np.eye(dim, dtype=np.int64)),
                   Subspace(p, dim, rng.integers(0, p, (max(dim // 2, 1), dim)))]
         for space in spaces:
             got = sec.preimage(space)

@@ -1,18 +1,18 @@
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from filtra.modlinalg import nullspace
-from filtra.poly import at_matrix, charpoly, factor, is_irreducible, mul
+from filtra.poly import at_matrix, charpoly, divmod_poly, factor, is_irreducible, monic, mul
 
 
 @st.composite
 def _matrices(draw):
     """A square matrix over Z_p; block-triangular ones repeat eigenvalues
-    and factors, which exercises the square-free step."""
+    and factors, which `factor` must report once each."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(0, 9))
     b = draw(arrays(np.int64, (n, n), elements=st.integers(0, p - 1)))
@@ -24,8 +24,24 @@ def _matrices(draw):
     return b, p
 
 
+def _companion(f) -> np.ndarray:
+    """A matrix whose characteristic polynomial is the monic f."""
+    k = len(f) - 1
+    b = np.eye(k, k, 1, dtype=np.int64)
+    b[-1] = -np.asarray(f[:-1])
+    return b
+
+
+def _divides(g, f, p: int) -> bool:
+    return not divmod_poly(f, g, p)[1].size
+
+
 @given(_matrices())
 @settings(max_examples=200, deadline=None)
+# characteristic polynomials with derivative 0: x^4 at p = 2 and
+# (x^2 + x + 2)^3 at p = 3, whose factor is irreducible mod 3
+@example((np.zeros((4, 4), dtype=np.int64), 2))
+@example((np.kron(np.eye(3, dtype=np.int64), _companion([2, 1, 1])) % 3, 3))
 def test_charpoly_and_factor(case):
     b, p = case
     n = b.shape[0]
@@ -38,15 +54,20 @@ def test_charpoly_and_factor(case):
         value = sum(int(ci) * s ** i for i, ci in enumerate(c)) % p
         singular = nullspace((s * np.eye(n, dtype=np.int64) - b) % p, p).shape[0] > 0
         assert (value == 0) == singular
+    # the distinct irreducible factors: their product P divides c, and c
+    # divides P^(deg c), so every irreducible factor of c is among them
     fs = factor(c, p)
     prod = np.ones(1, dtype=np.int64)
-    for g, e in fs:
-        assert g[-1] == 1 and is_irreducible(g, p) and e >= 1
-        for _ in range(e):
-            prod = mul(prod, g, p)
-    assert np.array_equal(prod, c)
-    assert len({tuple(g) for g, _ in fs}) == len(fs)
-    assert [len(g) for g, _ in fs] == sorted(len(g) for g, _ in fs)
+    for g in fs:
+        assert g[-1] == 1 and is_irreducible(g, p)
+        prod = mul(prod, g, p)
+    assert _divides(prod, c, p)
+    power = np.ones(1, dtype=np.int64)
+    for _ in range(n):
+        power = mul(power, prod, p)
+    assert _divides(c, power, p)
+    keys = [(len(g), tuple(g.tolist())) for g in fs]
+    assert keys == sorted(set(keys))
 
 
 def _irreducible_count(p: int, d: int) -> int:
@@ -72,7 +93,7 @@ def test_irreducibility_agrees_with_factor_and_gauss():
                 f = np.array(low + (1,), dtype=np.int64)
                 irr = is_irreducible(f, p)
                 fs = factor(f, p)
-                assert irr == (len(fs) == 1 and fs[0][1] == 1), (p, f)
+                assert irr == (len(fs) == 1 and np.array_equal(fs[0], monic(f, p))), (p, f)
                 count += irr
             assert count == _irreducible_count(p, d), (p, d)
     assert not is_irreducible([1], 2) and not is_irreducible([], 2)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import named_ring
+from conftest import make_field, named_ring
 from loop_reference import loop_associativity_failure
 from oracles import nilpotent_element_radical
 from filtra.errors import ClosureViolation
-from filtra.ring import FinCommRing, make_field, make_poly_quotient, make_r_circ
+from filtra.ring import FinCommRing, make_poly_quotient, make_r_circ
 
 
 def test_poly_quotient_examples():
