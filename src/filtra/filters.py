@@ -28,6 +28,8 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import monoid
 from .errors import (
     DimensionMismatch,
@@ -67,6 +69,7 @@ class Filter:
             if not any(monoid.divides(m, t) for m in mins):
                 mins.append(t)
         self.trivial_minimals = tuple(mins)
+        self._chain: list[Subgroup] | None = None
 
     def at(self, s: Index) -> Subgroup:
         monoid.check_index(s, self.dim)
@@ -90,17 +93,20 @@ class Filter:
         return out
 
     def chain(self) -> list[Subgroup]:
-        """Distinct subgroups in lex order, ambient first, trivial last."""
-        out = [self.ambient.full_subgroup()]
-        for s in self.keys:
-            v = self.support[s]
-            if not out[-1].contains(v):
-                raise NotOrderReversing(f"value at {s} not contained in its predecessor")
-            if v.order() < out[-1].order():  # v lies in out[-1], so it is new iff smaller
-                out.append(v)
-        if not out[-1].is_trivial():
-            out.append(self.ambient.trivial_subgroup())
-        return out
+        """Distinct subgroups in lex order, ambient first, trivial last.
+        Formed on the first call; later calls return a copy of that list."""
+        if self._chain is None:
+            out = [self.ambient.full_subgroup()]
+            for s in self.keys:
+                v = self.support[s]
+                if not out[-1].contains(v):
+                    raise NotOrderReversing(f"value at {s} not contained in its predecessor")
+                if v.order() < out[-1].order():  # v lies in out[-1], so it is new iff smaller
+                    out.append(v)
+            if not out[-1].is_trivial():
+                out.append(self.ambient.trivial_subgroup())
+            self._chain = out
+        return list(self._chain)
 
     def length(self) -> int:
         """Number of nonzero graded pieces: strict drops below the top term."""
@@ -157,15 +163,22 @@ def verify_axioms(f: Filter) -> AxiomReport:
         last = f.support[f.keys[-1]] if f.keys else full
         if not last.is_trivial():
             v.append(("not_eventually_trivial",))
-    indices = list(f.keys)
-    for s in indices:
-        for t in indices:
-            st = monoid.add(s, t)
-            comm = commutator_subgroup(f.at(s), f.at(t))
-            target = f.at(st)
-            if not target.contains(comm):
+    # each distinct (phi_s, phi_t, phi_{s+t}) is checked once; the memo
+    # holds the objects whose ids it keys
+    seen: dict[tuple[int, int, int], tuple] = {}
+    values = [f.at(s) for s in f.keys]
+    for s, a in zip(f.keys, values):
+        for t, b in zip(f.keys, values):
+            target = f.at(monoid.add(s, t))
+            key = (id(a), id(b), id(target))
+            held = seen.get(key)
+            if held is None:
+                comm = commutator_subgroup(a, b)
+                held = seen[key] = (a, b, target, target.contains(comm),
+                                    a.contains(target) and b.contains(target))
+            if not held[3]:
                 v.append(("commutator_inclusion", s, t))
-            if not (f.at(s).contains(target) and f.at(t).contains(target)):
+            if not held[4]:
                 v.append(("intersection_inclusion", s, t))
     return AxiomReport(ok=not v, violations=v)
 
@@ -187,6 +200,20 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
     checked on random refinements against ``generate_with_tails`` in
     tests/loop_reference.py: that equality, and that a target with (w, 0)
     outside the domain gains nothing from the held row.
+
+    The domain indices are one int array G, sorted, so the decompositions
+    s = t + x of a popped s are the rows of s - G that are >= 0, in the
+    order of G, and its pushes are the rows of s + G.  Each piece of group
+    work is done once per call: ``is_normal`` once per domain object,
+    [pi_t, dom x] once per pair of objects, and each step of the fold
+    once per (value so far, part) pair of objects.  A part already in the
+    list of s is left out, as joining it again returns the value
+    unchanged.  Each memo holds the objects whose ids it keys, since
+    CPython reuses the id of a freed object.  They are keyed by identity,
+    not by equality: equal subgroups can carry different generator lists,
+    and which list is printed depends on the object, so neither merging
+    equal values nor keying the equality-keyed ``_comm_cache`` by identity
+    would keep the output.
     """
     dom: dict[Index, Subgroup] = {}
     for s, sub in gens.items():
@@ -196,33 +223,32 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
                 raise NotOrderReversing("index 0 must carry the full group")
             continue
         dom[s] = sub
+    normal: set[int] = set()  # ids of values in dom, which holds them
     for s, sub in dom.items():
-        if not is_normal(sub):
-            raise NonNormalGenerator(f"generator at {s} is not normal")
+        if id(sub) not in normal:
+            if not is_normal(sub):
+                raise NonNormalGenerator(f"generator at {s} is not normal")
+            normal.add(id(sub))
     items = sorted(dom)
-    for i, t in enumerate(items):
-        below = [s for s in items[:i] if monoid.divides(s, t)]  # ascending
-        for j, s in enumerate(below):
-            # containment is transitive, so only covering pairs need a test
-            if any(monoid.divides(s, u) for u in below[j + 1:]):
-                continue
-            if not dom[s].contains(dom[t]):
-                raise NotOrderReversing(f"generator at {t} not inside generator at {s}")
-
     if not items:
         # nothing generates: trivial at every nonzero index
         units = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
         return Filter(ambient, dim, {}, units)
+    grid = np.array(items, dtype=np.int64)
+    vals = [dom[s] for s in items]
+    _check_order_reversing(items, grid, vals)
 
-    gen_indices = items
     computed: dict[Index, Subgroup] = {}
     by_head: dict[Index, list[int]] = {}
     trivial_mins: list[Index] = []
+    mins = np.empty((0, dim), dtype=np.int64)  # trivial_mins as an array
+    comms: dict[tuple[int, int], tuple[Subgroup, Subgroup, Subgroup]] = {}
+    joins: dict[tuple[int, int], tuple[Subgroup, Subgroup, Subgroup]] = {}
+    trivial = ambient.trivial_subgroup()
 
     def lookup(t: Index) -> Subgroup | None:
-        """pi at t: exact, else row-clipped, else None (trivial or unreached)."""
-        if any(monoid.divides(m, t) for m in trivial_mins):
-            return None
+        """pi at t, no trivial minimal dividing t: exact, else row-clipped,
+        else None (trivial or unreached)."""
         got = computed.get(t)
         if got is not None:
             return got
@@ -234,7 +260,7 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
             return None
         return computed[t[:-1] + (row[pos],)]
 
-    heap = list(gen_indices)  # sorted, so already a heap; each index enters it once
+    heap = list(items)  # sorted, so already a heap; each index enters it once
     queued = set(heap)
     while heap:
         s = heapq.heappop(heap)
@@ -242,30 +268,65 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
             if s in dom and not dom[s].is_trivial():
                 raise NotOrderReversing(f"domain value at {s} conflicts with triviality below it")
             continue
-        parts: list[Subgroup] = []
-        if s in dom:
-            parts.append(dom[s])
-        for t, x in monoid.decompositions(s, gen_indices):
-            if monoid.is_zero(t):
+        here = np.array(s, dtype=np.int64)
+        diff = here - grid
+        xs = np.flatnonzero((diff >= 0).all(axis=1))
+        rows = diff[xs]
+        cut = _below(rows, mins).tolist()  # each t = s - x
+        parts: dict[int, Subgroup] = {id(dom[s]): dom[s]} if s in dom else {}
+        for x, t, below in zip(xs.tolist(), map(tuple, rows.tolist()), cut):
+            if below or not any(t):
                 continue
             pt = lookup(t)
             if pt is None:
                 continue
-            parts.append(commutator_subgroup(pt, dom[x]))
-        value = ambient.trivial_subgroup()
-        for part in parts:
-            value = join(value, part)
+            held = comms.get((id(pt), id(vals[x])))
+            if held is None:
+                held = comms[id(pt), id(vals[x])] = (pt, vals[x], commutator_subgroup(pt, vals[x]))
+            parts.setdefault(id(held[2]), held[2])
+        value = trivial
+        for part in parts.values():
+            step = joins.get((id(value), id(part)))
+            if step is None:
+                step = joins[id(value), id(part)] = (value, part, join(value, part))
+            value = step[2]
         if value.is_trivial():
             trivial_mins.append(s)  # no recorded minimal divides s: checked on popping it
+            mins = np.array(trivial_mins, dtype=np.int64)
             continue
         computed[s] = value
         by_head.setdefault(s[:-1], []).append(s[-1])
-        for x in gen_indices:
-            nxt = monoid.add(s, x)
+        up = here + grid
+        for nxt in map(tuple, up[~_below(up, mins)].tolist()):
             if nxt not in queued:
                 queued.add(nxt)
                 heapq.heappush(heap, nxt)
     return Filter(ambient, dim, computed, tuple(trivial_mins))
+
+
+def _below(rows: np.ndarray, mins: np.ndarray) -> np.ndarray:
+    """Which rows of an index array some row of ``mins`` divides."""
+    return (rows[:, None] >= mins[None]).all(axis=2).any(axis=1)
+
+
+def _check_order_reversing(items: list[Index], grid: np.ndarray, vals: list[Subgroup]) -> None:
+    """Raise NotOrderReversing at the first covering pair s | t of the
+    sorted domain indices (t ascending, then s ascending) whose value at s
+    does not hold the value at t.  Containment is transitive, so only
+    covering pairs need a test.  With D the strict divisibility matrix,
+    the covering pairs are D and not (D D > 0); D D counts the indices
+    strictly between, exactly in float32 below 2^24, and a float product
+    runs in BLAS."""
+    n = len(items)
+    div = np.ones((n, n), dtype=bool)
+    for col in grid.T:
+        div &= col[:, None] <= col[None, :]
+    np.fill_diagonal(div, False)
+    d = div.astype(np.float32)
+    cover = div & ~(d @ d > 0)
+    for t, s in zip(*np.nonzero(cover.T)):
+        if not vals[s].contains(vals[t]):
+            raise NotOrderReversing(f"generator at {items[t]} not inside generator at {items[s]}")
 
 
 def filter_to_json(f: Filter) -> dict:

@@ -181,6 +181,7 @@ class UnipotentGroup:
         moved = not np.array_equal(flag, np.eye(degree, dtype=np.int64))
         self._flag, self._unflag = (flag, inv_matrix(flag, p)) if moved else (None, None)
         self._rows, self._cols = _depth_positions(degree)
+        self._trivial = Subgroup(self, [], [], [], [])
         self.generators = gens
         full = reduced_generators(self, gens)
         self._full = Subgroup(self, gens, full._depths, full._seq, full._inv)
@@ -193,7 +194,9 @@ class UnipotentGroup:
         return self._full
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, [], [], [], [])
+        """The one trivial subgroup object of this group, shared like
+        ``full_subgroup()``: no code changes a subgroup's lists in place."""
+        return self._trivial
 
     def __repr__(self):
         label = self.name or "group"
@@ -297,11 +300,14 @@ def _grow(sub: Subgroup, x: np.ndarray, generators: list[np.ndarray]) -> Subgrou
         k = bisect_left(out._depths, depth)
         out._depths.insert(k, depth)
         out._seq.insert(k, r)
-        out._inv.insert(k, _power_table(batch_inv(r, p), p).astype(np.uint8))
+        r_inv = batch_inv(r, p)
+        out._inv.insert(k, _power_table(r_inv, p).astype(np.uint8))
         if out.order() > parent.cap:
             raise CapExceeded(parent.cap, out.order())
-        queue = np.concatenate([res[1:], commutator(r, np.stack(out._seq), p),
-                                _powers(r, p, p)[None]])
+        # [r, h] = r^-1 h^-1 r h, with each h^-1 read off its table
+        h_inv = np.stack([inv[1] for inv in out._inv]).astype(np.int64)
+        comms = batch_mul(batch_mul(r_inv, h_inv, p), batch_mul(r, np.stack(out._seq), p), p)
+        queue = np.concatenate([res[1:], comms, _powers(r, p, p)[None]])
     return out
 
 

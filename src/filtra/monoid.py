@@ -43,12 +43,3 @@ def divides(s: Index, t: Index) -> bool:
 def is_zero(s: Index) -> bool:
     return all(c == 0 for c in s)
 
-
-def decompositions(s: Index, gens: list[Index]) -> list[tuple[Index, Index]]:
-    """All (t, x) with t + x = s and x in gens, in a fixed order."""
-    out = []
-    for x in gens:
-        t = sub(s, x)
-        if t is not None:
-            out.append((t, x))
-    return out

@@ -51,6 +51,13 @@ grown by coset extension (Dimino's algorithm, `_extend`), and its key set.
 `CosetSection` is the section basis of that time, which read coordinates
 and lifts off the coset layout of the numerator grown from B'.
 
+`loop_generate` is `filtra.filters.generate` from before it held the domain
+indices as one int array and memoized its group work by identity: it finds
+the decompositions of each popped index with `decompositions` (once
+`filtra.monoid.decompositions`), one tuple subtraction per domain index,
+tests trivial minimals and covering pairs one tuple at a time, and calls
+`commutator_subgroup` and `join` for every part of every index.
+
 `generate_with_tails` is `filtra.filters.generate` from before refinement
 regenerated filters from the plain domain: rows named in ``persistent`` keep
 their last value at every later last coordinate, through an extra part per
@@ -571,6 +578,103 @@ class CosetSection:
         return self._lifts[c @ self._place].astype(np.int64)
 
 
+def decompositions(s: Index, gens: list[Index]) -> list[tuple[Index, Index]]:
+    """All (t, x) with t + x = s and x in gens, in the order of gens."""
+    out = []
+    for x in gens:
+        t = monoid.sub(s, x)
+        if t is not None:
+            out.append((t, x))
+    return out
+
+
+def loop_generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> Filter:
+    """Filter generated by an order-reversing map on a sparse support.
+
+    Every value must be normal in the ambient group; the map must be
+    order-reversing along divisibility on its own support (checked
+    exactly there, the support being sparse).
+    """
+    dom: dict[Index, Subgroup] = {}
+    for s, sub in gens.items():
+        monoid.check_index(s, dim)
+        if monoid.is_zero(s):
+            if sub.order() != ambient.order():
+                raise NotOrderReversing("index 0 must carry the full group")
+            continue
+        dom[s] = sub
+    for s, sub in dom.items():
+        if not is_normal(sub):
+            raise NonNormalGenerator(f"generator at {s} is not normal")
+    items = sorted(dom)
+    for i, t in enumerate(items):
+        below = [s for s in items[:i] if monoid.divides(s, t)]  # ascending
+        for j, s in enumerate(below):
+            # containment is transitive, so only covering pairs need a test
+            if any(monoid.divides(s, u) for u in below[j + 1:]):
+                continue
+            if not dom[s].contains(dom[t]):
+                raise NotOrderReversing(f"generator at {t} not inside generator at {s}")
+
+    if not items:
+        # nothing generates: trivial at every nonzero index
+        units = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
+        return Filter(ambient, dim, {}, units)
+
+    gen_indices = items
+    computed: dict[Index, Subgroup] = {}
+    by_head: dict[Index, list[int]] = {}
+    trivial_mins: list[Index] = []
+
+    def lookup(t: Index) -> Subgroup | None:
+        """pi at t: exact, else row-clipped, else None (trivial or unreached)."""
+        if any(monoid.divides(m, t) for m in trivial_mins):
+            return None
+        got = computed.get(t)
+        if got is not None:
+            return got
+        row = by_head.get(t[:-1])
+        if not row:
+            return None
+        pos = bisect_right(row, t[-1]) - 1
+        if pos < 0:
+            return None
+        return computed[t[:-1] + (row[pos],)]
+
+    heap = list(gen_indices)  # sorted, so already a heap; each index enters it once
+    queued = set(heap)
+    while heap:
+        s = heapq.heappop(heap)
+        if any(monoid.divides(m, s) for m in trivial_mins):
+            if s in dom and not dom[s].is_trivial():
+                raise NotOrderReversing(f"domain value at {s} conflicts with triviality below it")
+            continue
+        parts: list[Subgroup] = []
+        if s in dom:
+            parts.append(dom[s])
+        for t, x in decompositions(s, gen_indices):
+            if monoid.is_zero(t):
+                continue
+            pt = lookup(t)
+            if pt is None:
+                continue
+            parts.append(commutator_subgroup(pt, dom[x]))
+        value = ambient.trivial_subgroup()
+        for part in parts:
+            value = join(value, part)
+        if value.is_trivial():
+            trivial_mins.append(s)  # no recorded minimal divides s: checked on popping it
+            continue
+        computed[s] = value
+        by_head.setdefault(s[:-1], []).append(s[-1])
+        for x in gen_indices:
+            nxt = monoid.add(s, x)
+            if nxt not in queued:
+                queued.add(nxt)
+                heapq.heappush(heap, nxt)
+    return Filter(ambient, dim, computed, tuple(trivial_mins))
+
+
 def generate_with_tails(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup],
                           persistent: tuple[Index, ...] = ()) -> Filter:
     """Filter generated by an order-reversing map on a sparse support.
@@ -653,7 +757,7 @@ def generate_with_tails(ambient: UnipotentGroup, dim: int, gens: dict[Index, Sub
         parts: list[Subgroup] = []
         if s in dom:
             parts.append(dom[s])
-        for t, x in monoid.decompositions(s, gen_indices):
+        for t, x in decompositions(s, gen_indices):
             if monoid.is_zero(t):
                 continue
             pt = lookup(t)

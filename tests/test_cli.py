@@ -220,6 +220,9 @@ GOLDEN = [
     # refinements whose targets lie past the end of a refined row
     (("refine", "--ut", "7", "2", "--cap", "2097152"),
      "bb1022a2fdd71349ff0bc19c9fa5f3b401ecb94732a3ca4f47df05200759101c"),
+    # --check changes no output
+    (("refine", "--ut", "7", "2", "--cap", "2097152", "--check"),
+     "bb1022a2fdd71349ff0bc19c9fa5f3b401ecb94732a3ca4f47df05200759101c"),
     (("refine", "--ut", "6", "5", "--cap", "30517578125"),
      "f877a88d6774a16cff79a16bb72235b234a58d17e451841445570ab718f0aabf"),
     # derivation and centroid rings under --check, where characteristic

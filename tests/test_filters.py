@@ -1,13 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hei, subgroup, ut
-from loop_reference import compact, generate_with_tails
+from conftest import CHAIN_BREAK, LEX_HOLE, hei, subgroup, ut
+from loop_reference import compact, generate_with_tails, loop_generate
 from oracles import path_product_values
 from filtra import monoid
-from filtra.errors import DimensionMismatch, NonNormalGenerator, NotOrderReversing
+from filtra.errors import DimensionMismatch, FiltraError, NonNormalGenerator, NotOrderReversing
 from filtra.filters import (
     Filter,
     eta_filter,
@@ -18,8 +20,9 @@ from filtra.filters import (
     series_filter,
     verify_axioms,
 )
-from filtra.group import lower_central_series
+from filtra.group import group_from_spec, lower_central_series, make_ut
 from filtra.liering import GradedLieRing
+from filtra.refine import refine_stable
 
 
 def center_of(g):
@@ -205,6 +208,86 @@ def test_generate_empty_domain_is_trivial_below_zero():
     assert f.at((0, 0)).order() == 8
     for s in [(1, 0), (0, 1), (2, 3)]:
         assert f.at(s).order() == 1
+
+
+def refinement_domains(g, series, method):
+    """(dim, domain) of every filter that refine_stable regenerates."""
+    domains = []
+
+    def record(ambient, dim, dom):
+        domains.append((dim, dom))
+        return generate(ambient, dim, dom)
+
+    with mock.patch("filtra.refine.generate", record):
+        refine_stable(series(g), method)
+    return domains
+
+
+def generated(make, g, dim, dom):
+    """A generated filter as its keys, generator bytes and trivial minimals,
+    or the type and message of the error it raised; each run starts from an
+    empty commutator cache, as the cached pair's generators are the ones
+    kept."""
+    g._comm_cache.clear()
+    try:
+        f = make(g, dim, dom)
+    except FiltraError as exc:
+        return type(exc), str(exc)
+    gens = [[x.tobytes() for x in f.support[k].generators] for k in f.keys]
+    return f.keys, gens, f.trivial_minimals
+
+
+@pytest.mark.parametrize("group,series,method", [
+    ("UT(6,2)", gamma_filter, "adjoint"),
+    ("UT(7,2)", gamma_filter, "adjoint"),
+    ("UT(5,3)", gamma_filter, "adjoint"),
+    ("UT(5,3)", kappa_filter, "adjoint"),
+    ("LEX_HOLE", kappa_filter, "adjoint"),
+    ("CHAIN_BREAK", kappa_filter, "derivation"),
+])
+def test_generate_matches_loop_reference_on_refinements(group, series, method):
+    # the Hypothesis groups rarely refine, so the domains come from named
+    # groups whose refinements regenerate several times
+    g = {"UT(6,2)": lambda: make_ut(6, 2), "UT(7,2)": lambda: make_ut(7, 2, cap=2**21),
+         "UT(5,3)": lambda: make_ut(5, 3),
+         "LEX_HOLE": lambda: group_from_spec(LEX_HOLE),
+         "CHAIN_BREAK": lambda: group_from_spec(CHAIN_BREAK)}[group]()
+    domains = refinement_domains(g, series, method)
+    assert domains
+    for dim, dom in domains:
+        want = generated(loop_generate, g, dim, dom)
+        assert generated(generate, g, dim, dom) == want
+        assert isinstance(want[0], list)
+
+
+def test_generate_matches_loop_reference_on_bad_domains():
+    g = make_ut(4, 2)
+    g1, g2, g3 = lower_central_series(g)
+    full = g.full_subgroup()
+    e12 = np.eye(4, dtype=np.int64)
+    e12[0, 1] = 1
+    e23 = np.eye(4, dtype=np.int64)
+    e23[1, 2] = 1
+    # test_generate_rejects_a_reversal_inside_a_chain has the chain cases
+    raising = [
+        # two values that are not normal: the first in the domain's own order
+        (1, {(1,): full, (3,): subgroup(g, [e23]), (2,): subgroup(g, [e12])},
+         NonNormalGenerator, "generator at (3,) is not normal"),
+        # (1,1) covers both (0,1) and (1,0), and both fail: the lesser s
+        (2, {(0, 1): g3, (1, 0): g3, (1, 1): g1, (2, 1): g1},
+         NotOrderReversing, "generator at (1, 1) not inside generator at (0, 1)"),
+        # failing covering pairs ((1,0), (1,1)) and ((0,2), (2,2)): the lesser t
+        (2, {(0, 2): g3, (1, 0): g3, (1, 1): g1, (2, 2): g2},
+         NotOrderReversing, "generator at (1, 1) not inside generator at (1, 0)"),
+        # [g3, g3] = 1 at (2,), below the domain value at (3,)
+        (1, {(1,): g3, (3,): g3},
+         NotOrderReversing, "domain value at (3,) conflicts with triviality below it"),
+    ]
+    for dim, dom, kind, message in raising:
+        assert generated(generate, g, dim, dom) == (kind, message)
+        assert generated(loop_generate, g, dim, dom) == (kind, message)
+    for dom in ({}, {(0, 0): full}):
+        assert generated(generate, g, 2, dom) == generated(loop_generate, g, 2, dom)
 
 
 def test_generate_matches_path_product_oracle():
