@@ -48,7 +48,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ClosureViolation, FiltraError, MeataxeExhausted
-from .modlinalg import Subspace, check_prime, nullspace, rref
+from .modlinalg import Subspace, _reduce, check_prime, nullspace, rref
 from .poly import at_matrix, charpoly, degree, factor, is_irreducible, norm
 
 # Random algebra elements `try_split` draws before it gives up.  A draw b
@@ -106,7 +106,7 @@ def _products(xs: np.ndarray, ys: np.ndarray, n: int, p: int):
     ys = ys.reshape(1, -1, n, n)
     step = max(1, PRODUCT_BLOCK // max(1, ys.size))
     for i in range(0, max(1, xs.shape[0]), step):
-        yield (xs[i:i + step].reshape(-1, 1, n, n) @ ys).reshape(-1, n * n) % p
+        yield _reduce((xs[i:i + step].reshape(-1, 1, n, n) @ ys).reshape(-1, n * n), p)
 
 
 def algebra_closure(mats, p: int, n: int, unital: bool = False) -> MatAlgebra:
@@ -152,7 +152,7 @@ def spin(v: np.ndarray, mats, p: int) -> np.ndarray:
     inside the submodule that words in `mats` generate, and can be smaller."""
     v = np.mod(np.asarray(v, dtype=np.int64), p).reshape(1, -1)
     n = v.shape[1]
-    images = (v @ np.asarray(mats, dtype=np.int64).reshape(-1, n, n)).reshape(-1, n) % p
+    images = _reduce((v @ np.asarray(mats, dtype=np.int64).reshape(-1, n, n)).reshape(-1, n), p)
     basis, pivots = rref(np.vstack([v, images]), p)
     return basis[: len(pivots)]
 

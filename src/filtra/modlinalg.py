@@ -13,11 +13,20 @@ input once into the narrowest unsigned dtype that holds (p - 1) +
 (p - 1)**2, the largest value a pivot step forms: uint8 for p <= 13,
 uint16 for p <= 251 and uint32 up to MAX_PRIME.  Per pivot it skips the
 all-zero columns in one step, takes the first row with a nonzero entry,
-scales it unless the pivot is already 1, and clears the column with one
-masked outer product on the rows that hit it, restricted to the columns
-from the pivot on (the pivot row is zero before it): a row with entry e
-at the pivot gains (p - e) times the pivot row, which keeps every value
-unsigned.  The result is widened back to int64 once, at the end.
+scales it unless the pivot is already 1, and clears the column on the
+rows that hit it, restricted to the columns from the pivot on (the pivot
+row is zero before it).  At p = 2 the pivot is 1 and clearing is a row XOR
+(`m[hit, c:] ^= row`), as in dense elimination over GF(2) (Albrecht and
+Pernet, arXiv:1006.1744).  At odd p a row with entry e at the pivot gains
+(p - e) times the pivot row, one broadcast product that keeps every value
+unsigned, and is reduced mod p.  The result is widened back to int64
+once, at the end.
+
+Products of int64 matrices are reduced by `_reduce`: at p = 2 by the mask
+`& 1`, which two's complement makes exact on negative values too, at a
+fraction of the cost of `% 2`.  `as_array`, `Subspace.residues`,
+`Subspace.extend` and the algebra products and spins of `filtra.algrep`
+reduce through it.
 
 Membership is a read-off.  An rref basis has a unit at its own pivot and
 zeros at every other pivot, so the coefficient of basis row i in a
@@ -70,9 +79,13 @@ def check_prime(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """a % p for an int64 array; the mask `& 1` at p = 2."""
+    return a & 1 if p == 2 else a % p
+
+
 def as_array(entries, p: int) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.int64)
-    return np.mod(a, p)
+    return _reduce(np.asarray(entries, dtype=np.int64), p)
 
 
 def inv_mod(x: int, p: int) -> int:
@@ -97,7 +110,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     # times the range check.  Negative entries read as huge in the uint64
     # view, so one max checks both ends.
     if a.size and a.view(np.uint64).max() >= p:
-        a = a % p
+        a = _reduce(a, p)
     m = a.astype(t)
     q = t(p)
     rows, cols = m.shape
@@ -119,7 +132,12 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         hit = m[:, c].nonzero()[0]
         hit = hit[hit != r]
         if hit.size:
-            m[hit, c:] = (m[hit, c:] + np.outer(q - m[hit, c], m[r, c:])) % q
+            row = m[r, c:]
+            if p == 2:
+                m[hit, c:] ^= row
+            else:
+                sub = m[hit, c:]
+                m[hit, c:] = (sub + (q - sub[:, :1]) * row) % q
         pivots.append(c)
         r += 1
         c += 1
@@ -174,7 +192,7 @@ class Subspace:
             return self, res
         fresh, pivots = rref(res, self.p)
         fresh = fresh[: len(pivots)]
-        old = (self.basis - self.basis[:, pivots] @ fresh) % self.p
+        old = _reduce(self.basis - self.basis[:, pivots] @ fresh, self.p)
         merged = self.pivots + pivots
         order = np.argsort(merged)
         return (Subspace.adopt(self.p, self.n, np.vstack([old, fresh])[order],
@@ -201,7 +219,7 @@ class Subspace:
         v = as_array(rows, self.p)
         if v.shape[-1] != self.n:
             raise DimensionMismatch(f"vector length {v.shape[-1]}, ambient {self.n}")
-        return (v - v[..., self.pivots] @ self.basis) % self.p
+        return _reduce(v - v[..., self.pivots] @ self.basis, self.p)
 
     def __eq__(self, other) -> bool:
         return (

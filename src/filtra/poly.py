@@ -1,8 +1,19 @@
 """Polynomials over Z_p: characteristic polynomials and factorization.
 
-A polynomial is a 1-d int64 array of coefficients in [0, p), constant term
-first, whose last entry is nonzero; the zero polynomial is the empty array.
+The public functions take any array-like of integer coefficients, constant
+term first, and return polynomials as 1-d int64 arrays of coefficients in
+[0, p) whose last entry is nonzero; the zero polynomial is the empty array.
 Everything here is exact and deterministic.
+
+Inside, a polynomial is a Python list of ints in that same normal form.
+The polynomials this module meets have degree at most the dimension of a
+meataxe module, mostly under ten, and numpy pays a call's overhead for
+every coefficient operation of such a small one; Python ints do each in a
+few bytecodes.  So the arithmetic (`_add`, `_mul`, `_divmod`, `_gcd`,
+`_powmod`), the distinct-degree split, Berlekamp and Ben-Or all run on
+lists, and each public function converts once on the way in (`_ints`) and
+once on the way out.  `charpoly` and `at_matrix` act on matrices and stay
+on numpy.
 
 `charpoly` reduces a matrix to upper Hessenberg form by similarity and
 reads the polynomial off its leading principal blocks with the standard
@@ -22,77 +33,119 @@ import numpy as np
 
 from .modlinalg import inv_mod, nullspace
 
-X = np.array([0, 1], dtype=np.int64)
+
+def _trim(f: list[int]) -> list[int]:
+    """Drop the zero leading terms of f, in place."""
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _ints(f, p: int) -> list[int]:
+    """The normal-form coefficient list of an array-like."""
+    return _trim([c % p for c in np.asarray(f, dtype=np.int64).tolist()])
+
+
+def _arr(f: list[int]) -> np.ndarray:
+    return np.array(f, dtype=np.int64)
+
+
+def _monic(f: list[int], p: int) -> list[int]:
+    if not f or f[-1] == 1:
+        return f
+    inv = inv_mod(f[-1], p)
+    return [c * inv % p for c in f]
+
+
+def _add(f: list[int], g: list[int], p: int) -> list[int]:
+    if len(f) < len(g):
+        f, g = g, f
+    out = f.copy()
+    for i, c in enumerate(g):
+        out[i] = (out[i] + c) % p
+    return _trim(out)
+
+
+def _mul(f: list[int], g: list[int], p: int) -> list[int]:
+    if not (f and g):
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return _trim([c % p for c in out])
+
+
+def _divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by a nonzero g, both in normal form."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    k = len(g) - 1
+    if len(f) <= k:
+        return [], f
+    r = f.copy()
+    inv = inv_mod(g[-1], p)
+    q = [0] * (len(r) - k)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + k] * inv % p
+        if c:
+            q[i] = c
+            for j in range(k):
+                r[i + j] = (r[i + j] - c * g[j]) % p
+    return _trim(q), _trim(r[:k])
+
+
+def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    while g:
+        f, g = g, _divmod(f, g, p)[1]
+    return _monic(f, p)
+
+
+def _powmod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
+    base = _divmod(f, g, p)[1]
+    out = _divmod([1], g, p)[1]
+    while e:
+        if e & 1:
+            out = _divmod(_mul(out, base, p), g, p)[1]
+        e >>= 1
+        if e:
+            base = _divmod(_mul(base, base, p), g, p)[1]
+    return out
 
 
 def norm(f, p: int) -> np.ndarray:
     """Coefficients reduced mod p with the zero leading terms dropped."""
-    f = np.mod(np.asarray(f, dtype=np.int64), p)
-    nz = np.flatnonzero(f)
-    return f[: nz[-1] + 1] if nz.size else f[:0]
+    return _arr(_ints(f, p))
 
 
-def degree(f: np.ndarray) -> int:
+def degree(f) -> int:
     """Degree of a normalised polynomial; -1 for zero."""
     return len(f) - 1
 
 
 def monic(f, p: int) -> np.ndarray:
-    f = norm(f, p)
-    return f * inv_mod(f[-1], p) % p if f.size else f
-
-
-def add(f, g, p: int) -> np.ndarray:
-    out = np.zeros(max(len(f), len(g)), dtype=np.int64)
-    out[: len(f)] += f
-    out[: len(g)] += g
-    return norm(out, p)
+    return _arr(_monic(_ints(f, p), p))
 
 
 def mul(f, g, p: int) -> np.ndarray:
-    if not (len(f) and len(g)):
-        return np.zeros(0, dtype=np.int64)
-    return norm(np.convolve(f, g), p)
+    return _arr(_mul(_ints(f, p), _ints(g, p), p))
 
 
 def divmod_poly(f, g, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Quotient and remainder of f by a nonzero g."""
-    g = norm(g, p)
-    if not g.size:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = norm(f, p).copy()
-    k = degree(g)
-    if degree(r) < k:
-        return np.zeros(0, dtype=np.int64), r
-    inv = inv_mod(g[-1], p)
-    q = np.zeros(len(r) - k, dtype=np.int64)
-    for i in range(len(q) - 1, -1, -1):
-        c = r[i + k] * inv % p
-        if c:
-            q[i] = c
-            r[i:i + k + 1] = (r[i:i + k + 1] - c * g) % p
-    return norm(q, p), norm(r[:k], p)
+    q, r = _divmod(_ints(f, p), _ints(g, p), p)
+    return _arr(q), _arr(r)
 
 
 def gcd(f, g, p: int) -> np.ndarray:
     """Monic greatest common divisor (zero when both are zero)."""
-    f, g = norm(f, p), norm(g, p)
-    while g.size:
-        f, g = g, divmod_poly(f, g, p)[1]
-    return monic(f, p)
+    return _arr(_gcd(_ints(f, p), _ints(g, p), p))
 
 
 def powmod(f, e: int, g, p: int) -> np.ndarray:
     """f^e mod g by square-and-multiply."""
-    base = divmod_poly(f, g, p)[1]
-    out = divmod_poly([1], g, p)[1]
-    while e:
-        if e & 1:
-            out = divmod_poly(mul(out, base, p), g, p)[1]
-        e >>= 1
-        if e:
-            base = divmod_poly(mul(base, base, p), g, p)[1]
-    return out
+    return _arr(_powmod(_ints(f, p), e, _ints(g, p), p))
 
 
 def at_matrix(f, b: np.ndarray, p: int) -> np.ndarray:
@@ -100,8 +153,8 @@ def at_matrix(f, b: np.ndarray, p: int) -> np.ndarray:
     n = b.shape[0]
     eye = np.eye(n, dtype=np.int64)
     out = np.zeros((n, n), dtype=np.int64)
-    for c in norm(f, p)[::-1]:
-        out = (out @ b + int(c) * eye) % p
+    for c in reversed(_ints(f, p)):
+        out = (out @ b + c * eye) % p
     return out
 
 
@@ -141,56 +194,57 @@ def charpoly(b: np.ndarray, p: int) -> np.ndarray:
     return polys[n]
 
 
-def distinct_degree(f, p: int) -> list[tuple[np.ndarray, int]]:
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Pairs (h, d), d increasing: h is the product of the distinct
     irreducible factors of degree d of a monic f, so h is square-free."""
     out = []
-    rest, xpow, d = f, X, 0
-    while degree(rest) >= 2 * (d + 1):
+    rest, xpow, d = f, [0, 1], 0
+    while len(rest) - 1 >= 2 * (d + 1):
         d += 1
-        xpow = powmod(xpow, p, rest, p)   # x^(p^d) mod rest
-        h = gcd(rest, add(xpow, -X, p), p)
-        if degree(h) > 0:
+        xpow = _powmod(xpow, p, rest, p)   # x^(p^d) mod rest
+        h = _gcd(rest, _add(xpow, [0, p - 1], p), p)
+        if len(h) > 1:
             out.append((h, d))
             # divide out every power of the factors of h, so that rest keeps
             # no factor of degree <= d and its degree bounds what is left
             g = h
-            while degree(g) > 0:
-                rest = divmod_poly(rest, g, p)[0]
-                g = gcd(rest, h, p)
-            xpow = divmod_poly(xpow, rest, p)[1]
-    if degree(rest) > 0:
-        out.append((rest, degree(rest)))
+            while len(g) > 1:
+                rest = _divmod(rest, g, p)[0]
+                g = _gcd(rest, h, p)
+            xpow = _divmod(xpow, rest, p)[1]
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
     return out
 
 
-def berlekamp(f, d: int, p: int) -> list[np.ndarray]:
+def _berlekamp(f: list[int], d: int, p: int) -> list[list[int]]:
     """Irreducible factors of a square-free monic f whose irreducible
     factors all have degree d."""
-    k = degree(f)
+    k = len(f) - 1
     r = k // d
     if r == 1:
         return [f]
     # row i of q holds x^(p i) mod f; h^p = h (mod f) reads v (q - I) = 0
     # for the coefficient row v of h, as a^p = a in Z_p
-    xp = powmod(X, p, f, p)
+    xp = _powmod([0, 1], p, f, p)
     q = np.zeros((k, k), dtype=np.int64)
-    row = np.ones(1, dtype=np.int64)
+    row = [1]
     for i in range(k):
         q[i, : len(row)] = row
-        row = divmod_poly(mul(row, xp, p), f, p)[1]
+        row = _divmod(_mul(row, xp, p), f, p)[1]
     factors = [f]
     for h in nullspace((q - np.eye(k, dtype=np.int64)).T, p):
         if len(factors) == r:
             break
+        h = _trim(h.tolist())
         split = []
         for u in factors:
-            if degree(u) == d:
+            if len(u) - 1 == d:
                 split.append(u)
                 continue
             # u divides h^p - h = prod_s (h - s), whose factors are coprime
-            parts = (gcd(u, add(h, [-s], p), p) for s in range(p))
-            split += [g for g in parts if degree(g) > 0]
+            parts = (_gcd(u, _add(h, [-s % p], p), p) for s in range(p))
+            split += [g for g in parts if len(g) > 1]
         factors = split
     return factors
 
@@ -198,19 +252,20 @@ def berlekamp(f, d: int, p: int) -> list[np.ndarray]:
 def factor(f, p: int) -> list[np.ndarray]:
     """Distinct monic irreducible factors of f, ordered by degree and then
     by coefficients."""
-    out = [u for h, d in distinct_degree(monic(f, p), p) for u in berlekamp(h, d, p)]
-    return sorted(out, key=lambda u: (len(u), u.tolist()))
+    out = [u for h, d in _distinct_degree(_monic(_ints(f, p), p), p)
+           for u in _berlekamp(h, d, p)]
+    return [_arr(u) for u in sorted(out, key=lambda u: (len(u), u))]
 
 
 def is_irreducible(f, p: int) -> bool:
     """Ben-Or's test: f of degree k >= 1 is irreducible when it shares no
     factor with x^(p^i) - x for any i <= k/2."""
-    f = monic(f, p)
-    if degree(f) < 1:
+    f = _monic(_ints(f, p), p)
+    if len(f) < 2:
         return False
-    xpow = X
-    for _ in range(degree(f) // 2):
-        xpow = powmod(xpow, p, f, p)
-        if degree(gcd(f, add(xpow, -X, p), p)) > 0:
+    xpow = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        xpow = _powmod(xpow, p, f, p)
+        if len(_gcd(f, _add(xpow, [0, p - 1], p), p)) > 1:
             return False
     return True

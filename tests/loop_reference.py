@@ -63,6 +63,11 @@ regenerated filters from the plain domain: rows named in ``persistent`` keep
 their last value at every later last coordinate, through an extra part per
 tail in the heap pass.  `compact` is the `Filter` method that refinement
 called on the result to drop coordinates no recorded index uses.
+
+`array_factor`, `array_is_irreducible` and the `array_*` helpers before them
+are `filtra.poly` from before its arithmetic ran on Python int lists: every
+polynomial is an int64 array, and each coefficient step of a division or
+product is a numpy call.
 """
 
 import heapq
@@ -82,7 +87,7 @@ from filtra.group import (
     commutator_subgroup, is_normal, join, join_powers, reduced_generators,
 )
 from filtra.monoid import Index
-from filtra.modlinalg import Subspace, inv_matrix, inv_mod, rref, solve_nullspace
+from filtra.modlinalg import Subspace, inv_matrix, inv_mod, nullspace, rref, solve_nullspace
 
 
 def loop_rref(a, p: int) -> tuple[np.ndarray, list[int]]:
@@ -811,3 +816,130 @@ def compact(f: Filter) -> Filter:
     supp = {proj(s): v for s, v in f.support.items()}
     mins = tuple(proj(t) for t in f.trivial_minimals)
     return Filter(f.ambient, len(used), supp, mins)
+
+
+def array_norm(f, p: int) -> np.ndarray:
+    f = np.mod(np.asarray(f, dtype=np.int64), p)
+    nz = np.flatnonzero(f)
+    return f[: nz[-1] + 1] if nz.size else f[:0]
+
+
+def array_monic(f, p: int) -> np.ndarray:
+    f = array_norm(f, p)
+    return f * inv_mod(f[-1], p) % p if f.size else f
+
+
+def array_add(f, g, p: int) -> np.ndarray:
+    out = np.zeros(max(len(f), len(g)), dtype=np.int64)
+    out[: len(f)] += f
+    out[: len(g)] += g
+    return array_norm(out, p)
+
+
+def array_mul(f, g, p: int) -> np.ndarray:
+    if not (len(f) and len(g)):
+        return np.zeros(0, dtype=np.int64)
+    return array_norm(np.convolve(f, g), p)
+
+
+def array_divmod(f, g, p: int) -> tuple[np.ndarray, np.ndarray]:
+    g = array_norm(g, p)
+    if not g.size:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = array_norm(f, p).copy()
+    k = len(g) - 1
+    if len(r) - 1 < k:
+        return np.zeros(0, dtype=np.int64), r
+    inv = inv_mod(g[-1], p)
+    q = np.zeros(len(r) - k, dtype=np.int64)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + k] * inv % p
+        if c:
+            q[i] = c
+            r[i:i + k + 1] = (r[i:i + k + 1] - c * g) % p
+    return array_norm(q, p), array_norm(r[:k], p)
+
+
+def array_gcd(f, g, p: int) -> np.ndarray:
+    f, g = array_norm(f, p), array_norm(g, p)
+    while g.size:
+        f, g = g, array_divmod(f, g, p)[1]
+    return array_monic(f, p)
+
+
+def array_powmod(f, e: int, g, p: int) -> np.ndarray:
+    base = array_divmod(f, g, p)[1]
+    out = array_divmod([1], g, p)[1]
+    while e:
+        if e & 1:
+            out = array_divmod(array_mul(out, base, p), g, p)[1]
+        e >>= 1
+        if e:
+            base = array_divmod(array_mul(base, base, p), g, p)[1]
+    return out
+
+
+_X = np.array([0, 1], dtype=np.int64)
+
+
+def array_distinct_degree(f, p: int) -> list[tuple[np.ndarray, int]]:
+    out = []
+    rest, xpow, d = f, _X, 0
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        xpow = array_powmod(xpow, p, rest, p)
+        h = array_gcd(rest, array_add(xpow, -_X, p), p)
+        if len(h) > 1:
+            out.append((h, d))
+            g = h
+            while len(g) > 1:
+                rest = array_divmod(rest, g, p)[0]
+                g = array_gcd(rest, h, p)
+            xpow = array_divmod(xpow, rest, p)[1]
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
+    return out
+
+
+def array_berlekamp(f, d: int, p: int) -> list[np.ndarray]:
+    k = len(f) - 1
+    r = k // d
+    if r == 1:
+        return [f]
+    xp = array_powmod(_X, p, f, p)
+    q = np.zeros((k, k), dtype=np.int64)
+    row = np.ones(1, dtype=np.int64)
+    for i in range(k):
+        q[i, : len(row)] = row
+        row = array_divmod(array_mul(row, xp, p), f, p)[1]
+    factors = [f]
+    for h in nullspace((q - np.eye(k, dtype=np.int64)).T, p):
+        if len(factors) == r:
+            break
+        split = []
+        for u in factors:
+            if len(u) - 1 == d:
+                split.append(u)
+                continue
+            parts = (array_gcd(u, array_add(h, [-s], p), p) for s in range(p))
+            split += [g for g in parts if len(g) > 1]
+        factors = split
+    return factors
+
+
+def array_factor(f, p: int) -> list[np.ndarray]:
+    out = [u for h, d in array_distinct_degree(array_monic(f, p), p)
+           for u in array_berlekamp(h, d, p)]
+    return sorted(out, key=lambda u: (len(u), u.tolist()))
+
+
+def array_is_irreducible(f, p: int) -> bool:
+    f = array_monic(f, p)
+    if len(f) < 2:
+        return False
+    xpow = _X
+    for _ in range((len(f) - 1) // 2):
+        xpow = array_powmod(xpow, p, f, p)
+        if len(array_gcd(f, array_add(xpow, -_X, p), p)) > 1:
+            return False
+    return True

@@ -234,6 +234,14 @@ GOLDEN = [
      "742a7a3bd1c96cda5fc4cca7f3c1f15f157ba1e31dce7dd414fb306d0deb2b8d"),
     (("fingerprint", "--heisenberg", "3,1,0,1", "--method", "derivation"),
      "7b5e731a090ef97d5ee03f03fa4106a74038e442626a7082cda43f59d2190120"),
+    # H(F_256): its 2048 x 576 derivation system, eliminated over GF(2)
+    (("refine", "--heisenberg", "2,1,1,0,1,1,0,0,0,1", "--cap", "16777216",
+      "--method", "derivation"),
+     "6451e4a9b49ab4f8ddafae6d8b3ca79f9bac8943d8e659aec28c4ef14891f166"),
+    # H(F_3[x]/x^4): odd-p factoring in the meataxe and the radical chain
+    # J > J^2 > J^3 (dims 12, 8, 4)
+    (("fingerprint", "--heisenberg", "3,0,0,0,0,1"),
+     "eae861689420ab81258a7b6a3b6326acee96b24ce4bd0f266d74ac3ac08e75f9"),
 ]
 
 

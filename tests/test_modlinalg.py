@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from loop_reference import loop_nullspace, loop_reduce, loop_rref
 from filtra import modlinalg
-from filtra.bimap import solve_ring
+from filtra.bimap import _rows_x, _rows_y_right, _rows_z, solve_ring
 from filtra.modlinalg import (
     MAX_PRIME,
     Subspace,
@@ -100,7 +100,27 @@ def _boundary_systems(draw):
     return draw(_systems(st.integers(-p, 2 * p - 1))), p
 
 
-@given(_boundary_systems())
+@st.composite
+def _tall_gf2(draw):
+    """Tall, redundant GF(2) systems built as `derivation_ring` and
+    `_centralizer` build theirs, entries left unreduced in {-1, 0, 1}: the
+    derivation system of a random a x a x c tensor (a^2 c rows over
+    2a^2 + c^2 unknowns, 96-108 x 66-81 here) and the commuting conditions
+    of two random a x a matrices stacked (2a^2 rows over a^2)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # sparse inputs leave large solution spaces, as refinement's tensors do
+    density = draw(st.sampled_from([0.05, 0.15, 0.5]))
+    if draw(st.booleans()):
+        a, c = draw(st.sampled_from([(4, 6), (5, 4), (6, 3)]))
+        b = (rng.random((a, a, c)) < density).astype(np.int64)
+        return np.concatenate([_rows_x(b), _rows_y_right(b), -_rows_z(b)], axis=1), 2
+    a = draw(st.integers(9, 10))
+    eye = np.eye(a, dtype=np.int64)
+    ms = (rng.random((2, a, a)) < density).astype(np.int64)
+    return np.vstack([np.kron(eye, m.T) - np.kron(m, eye) for m in ms]), 2
+
+
+@given(st.one_of(_boundary_systems(), _tall_gf2()))
 @settings(max_examples=300, deadline=None)
 def test_rref_matches_row_loop(case):
     a, p = case
@@ -110,7 +130,7 @@ def test_rref_matches_row_loop(case):
     assert piv == want_piv
 
 
-@given(_boundary_systems())
+@given(st.one_of(_boundary_systems(), _tall_gf2()))
 @settings(max_examples=150, deadline=None)
 def test_nullspace_matches_row_loop(case):
     a, p = case

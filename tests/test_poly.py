@@ -1,12 +1,18 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from loop_reference import (
+    array_divmod, array_factor, array_gcd, array_is_irreducible, array_powmod,
+)
 from filtra.modlinalg import nullspace
-from filtra.poly import at_matrix, charpoly, divmod_poly, factor, is_irreducible, monic, mul
+from filtra.poly import (
+    at_matrix, charpoly, divmod_poly, factor, gcd, is_irreducible, monic, mul, powmod,
+)
 
 
 @st.composite
@@ -97,3 +103,49 @@ def test_irreducibility_agrees_with_factor_and_gauss():
                 count += irr
             assert count == _irreducible_count(p, d), (p, d)
     assert not is_irreducible([1], 2) and not is_irreducible([], 2)
+
+
+# small primes, the ends of the uint16 working dtype of the `rref` under
+# Berlekamp's nullspace, and the largest prime the library takes
+POLY_PRIMES = [2, 3, 5, 7, 251, 257, 65521]
+
+
+@st.composite
+def _unreduced_pairs(draw, primes=POLY_PRIMES):
+    """A prime and two polynomials of degree <= 12 with unreduced
+    coefficients in [-p, 2p), so that leading terms may vanish mod p."""
+    p = draw(st.sampled_from(primes))
+    coeffs = st.lists(st.integers(-p, 2 * p - 1), max_size=13)
+    return p, draw(coeffs), draw(coeffs)
+
+
+def _same(got, want) -> bool:
+    return got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+@given(_unreduced_pairs(), st.integers(0, 70000))
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_matches_array_reference(case, e):
+    p, f, g = case
+    assert is_irreducible(f, p) == array_is_irreducible(f, p)
+    assert _same(gcd(f, g, p), array_gcd(f, g, p))
+    if not any(c % p for c in g):
+        with pytest.raises(ZeroDivisionError):
+            divmod_poly(f, g, p)
+        return
+    assert all(map(_same, divmod_poly(f, g, p), array_divmod(f, g, p)))
+    assert _same(powmod(f, e, g, p), array_powmod(f, e, g, p))
+
+
+# Berlekamp tries every s in Z_p for each split, which the array reference
+# pays about 30 us apiece: 7 s for x^2 - 1 at p = 65521.  That prime is
+# pinned to a degree-12 polynomial with factors of degrees 1, 5 and 6
+# instead of drawn; the splits are drawn at 251 and 257.
+@given(_unreduced_pairs(POLY_PRIMES[:-1]))
+@settings(max_examples=200, deadline=None)
+@example((65521, [-51679, 41162, -40013, 82773, 120885, 127001, 56718, 105161, 7009,
+                  -36874, 34999, 21700, 64769], []))
+def test_factor_matches_array_reference(case):
+    p, f, _ = case
+    got, want = factor(f, p), array_factor(f, p)
+    assert len(got) == len(want) and all(map(_same, got, want))
