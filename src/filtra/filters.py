@@ -163,22 +163,19 @@ def verify_axioms(f: Filter) -> AxiomReport:
         last = f.support[f.keys[-1]] if f.keys else full
         if not last.is_trivial():
             v.append(("not_eventually_trivial",))
-    # each distinct (phi_s, phi_t, phi_{s+t}) is checked once; the memo
-    # holds the objects whose ids it keys
-    seen: dict[tuple[int, int, int], tuple] = {}
+    # each distinct (phi_s, phi_t, phi_{s+t}) is checked once
+    seen: dict[tuple[Subgroup, Subgroup, Subgroup], tuple[bool, bool]] = {}
     values = [f.at(s) for s in f.keys]
     for s, a in zip(f.keys, values):
         for t, b in zip(f.keys, values):
             target = f.at(monoid.add(s, t))
-            key = (id(a), id(b), id(target))
-            held = seen.get(key)
+            held = seen.get((a, b, target))
             if held is None:
-                comm = commutator_subgroup(a, b)
-                held = seen[key] = (a, b, target, target.contains(comm),
-                                    a.contains(target) and b.contains(target))
-            if not held[3]:
+                held = seen[a, b, target] = (target.contains(commutator_subgroup(a, b)),
+                                             a.contains(target) and b.contains(target))
+            if not held[0]:
                 v.append(("commutator_inclusion", s, t))
-            if not held[4]:
+            if not held[1]:
                 v.append(("intersection_inclusion", s, t))
     return AxiomReport(ok=not v, violations=v)
 
@@ -204,16 +201,11 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
     The domain indices are one int array G, sorted, so the decompositions
     s = t + x of a popped s are the rows of s - G that are >= 0, in the
     order of G, and its pushes are the rows of s + G.  Each piece of group
-    work is done once per call: ``is_normal`` once per domain object,
-    [pi_t, dom x] once per pair of objects, and each step of the fold
-    once per (value so far, part) pair of objects.  A part already in the
-    list of s is left out, as joining it again returns the value
-    unchanged.  Each memo holds the objects whose ids it keys, since
-    CPython reuses the id of a freed object.  They are keyed by identity,
-    not by equality: equal subgroups can carry different generator lists,
-    and which list is printed depends on the object, so neither merging
-    equal values nor keying the equality-keyed ``_comm_cache`` by identity
-    would keep the output.
+    work is done once per call, keyed by subgroup value: ``is_normal``
+    once per distinct domain value, [pi_t, dom x] once per pair through
+    the ambient group's commutator cache, and each step of the fold once
+    per (value so far, part) pair.  Equal parts of s merge, as joining a
+    part again returns the value unchanged.
     """
     dom: dict[Index, Subgroup] = {}
     for s, sub in gens.items():
@@ -223,12 +215,12 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
                 raise NotOrderReversing("index 0 must carry the full group")
             continue
         dom[s] = sub
-    normal: set[int] = set()  # ids of values in dom, which holds them
+    normal: set[Subgroup] = set()
     for s, sub in dom.items():
-        if id(sub) not in normal:
+        if sub not in normal:
             if not is_normal(sub):
                 raise NonNormalGenerator(f"generator at {s} is not normal")
-            normal.add(id(sub))
+            normal.add(sub)
     items = sorted(dom)
     if not items:
         # nothing generates: trivial at every nonzero index
@@ -242,8 +234,7 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
     by_head: dict[Index, list[int]] = {}
     trivial_mins: list[Index] = []
     mins = np.empty((0, dim), dtype=np.int64)  # trivial_mins as an array
-    comms: dict[tuple[int, int], tuple[Subgroup, Subgroup, Subgroup]] = {}
-    joins: dict[tuple[int, int], tuple[Subgroup, Subgroup, Subgroup]] = {}
+    joins: dict[tuple[Subgroup, Subgroup], Subgroup] = {}
     trivial = ambient.trivial_subgroup()
 
     def lookup(t: Index) -> Subgroup | None:
@@ -273,23 +264,19 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
         xs = np.flatnonzero((diff >= 0).all(axis=1))
         rows = diff[xs]
         cut = _below(rows, mins).tolist()  # each t = s - x
-        parts: dict[int, Subgroup] = {id(dom[s]): dom[s]} if s in dom else {}
+        parts: dict[Subgroup, None] = {dom[s]: None} if s in dom else {}
         for x, t, below in zip(xs.tolist(), map(tuple, rows.tolist()), cut):
             if below or not any(t):
                 continue
             pt = lookup(t)
-            if pt is None:
-                continue
-            held = comms.get((id(pt), id(vals[x])))
-            if held is None:
-                held = comms[id(pt), id(vals[x])] = (pt, vals[x], commutator_subgroup(pt, vals[x]))
-            parts.setdefault(id(held[2]), held[2])
+            if pt is not None:
+                parts[commutator_subgroup(pt, vals[x])] = None
         value = trivial
-        for part in parts.values():
-            step = joins.get((id(value), id(part)))
+        for part in parts:
+            step = joins.get((value, part))
             if step is None:
-                step = joins[id(value), id(part)] = (value, part, join(value, part))
-            value = step[2]
+                step = joins[value, part] = join(value, part)
+            value = step
         if value.is_trivial():
             trivial_mins.append(s)  # no recorded minimal divides s: checked on popping it
             mins = np.array(trivial_mins, dtype=np.int64)
@@ -336,6 +323,6 @@ def filter_to_json(f: Filter) -> dict:
         terms.append({
             "index": list(s),
             "order_exp": sub.order_exp(),
-            "generators": [[int(x) for x in g.reshape(-1)] for g in sub.generators],
+            "generators": sub.canonical().reshape(sub.order_exp(), -1).tolist(),
         })
     return {"dim": f.dim, "terms": terms, "length": f.length()}

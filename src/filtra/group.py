@@ -20,9 +20,15 @@ every element of H is h_1^e_1 ... h_n^e_n (depths ascending) for unique
 0 <= e_i < p, so |H| = p^n.  Sifting x (multiplying it by h^-e at each
 depth, e its entry there) yields those exponents and a residue that is 1
 exactly when x lies in H, with one batched product per depth for a stack.
-Membership, order, equality, joins, commutator and power subgroups,
-normality and section coordinates all sift.  The ambient group owns the
-order cap, and every later subgroup lies inside it.
+Membership, order, joins, commutator and power subgroups, normality and
+section coordinates all sift.  The ambient group owns the order cap, and
+every later subgroup lies inside it.
+
+The sequence and the kept generators depend on how H was reached.  Its
+canonical sequence does not: the element of H at each of its depths whose
+entries at the other depths are 0, the analogue of an rref basis (Holt,
+Eick, O'Brien, Handbook of Computational Group Theory, 8.3).  H prints,
+hashes and compares by it.
 
 Commutator subgroups use the normal-closure identity
 [<S>,<T>] = <[s,t] : s in S, t in T>^<S,T> (conjugation by the generators
@@ -206,18 +212,23 @@ class UnipotentGroup:
 class Subgroup:
     """A subgroup of a UnipotentGroup, held as a polycyclic sequence:
     elements ``_seq`` in flag coordinates, their ascending ``_depths``, and
-    their tables ``_inv`` of h^0, h^-1, ..., h^-(p-1) (uint8).  Subgroups
-    are equal when they have the same order and one holds the other's
-    generators, and hash by (p, degree, order).
+    their tables ``_inv`` of h^0, h^-1, ..., h^-(p-1) (uint8).
+
+    The kept ``generators`` and ``_seq`` depend on how the subgroup was
+    reached; its canonical sequence (``canonical``) does not.  Subgroups
+    are equal, and hash alike, when their ambient groups share p, degree
+    and flag basis and their canonical sequences are equal; the bytes of
+    all four are formed once per subgroup.
     """
 
-    __slots__ = ("parent", "generators", "_depths", "_seq", "_inv")
+    __slots__ = ("parent", "generators", "_depths", "_seq", "_inv", "_canon", "_canon_key")
 
     def __init__(self, parent: UnipotentGroup, generators, depths: list[int],
                  seq: list[np.ndarray], inv: list[np.ndarray]):
         self.parent = parent
         self.generators = [np.mod(np.asarray(g, dtype=np.int64), parent.p) for g in generators]
         self._depths, self._seq, self._inv = depths, seq, inv
+        self._canon = self._canon_key = None
 
     def order(self) -> int:
         return self.parent.p ** len(self._depths)
@@ -228,13 +239,17 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return not self._depths
 
-    def _sift(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _sift(self, x: np.ndarray, own: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Exponents (k, len) and residues (k, d, d) of a flag-coordinate
-        stack x, which is sifted in place: x = h_1^e_1 ... h_n^e_n r."""
+        stack x, which is sifted in place: x = h_1^e_1 ... h_n^e_n r.
+        With ``own``, x is a copy of the sequence and element k skips
+        depth k, so that it keeps its leading entry."""
         parent = self.parent
         exps = np.zeros((len(x), len(self._depths)), dtype=np.int64)
         for k, (depth, inv) in enumerate(zip(self._depths, self._inv)):
             e = x[:, parent._rows[depth], parent._cols[depth]].copy()
+            if own:
+                e[k] = 0
             hit = np.flatnonzero(e)
             if hit.size:
                 x[hit] = inv[e[hit]] @ x[hit] % parent.p
@@ -265,11 +280,36 @@ class Subgroup:
             acc = inv[e[..., k]] @ acc % p
         return _conj(self.parent, batch_inv(acc, p), back=True)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subgroup) and self._key() == other._key() and self.contains(other)
+    def _canonical(self) -> np.ndarray:
+        """The canonical sequence, a (len, d, d) int64 stack in flag
+        coordinates: at each depth of the sequence, the element of the
+        subgroup with entry 1 there and 0 at the sequence's other depths.
+        A left product by a power of h keeps the entries before h's depth,
+        so sifting the sequence through itself, each element skipping its
+        own depth, clears them in one pass.  Two such elements at one depth
+        differ by an element whose leading entry, at a depth of the
+        sequence, is the difference of theirs, 0; so the sequence depends
+        on the subgroup alone."""
+        if self._canon is None:
+            d = self.parent.degree
+            seq = np.array(self._seq, dtype=np.int64).reshape(-1, d, d)
+            self._canon = self._sift(seq, own=True)[1]
+        return self._canon
 
-    def _key(self) -> tuple[int, int, int]:
-        return self.parent.p, self.parent.degree, len(self._depths)
+    def canonical(self) -> np.ndarray:
+        """The canonical sequence in input coordinates, as a fresh stack."""
+        return _conj(self.parent, self._canonical(), back=True)
+
+    def _key(self) -> tuple:
+        if self._canon_key is None:
+            parent = self.parent
+            flag = b"" if parent._flag is None else parent._flag.tobytes()
+            self._canon_key = (parent.p, parent.degree, flag,
+                               self._canonical().astype(np.uint8).tobytes())
+        return self._canon_key
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Subgroup) and (self is other or self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())

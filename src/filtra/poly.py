@@ -124,30 +124,6 @@ def degree(f) -> int:
     return len(f) - 1
 
 
-def monic(f, p: int) -> np.ndarray:
-    return _arr(_monic(_ints(f, p), p))
-
-
-def mul(f, g, p: int) -> np.ndarray:
-    return _arr(_mul(_ints(f, p), _ints(g, p), p))
-
-
-def divmod_poly(f, g, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient and remainder of f by a nonzero g."""
-    q, r = _divmod(_ints(f, p), _ints(g, p), p)
-    return _arr(q), _arr(r)
-
-
-def gcd(f, g, p: int) -> np.ndarray:
-    """Monic greatest common divisor (zero when both are zero)."""
-    return _arr(_gcd(_ints(f, p), _ints(g, p), p))
-
-
-def powmod(f, e: int, g, p: int) -> np.ndarray:
-    """f^e mod g by square-and-multiply."""
-    return _arr(_powmod(_ints(f, p), e, _ints(g, p), p))
-
-
 def at_matrix(f, b: np.ndarray, p: int) -> np.ndarray:
     """f(b) for a square matrix b, by Horner's rule."""
     n = b.shape[0]
@@ -233,7 +209,8 @@ def _berlekamp(f: list[int], d: int, p: int) -> list[list[int]]:
         q[i, : len(row)] = row
         row = _divmod(_mul(row, xp, p), f, p)[1]
     factors = [f]
-    for h in nullspace((q - np.eye(k, dtype=np.int64)).T, p):
+    # the first row of the rref basis is the constant 1, which splits nothing
+    for h in nullspace((q - np.eye(k, dtype=np.int64)).T, p)[1:]:
         if len(factors) == r:
             break
         h = _trim(h.tolist())

@@ -11,8 +11,35 @@ from loop_reference import (
 )
 from filtra.modlinalg import nullspace
 from filtra.poly import (
-    at_matrix, charpoly, divmod_poly, factor, gcd, is_irreducible, monic, mul, powmod,
+    _arr, _divmod, _gcd, _ints, _monic, _mul, _powmod, at_matrix, charpoly, factor,
+    is_irreducible,
 )
+
+
+# The list arithmetic inside filtra.poly on array-likes, as the array
+# reference in loop_reference takes and returns them.
+def monic(f, p: int) -> np.ndarray:
+    return _arr(_monic(_ints(f, p), p))
+
+
+def mul(f, g, p: int) -> np.ndarray:
+    return _arr(_mul(_ints(f, p), _ints(g, p), p))
+
+
+def divmod_poly(f, g, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of f by a nonzero g."""
+    q, r = _divmod(_ints(f, p), _ints(g, p), p)
+    return _arr(q), _arr(r)
+
+
+def gcd(f, g, p: int) -> np.ndarray:
+    """Monic greatest common divisor (zero when both are zero)."""
+    return _arr(_gcd(_ints(f, p), _ints(g, p), p))
+
+
+def powmod(f, e: int, g, p: int) -> np.ndarray:
+    """f^e mod g by square-and-multiply."""
+    return _arr(_powmod(_ints(f, p), e, _ints(g, p), p))
 
 
 @st.composite
