@@ -579,14 +579,14 @@ class SectionBasis:
     ``join_powers(B, A)``, which is B itself for every section of an eta or
     kappa filter.
 
-    The reps r_1..r_j (``reps``, one int64 stack) are A's generators, in
-    order, that enlarge B' and the reps before them, so A is grown from B'
-    by ``reduced_generators``, which keeps B''s sequence and adds an element
-    a_k at each new depth.  As B' is the kernel of the abelian A -> A/B', an
-    element with exponents e maps to sum_k e_k [a_k] over the new depths,
-    and the inverse of the reps' exponent matrix turns those exponents into
-    coordinates in the reps.  The lift of c is r_1^c_1 ... r_j^c_j, from
-    per-rep power tables.
+    B''s sequence, with A's own elements at the depths B' lacks, is a
+    sequence of A: an element of A with leading entry 1 at each of A's n
+    depths, so its p^n products are distinct and are all of A.  The reps
+    r_1..r_j (``reps``, an int64 stack in input coordinates) are A's
+    elements at those depths, a pcgs of A modulo B' (Holt, Eick, O'Brien,
+    Handbook, 8.3).  As B' is the kernel of the abelian A -> A/B', an
+    element's coordinates are its exponents at the reps' depths.  The lift
+    of c is r_1^c_1 ... r_j^c_j, from per-rep power tables.
     """
 
     def __init__(self, num: Subgroup, den: Subgroup):
@@ -603,13 +603,13 @@ class SectionBasis:
         # B' = B when the sift above also holds A's generator p-th powers;
         # otherwise join_powers enumerates A's p-th powers
         self.den = den if held.all() else join_powers(den, num)
-        self._grown = reduced_generators(parent, num.generators, base=self.den)
-        self.reps = _stack(self._grown.generators[len(self.den.generators):], d)
+        at = dict(zip(self.den._depths, zip(self.den._seq, self.den._inv)))
+        pairs = [at.get(depth, pair) for depth, pair in zip(num._depths, zip(num._seq, num._inv))]
+        self._pcgs = Subgroup(parent, num.generators, num._depths,
+                              [s for s, _ in pairs], [t for _, t in pairs])
+        self._new = [k for k, depth in enumerate(num._depths) if depth not in at]
+        self.reps = _conj(parent, _stack([num._seq[k] for k in self._new], d), back=True)
         self.dim = len(self.reps)
-        self._new = [k for k, depth in enumerate(self._grown._depths)
-                     if depth not in self.den._depths]
-        exps = self._grown._sift(_conj(parent, self.reps))[0]
-        self._change = inv_matrix(exps[:, self._new], p)
         self._lifts = [_power_table(r, p) for r in self.reps]
 
     def coordinatize(self, m):
@@ -625,9 +625,9 @@ class SectionBasis:
         m = np.asarray(m, dtype=np.int64)
         if m.shape[-2:] != (d, d):
             raise DimensionMismatch(f"matrix shape {m.shape[-2:]}, expected {(d, d)}")
-        exps, res = self._grown._sift(_conj(self.parent, m.reshape(-1, d, d)))
+        exps, res = self._pcgs._sift(_conj(self.parent, m.reshape(-1, d, d)))
         inside = _is_one(res)
-        coords = np.where(inside[:, None], exps[:, self._new] @ self._change % self.p, 0)
+        coords = np.where(inside[:, None], exps[:, self._new], 0)
         if m.ndim == 2:
             if not inside[0]:
                 raise ValueError("element is not in the section numerator")

@@ -180,9 +180,10 @@ def tensor_from_json(data: dict, p: int) -> np.ndarray:
     return t % p
 
 
-# refined kappa filters at p = 3 that break the lex descent: the first records
-# the trivial index (2, 2) before the nontrivial key (3, 0); in the second the
-# value at (3, 0) is not inside its predecessor (an open defect of generate)
+# refined kappa filters that break the lex descent (an open defect of
+# generate): LEX_HOLE records the trivial index (2, 2) before the nontrivial
+# key (3, 0); in CHAIN_BREAK the value at (3, 0) is not inside its
+# predecessor; J5, at p = 2 and with flag basis I, records (3, 1) before (4, 0)
 LEX_HOLE = {"p": 3, "degree": 5, "generators": [
     [1, 2, 2, 1, 0, 0, 2, 1, 2, 0, 0, 1, 2, 2, 0, 0, 2, 2, 2, 0, 0, 0, 0, 0, 1],
     [1, 1, 0, 1, 1, 0, 1, 2, 2, 1, 0, 1, 0, 0, 2, 0, 1, 1, 0, 0, 0, 2, 0, 2, 0],
@@ -191,3 +192,8 @@ CHAIN_BREAK = {"p": 3, "degree": 5, "generators": [
     [1, 2, 0, 0, 0, 0, 1, 2, 0, 2, 0, 0, 1, 1, 1, 0, 0, 0, 1, 2, 0, 0, 0, 0, 1],
     [1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1],
     [1, 0, 2, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 2, 2, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1]]}
+# I + N (N the superdiagonal of ones), I + E_02 and I + E_14 over F_2: order 64
+J5 = {"p": 2, "degree": 5, "name": "J5", "generators": [
+    [1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1],
+    [1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1],
+    [1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1]]}

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import CHAIN_BREAK, LEX_HOLE
+from conftest import CHAIN_BREAK, J5, LEX_HOLE
 from filtra.cli import main
 from filtra.group import MAX_DEGREE, group_to_spec, make_ut
 
@@ -252,6 +252,41 @@ def test_golden_stdout(args, want):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+def transposed_ut(d: int, p: int) -> dict:
+    """The spec of UT(d, p) with every generator transposed: a lower
+    unitriangular group, whose flag basis is not the identity."""
+    spec = group_to_spec(make_ut(d, p))
+    spec["generators"] = [[gen[j * d + i] for i in range(d) for j in range(d)]
+                          for gen in spec["generators"]]
+    return spec | {"name": f"UT({d},{p})^T"}
+
+
+# a group given up to conjugation: its first gamma section has B' != B
+DJ5 = {"p": 2, "degree": 5, "name": "dJ5", "generators": [
+    [0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1],
+    [0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1],
+    [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1]]}
+
+# sha256 of stdout on group files whose flag basis is not the identity, where
+# a section's choice of reps must not reach the printed subgroups
+SPEC_GOLDEN = [
+    (LEX_HOLE, ("refine", "--series", "eta", "--method", "centroid", "--check"),
+     "f172e5016a068527a87fca385fa71f412af700e32c491622b82acf87f095011c"),
+    (DJ5, ("refine", "--check"),
+     "a5f75ca0c6704dbf12e22189d2da9c7d31334c2f89b4a306cdc81573f3ce1f5b"),
+    (transposed_ut(6, 2), ("refine", "--check"),
+     "70b1a514f055942bc984345258f1533787f0a0839fd7795c01ccd99379635f6b"),
+]
+
+
+@pytest.mark.parametrize("spec,args,want", SPEC_GOLDEN,
+                         ids=["LEX_HOLE eta centroid", "dJ5", "UT(6,2)^T"])
+def test_golden_stdout_on_group_files(tmp_path, spec, args, want):
+    code, out, err = run_cli(*args, "--group", write_spec(tmp_path, spec))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_out_file(tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run_cli("series", "--ut", "3", "2", "--out", str(path))
@@ -314,12 +349,27 @@ def test_trivial_group_refine_rounds(tmp_path):
 @pytest.mark.parametrize("spec,violation", [
     (LEX_HOLE, "('lex_hole', (2, 2), (3, 0))"),
     (CHAIN_BREAK, "('order_reversal', (3, 0))"),
-], ids=["lex_hole", "chain_break"])
+    (J5, "('lex_hole', (3, 1), (4, 0))"),
+], ids=["lex_hole", "chain_break", "j5"])
 def test_refine_check_rejects_broken_lex_descent(tmp_path, spec, violation):
     path = write_spec(tmp_path, spec)
     code, out, err = run_cli("refine", "--series", "kappa", "--check", "--group", path)
     assert (code, out) == (2, "")
     assert violation in err
+
+
+@pytest.mark.parametrize("method", ["centroid", "derivation"])
+def test_j5_lex_hole_under_every_method(tmp_path, method):
+    # the p = 2 case of the lex-descent defect: --check rejects it under
+    # every method, and without --check the broken filter is printed
+    path = write_spec(tmp_path, J5)
+    args = ("refine", "--series", "kappa", "--method", method, "--group", path)
+    code, out, err = run_cli(*args, "--check")
+    assert (code, out) == (2, "")
+    assert "('lex_hole', (3, 1), (4, 0))" in err
+    code, out, err = run_cli(*args)
+    assert code == 0, err
+    assert json.loads(out)["filter"]["length"] == 4
 
 
 def test_nameless_group_file_summary_names_path(tmp_path):

@@ -203,6 +203,17 @@ def test_section_basis_eta_den_includes_powers():
     assert sec.dim == 2
 
 
+def test_section_sifts_through_the_denominators_elements():
+    # B = <e01 e12> meets depth (0, 1) in e01 e12, not in A's sequence
+    # element e01 there; e01 = e12 mod B, so both have coordinate 1
+    g = ut(3, 2)
+    e01, e12 = transvection(3, 0, 1), transvection(3, 1, 2)
+    sec = SectionBasis(g.full_subgroup(), subgroup(g, [e01 @ e12 % 2]))
+    assert sec.dim == 1 and np.array_equal(sec.reps, e12[None])
+    coords, inside = sec.coordinatize(np.stack([e01, e12, e01 @ e12 % 2]))
+    assert inside.all() and coords.tolist() == [[1], [1], [0]]
+
+
 def test_section_coordinatize_lift_roundtrip():
     g = ut(4, 2)
     gam = lower_central_series(g)
@@ -299,23 +310,20 @@ def test_section_tables_match_closure_oracle(group_name, series):
         lifts = np.array([sec.lift(c) for c in coords])
         quot = batch_mul(mats, batch_inv(lifts, p), p).astype(np.uint8)
         assert all(q.tobytes() in den_keys for q in quot)
-        # the reps are A's generators outside the closure of B' and the reps before them
-        reps = []
-        for gen in num.generators:
-            _, covered = _bfs_closure(p, g.degree, den.generators + reps, g.cap)
-            if gen.astype(np.uint8).tobytes() not in covered:
-                reps.append(gen)
-        assert len(reps) == sec.dim
-        assert all(np.array_equal(a, b) for a, b in zip(reps, sec.reps))
+        # the reps are A's sequence elements, in depth order, at the depths
+        # that B' lacks, and each coordinatizes to a unit vector
+        new = [k for k, depth in enumerate(num._depths) if depth not in den._depths]
+        assert len(new) == sec.dim
+        reps = num.elements(np.eye(num.order_exp(), dtype=np.int64)[new])
+        assert np.array_equal(reps, sec.reps)
+        assert np.array_equal(sec.coordinatize(reps)[0], np.eye(sec.dim, dtype=np.int64))
         # lift(c) is r_1^c_1 ... r_j^c_j
         for c in {tuple(c) for c in coords.tolist()}:
             want = np.eye(g.degree, dtype=np.int64)
             for r, k in zip(reps, c):
                 want = want @ np.linalg.matrix_power(r, k) % p
             assert np.array_equal(sec.lift(c), want)
-        # the reps are a basis, and coordinates add under multiplication
-        for i, r in enumerate(sec.reps):
-            assert np.array_equal(sec.coordinatize(r), np.eye(sec.dim, dtype=np.int64)[i])
+        # coordinates add under multiplication
         rng = np.random.default_rng(num.order())
         for i, j in rng.integers(0, num.order(), (8, 2)):
             prod = batch_mul(mats[i], mats[j], p)
@@ -346,9 +354,11 @@ def test_section_basis_matches_byte_least_reference(group_name, series):
 
 
 def assert_section_matches_coset_layout(sec, mats):
-    """Coordinates from exponents and lifts from power tables equal, bit for
-    bit, those read off the coset layout of A grown from B', on every
-    matrix of ``mats`` and every coordinate vector."""
+    """The section agrees with the coset layout of A grown from B' up to a
+    change of basis, on every matrix of ``mats`` and every coordinate
+    vector: the same inside masks, new coordinates equal to the layout's
+    times M, where row i of M is the new coordinates of layout rep i and M
+    is invertible, and lifts of matching coordinates in one coset of B'."""
     p, d, dim = sec.p, sec.parent.degree, sec.dim
     num, den = (coset_reduced(p, d, sub.generators) for sub in (sec.num, sec.den_given))
     old = CosetSection(CosetSubgroup(p, sec.num.generators, num.rows, num.keys),
@@ -356,14 +366,17 @@ def assert_section_matches_coset_layout(sec, mats):
     assert old.den.keys == keys_of(sec.den)
     assert all(np.array_equal(a, b) for a, b in zip(old.den.generators, sec.den.generators))
     assert len(old.reps) == dim
-    assert all(np.array_equal(a, b) for a, b in zip(old.reps, sec.reps))
+    change, rep_inside = sec.coordinatize(np.array(old.reps, dtype=np.int64).reshape(dim, d, d))
+    assert rep_inside.all() and len(rref(change, p)[1]) == dim
     got, inside = sec.coordinatize(mats)
     want, want_inside = old.coordinatize(mats)
     assert np.array_equal(inside, want_inside)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == want.dtype and np.array_equal(got, want @ change % p)
     coords = np.array(list(product(range(p), repeat=dim)), dtype=np.int64).reshape(p ** dim, dim)
-    got, want = sec.lift(coords), old.lift(coords)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    got, want = sec.lift(coords @ change % p), old.lift(coords)
+    assert got.dtype == want.dtype
+    quot = batch_mul(want, batch_inv(got, p), p).astype(np.uint8)
+    assert all(q.tobytes() in old.den.keys for q in quot)
 
 
 @pytest.mark.parametrize("series", sorted(FILTERS))
@@ -381,18 +394,25 @@ def test_section_matches_coset_layout_reference(group_name, series):
 def test_section_preimage_matches_closure_oracle(group_name, series):
     rng = np.random.default_rng(1)
     for sec in filter_sections(group_name, series):
-        g, p, dim = sec.parent, sec.p, sec.dim
-        spaces = [Subspace(p, dim, None), Subspace(p, dim, np.eye(dim, dtype=np.int64)),
-                  Subspace(p, dim, rng.integers(0, p, (max(dim // 2, 1), dim)))]
-        for space in spaces:
-            got = sec.preimage(space)
-            gens = sec.den.generators + [sec.lift(v) for v in space.basis]
-            _, want = _bfs_closure(p, g.degree, gens, g.cap)
-            assert keys_of(got) == want
-            assert got.order() == sec.den.order() * p ** space.dim
-            inside = {m.astype(np.uint8).tobytes() for m in elements(sec.num)
-                      if space.contains(sec.coordinatize(m))}
-            assert keys_of(got) == inside
+        assert_preimages_match_closure(sec, rng)
+
+
+def assert_preimages_match_closure(sec, rng):
+    """The preimages of the zero space, the whole space and a random
+    subspace equal the closure of B' and the lifts of a basis, and the
+    elements of A whose coordinates lie in the subspace."""
+    g, p, dim = sec.parent, sec.p, sec.dim
+    spaces = [Subspace(p, dim, None), Subspace(p, dim, np.eye(dim, dtype=np.int64)),
+              Subspace(p, dim, rng.integers(0, p, (max(dim // 2, 1), dim)))]
+    for space in spaces:
+        got = sec.preimage(space)
+        gens = sec.den.generators + [sec.lift(v) for v in space.basis]
+        _, want = _bfs_closure(p, g.degree, gens, g.cap)
+        assert keys_of(got) == want
+        assert got.order() == sec.den.order() * p ** space.dim
+        inside = {m.astype(np.uint8).tobytes() for m in elements(sec.num)
+                  if space.contains(sec.coordinatize(m))}
+        assert keys_of(got) == inside
 
 
 def test_section_rejects_non_normal_denominator():
@@ -793,8 +813,8 @@ def test_sequences_match_coset_extension_reference(case, split):
 @settings(max_examples=40, deadline=None)
 @given(disguised_generators())
 def test_sections_match_coset_layout_reference_on_disguised_groups(case):
-    # random generators give reps whose exponents at the new depths are not
-    # the identity matrix, and sequence elements scaled to leading entry 1
+    # random generators give reps other than the layout's, so a change of
+    # basis M other than I, and sequence elements scaled to leading entry 1
     p, d, gens = case
     try:
         g = UnipotentGroup(p, d, gens, cap=BFS_CAP)
@@ -805,3 +825,20 @@ def test_sections_match_coset_layout_reference_on_disguised_groups(case):
         f = build(g)
         for s in f.keys:
             assert_section_matches_coset_layout(SectionBasis(f.at(s), f.plus(s)), mats)
+
+
+@settings(max_examples=30, deadline=None)
+@given(disguised_generators(), st.integers(0, 2**32 - 1))
+def test_section_preimage_matches_closure_oracle_on_disguised_groups(case, seed):
+    # the reps, and so the lifts, are sequence elements in flag coordinates
+    # taken back to input coordinates
+    p, d, gens = case
+    try:
+        g = UnipotentGroup(p, d, gens, cap=BFS_CAP)
+    except CapExceeded:
+        return
+    rng = np.random.default_rng(seed)
+    for build in FILTERS.values():
+        f = build(g)
+        for s in f.keys:
+            assert_preimages_match_closure(SectionBasis(f.at(s), f.plus(s)), rng)
