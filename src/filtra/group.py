@@ -34,12 +34,12 @@ Commutator subgroups use the normal-closure identity
 [<S>,<T>] = <[s,t] : s in S, t in T>^<S,T> (conjugation by the generators
 suffices).  Products C H^p with C normalized by H (the eta and Jennings
 series steps, and the denominator of a section) go through
-``join_powers`` in three steps.  The answer is C when H's generator
-commutators and p-th powers lie in C.  When some generator p-th power lies
-outside C, ``power_subgroup`` lists the elements of H.  Otherwise, for odd
-p, the answer is C when HC/C has class < p (P. Hall's regular p-groups),
-and H is listed only when it has not.  That listing, in blocks of bounded
-size, is the one place where a subgroup's elements are formed.
+``join_powers``, which decides them from H's generators.  When HC/C is
+abelian, as in every eta step and every section, C H^p is C grown by H's
+generator p-th powers.  Otherwise, for odd p, it is C when those powers lie
+in C and HC/C has class < p (P. Hall's regular p-groups).  Only a Jennings
+step that neither decides lists the elements of H, in blocks of bounded
+size: the one place where a subgroup's elements are formed.
 """
 
 from __future__ import annotations
@@ -450,37 +450,35 @@ def power_subgroup(a: Subgroup, k: int) -> Subgroup:
         keys = np.unique(np.concatenate([keys, powers.view(keys.dtype).ravel()]))
     powers = keys.view(np.uint8).reshape(-1, d, d).astype(np.int64)
     back = _conj(parent, powers, back=True).reshape(-1, d * d)
-    # sorted by their bytes, so that the kept generators (printed for
-    # kappa terms) do not depend on the order of the elements
+    # sorted by their bytes, so that the kept generators, and so the work
+    # that later steps do with them, do not depend on the order of the elements
     return reduced_generators(parent, back[np.lexsort(back.T[::-1])])
 
 
 def join_powers(c: Subgroup, h: Subgroup) -> Subgroup:
-    """C H^p for a subgroup C normalized by H; equal to
-    ``join(c, power_subgroup(h, p))``, generators included.
+    """C H^p for a subgroup C normalized by H; the subgroup
+    ``join(c, power_subgroup(h, p))``.
 
-    With Q = HC/C, three steps decide it from H's generators:
+    With Q = HC/C, two steps decide it from H's generators:
 
-    1. Every generator commutator and generator p-th power of H lies in C.
-       Q is elementary abelian, so H^p <= C.
-    2. Some generator p-th power lies outside C, and so H^p does.  The
-       p-th powers of all elements of H are formed.
-    3. Otherwise, for odd p, Q is generated by elements of order p.  When
-       Q has class < p (``_class_below_p``), Q is regular (P. Hall 1934;
-       Huppert, Endliche Gruppen I, III.10), so its elements of order p
-       form a subgroup: Q has exponent p and H^p <= C.  Otherwise the
-       powers are formed.  For p = 2, class < 2 is step 1.
+    1. Every generator commutator of H lies in C, so Q is abelian and
+       (xy)^p = x^p y^p in Q.  Q^p is generated by the images of the
+       generator p-th powers, and C H^p is C grown by those outside C; C
+       itself when there are none (Huppert, Endliche Gruppen I, III.10).
+    2. Otherwise, when every generator p-th power lies in C, Q is generated
+       by elements of order p.  When Q has class < p
+       (``_class_below_p``), Q is regular (P. Hall 1934; Huppert, III.10),
+       so its elements of order p form a subgroup: Q has exponent p and
+       C H^p = C.  At p = 2, Q is not abelian here, so its class is >= 2.
 
-    When H^p <= C the answer is C itself, as ``join`` returns when its
-    first argument contains the second.
+    Only when neither decides are the p-th powers of all of H formed.
     """
-    p = h.parent.p
-    held = _held_words(c, h)
-    if held.all():
+    comms_held, outside = _held_words(c, h)
+    if comms_held.all():
+        return reduced_generators(h.parent, outside, base=c)
+    if not len(outside) and _class_below_p(c, h):
         return c
-    if p > 2 and held[len(h.generators) ** 2:].all() and _class_below_p(c, h):
-        return c
-    return join(c, power_subgroup(h, p))
+    return join(c, power_subgroup(h, h.parent.p))
 
 
 def _class_below_p(c: Subgroup, h: Subgroup) -> bool:
@@ -504,14 +502,16 @@ def _class_below_p(c: Subgroup, h: Subgroup) -> bool:
     return False
 
 
-def _held_words(c: Subgroup, h: Subgroup) -> np.ndarray:
-    """Which of H's generator commutators [h_i, h_j] (the first k^2, i
-    major) and generator p-th powers (the last k) lie in C."""
+def _held_words(c: Subgroup, h: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """Which of H's generator commutators [h_i, h_j] (i major) lie in C, and
+    the stack of H's generator p-th powers that do not; one sift for both."""
     p, degree = h.parent.p, h.parent.degree
     gens = _stack(h.generators, degree)
-    return c._holds(np.concatenate([
-        commutator(gens[:, None], gens[None], p).reshape(-1, degree, degree),
-        _powers(gens, p, p)]))
+    k = len(gens)
+    powers = _powers(gens, p, p)
+    held = c._holds(np.concatenate([
+        commutator(gens[:, None], gens[None], p).reshape(-1, degree, degree), powers]))
+    return held[:k * k], powers[~held[k * k:]]
 
 
 def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
@@ -524,50 +524,38 @@ def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
     return bool(sub._holds(ys.reshape(-1, degree, degree)).all())
 
 
-def _descend(g: UnipotentGroup, step, stall: str) -> list[Subgroup]:
-    """G, step(G, G), step(G, step(G, G)), ... until 1; nontrivial terms only."""
+def _series(g: UnipotentGroup, source=None) -> list[Subgroup]:
+    """term_1 = G, term_i = [G, term_(i-1)] term_source(i)^p, with no power
+    factor when ``source`` is None, until 1; nontrivial terms only.
+
+    A term may equal the next (Jennings' series plateaus between p-power
+    jumps), but every series reaches 1 within 4 log_p|G| + 4 steps; the
+    bound guards against a recursion that does not terminate."""
     top = g.full_subgroup()
     terms = [top]
-    while not terms[-1].is_trivial():
-        nxt = step(top, terms[-1])
-        if nxt.order() == terms[-1].order():
-            raise NotNormal(stall)
+    for i in range(2, 4 * top.order_exp() + 5):
+        nxt = commutator_subgroup(top, terms[-1])
+        if source is not None:
+            nxt = join_powers(nxt, terms[source(i) - 1])
         if nxt.is_trivial():
-            break
+            return terms
         terms.append(nxt)
-    return terms
+    raise NotNormal("series failed to terminate")
 
 
 def lower_central_series(g: UnipotentGroup) -> list[Subgroup]:
     """gamma_1 = G, gamma_{i+1} = [G, gamma_i]; nontrivial terms only."""
-    return _descend(g, commutator_subgroup, "series failed to descend; input is not nilpotent?")
+    return _series(g)
 
 
 def exponent_p_central_series(g: UnipotentGroup) -> list[Subgroup]:
     """eta_1 = G, eta_{i+1} = [G, eta_i] * eta_i^p; nontrivial terms only."""
-    return _descend(g, lambda top, eta: join_powers(commutator_subgroup(top, eta), eta),
-                    "series failed to descend")
+    return _series(g, lambda i: i - 1)
 
 
 def jennings_series(g: UnipotentGroup) -> list[Subgroup]:
     """kappa_1 = G, kappa_i = [G, kappa_{i-1}] * kappa_{ceil(i/p)}^p."""
-    top = g.full_subgroup()
-    p = g.p
-    terms = [top]
-    # kappa may plateau (kappa_i = kappa_{i+1} between p-power jumps) but must
-    # reach 1; the bound guards against a non-terminating recursion.
-    bound = 4 * top.order_exp() + 4
-    i = 1
-    while not terms[-1].is_trivial():
-        i += 1
-        if i > bound:
-            raise NotNormal("jennings series failed to terminate")
-        half = terms[-(-i // p) - 1]
-        nxt = join_powers(commutator_subgroup(top, terms[-1]), half)
-        if nxt.is_trivial():
-            break
-        terms.append(nxt)
-    return terms
+    return _series(g, lambda i: -(-i // g.p))
 
 
 class SectionBasis:
@@ -575,9 +563,9 @@ class SectionBasis:
 
     Enlarging the denominator by p-th powers makes the section a Z_p
     vector space.  B must be normal in A with A/B abelian, as in every
-    filter section; both are checked on generators.  B' is
-    ``join_powers(B, A)``, which is B itself for every section of an eta or
-    kappa filter.
+    filter section; both are checked on generators.  As A/B is abelian, B'
+    is B grown by A's generator p-th powers outside B (``join_powers``,
+    step 1), which is B itself for every section of an eta or kappa filter.
 
     B''s sequence, with A's own elements at the depths B' lacks, is a
     sequence of A: an element of A with leading entry 1 at each of A's n
@@ -594,15 +582,13 @@ class SectionBasis:
         p, d = parent.p, parent.degree
         if not num.contains(den):
             raise ValueError("denominator is not inside numerator")
-        held = _held_words(den, num)
-        if not held[:len(num.generators) ** 2].all():
+        comms_held, outside = _held_words(den, num)
+        if not comms_held.all():
             raise NotAbelianSection("section numerator/denominator is not abelian")
         if not is_normal(den, num):
             raise NotNormal("section denominator is not normal in the numerator")
         self.parent, self.num, self.den_given, self.p = parent, num, den, p
-        # B' = B when the sift above also holds A's generator p-th powers;
-        # otherwise join_powers enumerates A's p-th powers
-        self.den = den if held.all() else join_powers(den, num)
+        self.den = reduced_generators(parent, outside, base=den)
         at = dict(zip(self.den._depths, zip(self.den._seq, self.den._inv)))
         pairs = [at.get(depth, pair) for depth, pair in zip(num._depths, zip(num._seq, num._inv))]
         self._pcgs = Subgroup(parent, num.generators, num._depths,

@@ -192,6 +192,22 @@ CHAIN_BREAK = {"p": 3, "degree": 5, "generators": [
     [1, 2, 0, 0, 0, 0, 1, 2, 0, 2, 0, 0, 1, 1, 1, 0, 0, 0, 1, 2, 0, 0, 0, 0, 1],
     [1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1],
     [1, 0, 2, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 2, 2, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1]]}
+
+
+def jordan_blocks(p: int, k: int, size: int) -> dict:
+    """The spec of the block-diagonal group of k copies of I + N over F_p,
+    N the size x size superdiagonal of ones: an abelian group of k cyclic
+    factors, each of order the least power of p that is >= size."""
+    d = k * size
+    gens = []
+    for b in range(k):
+        m = np.eye(d, dtype=np.int64)
+        top = np.arange(b * size, (b + 1) * size - 1)
+        m[top, top + 1] = 1
+        gens.append(m.reshape(-1).tolist())
+    return {"p": p, "degree": d, "name": f"J{size}^{k} over F{p}", "generators": gens}
+
+
 # I + N (N the superdiagonal of ones), I + E_02 and I + E_14 over F_2: order 64
 J5 = {"p": 2, "degree": 5, "name": "J5", "generators": [
     [1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1],

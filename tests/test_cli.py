@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import CHAIN_BREAK, J5, LEX_HOLE
+from conftest import CHAIN_BREAK, J5, LEX_HOLE, jordan_blocks
 from filtra.cli import main
 from filtra.group import MAX_DEGREE, group_to_spec, make_ut
 
@@ -267,8 +267,12 @@ DJ5 = {"p": 2, "degree": 5, "name": "dJ5", "generators": [
     [0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1],
     [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1]]}
 
-# sha256 of stdout on group files whose flag basis is not the identity, where
-# a section's choice of reps must not reach the printed subgroups
+# sha256 of stdout on group files.  The first three have a flag basis other
+# than I, where a section's choice of reps must not reach the printed
+# subgroups.  The Jordan-block groups are abelian with generator p-th powers
+# outside 1 (the gamma section G/1 of J5^3 has B' != B): their eta steps and
+# sections grow C by H's generator p-th powers, and these digests were taken
+# when those products listed every element of H.
 SPEC_GOLDEN = [
     (LEX_HOLE, ("refine", "--series", "eta", "--method", "centroid", "--check"),
      "f172e5016a068527a87fca385fa71f412af700e32c491622b82acf87f095011c"),
@@ -276,11 +280,20 @@ SPEC_GOLDEN = [
      "a5f75ca0c6704dbf12e22189d2da9c7d31334c2f89b4a306cdc81573f3ce1f5b"),
     (transposed_ut(6, 2), ("refine", "--check"),
      "70b1a514f055942bc984345258f1533787f0a0839fd7795c01ccd99379635f6b"),
+    (jordan_blocks(2, 3, 5), ("series", "--series", "eta"),
+     "9b7c9da8e127de33b4a469d2c770c937693da5300dcd02c6de7227459fec3c2a"),
+    (jordan_blocks(2, 3, 5), ("refine", "--check"),
+     "2f929df104b4586542cd98b2ab898db34329923147a83533d26a0aba0540142f"),
+    (jordan_blocks(3, 3, 4), ("fingerprint",),
+     "e521ac6fecf2f5940d896a241e26b5e4fc9b5721a966dd7f6ad9486fafb179c7"),
+    (jordan_blocks(3, 3, 4), ("refine", "--series", "eta", "--check"),
+     "d5dcab0f09470d27998fa0a2899f9d10765c22282c2627268ae0a002127168bf"),
 ]
 
 
 @pytest.mark.parametrize("spec,args,want", SPEC_GOLDEN,
-                         ids=["LEX_HOLE eta centroid", "dJ5", "UT(6,2)^T"])
+                         ids=["LEX_HOLE eta centroid", "dJ5", "UT(6,2)^T", "J5^3 eta series",
+                              "J5^3 refine", "J4^3 fingerprint", "J4^3 eta refine"])
 def test_golden_stdout_on_group_files(tmp_path, spec, args, want):
     code, out, err = run_cli(*args, "--group", write_spec(tmp_path, spec))
     assert code == 0, err

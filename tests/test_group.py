@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import elements, hei, keys_of, named_hei, named_ring, pattern_keys, subgroup, ut
+from conftest import (elements, hei, jordan_blocks, keys_of, named_hei, named_ring, pattern_keys,
+                      subgroup, ut)
 from loop_reference import (
     ByteLeastSection,
     CosetSection,
@@ -45,6 +46,7 @@ from filtra.group import (
     reduced_generators,
 )
 from filtra.modlinalg import Subspace, inv_matrix, rref
+from filtra.refine import METHODS, refine_stable
 
 
 def transvection(d, i, j, val=1):
@@ -364,7 +366,6 @@ def assert_section_matches_coset_layout(sec, mats):
     old = CosetSection(CosetSubgroup(p, sec.num.generators, num.rows, num.keys),
                        CosetSubgroup(p, sec.den_given.generators, den.rows, den.keys))
     assert old.den.keys == keys_of(sec.den)
-    assert all(np.array_equal(a, b) for a, b in zip(old.den.generators, sec.den.generators))
     assert len(old.reps) == dim
     change, rep_inside = sec.coordinatize(np.array(old.reps, dtype=np.int64).reshape(dim, d, d))
     assert rep_inside.all() and len(rref(change, p)[1]) == dim
@@ -601,9 +602,10 @@ def test_sifting_matches_element_bfs(case, split):
         assert got.order() == len(want)
 
 
-def _join_powers_calls(run) -> list:
+def _join_powers_calls(run) -> tuple[list, int]:
     """(C, H, result, number of power_subgroup calls) for every join_powers
-    call that run() makes."""
+    call that run() makes, and the number of power_subgroup calls it makes
+    in all."""
     calls, powers = [], []
 
     def spy_power(a, k):
@@ -620,14 +622,13 @@ def _join_powers_calls(run) -> list:
         mp.setattr(group_module, "power_subgroup", spy_power)
         mp.setattr(group_module, "join_powers", spy)
         run()
-    return calls
+    return calls, len(powers)
 
 
 def assert_joins_powers(c, h, got):
     want = join(c, power_subgroup(h, c.parent.p))
     assert keys_of(got) == keys_of(want)
-    assert len(got.generators) == len(want.generators)
-    assert all(np.array_equal(a, b) for a, b in zip(got.generators, want.generators))
+    assert got == want
 
 
 def _transvection_case(d, p):
@@ -635,19 +636,29 @@ def _transvection_case(d, p):
     return p, d, [transvection(d, i, i + 1) for i in range(d - 1)]
 
 
+def _spec_case(spec):
+    """A group spec as a (p, d, generators) case of ``unipotent_generators``."""
+    d = spec["degree"]
+    return spec["p"], d, [np.array(g, dtype=np.int64).reshape(d, d) for g in spec["generators"]]
+
+
 @settings(max_examples=100, deadline=None)
 @given(unipotent_generators())
 # odd p: Hall's criterion decides UT(3,3), UT(3,5) and H(F_3[x]/x^2) over 1
 # (class 2 < p); UT(4,3) over 1 has class 3 = p and falls back; a 4x4
-# Jordan block over F_3 has a cube outside 1
+# Jordan block over F_3 has a cube outside 1; the Jordan-block groups are
+# abelian, with generator p-th powers outside 1
 @example(_transvection_case(3, 3))
 @example(_transvection_case(4, 3))
 @example(_transvection_case(3, 5))
 @example((3, 6, named_hei("F3[x]/x2").generators))
 @example((3, 4, [np.eye(4, dtype=np.int64) + np.eye(4, k=1, dtype=np.int64)]))
+@example(_spec_case(jordan_blocks(2, 3, 5)))
+@example(_spec_case(jordan_blocks(3, 3, 4)))
 def test_join_powers_matches_power_subgroup(case):
     # join_powers(C, H) decides C H^p from H's generators when it can; it
-    # must give exactly join(C, power_subgroup(H, p)), generators included
+    # must give exactly the subgroup join(C, power_subgroup(H, p)), element
+    # for element
     p, d, gens = case
     try:
         g = UnipotentGroup(p, d, gens, cap=BFS_CAP)
@@ -661,7 +672,7 @@ def test_join_powers_matches_power_subgroup(case):
             for s in f.keys:
                 SectionBasis(f.at(s), f.plus(s))
 
-    calls = _join_powers_calls(run)
+    calls, _ = _join_powers_calls(run)
     assert calls or g.order() == 1
     # and subgroups C that the whole group normalizes, where G/C need not be abelian
     full = g.full_subgroup()
@@ -673,23 +684,26 @@ def test_join_powers_matches_power_subgroup(case):
 
 def test_join_powers_falls_back():
     # <J> for a 3x3 Jordan block over F_2 is cyclic of order 4: its G/1
-    # section is abelian, but G^2 = <J^2> is not inside 1
+    # section is abelian, but G^2 = <J^2> is not inside 1.  The section
+    # grows B' from J^2 without join_powers or listing G
     jordan = np.eye(3, dtype=np.int64) + np.eye(3, k=1, dtype=np.int64)
     g = UnipotentGroup(2, 3, [jordan])
-    calls = _join_powers_calls(lambda: SectionBasis(g.full_subgroup(), g.trivial_subgroup()))
-    [(c, h, got, powered)] = calls
-    assert powered == 1 and got.order() == 2
-    assert_joins_powers(c, h, got)
+    secs = []
+    calls, listed = _join_powers_calls(
+        lambda: secs.append(SectionBasis(g.full_subgroup(), g.trivial_subgroup())))
+    assert calls == [] and listed == 0
+    [sec] = secs
+    assert sec.den == power_subgroup(g.full_subgroup(), 2) and sec.den.order() == 2
     # UT(5,3), kappa_3 = [G, kappa_2] G^3: the generators cube to 1 but do not
     # commute modulo C = [G, kappa_2]; G/C has class 2 < 3, so it is regular
     # of exponent 3 and Hall's criterion gives C without listing G
-    c, h, got, powered = _join_powers_calls(lambda: jennings_series(ut(5, 3)))[1]
+    c, h, got, powered = _join_powers_calls(lambda: jennings_series(ut(5, 3)))[0][1]
     assert h == ut(5, 3).full_subgroup() and powered == 0 and got is c
     assert_joins_powers(c, h, got)
     # UT(3,2) over 1: the generators square to 1 but do not commute, and
     # G^2 is the centre, so the commutator test is what keeps 1 out
     g = ut(3, 2)
-    [(c, h, got, powered)] = _join_powers_calls(
+    [(c, h, got, powered)], _ = _join_powers_calls(
         lambda: group_module.join_powers(g.trivial_subgroup(), g.full_subgroup()))
     assert powered == 1 and keys_of(got) == pattern_keys(g, [(0, 2)])
     assert_joins_powers(c, h, got)
@@ -702,7 +716,7 @@ def test_join_powers_hall_criterion_at_odd_p():
     # UT(4,3) has class 3 = 3 and G^3 = <e_14> is not 1
     for d, p, powered, order in [(4, 5, 0, 1), (4, 3, 1, 3), (3, 7, 0, 1)]:
         g = ut(d, p)
-        [(c, h, got, n)] = _join_powers_calls(
+        [(c, h, got, n)], _ = _join_powers_calls(
             lambda: group_module.join_powers(g.trivial_subgroup(), g.full_subgroup()))
         assert (n, got.order()) == (powered, order), (d, p)
         assert_joins_powers(c, h, got)
@@ -714,6 +728,28 @@ def test_join_powers_hall_criterion_at_odd_p():
     before = dict(g._comm_cache)
     assert join_powers(c, top) is c
     assert g._comm_cache == before
+
+
+@pytest.mark.parametrize("spec", [jordan_blocks(2, 3, 5), jordan_blocks(3, 3, 4)],
+                         ids=lambda spec: spec["name"])
+def test_abelian_quotients_list_nothing(spec):
+    # in an abelian group every C H^p has HC/C abelian, and the generator
+    # p-th powers of G lie outside 1: the three series, every section and
+    # every refinement grow C by H's generator p-th powers and list nothing
+    g = group_from_spec(spec)
+
+    def run():
+        for build in FILTERS.values():
+            f = build(g)
+            for s in f.keys:
+                SectionBasis(f.at(s), f.plus(s))
+            for method in METHODS:
+                refine_stable(f, method)
+
+    calls, listed = _join_powers_calls(run)
+    assert calls and listed == 0
+    for c, h, got, _ in calls:
+        assert_joins_powers(c, h, got)
 
 
 @pytest.mark.parametrize("size", [1, 16, 200, 5000])
@@ -806,7 +842,7 @@ def test_sequences_match_coset_extension_reference(case, split):
         comm, ref_comm = commutator_subgroup(a, b), coset_commutator(ref_a, ref_b)
         assert_same_subgroup(comm, ref_comm)
         # [A, B] is normalized by A
-        assert_same_subgroup(join_powers(comm, a), coset_join_powers(ref_comm, ref_a))
+        assert keys_of(join_powers(comm, a)) == coset_join_powers(ref_comm, ref_a).keys
     assert is_normal(head) == coset_is_normal(head_ref, g.generators)
 
 
