@@ -1,8 +1,11 @@
 """Finite unipotent matrix groups over Z_p and their standard series.
 
-Elements are d x d unipotent matrices with entries in [0, p), multiplied in
-int64 to avoid overflow (p must fit in a byte).  A subgroup is held as a
-polycyclic sequence, never as its list of elements.
+Elements are d x d unipotent matrices with entries in [0, p) (p must fit
+in a byte).  A product is formed in int64, where d (p - 1)^2 cannot
+overflow, and reduced by ``modlinalg._reduce``: the mask ``& 1`` at p = 2,
+``% p`` otherwise.  Inverses double (``batch_inv``), and one read-only
+identity per degree (``_eye``) serves every product that starts from I.
+A subgroup is held as a polycyclic sequence, never as its list of elements.
 
 The ambient group must be a p-group: the full flag of row vectors its
 generators fix (``_fixes_full_flag``) has a basis T that makes every
@@ -44,13 +47,14 @@ size: the one place where a subgroup's elements are formed.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from itertools import product
 
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, NotAbelianSection, NotNormal
-from .modlinalg import Subspace, check_prime, inv_matrix, inv_mod, nullspace, rref
+from .modlinalg import Subspace, _reduce, check_prime, inv_matrix, inv_mod, nullspace, rref
 
 DEFAULT_CAP = 2**20
 MAX_DEGREE = 256
@@ -74,23 +78,38 @@ def _as_mat(m, p: int, degree: int) -> np.ndarray:
     return a
 
 
+@functools.cache
+def _eye(d: int) -> np.ndarray:
+    """The int64 identity of degree d: one read-only array per degree."""
+    eye = np.eye(d, dtype=np.int64)
+    eye.flags.writeable = False
+    return eye
+
+
 def batch_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(..., d, d) @ (..., d, d) mod p, computed exactly in int64."""
-    return (a.astype(np.int64) @ b.astype(np.int64)) % p
+    return _reduce(a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False), p)
 
 
 def batch_inv(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverses of a batch of unipotent matrices via the nilpotent series."""
+    """Inverses of a stack of unipotent matrices, by doubling.
+
+    M = I - a is nilpotent, M^d = 0, and the product telescopes:
+    (I - M)(I + M)(I + M^2) ... (I + M^(2^(j-1))) = I - M^(2^j).  So a^-1
+    is (I + M)(I + M^2)(I + M^4) ... up to the first M^(2^j) = 0, which
+    comes by 2^j >= d: at most ceil(log2 d) - 1 squarings, each with one
+    product into the result, in every characteristic."""
     d = a.shape[-1]
-    eye = np.eye(d, dtype=np.int64)
-    n = (a.astype(np.int64) - eye) % p
-    acc = np.broadcast_to(eye, a.shape).copy()
-    term = np.broadcast_to(eye, a.shape).copy()
-    for k in range(1, d):
-        term = (term @ n) % p
-        if not term.any():
+    eye = _eye(d)
+    m = _reduce(eye - a, p)
+    acc = _reduce(eye + m, p)
+    span = 2
+    while span < d:
+        m = _reduce(m @ m, p)
+        if not m.any():
             break
-        acc = (acc + (term if k % 2 == 0 else (p - 1) * term)) % p
+        acc = _reduce(acc + acc @ m, p)
+        span *= 2
     return acc
 
 
@@ -105,18 +124,18 @@ def _powers(a: np.ndarray, k: int, p: int) -> np.ndarray:
     mats = a.astype(np.int64)
     acc = mats
     for bit in bin(k)[3:]:
-        acc = (acc @ acc) % p
+        acc = _reduce(acc @ acc, p)
         if bit == "1":
-            acc = (acc @ mats) % p
+            acc = _reduce(acc @ mats, p)
     return acc
 
 
 def _power_table(a: np.ndarray, p: int) -> np.ndarray:
     """a^0, ..., a^(p-1) as one int64 (p, d, d) array."""
     table = np.empty((p,) + a.shape, dtype=np.int64)
-    table[0] = np.eye(len(a), dtype=np.int64)
+    table[0] = _eye(len(a))
     for e in range(1, p):
-        table[e] = table[e - 1] @ a % p
+        table[e] = _reduce(table[e - 1] @ a, p)
     return table
 
 
@@ -127,7 +146,7 @@ def _stack(gens, degree: int) -> np.ndarray:
 
 def _is_one(x: np.ndarray) -> np.ndarray:
     """Which matrices of a (k, d, d) stack are the identity."""
-    return (x == np.eye(x.shape[-1], dtype=np.int64)).all(axis=(1, 2))
+    return (x == _eye(x.shape[-1])).all(axis=(1, 2))
 
 
 def _fixes_full_flag(gens: list[np.ndarray], p: int, degree: int) -> np.ndarray | None:
@@ -164,11 +183,12 @@ def _depth_positions(d: int) -> tuple[np.ndarray, np.ndarray]:
 def _conj(parent: UnipotentGroup, x: np.ndarray, back: bool = False) -> np.ndarray:
     """A fresh int64 copy of a stack mod p, in flag coordinates T x T^-1, or
     with ``back`` from flag to input coordinates."""
-    x = np.mod(x, parent.p)
+    p = parent.p
+    x = _reduce(x, p)
     if parent._flag is None:
         return x
     a, b = (parent._unflag, parent._flag) if back else (parent._flag, parent._unflag)
-    return (a @ x % parent.p) @ b % parent.p
+    return _reduce(_reduce(a @ x, p) @ b, p)
 
 
 class UnipotentGroup:
@@ -226,7 +246,7 @@ class Subgroup:
     def __init__(self, parent: UnipotentGroup, generators, depths: list[int],
                  seq: list[np.ndarray], inv: list[np.ndarray]):
         self.parent = parent
-        self.generators = [np.mod(np.asarray(g, dtype=np.int64), parent.p) for g in generators]
+        self.generators = [_reduce(np.asarray(g, dtype=np.int64), parent.p) for g in generators]
         self._depths, self._seq, self._inv = depths, seq, inv
         self._canon = self._canon_key = None
 
@@ -250,9 +270,9 @@ class Subgroup:
             e = x[:, parent._rows[depth], parent._cols[depth]].copy()
             if own:
                 e[k] = 0
-            hit = np.flatnonzero(e)
+            hit = e.nonzero()[0]
             if hit.size:
-                x[hit] = inv[e[hit]] @ x[hit] % parent.p
+                x[hit] = _reduce(inv[e[hit]] @ x[hit], parent.p)
             exps[:, k] = e
         return exps, x
 
@@ -275,9 +295,9 @@ class Subgroup:
         (..., len) stack of exponent vectors over the sequence."""
         p, d = self.parent.p, self.parent.degree
         e = np.mod(np.asarray(exps, dtype=np.int64), p)
-        acc = np.broadcast_to(np.eye(d, dtype=np.int64), e.shape[:-1] + (d, d))
+        acc = np.broadcast_to(_eye(d), e.shape[:-1] + (d, d))
         for k, inv in enumerate(self._inv):  # the inverse, h_n^-e_n ... h_1^-e_1
-            acc = inv[e[..., k]] @ acc % p
+            acc = _reduce(inv[e[..., k]] @ acc, p)
         return _conj(self.parent, batch_inv(acc, p), back=True)
 
     def _canonical(self) -> np.ndarray:
@@ -333,7 +353,7 @@ def _grow(sub: Subgroup, x: np.ndarray, generators: list[np.ndarray]) -> Subgrou
         if not len(res):
             break
         r = res[0]
-        depth = int(np.flatnonzero(r[parent._rows, parent._cols])[0])
+        depth = int(r[parent._rows, parent._cols].nonzero()[0][0])
         lead = int(r[parent._rows[depth], parent._cols[depth]])
         if lead != 1:
             r = _powers(r, inv_mod(lead, p), p)
@@ -359,12 +379,12 @@ def reduced_generators(parent: UnipotentGroup, candidates: list[np.ndarray],
     kept, and the rest sift on from their residues."""
     out = base if base is not None else parent.trivial_subgroup()
     kept = list(out.generators)
-    cands = np.mod(_stack(candidates, parent.degree), parent.p)
+    cands = _reduce(_stack(candidates, parent.degree), parent.p)
     left = _conj(parent, cands)
     i = 0
     while i < len(cands):
         res = out._sift(left[i:])[1]
-        fresh = np.flatnonzero(~_is_one(res))
+        fresh = (~_is_one(res)).nonzero()[0]
         if not fresh.size:
             break
         i += int(fresh[0])
@@ -388,18 +408,21 @@ def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     """[a, b]: closure of all commutators between the two subgroups.
 
     Computed as the normal closure of generator-pair commutators under
-    conjugation by the generators of both arguments.
+    conjugation by the generators of both arguments, which are inverted
+    once for both.
     """
     parent = a.parent
     p, degree = parent.p, parent.degree
     cached = parent._comm_cache.get((a, b))
     if cached is not None:
         return cached
-    sa, sb = _stack(a.generators, degree), _stack(b.generators, degree)
-    seeds = commutator(sa[:, None], sb[None], p).reshape(-1, degree, degree)
-    out = reduced_generators(parent, seeds)
-    conj = np.concatenate([sa, sb])
+    conj = _stack(a.generators + b.generators, degree)
     conj_inv = batch_inv(conj, p)
+    k = len(a.generators)
+    # [s, t] = s^-1 t^-1 s t, with the inverses read off conj_inv
+    seeds = batch_mul(batch_mul(conj_inv[:k, None], conj_inv[None, k:], p),
+                      batch_mul(conj[:k, None], conj[None, k:], p), p)
+    out = reduced_generators(parent, seeds.reshape(-1, degree, degree))
     while True:
         ys = batch_mul(batch_mul(conj_inv, _stack(out.generators, degree)[:, None], p), conj, p)
         grown = reduced_generators(parent, ys.reshape(-1, degree, degree), base=out)
@@ -424,14 +447,14 @@ def _element_blocks(a: Subgroup, size: int):
     m = 0
     while m < len(a._inv) and p ** (m + 1) * d * d <= size:
         m += 1
-    inner = np.eye(d, dtype=np.int64)[None]
+    inner = _eye(d)[None]
     for inv in a._inv[:m]:  # every h_m^-e_m ... h_1^-e_1
-        inner = (inv[:, None] @ inner[None] % p).reshape(-1, d, d)
+        inner = _reduce(inv[:, None] @ inner[None], p).reshape(-1, d, d)
     for exps in product(range(p), repeat=len(a._inv) - m):
-        outer = np.eye(d, dtype=np.int64)
+        outer = _eye(d)
         for inv, e in zip(a._inv[m:], exps):
-            outer = inv[e] @ outer % p
-        yield outer @ inner % p
+            outer = _reduce(inv[e] @ outer, p)
+        yield _reduce(outer @ inner, p)
 
 
 def power_subgroup(a: Subgroup, k: int) -> Subgroup:
@@ -629,9 +652,9 @@ class SectionBasis:
         if c.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"expected {self.dim} coordinates")
         d = self.parent.degree
-        out = np.broadcast_to(np.eye(d, dtype=np.int64), c.shape[:-1] + (d, d)).copy()
+        out = np.broadcast_to(_eye(d), c.shape[:-1] + (d, d)).copy()
         for k, table in enumerate(self._lifts):
-            out = out @ table[c[..., k]] % self.p
+            out = _reduce(out @ table[c[..., k]], self.p)
         return out
 
     def preimage(self, space: Subspace) -> Subgroup:

@@ -25,7 +25,9 @@ once, at the end.
 Products of int64 matrices are reduced by `_reduce`: at p = 2 by the mask
 `& 1`, which two's complement makes exact on negative values too, at a
 fraction of the cost of `% 2`.  `as_array`, `Subspace.residues`,
-`Subspace.extend` and the algebra products and spins of `filtra.algrep`
+`Subspace.extend`, the algebra products and spins of `filtra.algrep`, and
+every group product of `filtra.group` (`batch_mul`, `batch_inv`, sifting,
+powers, coordinate changes, `Subgroup.elements`, `SectionBasis.lift`)
 reduce through it.
 
 Membership is a read-off.  An rref basis has a unit at its own pivot and

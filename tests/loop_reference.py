@@ -64,6 +64,12 @@ their last value at every later last coordinate, through an extra part per
 tail in the heap pass.  `compact` is the `Filter` method that refinement
 called on the result to drop coordinates no recorded index uses.
 
+`series_batch_inv` is `filtra.group.batch_inv` from before it doubled:
+a^-1 = I - N + N^2 - ... with N = a - I, one product per term until a
+power of N vanishes, so up to d - 1 products for degree d.
+`coset_commutator`, `coset_is_normal` and `tests/oracles.py` invert
+through it.
+
 `array_factor`, `array_is_irreducible` and the `array_*` helpers before them
 are `filtra.poly` from before its arithmetic ran on Python int lists: every
 polynomial is an int64 array, and each coefficient step of a division or
@@ -83,11 +89,26 @@ from filtra.errors import CapExceeded, ClosureViolation, NonNormalGenerator, Not
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
 from filtra.filters import Filter
 from filtra.group import (
-    Subgroup, UnipotentGroup, _conj, _powers, _stack, batch_inv, batch_mul, commutator,
+    Subgroup, UnipotentGroup, _conj, _powers, _stack, batch_mul, commutator,
     commutator_subgroup, is_normal, join, join_powers, reduced_generators,
 )
 from filtra.monoid import Index
 from filtra.modlinalg import Subspace, inv_matrix, inv_mod, nullspace, rref, solve_nullspace
+
+
+def series_batch_inv(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverses of a batch of unipotent matrices via the nilpotent series."""
+    d = a.shape[-1]
+    eye = np.eye(d, dtype=np.int64)
+    n = (a.astype(np.int64) - eye) % p
+    acc = np.broadcast_to(eye, a.shape).copy()
+    term = np.broadcast_to(eye, a.shape).copy()
+    for k in range(1, d):
+        term = (term @ n) % p
+        if not term.any():
+            break
+        acc = (acc + (term if k % 2 == 0 else (p - 1) * term)) % p
+    return acc
 
 
 def loop_rref(a, p: int) -> tuple[np.ndarray, list[int]]:
@@ -520,7 +541,7 @@ def coset_commutator(a: CosetSubgroup, b: CosetSubgroup) -> CosetSubgroup:
     sa, sb = _stack(a.generators, degree), _stack(b.generators, degree)
     out = coset_reduced(p, degree, commutator(sa[:, None], sb[None], p).reshape(-1, degree, degree))
     conj = np.concatenate([sa, sb])
-    conj_inv = batch_inv(conj, p)
+    conj_inv = series_batch_inv(conj, p)
     while True:
         ys = batch_mul(batch_mul(conj_inv, _stack(out.generators, degree)[:, None], p), conj, p)
         ys = ys.reshape(-1, degree, degree)
@@ -549,7 +570,7 @@ def coset_join_powers(c: CosetSubgroup, h: CosetSubgroup) -> CosetSubgroup:
 def coset_is_normal(sub: CosetSubgroup, outer_gens) -> bool:
     p, degree = sub.p, sub.rows.shape[-1]
     outer = _stack(outer_gens, degree)
-    ys = batch_mul(batch_mul(batch_inv(outer, p)[:, None], _stack(sub.generators, degree), p),
+    ys = batch_mul(batch_mul(series_batch_inv(outer, p)[:, None], _stack(sub.generators, degree), p),
                    outer[:, None], p)
     return sub.keys.issuperset(_row_keys(ys.reshape(-1, degree, degree).astype(np.uint8)))
 

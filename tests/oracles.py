@@ -8,7 +8,9 @@ ring dimensions by Kronecker-product assembly instead of per-equation
 loops, radicals by the trace form or by enumerating nilpotent elements
 instead of meataxe splitting.  Shared low-level primitives (rref,
 closure of an explicit element list) are reused; the point is that the
-algorithm above them is different.
+algorithm above them is different.  Inverses come from
+`loop_reference.series_batch_inv`, not from the doubling kernel
+`filtra.group.batch_inv`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from itertools import product as iproduct
 import numpy as np
 
 from conftest import elements, keys_of
+from loop_reference import series_batch_inv
 from filtra import monoid
-from filtra.group import Subgroup, UnipotentGroup, batch_inv, reduced_generators
+from filtra.group import Subgroup, UnipotentGroup, reduced_generators
 from filtra.modlinalg import Subspace, rref
 from filtra.monoid import Index
 
@@ -32,11 +35,11 @@ def exhaustive_commutator_subgroup(a: Subgroup, b: Subgroup,
     if a.order() * b.order() > pair_limit:
         raise ValueError("pair enumeration over limit; use the normal closure form")
     amats = elements(a)
-    ainv = batch_inv(amats, p)
+    ainv = series_batch_inv(amats, p)
     seen: set[bytes] = set()
     gens: list[np.ndarray] = []
     for y in elements(b):
-        yinv = batch_inv(y[None], p)[0]
+        yinv = series_batch_inv(y[None], p)[0]
         left = np.matmul(ainv, yinv[None]) % p
         right = np.matmul(amats, y[None]) % p
         comms = np.matmul(left, right) % p
@@ -171,7 +174,7 @@ def conjugation_orbit_closure(parent: UnipotentGroup, seeds: list[np.ndarray]) -
         seen = set(keys_of(sub))
         emats = elements(sub)
         for g in elements(parent.full_subgroup()):
-            ginv = batch_inv(g[None], p)[0]
+            ginv = series_batch_inv(g[None], p)[0]
             conj = np.matmul(np.matmul(ginv[None], emats), g[None]) % p
             for c in conj:
                 key = c.astype(np.uint8).tobytes()

@@ -20,6 +20,7 @@ from loop_reference import (
     coset_reduced,
     coset_trivial,
     one_shot_power_subgroup,
+    series_batch_inv,
 )
 from oracles import exhaustive_commutator_subgroup
 from filtra import group as group_module
@@ -53,6 +54,44 @@ def transvection(d, i, j, val=1):
     m = np.eye(d, dtype=np.int64)
     m[i, j] = val
     return m
+
+
+@st.composite
+def unipotent_stacks(draw):
+    """(p, a): a stack of unipotent matrices, upper unitriangular or
+    conjugated by one random invertible T, shaped (k, d, d), (k, 1, d, d)
+    or (1, k, d, d) with k possibly 0.  A density below 1 leaves entries
+    0, so that powers of a - I vanish early as well as late."""
+    p = draw(st.sampled_from([2, 3, 5, 251]))
+    d = draw(st.integers(1, 30))
+    k = draw(st.integers(0, 4))
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.integers(0, p, (k, d, d)) * (rng.random((k, d, d)) < density), 1)
+    a = upper + np.eye(d, dtype=np.int64)
+    if draw(st.booleans()):
+        while True:
+            t = rng.integers(0, p, (d, d))
+            if len(rref(t, p)[1]) == d:
+                break
+        a = (inv_matrix(t, p) @ a % p) @ t % p
+    shape = draw(st.sampled_from([(k, d, d), (k, 1, d, d), (1, k, d, d)]))
+    return p, a.reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unipotent_stacks())
+@example((2, np.zeros((0, 5, 5), dtype=np.int64)))
+@example((251, np.zeros((1, 0, 7, 7), dtype=np.int64)))
+def test_batch_inv_matches_series_reference(case):
+    """The doubling inverse equals the nilpotent-series one, shape for
+    shape, and a a^-1 = I."""
+    p, a = case
+    got = batch_inv(a, p)
+    assert got.shape == a.shape
+    assert np.array_equal(got, series_batch_inv(a, p))
+    one = np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape)
+    assert np.array_equal(a @ got % p, one)
 
 
 def test_closure_examples():
