@@ -363,26 +363,23 @@ def quotient_regular_rep(alg: MatAlgebra, rad: RadicalData) -> MatAlgebra | None
     return MatAlgebra(alg.p, m, Subspace(alg.p, m * m, actions.reshape(m, m * m)), check=True)
 
 
+def _block_diagonal(blocks, p: int) -> np.ndarray:
+    """The square blocks down the diagonal of one matrix, mod p."""
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out % p
+
+
 def embed_adjoint_pairs(members, p: int) -> list[np.ndarray]:
     """(X, Y) -> diag(X, Y^t): turns the adjoint product (X X', Y' Y)
     into plain matrix multiplication."""
-    out = []
-    for x, y in members:
-        a, b = x.shape[0], y.shape[0]
-        m = np.zeros((a + b, a + b), dtype=np.int64)
-        m[:a, :a] = x
-        m[a:, a:] = y.T
-        out.append(m % p)
-    return out
+    return [_block_diagonal((x, y.T), p) for x, y in members]
 
 
 def embed_centroid_triples(members, p: int) -> list[np.ndarray]:
-    out = []
-    for x, y, z in members:
-        a, b, c = x.shape[0], y.shape[0], z.shape[0]
-        m = np.zeros((a + b + c, a + b + c), dtype=np.int64)
-        m[:a, :a] = x
-        m[a:a + b, a:a + b] = y
-        m[a + b:, a + b:] = z
-        out.append(m % p)
-    return out
+    """(X, Y, Z) -> diag(X, Y, Z)."""
+    return [_block_diagonal(triple, p) for triple in members]

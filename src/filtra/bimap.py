@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modlinalg import Subspace, check_prime, inv_matrix, nullspace, solve_nullspace
+from .modlinalg import Subspace, check_prime, inv_matrix, nullspace
 
 # Combinations of slices tried, after the slices themselves, when looking for
 # an invertible one.
@@ -205,7 +205,7 @@ def _adjoint_space(b: np.ndarray, p: int) -> Subspace:
     found = _invertible_slice(b, p)
     if found is None:
         rows = np.concatenate([_rows_x(b), -_rows_y_right(b) % p], axis=1)
-        return solve_nullspace(rows, p, a * a + bb * bb)
+        return Subspace.adopt(p, a * a + bb * bb, nullspace(rows, p))
     cm, inv = found
     ms = (b.transpose(2, 0, 1) @ inv) % p
     xs = _centralizer(ms, p).reshape(-1, a, a)
@@ -238,7 +238,7 @@ def derivation_ring(tensor, p: int) -> ScalarRing:
     b = as_tensor(tensor, p)
     a, bb, c = b.shape
     rows = np.concatenate([_rows_x(b), _rows_y_right(b), -_rows_z(b) % p], axis=1)
-    space = solve_nullspace(rows, p, a * a + bb * bb + c * c)
+    space = Subspace.adopt(p, a * a + bb * bb + c * c, nullspace(rows, p))
     members = tuple(tuple(_unflatten(v, [(a, a), (bb, bb), (c, c)])) for v in space.basis)
     return ScalarRing("derivation", p, b, members, space)
 

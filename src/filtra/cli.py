@@ -88,9 +88,12 @@ def _add_group_args(sp):
     sp.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")
 
 
-def _build_groups(args) -> list[tuple[UnipotentGroup, str]]:
+def _build_groups(args, most: int = 1) -> list[tuple[UnipotentGroup, str]]:
     """The groups named on the command line, each with its stderr label:
-    the group's name, or the file path of a nameless ``--group`` file."""
+    the group's name, or the file path of a nameless ``--group`` file.
+    More than ``most`` of them is an input error, raised before any is built."""
+    if len(args.ut or []) + len(args.heisenberg or []) + len(args.group or []) > most:
+        raise ValueError(f"{args.command} takes one {'group' if most == 1 else 'or two groups'}")
     cap = args.cap if args.cap is not None else _default_cap()
     groups: list[tuple[UnipotentGroup, str]] = []
     for d, p in args.ut or []:
@@ -173,9 +176,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
-    built = _build_groups(args)
-    if len(built) > 2:
-        raise ValueError("fingerprint takes one or two groups")
+    built = _build_groups(args, most=2)
     groups = [g for g, _ in built]
     labels = [label for _, label in built]
     fps = [fingerprint(g, args.method) for g in groups]

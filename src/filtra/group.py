@@ -24,8 +24,9 @@ every element of H is h_1^e_1 ... h_n^e_n (depths ascending) for unique
 depth, e its entry there) yields those exponents and a residue that is 1
 exactly when x lies in H, with one batched product per depth for a stack.
 Membership, order, joins, commutator and power subgroups, normality and
-section coordinates all sift.  The ambient group owns the order cap, and
-every later subgroup lies inside it.
+section coordinates all sift; the reverse, the element with given
+exponents (``Subgroup.elements``), gives section lifts.  The ambient group
+owns the order cap, and every later subgroup lies inside it.
 
 The sequence and the kept generators depend on how H was reached.  Its
 canonical sequence does not: the element of H at each of its depths whose
@@ -246,7 +247,7 @@ class Subgroup:
     def __init__(self, parent: UnipotentGroup, generators, depths: list[int],
                  seq: list[np.ndarray], inv: list[np.ndarray]):
         self.parent = parent
-        self.generators = [_reduce(np.asarray(g, dtype=np.int64), parent.p) for g in generators]
+        self.generators = list(generators)
         self._depths, self._seq, self._inv = depths, seq, inv
         self._canon = self._canon_key = None
 
@@ -297,7 +298,8 @@ class Subgroup:
         e = np.mod(np.asarray(exps, dtype=np.int64), p)
         acc = np.broadcast_to(_eye(d), e.shape[:-1] + (d, d))
         for k, inv in enumerate(self._inv):  # the inverse, h_n^-e_n ... h_1^-e_1
-            acc = _reduce(inv[e[..., k]] @ acc, p)
+            if e[..., k].any():  # a zero exponent everywhere contributes I
+                acc = _reduce(inv[e[..., k]] @ acc, p)
         return _conj(self.parent, batch_inv(acc, p), back=True)
 
     def _canonical(self) -> np.ndarray:
@@ -388,18 +390,15 @@ def reduced_generators(parent: UnipotentGroup, candidates: list[np.ndarray],
         if not fresh.size:
             break
         i += int(fresh[0])
-        kept.append(cands[i])
+        kept.append(cands[i].copy())  # a view would keep all of cands alive
         out = _grow(out, left[i][None], kept)
         i += 1
     return out
 
 
 def join(a: Subgroup, b: Subgroup) -> Subgroup:
-    """Subgroup generated by a and b together."""
-    if a.contains(b):
-        return a
-    if b.contains(a):
-        return b
+    """Subgroup generated by a and b together: the larger grown by the
+    smaller's generators, so the larger itself when it holds them."""
     big, small = (a, b) if a.order() >= b.order() else (b, a)
     return reduced_generators(a.parent, small.generators, base=big)
 
@@ -597,12 +596,12 @@ class SectionBasis:
     elements at those depths, a pcgs of A modulo B' (Holt, Eick, O'Brien,
     Handbook, 8.3).  As B' is the kernel of the abelian A -> A/B', an
     element's coordinates are its exponents at the reps' depths.  The lift
-    of c is r_1^c_1 ... r_j^c_j, from per-rep power tables.
+    of c is r_1^c_1 ... r_j^c_j: the element of that sequence with exponents
+    c at the reps' depths and 0 at B''s, formed by ``Subgroup.elements``.
     """
 
     def __init__(self, num: Subgroup, den: Subgroup):
         parent = num.parent
-        p, d = parent.p, parent.degree
         if not num.contains(den):
             raise ValueError("denominator is not inside numerator")
         comms_held, outside = _held_words(den, num)
@@ -610,16 +609,16 @@ class SectionBasis:
             raise NotAbelianSection("section numerator/denominator is not abelian")
         if not is_normal(den, num):
             raise NotNormal("section denominator is not normal in the numerator")
-        self.parent, self.num, self.den_given, self.p = parent, num, den, p
+        self.parent, self.num, self.den_given = parent, num, den
         self.den = reduced_generators(parent, outside, base=den)
         at = dict(zip(self.den._depths, zip(self.den._seq, self.den._inv)))
         pairs = [at.get(depth, pair) for depth, pair in zip(num._depths, zip(num._seq, num._inv))]
         self._pcgs = Subgroup(parent, num.generators, num._depths,
                               [s for s, _ in pairs], [t for _, t in pairs])
         self._new = [k for k, depth in enumerate(num._depths) if depth not in at]
-        self.reps = _conj(parent, _stack([num._seq[k] for k in self._new], d), back=True)
+        self.reps = _conj(parent, _stack([num._seq[k] for k in self._new], parent.degree),
+                          back=True)
         self.dim = len(self.reps)
-        self._lifts = [_power_table(r, p) for r in self.reps]
 
     def coordinatize(self, m):
         """Coordinates of a matrix, or of each matrix of a stack.
@@ -648,19 +647,16 @@ class SectionBasis:
         """The element r_1^c_1 ... r_j^c_j of the coset of B' with
         coordinates c (taken mod p); a (..., dim) stack of coordinates gives
         a (..., d, d) stack of lifts."""
-        c = np.mod(np.asarray(coords, dtype=np.int64), self.p)
+        c = np.asarray(coords, dtype=np.int64)
         if c.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"expected {self.dim} coordinates")
-        d = self.parent.degree
-        out = np.broadcast_to(_eye(d), c.shape[:-1] + (d, d)).copy()
-        for k, table in enumerate(self._lifts):
-            out = _reduce(out @ table[c[..., k]], self.p)
-        return out
+        exps = np.zeros(c.shape[:-1] + (len(self._pcgs._depths),), dtype=np.int64)
+        exps[..., self._new] = c
+        return self._pcgs.elements(exps)
 
     def preimage(self, space: Subspace) -> Subgroup:
         """Subgroup of elements whose coordinates land in the subspace."""
-        lifts = [self.lift(row) for row in space.basis]
-        return reduced_generators(self.parent, lifts, base=self.den)
+        return reduced_generators(self.parent, self.lift(space.basis), base=self.den)
 
 
 def make_ut(d: int, p: int, cap: int = DEFAULT_CAP) -> UnipotentGroup:

@@ -248,11 +248,3 @@ def inv_matrix(a: np.ndarray, p: int) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular mod p")
     return aug[:, n:]
-
-
-def solve_nullspace(rows: np.ndarray, p: int, n_unknowns: int) -> Subspace:
-    """Nullspace of a constraint matrix whose rows have n_unknowns entries;
-    a system with no rows gives the whole space."""
-    if rows.shape[1] != n_unknowns:
-        raise DimensionMismatch("constraint width disagrees with unknown count")
-    return Subspace.adopt(p, n_unknowns, nullspace(rows, p))

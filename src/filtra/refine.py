@@ -52,8 +52,6 @@ class RingData:
 
 def ring_at(lie: GradedLieRing, s: Index, method: str, check: bool = False,
             rng: np.random.Generator | None = None) -> RingData:
-    if method not in METHODS:
-        raise ValueError(f"unknown ring method {method!r}")
     p = lie.p
     tensor = lie.product_tensor(s, s)
     a = tensor.shape[0]

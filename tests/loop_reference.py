@@ -41,6 +41,10 @@ before its reps became the numerator's own generators: each rep is the
 least element of A, in row-major byte order, outside the group grown so
 far, and each lift is the least element of its coset of B'.
 
+`table_lift` is `filtra.group.SectionBasis.lift` from before lifts were
+formed off the section's own sequence: a table r^0, ..., r^(p-1) per rep r,
+and the product of the looked-up powers from left to right.
+
 `one_shot_power_subgroup` is `filtra.group.power_subgroup` from before it
 formed the elements in blocks: every element of the subgroup at once, then
 the distinct powers.
@@ -89,11 +93,11 @@ from filtra.errors import CapExceeded, ClosureViolation, NonNormalGenerator, Not
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
 from filtra.filters import Filter
 from filtra.group import (
-    Subgroup, UnipotentGroup, _conj, _powers, _stack, batch_mul, commutator,
+    Subgroup, UnipotentGroup, _conj, _power_table, _powers, _stack, batch_mul, commutator,
     commutator_subgroup, is_normal, join, join_powers, reduced_generators,
 )
 from filtra.monoid import Index
-from filtra.modlinalg import Subspace, inv_matrix, inv_mod, nullspace, rref, solve_nullspace
+from filtra.modlinalg import Subspace, inv_matrix, inv_mod, nullspace, rref
 
 
 def series_batch_inv(a: np.ndarray, p: int) -> np.ndarray:
@@ -328,7 +332,7 @@ def full_adjoint_ring(tensor, p: int) -> ScalarRing:
     b = as_tensor(tensor, p)
     a, bb, _ = b.shape
     rows = np.concatenate([_rows_x(b), -_rows_y_right(b) % p], axis=1)
-    space = solve_nullspace(rows, p, a * a + bb * bb)
+    space = Subspace.adopt(p, a * a + bb * bb, nullspace(rows, p))
     members = tuple(tuple(_unflatten(v, [(a, a), (bb, bb)])) for v in space.basis)
     return ScalarRing("adjoint", p, b, members, space)
 
@@ -341,7 +345,7 @@ def full_centroid_ring(tensor, p: int) -> ScalarRing:
     eq1 = np.concatenate([_rows_x(b), zy, -_rows_z(b) % p], axis=1)
     eq2 = np.concatenate([zx, _rows_y_right(b), -_rows_z(b) % p], axis=1)
     rows = np.concatenate([eq1, eq2], axis=0)
-    space = solve_nullspace(rows, p, a * a + bb * bb + c * c)
+    space = Subspace.adopt(p, a * a + bb * bb + c * c, nullspace(rows, p))
     members = tuple(tuple(_unflatten(v, [(a, a), (bb, bb), (c, c)])) for v in space.basis)
     return ScalarRing("centroid", p, b, members, space)
 
@@ -408,6 +412,17 @@ def loop_check_well_defined(ring, s, t, trials: int, rng: np.random.Generator) -
                 if got is None or not np.array_equal(got, want):
                     bad.append(("well_defined", s, t, i, j))
     return bad
+
+
+def table_lift(sec, coords) -> np.ndarray:
+    """r_1^c_1 ... r_j^c_j over the reps of a section, for coordinates c
+    (taken mod p) or a (..., dim) stack of them."""
+    p, d = sec.parent.p, sec.parent.degree
+    c = np.mod(np.asarray(coords, dtype=np.int64), p)
+    out = np.broadcast_to(np.eye(d, dtype=np.int64), c.shape[:-1] + (d, d)).copy()
+    for k, r in enumerate(sec.reps):
+        out = out @ _power_table(r, p)[c[..., k]] % p
+    return out
 
 
 class ByteLeastSection:

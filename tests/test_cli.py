@@ -140,6 +140,22 @@ def test_no_group_is_usage_error():
     assert "no group" in err
 
 
+@pytest.mark.parametrize("args,takes", [
+    (("series", "--ut", "3", "2", "--ut", "100000", "2"), "series takes one group"),
+    (("refine", "--ut", "3", "2", "--heisenberg", "2,0,1"), "refine takes one group"),
+    (("verify", "--heisenberg", "2,0,1", "--group", "no-such-file.json"), "verify takes one group"),
+    (("fingerprint", "--ut", "3", "2", "--ut", "3", "2", "--group", "no-such-file.json"),
+     "fingerprint takes one or two groups"),
+])
+def test_extra_groups_are_input_errors(capsys, args, takes):
+    # the entries are counted before any group is built: building UT(100000, 2)
+    # or reading a missing file would fail with another message
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert takes in err and "Traceback" not in err
+
+
 def test_unknown_series_is_usage_error():
     code, _, _ = run_cli("series", "--ut", "3", "2", "--which", "omega")
     assert code == 1

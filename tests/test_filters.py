@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import CHAIN_BREAK, LEX_HOLE, hei, subgroup, ut
 from loop_reference import compact, generate_with_tails, loop_generate
 from oracles import path_product_values
+from test_group import transvection_words
 from filtra import monoid
 from filtra.errors import DimensionMismatch, FiltraError, NonNormalGenerator, NotOrderReversing
 from filtra.filters import (
@@ -20,9 +21,9 @@ from filtra.filters import (
     series_filter,
     verify_axioms,
 )
-from filtra.group import group_from_spec, lower_central_series, make_ut
+from filtra.group import UnipotentGroup, group_from_spec, lower_central_series, make_ut
 from filtra.liering import GradedLieRing
-from filtra.refine import refine_stable
+from filtra.refine import METHODS, refine_stable
 
 
 def center_of(g):
@@ -254,6 +255,16 @@ def test_generate_matches_loop_reference_on_refinements(group, series, method):
         want = generated(loop_generate, g, dim, dom)
         assert generated(generate, g, dim, dom) == want
         assert isinstance(want[0], list)
+
+
+@settings(max_examples=40, deadline=None)
+@given(transvection_words(), st.sampled_from([gamma_filter, eta_filter, kappa_filter]),
+       st.sampled_from(METHODS))
+def test_generate_matches_loop_reference_on_random_refinements(case, series, method):
+    p, d, gens = case
+    g = UnipotentGroup(p, d, gens)
+    for dim, dom in refinement_domains(g, series, method):
+        assert generated(generate, g, dim, dom) == generated(loop_generate, g, dim, dom)
 
 
 def test_generate_matches_loop_reference_on_bad_domains():

@@ -1,9 +1,10 @@
+import functools
 from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (elements, hei, jordan_blocks, keys_of, named_hei, named_ring, pattern_keys,
@@ -21,6 +22,7 @@ from loop_reference import (
     coset_trivial,
     one_shot_power_subgroup,
     series_batch_inv,
+    table_lift,
 )
 from oracles import exhaustive_commutator_subgroup
 from filtra import group as group_module
@@ -336,7 +338,7 @@ def filter_sections(group_name, series):
 @pytest.mark.parametrize("group_name", sorted(SECTION_GROUPS))
 def test_section_tables_match_closure_oracle(group_name, series):
     for sec in filter_sections(group_name, series):
-        g, p = sec.parent, sec.p
+        g, p = sec.parent, sec.parent.p
         num, den = sec.num, sec.den
         mats = elements(num)
         # the denominator is the closure of B and the p-th powers of A
@@ -376,7 +378,7 @@ def test_section_tables_match_closure_oracle(group_name, series):
 def test_section_basis_matches_byte_least_reference(group_name, series):
     for sec in filter_sections(group_name, series):
         old = ByteLeastSection(sec.num, sec.den_given)
-        p, dim = sec.p, sec.dim
+        p, dim = sec.parent.p, sec.dim
         assert old.den == sec.den and old.dim == dim
         # row i of M is the new coordinates of old rep i; M is invertible and
         # maps the old coordinates of every element of A to its new ones
@@ -400,7 +402,7 @@ def assert_section_matches_coset_layout(sec, mats):
     vector: the same inside masks, new coordinates equal to the layout's
     times M, where row i of M is the new coordinates of layout rep i and M
     is invertible, and lifts of matching coordinates in one coset of B'."""
-    p, d, dim = sec.p, sec.parent.degree, sec.dim
+    p, d, dim = sec.parent.p, sec.parent.degree, sec.dim
     num, den = (coset_reduced(p, d, sub.generators) for sub in (sec.num, sec.den_given))
     old = CosetSection(CosetSubgroup(p, sec.num.generators, num.rows, num.keys),
                        CosetSubgroup(p, sec.den_given.generators, den.rows, den.keys))
@@ -441,7 +443,7 @@ def assert_preimages_match_closure(sec, rng):
     """The preimages of the zero space, the whole space and a random
     subspace equal the closure of B' and the lifts of a basis, and the
     elements of A whose coordinates lie in the subspace."""
-    g, p, dim = sec.parent, sec.p, sec.dim
+    g, p, dim = sec.parent, sec.parent.p, sec.dim
     spaces = [Subspace(p, dim, None), Subspace(p, dim, np.eye(dim, dtype=np.int64)),
               Subspace(p, dim, rng.integers(0, p, (max(dim // 2, 1), dim)))]
     for space in spaces:
@@ -604,6 +606,27 @@ def unipotent_generators(draw):
         m[np.triu_indices(d, 1)] = draw(st.lists(st.integers(0, p - 1),
                                                  min_size=above, max_size=above))
         gens.append(m)
+    return p, d, gens
+
+
+@st.composite
+def transvection_words(draw):
+    """2-4 random words in the transvection generators of UT(5,3) or UT(6,2),
+    kept when the group they generate is not abelian, so that refining its
+    filters regenerates them; half of them disguised."""
+    d, p = draw(st.sampled_from([(5, 3), (6, 2)]))
+    letters = st.tuples(st.integers(0, d - 2), st.integers(1, p - 1))
+    gens = []
+    for word in draw(st.lists(st.lists(letters, min_size=1, max_size=6), min_size=2, max_size=4)):
+        m = np.eye(d, dtype=np.int64)
+        for i, e in word:
+            m = m @ transvection(d, i, i + 1, e) % p
+        gens.append(m)
+    # the commutator subgroup is nontrivial exactly when two generators do not commute
+    mats = np.array(gens)
+    assume(((mats[:, None] @ mats[None] - mats[None] @ mats[:, None]) % p).any())
+    if draw(st.booleans()):
+        gens = disguise(p, d, gens, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     return p, d, gens
 
 
@@ -826,17 +849,21 @@ def test_flag_coordinates():
         assert np.array_equal(np.tril(x), np.eye(3, dtype=np.int64))
 
 
-@st.composite
-def disguised_generators(draw):
-    """Unipotent generators, each conjugated by one random invertible matrix."""
-    p, d, gens = draw(unipotent_generators())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def disguise(p, d, gens, rng):
+    """The d x d matrices gens, each conjugated by one random invertible matrix."""
     while True:
         m = rng.integers(0, p, (d, d))
         if len(rref(m, p)[1]) == d:
             break
     minv = inv_matrix(m, p)
-    return p, d, [(minv @ x % p) @ m % p for x in gens]
+    return [(minv @ x % p) @ m % p for x in gens]
+
+
+@st.composite
+def disguised_generators(draw):
+    """Unipotent generators, each conjugated by one random invertible matrix."""
+    p, d, gens = draw(unipotent_generators())
+    return p, d, disguise(p, d, gens, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
 def assert_same_subgroup(got, want: CosetSubgroup):
@@ -917,3 +944,34 @@ def test_section_preimage_matches_closure_oracle_on_disguised_groups(case, seed)
         f = build(g)
         for s in f.keys:
             assert_preimages_match_closure(SectionBasis(f.at(s), f.plus(s)), rng)
+
+
+@functools.cache
+def lift_sections() -> list:
+    """Every section of the gamma, eta and kappa filters of UT(5,3), UT(6,2)
+    and a disguised UT(5,3), whose flag basis is not I, and one section of
+    dimension 0."""
+    t = UnipotentGroup(3, 5, disguise(3, 5, make_ut(5, 3).generators, np.random.default_rng(7)))
+    assert t._flag is not None
+    secs = [SectionBasis(f.at(s), f.plus(s))
+            for g in (make_ut(5, 3), make_ut(6, 2), t)
+            for f in (build(g) for build in FILTERS.values()) for s in f.keys]
+    return secs + [SectionBasis(t.full_subgroup(), t.full_subgroup())]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_section_lift_matches_power_tables(seed):
+    # a lift is the section's sequence element with exponents c at the reps:
+    # bit for bit the product of the reps' powers in depth order, and it
+    # coordinatizes back to c
+    rng = np.random.default_rng(seed)
+    for sec in lift_sections():
+        p, d, dim = sec.parent.p, sec.parent.degree, sec.dim
+        for shape in ((dim,), (int(rng.integers(0, 5)), dim)):
+            c = rng.integers(-p, 2 * p, shape)
+            got, want = sec.lift(c), table_lift(sec, c)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            back, inside = sec.coordinatize(got.reshape(-1, d, d))
+            assert inside.all() and np.array_equal(back, c.reshape(back.shape) % p)

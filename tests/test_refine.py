@@ -21,7 +21,7 @@ from conftest import (
     ut,
 )
 from loop_reference import compact, generate_with_tails
-from test_group import disguised_generators, unipotent_generators
+from test_group import transvection_words
 from filtra.errors import NoNontrivialComponent
 from filtra.filters import (
     Filter, eta_filter, filter_to_json, gamma_filter, generate, kappa_filter, verify_axioms,
@@ -294,7 +294,7 @@ def case_of(g: UnipotentGroup) -> tuple:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(unipotent_generators(), disguised_generators()),
+@given(transvection_words(),
        st.sampled_from([gamma_filter, eta_filter, kappa_filter]), st.sampled_from(METHODS))
 @example(case_of(make_ut(5, 3)), kappa_filter, "adjoint")
 @example(case_of(make_ut(6, 2)), gamma_filter, "centroid")
