@@ -114,26 +114,22 @@ class ScalarRing:
         return self.contains(ia, ib, (2 * ic) % self.p)
 
     def satisfies_identity(self) -> bool:
-        b = self.tensor
-        for ms in self.members:
-            if self.kind == "adjoint":
-                x, y = ms
-                left = np.einsum("il,ljk->ijk", x, b) % self.p
-                right = np.einsum("jl,ilk->ijk", y, b) % self.p
-                if not np.array_equal(left, right):
-                    return False
-            else:
-                x, y, z = ms
-                left = np.einsum("il,ljk->ijk", x, b) % self.p
-                mid = np.einsum("jl,ilk->ijk", y, b) % self.p
-                right = np.einsum("ijm,mk->ijk", b, z) % self.p
-                if self.kind == "centroid":
-                    if not (np.array_equal(left, mid) and np.array_equal(mid, right)):
-                        return False
-                else:
-                    if not np.array_equal((left + mid) % self.p, right):
-                        return False
-        return True
+        """Every member solves the ring's identity; all members are checked
+        at once, one einsum per side over the stacked member matrices."""
+        b, p = self.tensor, self.p
+        a, bb, c = b.shape
+        n = len(self.members)
+        x = np.array([ms[0] for ms in self.members], dtype=np.int64).reshape(n, a, a)
+        y = np.array([ms[1] for ms in self.members], dtype=np.int64).reshape(n, bb, bb)
+        left = np.einsum("nil,ljk->nijk", x, b) % p
+        mid = np.einsum("njl,ilk->nijk", y, b) % p
+        if self.kind == "adjoint":
+            return np.array_equal(left, mid)
+        z = np.array([ms[2] for ms in self.members], dtype=np.int64).reshape(n, c, c)
+        right = np.einsum("ijm,nmk->nijk", b, z) % p
+        if self.kind == "centroid":
+            return np.array_equal(left, mid) and np.array_equal(mid, right)
+        return np.array_equal((left + mid) % p, right)
 
 
 def _rows_x(b: np.ndarray) -> np.ndarray:

@@ -205,13 +205,18 @@ def cmd_verify(args) -> int:
     lie = GradedLieRing(f)
     rng = np.random.default_rng(args.seed)
     comps = lie.component_indices()
-    for s in comps:
-        for t in comps:
-            violations += [list(v) for v in lie.check_antisymmetry(s, t)]
-            violations += [list(map(str, v)) for v in lie.check_bilinear(s, t, 3, rng)]
-            violations += [list(v) for v in lie.check_well_defined(s, t, 2, rng)]
-            for u in comps:
-                violations += [list(v) for v in lie.check_jacobi(s, t, u)]
+    pairs = [(s, t) for s in comps for t in comps]
+    # antisymmetry and Jacobi form every product tensor in pair order, so
+    # the first closure violation is raised here; the random checks follow
+    # in one batch, and each pair's violations are listed in check order
+    exact = [([list(v) for v in lie.check_antisymmetry(s, t)],
+              [list(v) for u in comps for v in lie.check_jacobi(s, t, u)]) for s, t in pairs]
+    checked = lie.check_brackets(pairs, 3, 2, rng)
+    for (antisymmetry, jacobi), (bilinear, well_defined) in zip(exact, checked):
+        violations += antisymmetry
+        violations += [list(map(str, v)) for v in bilinear]
+        violations += [list(v) for v in well_defined]
+        violations += jacobi
     s = lie.leading_index()
     if s is not None:
         try:

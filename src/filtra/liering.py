@@ -7,16 +7,20 @@ commutator of coset representatives; it lands in the component at s+t
 by the filter axioms.  Components and product tensors are built lazily
 and cached, since a refinement round only ever touches a few indices.
 
-Brackets are formed in batches: a product tensor, and each bilinearity or
-well-definedness check, stacks its representatives (or lifts, or
-representatives times denominator elements), takes one stacked commutator
-and coordinatizes the whole stack with one ``SectionBasis.coordinatize``
-call.  The random draws of the checks are made one trial at a time first,
-in the order and sizes of a trial-by-trial loop, so a seeded generator
-leaves them in the same state as that loop would, and violations are
-reported per failing trial in loop order.  A random denominator element is
-a random exponent vector over the denominator's sequence, formed by
-``Subgroup.elements``.
+Brackets are formed in batches.  A product tensor stacks its
+representatives, takes one stacked commutator and coordinatizes the stack
+with one ``SectionBasis.coordinatize`` call.  The bilinearity and
+well-definedness checks run together, for a list of (s, t) pairs, in
+``check_brackets``.  Each check of each pair takes one random draw, a
+``rng.integers`` call of shape (trials, 2a + b) or (a*b*trials, n_s + n_t),
+made pair by pair in the order of a trial-by-trial loop.  A bounded draw
+fills its array entry by entry from the same generator stream, so a seeded
+generator yields the same numbers and ends in the same state as that loop.
+The pairs are then checked in one batch per target component s + t: one
+lift and one denominator ``Subgroup.elements`` call per section, one
+stacked commutator and one coordinatization of the target.  Violations are
+reported per failing trial, in loop order.  A random denominator element is
+a random exponent vector over the denominator's sequence.
 """
 
 from __future__ import annotations
@@ -74,22 +78,9 @@ class GradedLieRing:
     def check_bilinear(self, s: Index, t: Index, trials: int, rng: np.random.Generator) -> list:
         """Bracket agrees with the tensor on random coordinate pairs: the
         tensor contraction of a sum equals the bracket of the product of
-        lifted representatives."""
-        sec_s, sec_t = self.section(s), self.section(t)
-        target = self.section(monoid.add(s, t))
-        p = self.p
-        draws = [(rng.integers(0, p, sec_s.dim), rng.integers(0, p, sec_s.dim),
-                  rng.integers(0, p, sec_t.dim)) for _ in range(trials)]
-        if not draws:
-            return []
-        x1, x2, y = (np.stack(v) for v in zip(*draws))
-        got, inside = target.coordinatize(commutator(sec_s.lift((x1 + x2) % p), sec_t.lift(y), p))
-        tensor = self.product_tensor(s, t)
-        want = (np.einsum("ni,nj,ijk->nk", x1, y, tensor)
-                + np.einsum("ni,nj,ijk->nk", x2, y, tensor)) % p
-        ok = inside & (got == want).all(axis=1)
-        return [(s, t, x1[n].tolist(), x2[n].tolist(), y[n].tolist())
-                for n in np.flatnonzero(~ok)]
+        lifted representatives.  One violation (s, t, x1, x2, y) per failing
+        trial; the bilinear half of ``check_brackets`` for one pair."""
+        return self.check_brackets([(s, t)], trials, 0, rng)[0][0]
 
     def check_antisymmetry(self, s: Index, t: Index) -> list:
         bst = self.product_tensor(s, t)
@@ -129,24 +120,88 @@ class GradedLieRing:
 
         For each pair of reps (i, j) and each trial, the reps are multiplied
         by random denominator elements and their commutator is compared with
-        the tensor entry B[i, j].
+        the tensor entry B[i, j].  One violation ("well_defined", s, t, i, j)
+        per failing trial; the well-defined half of ``check_brackets`` for
+        one pair.
         """
-        sec_s, sec_t = self.section(s), self.section(t)
-        target = self.section(monoid.add(s, t))
-        a, b = sec_s.dim, sec_t.dim
-        if a == 0 or b == 0:
-            return []
-        want = self.product_tensor(s, t)
-        den_s, den_t = sec_s.den, sec_t.den
-        n_s, n_t = den_s.order_exp(), den_t.order_exp()
-        picks = [(rng.integers(0, self.p, n_s), rng.integers(0, self.p, n_t))
-                 for _ in range(a * b * trials)]
-        # draw n belongs to the pair (i, j) = divmod(n // trials, b)
-        pair = np.arange(a * b * trials) // trials
-        ds = np.array([e for e, _ in picks], dtype=np.int64).reshape(len(picks), n_s)
-        dt = np.array([e for _, e in picks], dtype=np.int64).reshape(len(picks), n_t)
-        g = (sec_s.reps[pair // b] @ den_s.elements(ds)) % self.p
-        h = (sec_t.reps[pair % b] @ den_t.elements(dt)) % self.p
-        got, inside = target.coordinatize(commutator(g, h, self.p))
-        ok = inside & (got == want.reshape(a * b, -1)[pair]).all(axis=1)
-        return [("well_defined", s, t, int(n // b), int(n % b)) for n in pair[~ok]]
+        return self.check_brackets([(s, t)], 0, trials, rng)[0][1]
+
+    def check_brackets(self, pairs: list[tuple[Index, Index]], bilinear_trials: int,
+                       well_defined_trials: int, rng: np.random.Generator) -> list[tuple[list, list]]:
+        """``check_bilinear`` and ``check_well_defined`` for every (s, t) of
+        ``pairs``: one (bilinear, well-defined) pair of violation lists per
+        pair, equal to what the two methods return when called pair by pair
+        in that order with the same generator.
+
+        Pair by pair, the sections are built, each check takes its one draw
+        ((x1, x2, y) per bilinear trial; two denominator exponent vectors
+        per well-defined trial, trials in a row for each rep pair (i, j)),
+        and the product tensor is formed, so the draws and the first error
+        raised come in loop order.  The checks then run in one batch per
+        target component s + t.
+        """
+        p = self.p
+        drawn = []
+        for s, t in pairs:
+            sec_s, sec_t = self.section(s), self.section(t)
+            self.section(monoid.add(s, t))
+            a, b, n_s = sec_s.dim, sec_t.dim, sec_s.den.order_exp()
+            xy = rng.integers(0, p, (bilinear_trials, 2 * a + b))
+            de = rng.integers(0, p, (a * b * well_defined_trials, n_s + sec_t.den.order_exp()))
+            if len(xy) or len(de):
+                self.product_tensor(s, t)
+            # x1, x2, y and the denominator exponents of s and of t
+            drawn.append((xy[:, :a], xy[:, a:2 * a], xy[:, 2 * a:], de[:, :n_s], de[:, n_s:]))
+        batches: dict[Index, list[int]] = {}
+        for n, (s, t) in enumerate(pairs):
+            if self.dim(s) and self.dim(t):  # else every bracket is 0 = the tensor's
+                batches.setdefault(monoid.add(s, t), []).append(n)
+        out = [([], []) for _ in pairs]
+        for u, batch in batches.items():
+            # the rows each section lifts or takes from its denominator, in
+            # batch order; each section then makes one call for all of them
+            lifts: dict[Index, list[np.ndarray]] = {}
+            dens: dict[Index, list[np.ndarray]] = {}
+            want = []
+            for n in batch:
+                (s, t), (x1, x2, y, ds, dt) = pairs[n], drawn[n]
+                lifts.setdefault(s, []).append((x1 + x2) % p)
+                lifts.setdefault(t, []).append(y)
+                dens.setdefault(s, []).append(ds)
+                dens.setdefault(t, []).append(dt)
+                tensor = self.product_tensor(s, t)
+                want += [(np.einsum("ni,nj,ijk->nk", x1, y, tensor)
+                          + np.einsum("ni,nj,ijk->nk", x2, y, tensor)) % p,
+                         np.repeat(tensor.reshape(self.dim(s) * self.dim(t), -1),
+                                   well_defined_trials, axis=0)]
+            lifted = {k: _split_call(self.section(k).lift, v) for k, v in lifts.items()}
+            den_elts = {k: _split_call(self.section(k).den.elements, v) for k, v in dens.items()}
+            g, h = [], []
+            for n in batch:
+                s, t = pairs[n]
+                sec_s, sec_t = self.section(s), self.section(t)
+                pair = np.repeat(np.arange(sec_s.dim * sec_t.dim), well_defined_trials)
+                g += [next(lifted[s]), (sec_s.reps[pair // sec_t.dim] @ next(den_elts[s])) % p]
+                h += [next(lifted[t]), (sec_t.reps[pair % sec_t.dim] @ next(den_elts[t])) % p]
+            got, inside = self.section(u).coordinatize(
+                commutator(np.concatenate(g), np.concatenate(h), p))
+            bad = ~(inside & (got == np.concatenate(want)).all(axis=1))
+            row = 0
+            for n in batch:
+                (s, t), (x1, x2, y, ds, _) = pairs[n], drawn[n]
+                bilinear, well_defined = out[n]
+                for k in np.flatnonzero(bad[row:row + len(x1)]):
+                    bilinear.append((s, t, x1[k].tolist(), x2[k].tolist(), y[k].tolist()))
+                row += len(x1)
+                for k in np.flatnonzero(bad[row:row + len(ds)]):
+                    i, j = divmod(int(k) // well_defined_trials, self.dim(t))
+                    well_defined.append(("well_defined", s, t, i, j))
+                row += len(ds)
+        return out
+
+
+def _split_call(fn, stacks: list[np.ndarray]):
+    """fn applied once to the concatenated stacks, split back into one
+    result per stack, yielded in order."""
+    got = fn(np.concatenate(stacks))
+    return iter(np.split(got, np.cumsum([len(x) for x in stacks])[:-1]))

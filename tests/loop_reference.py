@@ -36,6 +36,12 @@ the tensor afresh and does not read or fill the ring's tensor cache.
 `bracket_coords` is the `GradedLieRing` method that contracted two
 coordinate vectors with a product tensor; only the tests used it.
 
+`loop_cmd_verify` is `filtra.cli.cmd_verify` from before the random bracket
+checks of all (s, t) pairs ran in one `GradedLieRing.check_brackets` call:
+for each pair in turn it runs the antisymmetry, bilinear, well-defined and
+Jacobi checks, the two random ones through `loop_check_bilinear` and
+`loop_check_well_defined`.
+
 `ByteLeastSection` is the section basis `filtra.group.SectionBasis` built
 before its reps became the numerator's own generators: each rep is the
 least element of A, in row-major byte order, outside the group grown so
@@ -82,6 +88,7 @@ product is a numpy call.
 
 import heapq
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -89,15 +96,20 @@ import numpy as np
 
 from conftest import elements
 from filtra import monoid
-from filtra.errors import CapExceeded, ClosureViolation, NonNormalGenerator, NotOrderReversing
+from filtra.cli import EXIT_OK, EXIT_USAGE, SERIES, _build_groups, _emit
+from filtra.errors import (
+    CapExceeded, ClosureViolation, FiltraError, NonNormalGenerator, NotOrderReversing,
+)
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
-from filtra.filters import Filter
+from filtra.filters import Filter, verify_axioms
 from filtra.group import (
     Subgroup, UnipotentGroup, _conj, _power_table, _powers, _stack, batch_mul, commutator,
     commutator_subgroup, is_normal, join, join_powers, reduced_generators,
 )
+from filtra.liering import GradedLieRing
 from filtra.monoid import Index
 from filtra.modlinalg import Subspace, inv_matrix, inv_mod, nullspace, rref
+from filtra.refine import ring_at
 
 
 def series_batch_inv(a: np.ndarray, p: int) -> np.ndarray:
@@ -412,6 +424,35 @@ def loop_check_well_defined(ring, s, t, trials: int, rng: np.random.Generator) -
                 if got is None or not np.array_equal(got, want):
                     bad.append(("well_defined", s, t, i, j))
     return bad
+
+
+def loop_cmd_verify(args) -> int:
+    group, label = _build_groups(args)[0]
+    f = SERIES[args.series](group)
+    report = verify_axioms(f)
+    violations = [list(v) for v in report.violations]
+    lie = GradedLieRing(f)
+    rng = np.random.default_rng(args.seed)
+    comps = lie.component_indices()
+    for s in comps:
+        for t in comps:
+            violations += [list(v) for v in lie.check_antisymmetry(s, t)]
+            violations += [list(map(str, v)) for v in loop_check_bilinear(lie, s, t, 3, rng)]
+            violations += [list(v) for v in loop_check_well_defined(lie, s, t, 2, rng)]
+            for u in comps:
+                violations += [list(v) for v in lie.check_jacobi(s, t, u)]
+    s = lie.leading_index()
+    if s is not None:
+        try:
+            ring_at(lie, s, args.method, check=True, rng=rng)
+        except FiltraError as exc:
+            violations.append(["ring", str(exc)])
+    ok = not violations
+    _emit({"group": group.name, "series": args.series, "method": args.method,
+           "ok": ok, "violations": violations}, args)
+    print(f"verify {args.series} of {label}: "
+          f"{'ok' if ok else f'{len(violations)} violations'}", file=sys.stderr)
+    return EXIT_OK if ok else EXIT_USAGE
 
 
 def table_lift(sec, coords) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,21 @@ def test_heisenberg_field_scalar_rings(p):
     der = derivation_ring(t, p)
     assert der.dim == 5
     assert der.has_identity() and closed(der) and der.satisfies_identity()
+
+
+@pytest.mark.parametrize("solver", [adjoint_ring, centroid_ring, derivation_ring])
+def test_perturbed_member_breaks_identity(solver):
+    # one entry of one member moved by 1: each side of every identity is
+    # nonzero in the first row, column and slice of this tensor
+    p = 3
+    ring = solver(heisenberg_tensor(named_ring("F3")), p)
+    assert ring.satisfies_identity()
+    for n, ms in enumerate(ring.members):
+        for m in range(len(ms)):
+            moved = [x.copy() for x in ms]
+            moved[m][0, 0] = (moved[m][0, 0] + 1) % p
+            members = ring.members[:n] + (tuple(moved),) + ring.members[n + 1:]
+            assert not replace(ring, members=members).satisfies_identity(), (n, m)
 
 
 @pytest.mark.parametrize("name,deg,defect", [("F4", 2, 0), ("F2[x]/x2", 2, 1)])

@@ -8,8 +8,11 @@ import time
 import pytest
 
 from conftest import CHAIN_BREAK, J5, LEX_HOLE, jordan_blocks
+from filtra import cli
 from filtra.cli import main
 from filtra.group import MAX_DEGREE, group_to_spec, make_ut
+from filtra.liering import GradedLieRing
+from loop_reference import loop_cmd_verify
 
 
 def run_cli(*args, env=None):
@@ -132,6 +135,36 @@ def test_verify_ok():
     doc = json.loads(out)
     assert doc["ok"] is True and doc["violations"] == []
     assert doc["series"] == "eta"
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_verify_violations_match_loop_verify(monkeypatch, capsys, p, seed):
+    # one entry of two tensors moved by 1: each of the four checks objects
+    # (the bilinear one to the second entry), and batched verify lists the
+    # violations as the pair-by-pair loop does, with the same exit code
+    product_tensor = GradedLieRing.product_tensor
+    moved = {((1,), (1,)): (0, 1, 0), ((1,), (2,)): (2, 0, 0)}
+
+    def tampered(ring, s, t):
+        tensor = product_tensor(ring, s, t)
+        if (s, t) not in moved:
+            return tensor
+        bad = tensor.copy()
+        bad[moved[s, t]] = (bad[moved[s, t]] + 1) % ring.p
+        return bad
+
+    monkeypatch.setattr(GradedLieRing, "product_tensor", tampered)
+    argv = ["verify", "--ut", "4", p, "--series", "gamma", "--seed", seed]
+    got = main(argv), capsys.readouterr()
+    monkeypatch.setattr(cli, "cmd_verify", loop_cmd_verify)
+    want = main(argv), capsys.readouterr()
+    assert got == want
+    assert got[0] == 1
+    # a bilinear violation starts with its index s, printed as a tuple
+    kinds = {"bilinear" if v[0].startswith("(") else v[0]
+             for v in json.loads(got[1].out)["violations"]}
+    assert kinds == {"antisymmetry", "bilinear", "well_defined", "jacobi"}
 
 
 def test_no_group_is_usage_error():
@@ -258,6 +291,15 @@ GOLDEN = [
     # J > J^2 > J^3 (dims 12, 8, 4)
     (("fingerprint", "--heisenberg", "3,0,0,0,0,1"),
      "eae861689420ab81258a7b6a3b6326acee96b24ce4bd0f266d74ac3ac08e75f9"),
+    # UT(2,3) is abelian: its leading component brackets into the trivial
+    # one, so each checked centroid or derivation member acts on a target
+    # of dimension 0 by a 0 x 0 matrix
+    (("verify", "--ut", "2", "3", "--method", "centroid"),
+     "2393f0567111a9fd0d5143961a6e48da15d68889f37e4a48d62aa92c6d3b8a33"),
+    (("verify", "--ut", "2", "3", "--method", "derivation"),
+     "88b7775c7f9e9eb695b31a0bfcbea2c9f427db3f1d6f59a5e5d97c72fede4f41"),
+    (("refine", "--ut", "2", "3", "--method", "derivation", "--check"),
+     "669aa004ebbcf14729b240cec058c9002868f664e3141f6237ecb7d8d8b4cf83"),
 ]
 
 
@@ -304,12 +346,16 @@ SPEC_GOLDEN = [
      "e521ac6fecf2f5940d896a241e26b5e4fc9b5721a966dd7f6ad9486fafb179c7"),
     (jordan_blocks(3, 3, 4), ("refine", "--series", "eta", "--check"),
      "d5dcab0f09470d27998fa0a2899f9d10765c22282c2627268ae0a002127168bf"),
+    # abelian, so the checked centroid acts on a target of dimension 0
+    (jordan_blocks(2, 3, 5), ("refine", "--method", "centroid", "--check"),
+     "27f848dda76ba2404db87a6a69dca3c2188b500c46f8f59c31dc7acbec244ff0"),
 ]
 
 
 @pytest.mark.parametrize("spec,args,want", SPEC_GOLDEN,
                          ids=["LEX_HOLE eta centroid", "dJ5", "UT(6,2)^T", "J5^3 eta series",
-                              "J5^3 refine", "J4^3 fingerprint", "J4^3 eta refine"])
+                              "J5^3 refine", "J4^3 fingerprint", "J4^3 eta refine",
+                              "J5^3 centroid refine"])
 def test_golden_stdout_on_group_files(tmp_path, spec, args, want):
     code, out, err = run_cli(*args, "--group", write_spec(tmp_path, spec))
     assert code == 0, err

@@ -126,7 +126,10 @@ def _outcome(fn, *args):
 def assert_batched_matches_loops(f: Filter, tamper=None):
     """Product tensors and the bilinear / well-defined checks agree with the
     one-pair-at-a-time loops: bit-identical tensors, the same violations in
-    the same order, and the same random stream consumed."""
+    the same order, and the same random stream consumed.  One
+    ``check_brackets`` call over every (s, t) of the filter, on a fresh
+    ring, matches the two loops run pair by pair, and raises the same
+    error when a tensor fails."""
     ring = GradedLieRing(f)
     keys = f.keys
     for s, t in product(keys, repeat=2):
@@ -152,6 +155,23 @@ def assert_batched_matches_loops(f: Filter, tamper=None):
                 # a check that raises through product_tensor may stop at
                 # another draw; the stream is not used after that
                 slow.bit_generator.state = fast.bit_generator.state
+
+    def fresh() -> GradedLieRing:
+        ring = GradedLieRing(f)
+        if tamper is not None:
+            tamper(ring)
+        return ring
+
+    pairs = list(product(keys, repeat=2))
+    fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+    got = _outcome(fresh().check_brackets, pairs, 3, 2, fast)
+    ring = fresh()
+    want = _outcome(lambda: [(loop_check_bilinear(ring, s, t, 3, slow),
+                              loop_check_well_defined(ring, s, t, 2, slow))
+                             for s, t in pairs])
+    assert got == want
+    if isinstance(want, list):
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 LOOP_GROUPS = {f"UT({d},{p})": (lambda d=d, p=p: ut(d, p))
