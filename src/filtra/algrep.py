@@ -17,6 +17,15 @@ generates the submodule span(v, vA), one product and one elimination
 (`spin`), and the actions on a split read off at the pivots of its rref
 basis (`_split_action`): no complement is built and nothing is inverted.
 
+Every product here goes through `modlinalg._dot`: the algebra products
+(`_products`: closure, radical chain, `verify_radical` and the quotient's
+regular representation), spins, split actions and the radical's matrices.
+A large product runs in float64 on BLAS, exact while an inner dimension
+has at most 2**53 // (p - 1)**2 terms (longer ones are split), and a small
+one in int64; both are reduced mod p.  `_products` forms its products in
+blocks of at most PRODUCT_BLOCK entries, which bounds the float64
+temporaries too.
+
 Modules are row vectors with matrices acting on the right.  The radical
 of an algebra A <= M_n is computed from the natural module Z_p^n: split
 it into composition factors with a meataxe, certify each factor
@@ -48,7 +57,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ClosureViolation, FiltraError, MeataxeExhausted
-from .modlinalg import Subspace, _reduce, check_prime, nullspace, rref
+from .modlinalg import Subspace, _dot, as_array, check_prime, nullspace, rref
 from .poly import at_matrix, charpoly, degree, factor, is_irreducible, norm
 
 # Random algebra elements `try_split` draws before it gives up.  A draw b
@@ -58,9 +67,10 @@ from .poly import at_matrix, charpoly, degree, factor, is_irreducible, norm
 # 100 draws would all miss with probability below 3e-5.  On the benchmark
 # ring tensors 57 certificates took 61 draws.
 MAX_DRAWS = 100
-# int64 entries per block of matrix products (8 MB): the products of a
-# d-dimensional algebra of n x n matrices number d^2 n^2 entries, which for
-# the full adjoint ring of a zero bimap on Z_p^12 is already 48 million
+# Entries per block of matrix products (8 MB in int64, as in float64): the
+# products of a d-dimensional algebra of n x n matrices number d^2 n^2
+# entries, which for the full adjoint ring of a zero bimap on Z_p^12 is
+# already 48 million
 PRODUCT_BLOCK = 1 << 20
 
 
@@ -106,7 +116,7 @@ def _products(xs: np.ndarray, ys: np.ndarray, n: int, p: int):
     ys = ys.reshape(1, -1, n, n)
     step = max(1, PRODUCT_BLOCK // max(1, ys.size))
     for i in range(0, max(1, xs.shape[0]), step):
-        yield _reduce((xs[i:i + step].reshape(-1, 1, n, n) @ ys).reshape(-1, n * n), p)
+        yield _dot(xs[i:i + step].reshape(-1, 1, n, n), ys, p).reshape(-1, n * n)
 
 
 def algebra_closure(mats, p: int, n: int, unital: bool = False) -> MatAlgebra:
@@ -147,12 +157,12 @@ def _close(space: Subspace, vecs: np.ndarray, n: int) -> Subspace:
 def spin(v: np.ndarray, mats, p: int) -> np.ndarray:
     """Rref basis of the submodule that the row vector v generates.
 
-    `mats` must span a closed algebra A; then vA is a submodule and the
-    answer is span(v, v @ mats).  For a span that is not closed this lies
+    `mats`, reduced mod p, must span a closed algebra A; then vA is a
+    submodule and the answer is span(v, v @ mats).  For a span that is not closed this lies
     inside the submodule that words in `mats` generate, and can be smaller."""
     v = np.mod(np.asarray(v, dtype=np.int64), p).reshape(1, -1)
     n = v.shape[1]
-    images = _reduce((v @ np.asarray(mats, dtype=np.int64).reshape(-1, n, n)).reshape(-1, n), p)
+    images = _dot(v, np.asarray(mats, dtype=np.int64).reshape(-1, n, n), p).reshape(-1, n)
     basis, pivots = rref(np.vstack([v, images]), p)
     return basis[: len(pivots)]
 
@@ -232,7 +242,7 @@ def check_certificate(factor_data: FactorData, p: int) -> bool:
         return n == 1
     if cert[0] != "norton" or len(cert) != 3:
         return False
-    gens = np.asarray(factor_data.action, dtype=np.int64).reshape(-1, n, n)
+    gens = as_array(factor_data.action, p).reshape(-1, n, n)
     c, f = (np.asarray(x, dtype=np.int64) for x in cert[1:])
     if c.shape != (gens.shape[0],) or f.ndim != 1 or not is_irreducible(f, p):
         return False
@@ -252,12 +262,12 @@ def _split_action(mats, w: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     pivots = (w != 0).argmax(axis=1)
     rest = np.ones(w.shape[1], dtype=bool)
     rest[pivots] = False
-    wm = w @ gens % p
+    wm = _dot(w, gens, p)
     sub = wm[..., pivots]
-    if ((wm[..., rest] - sub @ w[:, rest]) % p).any():
+    if ((wm[..., rest] - _dot(sub, w[:, rest], p)) % p).any():
         raise ClosureViolation("subspace is not invariant under the action")
     below = gens[:, rest]
-    return sub, (below[..., rest] - below[..., pivots] @ w[:, rest]) % p
+    return sub, (below[..., rest] - _dot(below[..., pivots], w[:, rest], p)) % p
 
 
 def composition_factors(mats, p: int, n: int, rng: np.random.Generator) -> list[FactorData]:
@@ -294,7 +304,7 @@ def jacobson_radical(alg: MatAlgebra, rng: np.random.Generator | None = None) ->
     factors = composition_factors(alg.mats, alg.p, alg.n, rng)
     stacked = np.concatenate([np.reshape(f.action, (k, -1)) for f in factors], axis=1)
     coeff = Subspace.adopt(alg.p, k, nullspace(stacked.T, alg.p))
-    mats = [((row @ alg.space.basis) % alg.p).reshape(alg.n, alg.n) for row in coeff.basis]
+    mats = list(_dot(coeff.basis, alg.space.basis, alg.p).reshape(-1, alg.n, alg.n))
     chain = radical_chain(mats, alg.p, alg.n)
     return RadicalData(coeff, mats, chain, factors)
 

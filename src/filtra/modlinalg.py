@@ -1,34 +1,52 @@
 """Exact linear algebra over Z_p, for primes p up to MAX_PRIME = 65521.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  No
-floats anywhere: pivoting uses modular inverses, so every result is
-exact.  Row spaces are kept in reduced row echelon form, which makes
-subspace equality a plain array comparison.  Below MAX_PRIME, the largest
-prime under 2**16, an entry product is below 2**32, so any int64 sum of
-fewer than 2**31 such products is exact; `check_prime` and `rref` refuse
-larger moduli.
+Matrices are numpy int64 arrays with entries reduced into [0, p).  Every
+result is exact: pivoting uses modular inverses, and the float64 products
+below never leave the integers float64 holds.  Row spaces are kept in
+reduced row echelon form, which makes subspace equality a plain array
+comparison.  Below MAX_PRIME, the largest prime under 2**16, an entry
+product is below 2**32, so any int64 sum of fewer than 2**31 such products
+is exact; `check_prime` and `rref` refuse larger moduli.
 
-One elimination kernel, `rref`, carries everything else.  It reduces its
-input once into the narrowest unsigned dtype that holds (p - 1) +
-(p - 1)**2, the largest value a pivot step forms: uint8 for p <= 13,
-uint16 for p <= 251 and uint32 up to MAX_PRIME.  Per pivot it skips the
-all-zero columns in one step, takes the first row with a nonzero entry,
-scales it unless the pivot is already 1, and clears the column on the
-rows that hit it, restricted to the columns from the pivot on (the pivot
-row is zero before it).  At p = 2 the pivot is 1 and clearing is a row XOR
-(`m[hit, c:] ^= row`), as in dense elimination over GF(2) (Albrecht and
-Pernet, arXiv:1006.1744).  At odd p a row with entry e at the pivot gains
+One elimination kernel, `rref`, carries everything else.  At p = 2 it
+works on bit-packed rows (`_rref2`; Albrecht, Bard and Hart, "Algorithm
+898", ACM TOMS 37, 2010).  Each row is packed once into a Python int, bit c
+for column c (`np.packbits` little-endian, then `int.from_bytes`), and is
+reduced against the rows kept so far, keyed by their pivot bits.  A kept
+row's pivot is its lowest bit, so the XOR for the lowest pivot a row hits
+clears that bit and touches only higher columns: a row costs one XOR per
+pivot it hits, where a column-by-column kernel pays several numpy calls per
+pivot whatever the density.  A row left nonzero is kept under its lowest
+bit.  Back-substitution, highest pivot first, clears each kept row at the
+higher pivots, and the kept rows unpack to the int64 rref.
+
+At odd p, `rref` reduces its input once into the narrowest unsigned dtype
+that holds (p - 1) + (p - 1)**2, the largest value a pivot step forms:
+uint8 for p <= 13, uint16 for p <= 251 and uint32 up to MAX_PRIME.  Per
+pivot it skips the all-zero columns in one step, takes the first row with a
+nonzero entry, scales it unless the pivot is already 1, and clears the
+column on the rows that hit it, restricted to the columns from the pivot on
+(the pivot row is zero before it).  A row with entry e at the pivot gains
 (p - e) times the pivot row, one broadcast product that keeps every value
-unsigned, and is reduced mod p.  The result is widened back to int64
-once, at the end.
+unsigned, and is reduced mod p.  The result is widened back to int64 once,
+at the end.
 
 Products of int64 matrices are reduced by `_reduce`: at p = 2 by the mask
 `& 1`, which two's complement makes exact on negative values too, at a
-fraction of the cost of `% 2`.  `as_array`, `Subspace.residues`,
-`Subspace.extend`, the algebra products and spins of `filtra.algrep`, and
-every group product of `filtra.group` (`batch_mul`, `batch_inv`, sifting,
-powers, coordinate changes, `Subgroup.elements`, `SectionBasis.lift`)
-reduce through it.
+fraction of the cost of `% 2`.  The ring layer multiplies through `_dot`
+(Dumas, Giorgi and Pernet, "FFPACK", ACM TOMS 35, 2008).  A product of at
+least _BLAS_MIN_WORK multiply-adds runs in float64, where numpy hands it to
+BLAS (int64 `@` runs numpy's own loops), and is reduced after; a smaller
+one stays in int64, where the casts would cost more than BLAS saves.  With
+entries in [-(p - 1), p - 1] each term is at most (p - 1)**2, and float64
+holds every integer up to 2**53, so a sum of up to 2**53 // (p - 1)**2
+terms is exact in any order: 2**53 at p = 2, about 2**21 at MAX_PRIME.  A
+longer inner dimension is split into chunks that long.
+`Subspace.residues`, `Subspace.extend`, and the algebra products, spins,
+split actions and radical matrices of `filtra.algrep` go through `_dot`.
+The group products of `filtra.group` (`batch_mul`, `batch_inv`, sifting,
+powers, coordinate changes, `Subgroup.elements`, `SectionBasis.lift`) stay
+int64 and reduce through `_reduce`, as `as_array` does.
 
 Membership is a read-off.  An rref basis has a unit at its own pivot and
 zeros at every other pivot, so the coefficient of basis row i in a
@@ -86,6 +104,35 @@ def _reduce(a: np.ndarray, p: int) -> np.ndarray:
     return a & 1 if p == 2 else a % p
 
 
+# Multiply-adds below which `_dot` stays in int64 `@`: there the float64
+# casts cost more than BLAS saves.  Timed product by product on one pass of
+# each benchmark workload, any bound from 2,000 to 10,000 came within 3% of
+# the best choice made call by call.
+_BLAS_MIN_WORK = 4096
+
+
+def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, as int64, for b of at least two dimensions and entries
+    in [-(p - 1), p - 1].
+
+    A product of fewer than _BLAS_MIN_WORK multiply-adds (counted without
+    broadcasting, so a stack times a stack counts its larger side) runs in
+    int64, exact below MAX_PRIME.  A larger one runs through float64 `@`
+    (BLAS).  Each term of a dot product is at most (p - 1)**2 in size and
+    float64 holds every integer up to 2**53, so a sum of at most
+    2**53 // (p - 1)**2 terms is exact in any order: 2**53 at p = 2, about
+    2**21 at MAX_PRIME.  A longer inner dimension is split into chunks of
+    that many terms, each reduced before they are added."""
+    if max(a.size * b.shape[-1], b.size * (a.shape[-2] if a.ndim > 1 else 1)) < _BLAS_MIN_WORK:
+        return _reduce(a @ b, p)
+    step = (1 << 53) // (p - 1) ** 2
+    k = a.shape[-1]
+    if k <= step:
+        return _reduce((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64), p)
+    return _reduce(sum(_dot(a[..., i:i + step], b[..., i:i + step, :], p)
+                       for i in range(0, k, step)), p)
+
+
 def as_array(entries, p: int) -> np.ndarray:
     return _reduce(np.asarray(entries, dtype=np.int64), p)
 
@@ -107,12 +154,14 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise DimensionMismatch("rref expects a 2-d array")
-    t = _work_dtype(p)
     # Most inputs are reduced already, and an int64 mod costs about ten
     # times the range check.  Negative entries read as huge in the uint64
     # view, so one max checks both ends.
     if a.size and a.view(np.uint64).max() >= p:
         a = _reduce(a, p)
+    if p == 2:
+        return _rref2(a)
+    t = _work_dtype(p)
     m = a.astype(t)
     q = t(p)
     rows, cols = m.shape
@@ -134,16 +183,57 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         hit = m[:, c].nonzero()[0]
         hit = hit[hit != r]
         if hit.size:
-            row = m[r, c:]
-            if p == 2:
-                m[hit, c:] ^= row
-            else:
-                sub = m[hit, c:]
-                m[hit, c:] = (sub + (q - sub[:, :1]) * row) % q
+            sub = m[hit, c:]
+            m[hit, c:] = (sub + (q - sub[:, :1]) * m[r, c:]) % q
         pivots.append(c)
         r += 1
         c += 1
     return m.astype(np.int64), pivots
+
+
+def _rref2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """`rref` over GF(2) of a 0/1 int64 array, on rows packed into Python
+    ints (bit c is column c).
+
+    A row is reduced by the kept rows at the pivots it hits, lowest first;
+    a kept row's pivot is its lowest bit, so each XOR clears one pivot bit
+    and touches only higher columns.  A row left nonzero is kept under its
+    lowest bit.  Back-substitution then clears every kept row at the higher
+    pivots, highest pivot first, when the rows it XORs in are reduced
+    already: one XOR per pivot bit the row holds."""
+    rows, cols = a.shape
+    packed = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    kept: dict[int, int] = {}   # pivot bit (1 << c) -> row
+    mask = 0                    # every pivot bit
+    for i in range(rows):
+        x = int.from_bytes(data[i * width:(i + 1) * width], "little")
+        hits = x & mask
+        while hits:
+            x ^= kept[hits & -hits]
+            hits = x & mask
+        if x:
+            low = x & -x
+            kept[low] = x
+            mask |= low
+            if len(kept) == cols:
+                break
+    lows = sorted(kept)
+    for low in reversed(lows):
+        x = kept[low]
+        hits = x & mask ^ low
+        while hits:
+            bit = hits & -hits
+            x ^= kept[bit]
+            hits ^= bit
+        kept[low] = x
+    out = np.zeros((rows, cols), dtype=np.int64)
+    if lows:
+        bits = np.frombuffer(b"".join(kept[low].to_bytes(width, "little") for low in lows),
+                             dtype=np.uint8).reshape(len(lows), width)
+        out[:len(lows)] = np.unpackbits(bits, axis=1, count=cols, bitorder="little")
+    return out, [low.bit_length() - 1 for low in lows]
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
@@ -194,7 +284,7 @@ class Subspace:
             return self, res
         fresh, pivots = rref(res, self.p)
         fresh = fresh[: len(pivots)]
-        old = _reduce(self.basis - self.basis[:, pivots] @ fresh, self.p)
+        old = _reduce(self.basis - _dot(self.basis[:, pivots], fresh, self.p), self.p)
         merged = self.pivots + pivots
         order = np.argsort(merged)
         return (Subspace.adopt(self.p, self.n, np.vstack([old, fresh])[order],
@@ -221,7 +311,7 @@ class Subspace:
         v = as_array(rows, self.p)
         if v.shape[-1] != self.n:
             raise DimensionMismatch(f"vector length {v.shape[-1]}, ambient {self.n}")
-        return _reduce(v - v[..., self.pivots] @ self.basis, self.p)
+        return _reduce(v - _dot(v[..., self.pivots], self.basis, self.p), self.p)
 
     def __eq__(self, other) -> bool:
         return (

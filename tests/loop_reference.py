@@ -17,6 +17,11 @@ off at the pivots of w: it completes the rref rows of w to an invertible
 t with unit vectors, inverts t (`inv_matrix`, one `rref` of [t | I]) and
 takes the diagonal blocks of t M t^-1.
 
+`dense_rref` is `filtra.modlinalg.rref` from before it eliminated over
+GF(2) on bit-packed rows: one column per pivot in the narrowest unsigned
+dtype, cleared at p = 2 by XOR with the pivot row (`m[hit, c:] ^= row`) and
+at odd p by a broadcast multiply-add and a mod.
+
 `loop_associativity_failure` is the triple loop over basis elements that
 `filtra.ring.FinCommRing` used to check associativity before it compared
 all (j, k) for one i at once.
@@ -108,7 +113,9 @@ from filtra.group import (
 )
 from filtra.liering import GradedLieRing
 from filtra.monoid import Index
-from filtra.modlinalg import Subspace, inv_matrix, inv_mod, nullspace, rref
+from filtra.modlinalg import (
+    Subspace, _reduce, _work_dtype, inv_matrix, inv_mod, nullspace, rref,
+)
 from filtra.refine import ring_at
 
 
@@ -125,6 +132,46 @@ def series_batch_inv(a: np.ndarray, p: int) -> np.ndarray:
             break
         acc = (acc + (term if k % 2 == 0 else (p - 1) * term)) % p
     return acc
+
+
+def dense_rref(a, p: int) -> tuple[np.ndarray, list[int]]:
+    """`filtra.modlinalg.rref` at every p, p = 2 included, from before it
+    eliminated over GF(2) on bit-packed rows."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.size and a.view(np.uint64).max() >= p:
+        a = _reduce(a, p)
+    t = _work_dtype(p)
+    m = a.astype(t)
+    q = t(p)
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = c = 0
+    while r < rows and c < cols:
+        below = m[r:, c].nonzero()[0]
+        if below.size == 0:
+            live = np.flatnonzero(m[r:, c:].any(axis=0))
+            if live.size == 0:
+                break
+            c += int(live[0])
+            below = m[r:, c].nonzero()[0]
+        sel = r + int(below[0])
+        if sel != r:
+            m[[r, sel]] = m[[sel, r]]
+        if m[r, c] != 1:
+            m[r, c:] = m[r, c:] * t(inv_mod(m[r, c], p)) % q
+        hit = m[:, c].nonzero()[0]
+        hit = hit[hit != r]
+        if hit.size:
+            row = m[r, c:]
+            if p == 2:
+                m[hit, c:] ^= row
+            else:
+                sub = m[hit, c:]
+                m[hit, c:] = (sub + (q - sub[:, :1]) * row) % q
+        pivots.append(c)
+        r += 1
+        c += 1
+    return m.astype(np.int64), pivots
 
 
 def loop_rref(a, p: int) -> tuple[np.ndarray, list[int]]:

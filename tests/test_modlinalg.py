@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from loop_reference import loop_nullspace, loop_reduce, loop_rref
+from loop_reference import dense_rref, loop_nullspace, loop_reduce, loop_rref
 from filtra import modlinalg
 from filtra.bimap import _rows_x, _rows_y_right, _rows_z, solve_ring
 from filtra.modlinalg import (
     MAX_PRIME,
     Subspace,
+    _BLAS_MIN_WORK,
+    _dot,
     _work_dtype,
     check_prime,
     inv_matrix,
@@ -195,11 +197,11 @@ def test_extend_matches_stacked_rref(case, p):
     assert new or grown is space
 
 
-@pytest.mark.parametrize("p, dtype", [(2, np.uint8), (13, np.uint8), (17, np.uint16),
+@pytest.mark.parametrize("p, dtype", [(13, np.uint8), (17, np.uint16),
                                       (251, np.uint16), (257, np.uint32), (65521, np.uint32)])
 def test_rref_works_in_the_narrowest_dtype(monkeypatch, p, dtype):
-    """rref picks the narrowest unsigned dtype that holds a pivot step,
-    leaves its argument alone and returns int64."""
+    """At odd p, rref picks the narrowest unsigned dtype that holds a pivot
+    step, leaves its argument alone and returns int64."""
     picked = []
 
     def spy(q):
@@ -221,6 +223,93 @@ def test_rref_works_in_the_narrowest_dtype(monkeypatch, p, dtype):
     want_r, want_piv = loop_rref(a, p)
     assert r.dtype == np.int64 and np.array_equal(r, want_r) and piv == want_piv
     assert np.array_equal(a, kept)
+
+
+def test_rref_at_2_eliminates_packed_rows(monkeypatch):
+    """At p = 2 rref picks no working dtype: it packs the rows into ints,
+    leaves its argument alone and returns int64."""
+    picked = []
+    monkeypatch.setattr(modlinalg, "_work_dtype", picked.append)
+    a = np.array([[1, 1, 3], [1, 1, 4], [-1, -2, 3]])
+    a.setflags(write=False)
+    kept = a.copy()
+    r, piv = rref(a, 2)
+    assert picked == []
+    want_r, want_piv = loop_rref(a, 2)
+    assert r.dtype == np.int64 and np.array_equal(r, want_r) and piv == want_piv
+    assert np.array_equal(a, kept)
+
+
+@st.composite
+def _packed_systems(draw):
+    """GF(2) systems for the packed kernel, entries in {-3, ..., 5}: column
+    counts at the byte and word edges of a packed row (and 577, past nine
+    words), 0 to 120 rows, sparse to dense, with zero rows and duplicate
+    rows mixed in; 0 x n and n x 0 shapes included."""
+    cols = draw(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 577]))
+    rows = draw(st.sampled_from([0, 1, 3, 20, 120 if cols < 100 else 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.01, 0.1, 0.5]))
+    a = np.where(rng.random((rows, cols)) < density, rng.integers(-3, 6, (rows, cols)), 0)
+    if rows and draw(st.booleans()):
+        a[rng.integers(0, rows, rows // 3 + 1)] = 0
+    if rows and draw(st.booleans()):
+        a = a[rng.integers(0, rows, rows)]
+    return a
+
+
+@given(_packed_systems())
+@settings(max_examples=200, deadline=None)
+def test_rref_at_2_matches_dense_kernel_and_row_loop(a):
+    a.setflags(write=False)
+    kept = a.copy()
+    r, piv = rref(a, 2)
+    for want_r, want_piv in (loop_rref(a, 2), dense_rref(a, 2)):
+        assert r.dtype == want_r.dtype and np.array_equal(r, want_r)
+        assert piv == want_piv
+    assert np.array_equal(a, kept)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251, 65521])
+def test_dot_matches_int64_products(p):
+    """_dot equals int64 `@` mod p on matrices, vectors times matrices,
+    stacks and the broadcast stacks of the algebra products, each on both
+    sides of _BLAS_MIN_WORK, entries drawn at +-(p - 1) and at random in
+    between."""
+    rng = np.random.default_rng(p)
+
+    def draw(*shape):
+        edge = rng.choice([-(p - 1), p - 1], shape)
+        return np.where(rng.random(shape) < 0.5, edge, rng.integers(-(p - 1), p, shape))
+
+    small = [(draw(5, 7), draw(7, 3)), (draw(0, 4), draw(4, 2)), (draw(3, 0), draw(0, 2)),
+             (draw(7), draw(7, 4)), (draw(4, 3, 6), draw(4, 6, 5)),
+             (draw(3, 1, 4, 4), draw(1, 5, 4, 4)), (draw(1, 300), draw(300, 1))]
+    large = [(draw(40, 60), draw(60, 50)), (draw(300), draw(300, 40)),
+             (draw(6, 20, 30), draw(6, 30, 20)), (draw(8, 1, 16, 16), draw(1, 12, 16, 16)),
+             (draw(1, 5000), draw(5000, 1))]
+    for cases, blas in ((small, False), (large, True)):
+        for a, b in cases:
+            work = max(a.size * b.shape[-1], b.size * (a.shape[-2] if a.ndim > 1 else 1))
+            assert (work >= _BLAS_MIN_WORK) == blas
+            got = _dot(a, b, p)
+            assert got.dtype == np.int64 and np.array_equal(got, (a @ b) % p)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_dot_is_exact_past_the_float64_chunk_bound(sign):
+    """At p = 65521 a dot product of more than 2**53 // (p - 1)**2 terms
+    of size about (p - 1)**2 passes 2**53; its sum here is odd, so one
+    float64 product cannot hold it, and _dot must split it."""
+    p = MAX_PRIME
+    k = (1 << 53) // (p - 1) ** 2 + 1025
+    a = np.full((1, k), p - 1, dtype=np.int64)
+    b = np.full((k, 1), sign * (p - 1), dtype=np.int64)
+    a[0, 0], b[0, 0] = p - 2, sign * (p - 2)
+    total = (k - 1) * (p - 1) ** 2 + (p - 2) ** 2
+    assert total > 1 << 53 and total % 2 == 1
+    assert int((a.astype(np.float64) @ b.astype(np.float64))[0, 0]) != sign * total
+    assert _dot(a, b, p).tolist() == [[sign * total % p]] == ((a @ b) % p).tolist()
 
 
 def test_max_prime_is_the_largest_prime_below_2_16():
