@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modlinalg import Subspace, check_prime, inv_matrix, nullspace
+from .modlinalg import Subspace, _dot, check_prime, inv_matrix, nullspace
 
 # Combinations of slices tried, after the slices themselves, when looking for
 # an invertible one.
@@ -190,9 +190,9 @@ def _centralizer(ms: np.ndarray, p: int) -> np.ndarray:
         return np.eye(a * a, dtype=np.int64)
     basis = nullspace(np.kron(eye, ms[0].T) - np.kron(ms[0], eye), p)
     if len(ms) > 1:
-        xs = basis.reshape(-1, a, a)
-        images = np.concatenate([(xs @ m - m @ xs).reshape(len(xs), -1) for m in ms[1:]], axis=1)
-        basis = (nullspace(images.T, p) @ basis) % p
+        xs, rest = basis.reshape(-1, 1, a, a), np.stack(ms[1:])
+        images = (_dot(xs, rest, p) - _dot(rest, xs, p)).reshape(len(xs), -1)
+        basis = _dot(nullspace(images.T, p), basis, p)
     return basis
 
 
@@ -203,9 +203,9 @@ def _adjoint_space(b: np.ndarray, p: int) -> Subspace:
         rows = np.concatenate([_rows_x(b), -_rows_y_right(b) % p], axis=1)
         return Subspace.adopt(p, a * a + bb * bb, nullspace(rows, p))
     cm, inv = found
-    ms = (b.transpose(2, 0, 1) @ inv) % p
+    ms = _dot(b.transpose(2, 0, 1), inv, p)
     xs = _centralizer(ms, p).reshape(-1, a, a)
-    ys = ((inv @ xs % p) @ cm % p).transpose(0, 2, 1)
+    ys = _dot(_dot(inv, xs, p), cm, p).transpose(0, 2, 1)
     return Subspace(p, 2 * a * a, np.concatenate([xs, ys], axis=1).reshape(len(xs), -1))
 
 
@@ -224,7 +224,7 @@ def centroid_ring(tensor, p: int) -> ScalarRing:
     xb = np.einsum("nil,ljk->ijkn", adj[:, : a * a].reshape(-1, a, a), b)
     # Unknowns (Z, alpha): with the sparse Z block first, elimination is cheaper.
     sol = nullspace(np.concatenate([_rows_z(b), -xb.reshape(a * bb * c, len(adj))], axis=1), p)
-    vecs = np.concatenate([sol[:, c * c:] @ adj % p, sol[:, : c * c]], axis=1)
+    vecs = np.concatenate([_dot(sol[:, c * c:], adj, p), sol[:, : c * c]], axis=1)
     space = Subspace(p, a * a + bb * bb + c * c, vecs)
     members = tuple(tuple(_unflatten(v, [(a, a), (bb, bb), (c, c)])) for v in space.basis)
     return ScalarRing("centroid", p, b, members, space)

@@ -248,10 +248,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--series", "--which", dest="series",
                     choices=sorted(SERIES), default="gamma")
     sp.add_argument("--method", choices=METHODS, default="adjoint")
-    sp.add_argument("--stable", action="store_true",
-                    help="iterate to stability (default)")
     sp.add_argument("--rounds", type=_int_at_least(0), default=None,
-                    help="run at most this many rounds instead")
+                    help="run at most this many rounds instead of iterating to stability")
     sp.add_argument("--check", action="store_true",
                     help="verify filter axioms after each round")
     sp.set_defaults(fn=cmd_refine)

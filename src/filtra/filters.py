@@ -238,8 +238,11 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
     trivial = ambient.trivial_subgroup()
 
     def lookup(t: Index) -> Subgroup | None:
-        """pi at t, no trivial minimal dividing t: exact, else row-clipped,
-        else None (trivial or unreached)."""
+        """pi at t: exact, else row-clipped, else None (trivial or
+        unreached).  Every t looked up is s - x for the s being generated,
+        so no trivial minimal divides t: t = s - x >= 0 divides s, a
+        recorded minimal dividing t would divide s too, and s would have
+        been skipped when it was popped."""
         got = computed.get(t)
         if got is not None:
             return got
@@ -262,11 +265,11 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
         here = np.array(s, dtype=np.int64)
         diff = here - grid
         xs = np.flatnonzero((diff >= 0).all(axis=1))
-        rows = diff[xs]
-        cut = _below(rows, mins).tolist()  # each t = s - x
         parts: dict[Subgroup, None] = {dom[s]: None} if s in dom else {}
-        for x, t, below in zip(xs.tolist(), map(tuple, rows.tolist()), cut):
-            if below or not any(t):
+        # each t = s - x divides s, so no recorded trivial minimal divides t
+        # (see lookup) and none needs cutting
+        for x, t in zip(xs.tolist(), map(tuple, diff[xs].tolist())):
+            if not any(t):
                 continue
             pt = lookup(t)
             if pt is not None:

@@ -42,8 +42,10 @@ entries in [-(p - 1), p - 1] each term is at most (p - 1)**2, and float64
 holds every integer up to 2**53, so a sum of up to 2**53 // (p - 1)**2
 terms is exact in any order: 2**53 at p = 2, about 2**21 at MAX_PRIME.  A
 longer inner dimension is split into chunks that long.
-`Subspace.residues`, `Subspace.extend`, and the algebra products, spins,
-split actions and radical matrices of `filtra.algrep` go through `_dot`.
+`Subspace.residues`, `Subspace.extend`, the algebra products, spins,
+split actions and radical matrices of `filtra.algrep`, and the
+centralizer, adjoint and centroid products of `filtra.bimap` go through
+`_dot`.
 The group products of `filtra.group` (`batch_mul`, `batch_inv`, sifting,
 powers, coordinate changes, `Subgroup.elements`, `SectionBasis.lift`) stay
 int64 and reduce through `_reduce`, as `as_array` does.

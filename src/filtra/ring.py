@@ -1,16 +1,21 @@
 """Finite commutative Z_p-algebras given by structure constants.
 
-Elements are coordinate row vectors over Z_p.  The Jacobson radical of
-such a ring is its nilradical, computed as the eventual kernel of the
-Frobenius map x -> x^p, which is Z_p-linear in characteristic p.
+Elements are coordinate row vectors over Z_p.  The ring acts on itself by
+multiplication, and by commutativity the slice table[i] is the matrix
+`mult_matrix(e_i)` of that action.  So the slices generate the regular
+representation as a matrix algebra, whose radical powers are those of the
+ring: `radical_chain` takes them from `filtra.algrep.jacobson_radical`,
+the one radical routine of the library, and reads each matrix M_x back as
+the ring element x = 1 M_x.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .algrep import algebra_closure, jacobson_radical
 from .errors import ClosureViolation, DimensionMismatch
-from .modlinalg import Subspace, as_array, check_prime, nullspace
+from .modlinalg import Subspace, as_array, check_prime
 
 
 class FinCommRing:
@@ -66,39 +71,11 @@ class FinCommRing:
         x = as_array(x, self.p).reshape(-1)
         return (np.einsum("j,ijk->ik", x, self.table)) % self.p
 
-    def power(self, x, n: int) -> np.ndarray:
-        acc = self.unit.copy()
-        for _ in range(n):
-            acc = self.mult(acc, x)
-        return acc
-
-    def frobenius_matrix(self) -> np.ndarray:
-        rows = [self.power(self.basis_vector(i), self.p) for i in range(self.dim)]
-        return np.stack(rows)
-
-    def radical(self) -> Subspace:
-        """Nilradical = eventual kernel of Frobenius (all nilpotents)."""
-        f = self.frobenius_matrix()
-        k = 1
-        bound = self.dim + 1
-        pk = self.p
-        acc = f
-        while pk < bound:
-            acc = (acc @ f) % self.p
-            pk *= self.p
-            k += 1
-        return Subspace.adopt(self.p, self.dim, nullspace(acc.T, self.p))
-
     def radical_chain(self) -> list[Subspace]:
         """[J, J^2, ...] down to (and excluding) zero."""
-        j = self.radical()
-        chain = []
-        cur = j
-        while cur.dim > 0:
-            chain.append(cur)
-            prods = np.einsum("ai,bj,ijk->abk", cur.basis, j.basis, self.table)
-            cur = Subspace(self.p, self.dim, prods.reshape(-1, self.dim) % self.p)
-        return chain
+        alg = algebra_closure(self.table, self.p, self.dim, unital=True)
+        return [Subspace(self.p, self.dim, self.unit @ level.basis.reshape(-1, self.dim, self.dim))
+                for level in jacobson_radical(alg).chain]
 
     def __repr__(self):
         return f"FinCommRing({self.name or 'R'}, p={self.p}, dim={self.dim})"

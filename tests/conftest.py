@@ -101,10 +101,13 @@ def pattern_keys(group, free) -> frozenset:
 
 
 def ring_jpow(ring, i: int) -> Subspace:
-    """J(R)^i as a coefficient subspace; J^0 is all of R."""
+    """J(R)^i as a coefficient subspace; J^0 is all of R.  J comes from the
+    Frobenius reference, not from the `algrep` radical that refinement uses."""
+    from loop_reference import frobenius_radical_chain  # it imports this module
+
     if i == 0:
         return Subspace(ring.p, ring.dim, np.eye(ring.dim, dtype=np.int64))
-    chain = ring.radical_chain()
+    chain = frobenius_radical_chain(ring)
     if i <= len(chain):
         return chain[i - 1]
     return Subspace(ring.p, ring.dim, None)

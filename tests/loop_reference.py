@@ -26,6 +26,14 @@ at odd p by a broadcast multiply-add and a mod.
 `filtra.ring.FinCommRing` used to check associativity before it compared
 all (j, k) for one i at once.
 
+`frobenius_radical` and `frobenius_radical_chain` are the radical and its
+powers as `filtra.ring.FinCommRing` computed them before `radical_chain`
+read them off `filtra.algrep.jacobson_radical`.  In characteristic p the
+Frobenius map x -> x^p is Z_p-linear on a commutative ring, the radical is
+its nilradical, and an element is nilpotent exactly when Frob^j kills it
+for p^j > dim.  `frobenius_matrix` holds the images of the basis as rows,
+each formed by `ring_power`, one product at a time.
+
 The full-system scalar-ring solvers at the end are the `adjoint_ring` and
 `centroid_ring` that `filtra.bimap` used before the adjoint became a
 centralizer and the centroid a system over the adjoint basis: one
@@ -289,6 +297,41 @@ def loop_associativity_failure(table: np.ndarray, p: int) -> tuple[int, int, int
                 if not np.array_equal(left, right):
                     return i, j, k
     return None
+
+
+def ring_power(ring, x, n: int) -> np.ndarray:
+    """x^n in a `FinCommRing`, by n products from the unit."""
+    acc = ring.unit.copy()
+    for _ in range(n):
+        acc = ring.mult(acc, x)
+    return acc
+
+
+def frobenius_matrix(ring) -> np.ndarray:
+    """Rows e_i^p: the matrix of x -> x^p on row vectors."""
+    return np.stack([ring_power(ring, ring.basis_vector(i), ring.p) for i in range(ring.dim)])
+
+
+def frobenius_radical(ring) -> Subspace:
+    """Nilradical = eventual kernel of Frobenius (all nilpotents)."""
+    f = frobenius_matrix(ring)
+    acc, pk = f, ring.p
+    while pk < ring.dim + 1:
+        acc = (acc @ f) % ring.p
+        pk *= ring.p
+    return Subspace.adopt(ring.p, ring.dim, nullspace(acc.T, ring.p))
+
+
+def frobenius_radical_chain(ring) -> list[Subspace]:
+    """[J, J^2, ...] down to (and excluding) zero, with J the Frobenius radical."""
+    j = frobenius_radical(ring)
+    chain = []
+    cur = j
+    while cur.dim > 0:
+        chain.append(cur)
+        prods = np.einsum("ai,bj,ijk->abk", cur.basis, j.basis, ring.table)
+        cur = Subspace(ring.p, ring.dim, prods.reshape(-1, ring.dim) % ring.p)
+    return chain
 
 
 def _bfs_closure(p: int, degree: int, gens: list[np.ndarray], cap: int,

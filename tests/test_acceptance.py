@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     hei, hei_block_keys, keys_of, named_ring, pattern_keys, poly_ring, subgroup, ut,
 )
+from loop_reference import frobenius_radical
 from oracles import path_product_values
 from filtra.algrep import algebra_closure, embed_adjoint_pairs, jacobson_radical
 from filtra.bimap import adjoint_ring, centroid_ring, kronecker_pair_tensor
@@ -102,7 +103,7 @@ def heisenberg_leading_tensor(name):
 def test_criterion_4_adjoint_recovers_matrix_ring(name):
     r, tensor = heisenberg_leading_tensor(name)
     deg = r.dim
-    defect = r.radical().dim
+    defect = frobenius_radical(r).dim
     adj = adjoint_ring(tensor, r.p)
     assert adj.dim == 4 * deg
     alg = algebra_closure(embed_adjoint_pairs(adj.members, r.p), r.p,

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exterior_square_tensor, named_ring, tensor_from_json, tensor_to_json
@@ -231,12 +231,17 @@ def test_invertible_combination_route(p, a, c, seed, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(p=PRIMES, a=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_every_slice_cuts_the_centralizer(p, a, seed, data):
+@given(p=PRIMES, a=st.integers(2, 6), c=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+# The first centralizer has dimension (a - 1)^2 + 1, so at these sizes the
+# stacked products X_n M_k take over _BLAS_MIN_WORK multiply-adds and run
+# in float64 (modlinalg._dot).
+@example(p=2, a=12, c=4, seed=0)
+@example(p=5, a=10, c=3, seed=0)
+def test_every_slice_cuts_the_centralizer(p, a, c, seed):
     # B_0 = C and B_k = G E_kk G^-1 C: then M_k = G E_kk G^-1, and leaving any
     # one M_k out of the centralizer merges e_k with e_0 and grows the adjoint.
     rng = np.random.default_rng(seed)
-    c = data.draw(st.integers(2, min(a, 4)))
+    c = min(c, a)
     g = invertible(rng, a, p)
     g_inv = inv_matrix(g, p)
     t = np.zeros((a, a, c), dtype=np.int64)

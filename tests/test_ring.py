@@ -6,24 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_field, named_ring
-from loop_reference import loop_associativity_failure
+from loop_reference import (frobenius_matrix, frobenius_radical, frobenius_radical_chain,
+                            loop_associativity_failure, ring_power)
 from oracles import nilpotent_element_radical
 from filtra.errors import ClosureViolation
+from filtra.modlinalg import Subspace
 from filtra.ring import FinCommRing, make_poly_quotient, make_r_circ
+
+
+def radical(ring) -> Subspace:
+    """J from the library chain, the zero space when the chain is empty."""
+    chain = ring.radical_chain()
+    return chain[0] if chain else Subspace(ring.p, ring.dim)
 
 
 def test_poly_quotient_examples():
     r = make_poly_quotient(2, [0, 0, 1])  # x^2
     assert r.dim == 2 and r.p == 2
-    assert r.radical().dim == 1
-    assert r.radical().contains([0, 1])
+    assert radical(r) == frobenius_radical(r)
+    assert radical(r).dim == 1
+    assert radical(r).contains([0, 1])
 
     f4 = make_poly_quotient(2, [1, 1, 1])  # x^2+x+1 irreducible
-    assert f4.radical().dim == 0
+    assert f4.radical_chain() == frobenius_radical_chain(f4) == []
 
     r27 = make_poly_quotient(3, [0, 0, 0, 1])  # x^3
     chain = r27.radical_chain()
     assert [s.dim for s in chain] == [2, 1]
+    assert chain == frobenius_radical_chain(r27)
 
 
 def test_poly_quotient_rejects_nonmonic():
@@ -36,7 +46,7 @@ def test_poly_quotient_rejects_nonmonic():
 def test_field_constructor():
     f = make_field(5)
     assert f.dim == 1
-    assert f.radical().dim == 0
+    assert f.radical_chain() == frobenius_radical_chain(f) == []
     assert np.array_equal(f.mult([2], [4]), np.array([3]))
 
 
@@ -61,7 +71,7 @@ def test_mult_matrix_convention():
 
 def test_frobenius():
     f4 = named_ring("F4")
-    frob = f4.frobenius_matrix()
+    frob = frobenius_matrix(f4)
     sq = (frob @ frob) % 2
     assert np.array_equal(sq, np.eye(2, dtype=np.int64))
     assert not np.array_equal(frob, np.eye(2, dtype=np.int64))
@@ -71,17 +81,17 @@ def test_frobenius():
 def test_radical_vs_nilpotent_enumeration(name):
     r = named_ring(name)
     want = nilpotent_element_radical(r)
-    got = r.radical()
-    assert got.dim == want.dim
-    assert got == want
+    for got in (radical(r), frobenius_radical(r)):
+        assert got.dim == want.dim
+        assert got == want
 
 
 def test_power():
     r = named_ring("F2[x]/x3")
     x = np.array([0, 1, 0])
-    assert np.array_equal(r.power(x, 2), np.array([0, 0, 1]))
-    assert not r.power(x, 3).any()
-    assert np.array_equal(r.power(x, 0), r.unit)
+    assert np.array_equal(ring_power(r, x, 2), np.array([0, 0, 1]))
+    assert not ring_power(r, x, 3).any()
+    assert np.array_equal(ring_power(r, x, 0), r.unit)
 
 
 def test_r_circ_is_poly_quotient_for_scalar_circ():
@@ -96,10 +106,36 @@ def test_r_circ_is_poly_quotient_for_scalar_circ():
 def test_r_circ_radical():
     rc = make_r_circ(2, 2, 1, [[[1], [0]], [[0], [1]]])
     assert rc.dim == 4
-    rad = rc.radical()
-    assert rad.dim == 3  # V + W
+    assert frobenius_radical(rc).dim == 3  # V + W
     chain = rc.radical_chain()
     assert [s.dim for s in chain] == [3, 1]
+    assert chain == frobenius_radical_chain(rc)
+
+
+def test_radical_chain_matches_frobenius_reference():
+    # radical_chain reads the algrep radical of the regular representation;
+    # the Frobenius kernel gives the same J^i, Subspace by Subspace, on
+    # random polynomial quotients (fields among them) and circle rings
+    rng = np.random.default_rng(28)
+    rings = [make_poly_quotient(2, [1, 1, 0, 1]), make_poly_quotient(3, [1, 0, 1]),
+             make_poly_quotient(5, [2, 0, 1])]  # F_8, F_9, F_25
+    for p in (2, 3, 5):
+        for deg in range(1, 7):
+            for _ in range(3):
+                rings.append(make_poly_quotient(p, list(rng.integers(0, p, deg)) + [1]))
+    for p in (2, 3):
+        for v, w in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)):
+            circ = rng.integers(0, p, (v, v, w))
+            circ = (circ + circ.transpose(1, 0, 2)) % p
+            if not circ.any():
+                circ[0, 0, 0] = 1
+            rings.append(make_r_circ(p, v, w, circ))
+    fields = 0
+    for r in rings:
+        chain = r.radical_chain()
+        assert chain == frobenius_radical_chain(r), r
+        fields += r.dim > 1 and not chain
+    assert fields >= 3
 
 
 def test_r_circ_rejects_degenerate():
