@@ -17,14 +17,9 @@ generates the submodule span(v, vA), one product and one elimination
 (`spin`), and the actions on a split read off at the pivots of its rref
 basis (`_split_action`): no complement is built and nothing is inverted.
 
-Every product here goes through `modlinalg._dot`: the algebra products
-(`_products`: closure, radical chain, `verify_radical` and the quotient's
-regular representation), spins, split actions and the radical's matrices.
-A large product runs in float64 on BLAS, exact while an inner dimension
-has at most 2**53 // (p - 1)**2 terms (longer ones are split), and a small
-one in int64; both are reduced mod p.  `_products` forms its products in
-blocks of at most PRODUCT_BLOCK entries, which bounds the float64
-temporaries too.
+Matrix products go through `modlinalg._dot`, which picks int64 or float64
+BLAS by size.  `_products` forms the algebra products in blocks of at most
+PRODUCT_BLOCK entries, which bounds the float64 temporaries too.
 
 Modules are row vectors with matrices acting on the right.  The radical
 of an algebra A <= M_n is computed from the natural module Z_p^n: split

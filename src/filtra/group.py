@@ -1,10 +1,11 @@
 """Finite unipotent matrix groups over Z_p and their standard series.
 
 Elements are d x d unipotent matrices with entries in [0, p) (p must fit
-in a byte).  A product is formed in int64, where d (p - 1)^2 cannot
-overflow, and reduced by ``modlinalg._reduce``: the mask ``& 1`` at p = 2,
-``% p`` otherwise.  Inverses double (``batch_inv``), and one read-only
-identity per degree (``_eye``) serves every product that starts from I.
+in a byte).  Every product goes through ``modlinalg._dot``, the library's
+one product mod p, which runs small products in int64 and large ones in
+float64 BLAS, exact either way.  Inverses double (``batch_inv``), and one
+read-only identity per degree (``_eye``) serves every product that starts
+from I.
 A subgroup is held as a polycyclic sequence, never as its list of elements.
 
 The ambient group must be a p-group: the full flag of row vectors its
@@ -55,7 +56,7 @@ from itertools import product
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, NotAbelianSection, NotNormal
-from .modlinalg import Subspace, _reduce, check_prime, inv_matrix, inv_mod, nullspace, rref
+from .modlinalg import Subspace, _dot, _reduce, check_prime, inv_matrix, inv_mod, nullspace, rref
 
 DEFAULT_CAP = 2**20
 MAX_DEGREE = 256
@@ -87,11 +88,6 @@ def _eye(d: int) -> np.ndarray:
     return eye
 
 
-def batch_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(..., d, d) @ (..., d, d) mod p, computed exactly in int64."""
-    return _reduce(a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False), p)
-
-
 def batch_inv(a: np.ndarray, p: int) -> np.ndarray:
     """Inverses of a stack of unipotent matrices, by doubling.
 
@@ -106,37 +102,36 @@ def batch_inv(a: np.ndarray, p: int) -> np.ndarray:
     acc = _reduce(eye + m, p)
     span = 2
     while span < d:
-        m = _reduce(m @ m, p)
+        m = _dot(m, m, p)
         if not m.any():
             break
-        acc = _reduce(acc + acc @ m, p)
+        acc = _reduce(acc + _dot(acc, m, p), p)
         span *= 2
     return acc
 
 
 def commutator(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a^-1 b^-1 a b for two matrices, or for two stacks that broadcast."""
-    return batch_mul(batch_mul(batch_inv(a, p), batch_inv(b, p), p), batch_mul(a, b, p), p)
+    return _dot(_dot(batch_inv(a, p), batch_inv(b, p), p), _dot(a, b, p), p)
 
 
 def _powers(a: np.ndarray, k: int, p: int) -> np.ndarray:
     """a^k mod p (k >= 1) for a matrix or a stack, by square-and-multiply
-    over the bits of k below the leading one; int64."""
-    mats = a.astype(np.int64)
-    acc = mats
+    over the bits of k below the leading one; int64 for int64 a."""
+    acc = a
     for bit in bin(k)[3:]:
-        acc = _reduce(acc @ acc, p)
+        acc = _dot(acc, acc, p)
         if bit == "1":
-            acc = _reduce(acc @ mats, p)
+            acc = _dot(acc, a, p)
     return acc
 
 
 def _power_table(a: np.ndarray, p: int) -> np.ndarray:
-    """a^0, ..., a^(p-1) as one int64 (p, d, d) array."""
+    """a^0, ..., a^(p-1) as one int64 (p, d, d) array, for a reduced a."""
     table = np.empty((p,) + a.shape, dtype=np.int64)
-    table[0] = _eye(len(a))
-    for e in range(1, p):
-        table[e] = _reduce(table[e - 1] @ a, p)
+    table[0], table[1] = _eye(len(a)), a
+    for e in range(2, p):
+        table[e] = _dot(table[e - 1], a, p)
     return table
 
 
@@ -163,7 +158,7 @@ def _fixes_full_flag(gens: list[np.ndarray], p: int, degree: int) -> np.ndarray 
     steps = ((_stack(gens, degree) - eye) % p).transpose(0, 2, 1)
     ann, layers, seen = eye, [], set()
     while len(ann):
-        r, pivots = rref((ann @ steps).reshape(-1, degree), p)
+        r, pivots = rref(_dot(ann, steps, p).reshape(-1, degree), p)
         if len(pivots) == len(ann):
             return None
         ann = r[:len(pivots)]
@@ -189,7 +184,7 @@ def _conj(parent: UnipotentGroup, x: np.ndarray, back: bool = False) -> np.ndarr
     if parent._flag is None:
         return x
     a, b = (parent._unflag, parent._flag) if back else (parent._flag, parent._unflag)
-    return _reduce(_reduce(a @ x, p) @ b, p)
+    return _dot(_dot(a, x, p), b, p)
 
 
 class UnipotentGroup:
@@ -273,7 +268,7 @@ class Subgroup:
                 e[k] = 0
             hit = e.nonzero()[0]
             if hit.size:
-                x[hit] = _reduce(inv[e[hit]] @ x[hit], parent.p)
+                x[hit] = _dot(inv[e[hit]], x[hit], parent.p)
             exps[:, k] = e
         return exps, x
 
@@ -299,7 +294,7 @@ class Subgroup:
         acc = np.broadcast_to(_eye(d), e.shape[:-1] + (d, d))
         for k, inv in enumerate(self._inv):  # the inverse, h_n^-e_n ... h_1^-e_1
             if e[..., k].any():  # a zero exponent everywhere contributes I
-                acc = _reduce(inv[e[..., k]] @ acc, p)
+                acc = _dot(inv[e[..., k]], acc, p)
         return _conj(self.parent, batch_inv(acc, p), back=True)
 
     def _canonical(self) -> np.ndarray:
@@ -367,8 +362,8 @@ def _grow(sub: Subgroup, x: np.ndarray, generators: list[np.ndarray]) -> Subgrou
         if out.order() > parent.cap:
             raise CapExceeded(parent.cap, out.order())
         # [r, h] = r^-1 h^-1 r h, with each h^-1 read off its table
-        h_inv = np.stack([inv[1] for inv in out._inv]).astype(np.int64)
-        comms = batch_mul(batch_mul(r_inv, h_inv, p), batch_mul(r, np.stack(out._seq), p), p)
+        h_inv = np.stack([inv[1] for inv in out._inv])
+        comms = _dot(_dot(r_inv, h_inv, p), _dot(r, np.stack(out._seq), p), p)
         queue = np.concatenate([res[1:], comms, _powers(r, p, p)[None]])
     return out
 
@@ -419,11 +414,11 @@ def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     conj_inv = batch_inv(conj, p)
     k = len(a.generators)
     # [s, t] = s^-1 t^-1 s t, with the inverses read off conj_inv
-    seeds = batch_mul(batch_mul(conj_inv[:k, None], conj_inv[None, k:], p),
-                      batch_mul(conj[:k, None], conj[None, k:], p), p)
+    seeds = _dot(_dot(conj_inv[:k, None], conj_inv[None, k:], p),
+                 _dot(conj[:k, None], conj[None, k:], p), p)
     out = reduced_generators(parent, seeds.reshape(-1, degree, degree))
     while True:
-        ys = batch_mul(batch_mul(conj_inv, _stack(out.generators, degree)[:, None], p), conj, p)
+        ys = _dot(_dot(conj_inv, _stack(out.generators, degree)[:, None], p), conj, p)
         grown = reduced_generators(parent, ys.reshape(-1, degree, degree), base=out)
         if grown is out:
             break
@@ -448,12 +443,12 @@ def _element_blocks(a: Subgroup, size: int):
         m += 1
     inner = _eye(d)[None]
     for inv in a._inv[:m]:  # every h_m^-e_m ... h_1^-e_1
-        inner = _reduce(inv[:, None] @ inner[None], p).reshape(-1, d, d)
+        inner = _dot(inv[:, None], inner[None], p).reshape(-1, d, d)
     for exps in product(range(p), repeat=len(a._inv) - m):
         outer = _eye(d)
         for inv, e in zip(a._inv[m:], exps):
-            outer = _reduce(inv[e] @ outer, p)
-        yield _reduce(outer @ inner, p)
+            outer = _dot(inv[e], outer, p)
+        yield _dot(outer, inner, p)
 
 
 def power_subgroup(a: Subgroup, k: int) -> Subgroup:
@@ -541,8 +536,8 @@ def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
     parent = sub.parent
     p, degree = parent.p, parent.degree
     outer = _stack(ambient.generators if ambient is not None else parent.generators, degree)
-    ys = batch_mul(batch_mul(batch_inv(outer, p)[:, None], _stack(sub.generators, degree), p),
-                   outer[:, None], p)
+    ys = _dot(_dot(batch_inv(outer, p)[:, None], _stack(sub.generators, degree), p),
+              outer[:, None], p)
     return bool(sub._holds(ys.reshape(-1, degree, degree)).all())
 
 

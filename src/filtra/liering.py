@@ -31,6 +31,7 @@ from . import monoid
 from .errors import ClosureViolation
 from .group import SectionBasis, commutator
 from .filters import Filter
+from .modlinalg import _dot
 from .monoid import Index
 
 
@@ -181,8 +182,8 @@ class GradedLieRing:
                 s, t = pairs[n]
                 sec_s, sec_t = self.section(s), self.section(t)
                 pair = np.repeat(np.arange(sec_s.dim * sec_t.dim), well_defined_trials)
-                g += [next(lifted[s]), (sec_s.reps[pair // sec_t.dim] @ next(den_elts[s])) % p]
-                h += [next(lifted[t]), (sec_t.reps[pair % sec_t.dim] @ next(den_elts[t])) % p]
+                g += [next(lifted[s]), _dot(sec_s.reps[pair // sec_t.dim], next(den_elts[s]), p)]
+                h += [next(lifted[t]), _dot(sec_t.reps[pair % sec_t.dim], next(den_elts[t]), p)]
             got, inside = self.section(u).coordinatize(
                 commutator(np.concatenate(g), np.concatenate(h), p))
             bad = ~(inside & (got == np.concatenate(want)).all(axis=1))

@@ -31,24 +31,20 @@ column on the rows that hit it, restricted to the columns from the pivot on
 unsigned, and is reduced mod p.  The result is widened back to int64 once,
 at the end.
 
-Products of int64 matrices are reduced by `_reduce`: at p = 2 by the mask
-`& 1`, which two's complement makes exact on negative values too, at a
-fraction of the cost of `% 2`.  The ring layer multiplies through `_dot`
-(Dumas, Giorgi and Pernet, "FFPACK", ACM TOMS 35, 2008).  A product of at
-least _BLAS_MIN_WORK multiply-adds runs in float64, where numpy hands it to
-BLAS (int64 `@` runs numpy's own loops), and is reduced after; a smaller
-one stays in int64, where the casts would cost more than BLAS saves.  With
-entries in [-(p - 1), p - 1] each term is at most (p - 1)**2, and float64
-holds every integer up to 2**53, so a sum of up to 2**53 // (p - 1)**2
-terms is exact in any order: 2**53 at p = 2, about 2**21 at MAX_PRIME.  A
-longer inner dimension is split into chunks that long.
-`Subspace.residues`, `Subspace.extend`, the algebra products, spins,
-split actions and radical matrices of `filtra.algrep`, and the
-centralizer, adjoint and centroid products of `filtra.bimap` go through
-`_dot`.
-The group products of `filtra.group` (`batch_mul`, `batch_inv`, sifting,
-powers, coordinate changes, `Subgroup.elements`, `SectionBasis.lift`) stay
-int64 and reduce through `_reduce`, as `as_array` does.
+Integer arrays are reduced by `_reduce`: at p = 2 by the mask `& 1`,
+which two's complement makes exact on negative values too, at a fraction
+of the cost of `% 2`.  `_dot` is the library's product of two matrices or
+stacks mod p, for the group layer and the ring layer alike, and the one
+place that chooses its kernel (Dumas, Giorgi and Pernet, "FFPACK", ACM
+TOMS 35, 2008).  A product of at least _BLAS_MIN_WORK multiply-adds runs
+in float64, where numpy hands it to BLAS (int64 `@` runs numpy's own
+loops), and is reduced after; a smaller one runs in int64, where the casts
+would cost more than BLAS saves.  The int64 path casts its operands, so
+the uint8 power tables of `filtra.group` cannot overflow.  With entries in
+[-(p - 1), p - 1] each term is at most (p - 1)**2, and float64 holds every
+integer up to 2**53, so a sum of up to 2**53 // (p - 1)**2 terms is exact
+in any order: 2**53 at p = 2, about 2**21 at MAX_PRIME.  A longer inner
+dimension is split into chunks that long.
 
 Membership is a read-off.  An rref basis has a unit at its own pivot and
 zeros at every other pivot, so the coefficient of basis row i in a
@@ -119,14 +115,15 @@ def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
     A product of fewer than _BLAS_MIN_WORK multiply-adds (counted without
     broadcasting, so a stack times a stack counts its larger side) runs in
-    int64, exact below MAX_PRIME.  A larger one runs through float64 `@`
-    (BLAS).  Each term of a dot product is at most (p - 1)**2 in size and
-    float64 holds every integer up to 2**53, so a sum of at most
-    2**53 // (p - 1)**2 terms is exact in any order: 2**53 at p = 2, about
-    2**21 at MAX_PRIME.  A longer inner dimension is split into chunks of
-    that many terms, each reduced before they are added."""
-    if max(a.size * b.shape[-1], b.size * (a.shape[-2] if a.ndim > 1 else 1)) < _BLAS_MIN_WORK:
-        return _reduce(a @ b, p)
+    int64, exact below MAX_PRIME, with its operands cast to int64.  A
+    larger one runs through float64 `@` (BLAS).  Each term of a dot product
+    is at most (p - 1)**2 in size and float64 holds every integer up to
+    2**53, so a sum of at most 2**53 // (p - 1)**2 terms is exact in any
+    order: 2**53 at p = 2, about 2**21 at MAX_PRIME.  A longer inner
+    dimension is split into chunks of that many terms, each reduced before
+    they are added."""
+    if a.size * b.shape[-1] < _BLAS_MIN_WORK > b.size * (a.shape[-2] if a.ndim > 1 else 1):
+        return _reduce(np.matmul(a, b, dtype=np.int64), p)
     step = (1 << 53) // (p - 1) ** 2
     k = a.shape[-1]
     if k <= step:

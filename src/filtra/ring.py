@@ -61,11 +61,6 @@ class FinCommRing:
         e[i] = 1
         return e
 
-    def mult(self, x, y) -> np.ndarray:
-        x = as_array(x, self.p).reshape(-1)
-        y = as_array(y, self.p).reshape(-1)
-        return (np.einsum("i,j,ijk->k", x, y, self.table)) % self.p
-
     def mult_matrix(self, x) -> np.ndarray:
         """Matrix M with coords(y*x) = coords(y) @ M for row vectors y."""
         x = as_array(x, self.p).reshape(-1)

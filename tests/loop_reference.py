@@ -93,6 +93,14 @@ power of N vanishes, so up to d - 1 products for degree d.
 `coset_commutator`, `coset_is_normal` and `tests/oracles.py` invert
 through it.
 
+`int64_batch_mul` is the product that `filtra.group` used before every
+product mod p went through `filtra.modlinalg._dot`: both operands cast to
+int64 and one int64 `@`, never BLAS.  `coset_commutator` and
+`coset_is_normal` multiply through it.
+
+`ring_mult` is the `filtra.ring.FinCommRing` method that multiplied two
+ring elements through the structure tensor; only the tests used it.
+
 `array_factor`, `array_is_irreducible` and the `array_*` helpers before them
 are `filtra.poly` from before its arithmetic ran on Python int lists: every
 polynomial is an int64 array, and each coefficient step of a division or
@@ -116,15 +124,20 @@ from filtra.errors import (
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
 from filtra.filters import Filter, verify_axioms
 from filtra.group import (
-    Subgroup, UnipotentGroup, _conj, _power_table, _powers, _stack, batch_mul, commutator,
+    Subgroup, UnipotentGroup, _conj, _power_table, _powers, _stack, commutator,
     commutator_subgroup, is_normal, join, join_powers, reduced_generators,
 )
 from filtra.liering import GradedLieRing
 from filtra.monoid import Index
 from filtra.modlinalg import (
-    Subspace, _reduce, _work_dtype, inv_matrix, inv_mod, nullspace, rref,
+    Subspace, _reduce, _work_dtype, as_array, inv_matrix, inv_mod, nullspace, rref,
 )
 from filtra.refine import ring_at
+
+
+def int64_batch_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(..., d, d) @ (..., d, d) mod p, computed exactly in int64."""
+    return _reduce(a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False), p)
 
 
 def series_batch_inv(a: np.ndarray, p: int) -> np.ndarray:
@@ -299,11 +312,18 @@ def loop_associativity_failure(table: np.ndarray, p: int) -> tuple[int, int, int
     return None
 
 
+def ring_mult(ring, x, y) -> np.ndarray:
+    """The product of two elements of a `FinCommRing`, as coordinates."""
+    x = as_array(x, ring.p).reshape(-1)
+    y = as_array(y, ring.p).reshape(-1)
+    return (np.einsum("i,j,ijk->k", x, y, ring.table)) % ring.p
+
+
 def ring_power(ring, x, n: int) -> np.ndarray:
     """x^n in a `FinCommRing`, by n products from the unit."""
     acc = ring.unit.copy()
     for _ in range(n):
-        acc = ring.mult(acc, x)
+        acc = ring_mult(ring, acc, x)
     return acc
 
 
@@ -689,7 +709,8 @@ def coset_commutator(a: CosetSubgroup, b: CosetSubgroup) -> CosetSubgroup:
     conj = np.concatenate([sa, sb])
     conj_inv = series_batch_inv(conj, p)
     while True:
-        ys = batch_mul(batch_mul(conj_inv, _stack(out.generators, degree)[:, None], p), conj, p)
+        ys = int64_batch_mul(int64_batch_mul(conj_inv, _stack(out.generators, degree)[:, None], p),
+                             conj, p)
         ys = ys.reshape(-1, degree, degree)
         new = [y for k, y in zip(_row_keys(ys.astype(np.uint8)), ys) if k not in out.keys]
         if not new:
@@ -716,8 +737,8 @@ def coset_join_powers(c: CosetSubgroup, h: CosetSubgroup) -> CosetSubgroup:
 def coset_is_normal(sub: CosetSubgroup, outer_gens) -> bool:
     p, degree = sub.p, sub.rows.shape[-1]
     outer = _stack(outer_gens, degree)
-    ys = batch_mul(batch_mul(series_batch_inv(outer, p)[:, None], _stack(sub.generators, degree), p),
-                   outer[:, None], p)
+    ys = int64_batch_mul(int64_batch_mul(series_batch_inv(outer, p)[:, None],
+                                         _stack(sub.generators, degree), p), outer[:, None], p)
     return sub.keys.issuperset(_row_keys(ys.reshape(-1, degree, degree).astype(np.uint8)))
 
 

@@ -20,7 +20,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from conftest import elements, keys_of
-from loop_reference import series_batch_inv
+from loop_reference import ring_mult, series_batch_inv
 from filtra import monoid
 from filtra.group import Subgroup, UnipotentGroup, reduced_generators
 from filtra.modlinalg import Subspace, rref
@@ -158,7 +158,7 @@ def nilpotent_element_radical(ring, limit: int = 1 << 14) -> Subspace:
         x = np.array(coeffs, dtype=np.int64)
         y = x.copy()
         for _ in range(d):
-            y = ring.mult(y, x)
+            y = ring_mult(ring, y, x)
         if not y.any():
             nil.append(x)
     return Subspace(ring.p, d, nil)

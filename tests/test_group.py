@@ -20,7 +20,9 @@ from loop_reference import (
     coset_join_powers,
     coset_reduced,
     coset_trivial,
+    int64_batch_mul,
     one_shot_power_subgroup,
+    ring_mult,
     series_batch_inv,
     table_lift,
 )
@@ -33,7 +35,7 @@ from filtra.group import (
     SectionBasis,
     UnipotentGroup,
     batch_inv,
-    batch_mul,
+    commutator,
     commutator_subgroup,
     exponent_p_central_series,
     group_from_spec,
@@ -48,7 +50,7 @@ from filtra.group import (
     power_subgroup,
     reduced_generators,
 )
-from filtra.modlinalg import Subspace, inv_matrix, rref
+from filtra.modlinalg import _BLAS_MIN_WORK, Subspace, inv_matrix, rref
 from filtra.refine import METHODS, refine_stable
 
 
@@ -94,6 +96,104 @@ def test_batch_inv_matches_series_reference(case):
     assert np.array_equal(got, series_batch_inv(a, p))
     one = np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape)
     assert np.array_equal(a @ got % p, one)
+
+
+@st.composite
+def class_two_groups(draw):
+    """(p, d, gens): two or three generators I + N, each N holding random
+    entries at height h = ceil(d / 3) or more above the diagonal.  A
+    product of three such N vanishes, so the group has class at most 2 and
+    order at most p^9 (three generators, their three commutators and three
+    central p-th powers).  At degree 4-6 the products of a few matrices
+    stay below _BLAS_MIN_WORK and run in int64; from degree 16 every d x d
+    product reaches it and runs in float64.  Half the examples conjugate
+    the generators by one random invertible matrix, so that the flag
+    basis is not I."""
+    p = draw(st.sampled_from([2, 3, 251]))
+    d = draw(st.one_of(st.integers(4, 6), st.integers(12, 40)))
+    k = draw(st.integers(2, 3))
+    density = draw(st.sampled_from([0.2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = np.triu(np.ones((d, d), dtype=bool), -(-d // 3))
+    gens = list(np.eye(d, dtype=np.int64)
+                + rng.integers(0, p, (k, d, d)) * (high & (rng.random((k, d, d)) < density)))
+    if draw(st.booleans()):
+        gens = disguise(p, d, gens, rng)
+    return p, d, gens
+
+
+def int64_power(x: np.ndarray, e: int, p: int) -> np.ndarray:
+    """x^e mod p for one matrix, by square-and-multiply in int64_batch_mul."""
+    acc = np.eye(len(x), dtype=np.int64)
+    for bit in bin(e)[2:]:
+        acc = int64_batch_mul(acc, acc, p)
+        if bit == "1":
+            acc = int64_batch_mul(acc, x, p)
+    return acc
+
+
+def int64_words(mats: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
+    """The products mats[0]^e_0 mats[1]^e_1 ..., one per row of exps."""
+    out = []
+    for row in exps.tolist():
+        acc = np.eye(mats.shape[-1], dtype=np.int64)
+        for m, e in zip(mats, row):
+            acc = int64_batch_mul(acc, int64_power(m, e, p), p)
+        out.append(acc)
+    return np.stack(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_two_groups(), st.integers(0, 2**32 - 1))
+@example((251, 40, [transvection(40, 0, 14), transvection(40, 14, 28, 250)]), 0)  # Heisenberg
+def test_group_kernels_match_int64_reference(case, seed):
+    """`batch_inv`, `commutator`, `Subgroup.elements`, the residues of
+    `_sift` and the `SectionBasis` lift / coordinatize round trip, whose
+    products all go through `modlinalg._dot`, against `series_batch_inv`
+    and `int64_batch_mul`, on both sides of _dot's size rule."""
+    p, d, gens = case
+    rng = np.random.default_rng(seed)
+    g = UnipotentGroup(p, d, gens, cap=p ** 9)
+    full = g.full_subgroup()
+    mats = np.array(gens, dtype=np.int64)
+    # the five-element stacks below run in int64 at degree 4-6, in float64 from 12
+    assert (d <= 6) == (5 * d ** 3 < _BLAS_MIN_WORK)
+
+    def flag(x, back=False):  # _conj, in int64_batch_mul
+        if g._flag is None:
+            return x
+        a, b = (g._unflag, g._flag) if back else (g._flag, g._unflag)
+        return int64_batch_mul(int64_batch_mul(a, x, p), b, p)
+
+    inv = series_batch_inv(mats, p)
+    assert np.array_equal(batch_inv(mats, p), inv)
+    want = int64_batch_mul(int64_batch_mul(inv[:, None], inv[None], p),
+                           int64_batch_mul(mats[:, None], mats[None], p), p)
+    assert np.array_equal(commutator(mats[:, None], mats[None], p), want)
+    # h_1^e_1 ... h_n^e_n off the sequence, and sifting gives e back with residue 1
+    exps = rng.integers(0, p, (5, full.order_exp()))
+    elts = full.elements(exps)
+    seq = np.array(full._seq, dtype=np.int64).reshape(-1, d, d)
+    assert np.array_equal(elts, int64_words(flag(seq, back=True), exps, p))
+    assert np.array_equal(batch_inv(elts, p), series_batch_inv(elts, p))
+    # any unitriangular x (flag coordinates) is h_1^e_1 ... h_n^e_n r
+    x = np.triu(rng.integers(0, p, (4, d, d)), 1) + np.eye(d, dtype=np.int64)
+    x = np.concatenate([x, flag(elts)])
+    got, res = full._sift(x.copy())
+    assert np.array_equal(int64_batch_mul(int64_words(seq, got, p), res, p), x)
+    assert (res[4:] == np.eye(d, dtype=np.int64)).all()
+    assert np.array_equal(got[4:], exps)
+    # lifts are r_1^c_1 ... r_j^c_j and coordinatize back to c; an element
+    # over the lift of its coordinates lies in the denominator
+    sec = SectionBasis(full, commutator_subgroup(full, full))
+    coords = rng.integers(0, p, (5, sec.dim))
+    lifts = sec.lift(coords)
+    assert np.array_equal(lifts, int64_words(sec.reps, coords, p))
+    back, inside = sec.coordinatize(lifts)
+    assert inside.all() and np.array_equal(back, coords)
+    mine, inside = sec.coordinatize(elts)
+    assert inside.all()
+    assert sec.den._holds(int64_batch_mul(elts, series_batch_inv(sec.lift(mine), p), p)).all()
 
 
 def test_closure_examples():
@@ -351,7 +451,7 @@ def test_section_tables_match_closure_oracle(group_name, series):
         coords = np.array([sec.coordinatize(m) for m in mats])
         assert coords.shape == (num.order(), sec.dim)
         lifts = np.array([sec.lift(c) for c in coords])
-        quot = batch_mul(mats, batch_inv(lifts, p), p).astype(np.uint8)
+        quot = int64_batch_mul(mats, batch_inv(lifts, p), p).astype(np.uint8)
         assert all(q.tobytes() in den_keys for q in quot)
         # the reps are A's sequence elements, in depth order, at the depths
         # that B' lacks, and each coordinatizes to a unit vector
@@ -369,7 +469,7 @@ def test_section_tables_match_closure_oracle(group_name, series):
         # coordinates add under multiplication
         rng = np.random.default_rng(num.order())
         for i, j in rng.integers(0, num.order(), (8, 2)):
-            prod = batch_mul(mats[i], mats[j], p)
+            prod = int64_batch_mul(mats[i], mats[j], p)
             assert np.array_equal(sec.coordinatize(prod), (coords[i] + coords[j]) % p)
 
 
@@ -392,7 +492,7 @@ def test_section_basis_matches_byte_least_reference(group_name, series):
         # old and new lifts of matching coordinates lie in one coset of B'
         for c in {tuple(c) for c in old_coords.tolist()}:
             new_lift = sec.lift(np.array(c, dtype=np.int64) @ change)
-            quot = batch_mul(old.lift(c), batch_inv(new_lift, p), p).astype(np.uint8)
+            quot = int64_batch_mul(old.lift(c), batch_inv(new_lift, p), p).astype(np.uint8)
             assert quot.tobytes() in keys_of(sec.den)
 
 
@@ -417,7 +517,7 @@ def assert_section_matches_coset_layout(sec, mats):
     coords = np.array(list(product(range(p), repeat=dim)), dtype=np.int64).reshape(p ** dim, dim)
     got, want = sec.lift(coords @ change % p), old.lift(coords)
     assert got.dtype == want.dtype
-    quot = batch_mul(want, batch_inv(got, p), p).astype(np.uint8)
+    quot = int64_batch_mul(want, batch_inv(got, p), p).astype(np.uint8)
     assert all(q.tobytes() in old.den.keys for q in quot)
 
 
@@ -503,7 +603,7 @@ def test_heisenberg_group_law():
     c = (r.unit @ prod[0:m, 2 * m:3 * m]) % 2
     assert np.array_equal(a, r.basis_vector(0))
     assert np.array_equal(b, r.basis_vector(0))
-    assert np.array_equal(c, r.mult(a, b))
+    assert np.array_equal(c, ring_mult(r, a, b))
 
 
 def test_group_spec_roundtrip():

@@ -275,12 +275,17 @@ def test_dot_matches_int64_products(p):
     """_dot equals int64 `@` mod p on matrices, vectors times matrices,
     stacks and the broadcast stacks of the algebra products, each on both
     sides of _BLAS_MIN_WORK, entries drawn at +-(p - 1) and at random in
-    between."""
+    between.  For p below 256 it also multiplies uint8 operands, as the group
+    layer's power tables are, with itself and with int64: a uint8 `@`
+    overflows unless the operands are cast."""
     rng = np.random.default_rng(p)
 
     def draw(*shape):
         edge = rng.choice([-(p - 1), p - 1], shape)
         return np.where(rng.random(shape) < 0.5, edge, rng.integers(-(p - 1), p, shape))
+
+    def byte(*shape):
+        return np.abs(draw(*shape)).astype(np.uint8)
 
     small = [(draw(5, 7), draw(7, 3)), (draw(0, 4), draw(4, 2)), (draw(3, 0), draw(0, 2)),
              (draw(7), draw(7, 4)), (draw(4, 3, 6), draw(4, 6, 5)),
@@ -288,12 +293,18 @@ def test_dot_matches_int64_products(p):
     large = [(draw(40, 60), draw(60, 50)), (draw(300), draw(300, 40)),
              (draw(6, 20, 30), draw(6, 30, 20)), (draw(8, 1, 16, 16), draw(1, 12, 16, 16)),
              (draw(1, 5000), draw(5000, 1))]
+    if p < 256:
+        small += [(byte(5, 7), byte(7, 3)), (byte(4, 6, 6), draw(4, 6, 6)),
+                  (byte(3, 1, 4, 4), byte(1, 5, 4, 4))]
+        large += [(byte(40, 60), byte(60, 50)), (byte(6, 20, 30), draw(6, 30, 20)),
+                  (byte(8, 1, 16, 16), byte(1, 12, 16, 16))]
     for cases, blas in ((small, False), (large, True)):
         for a, b in cases:
             work = max(a.size * b.shape[-1], b.size * (a.shape[-2] if a.ndim > 1 else 1))
             assert (work >= _BLAS_MIN_WORK) == blas
             got = _dot(a, b, p)
-            assert got.dtype == np.int64 and np.array_equal(got, (a @ b) % p)
+            want = a.astype(np.int64) @ b.astype(np.int64) % p
+            assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

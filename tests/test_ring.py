@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_field, named_ring
 from loop_reference import (frobenius_matrix, frobenius_radical, frobenius_radical_chain,
-                            loop_associativity_failure, ring_power)
+                            loop_associativity_failure, ring_mult, ring_power)
 from oracles import nilpotent_element_radical
 from filtra.errors import ClosureViolation
 from filtra.modlinalg import Subspace
@@ -47,17 +47,17 @@ def test_field_constructor():
     f = make_field(5)
     assert f.dim == 1
     assert f.radical_chain() == frobenius_radical_chain(f) == []
-    assert np.array_equal(f.mult([2], [4]), np.array([3]))
+    assert np.array_equal(ring_mult(f, [2], [4]), np.array([3]))
 
 
 def test_mult_against_polynomial_arithmetic():
     # multiply (1+x) by (1+x) in F_2[x]/(x^2+x+1): 1 + x^2 = x
     f4 = named_ring("F4")
-    got = f4.mult([1, 1], [1, 1])
+    got = ring_mult(f4, [1, 1], [1, 1])
     assert np.array_equal(got, np.array([0, 1]))
     # and in F_2[x]/(x^2): 1 + x^2 = 1
     r = named_ring("F2[x]/x2")
-    assert np.array_equal(r.mult([1, 1], [1, 1]), np.array([1, 0]))
+    assert np.array_equal(ring_mult(r, [1, 1], [1, 1]), np.array([1, 0]))
 
 
 def test_mult_matrix_convention():
@@ -65,7 +65,7 @@ def test_mult_matrix_convention():
     x = np.array([0, 1, 0])
     m = r.mult_matrix(x)
     y = np.array([1, 2, 1])
-    assert np.array_equal((y @ m) % 3, r.mult(y, x))
+    assert np.array_equal((y @ m) % 3, ring_mult(r, y, x))
     assert np.array_equal((r.unit @ m) % 3, x)
 
 
@@ -208,7 +208,7 @@ def test_power_basis_tables_are_checked_in_cubic_time():
     r = make_poly_quotient(2, [1, 1] + [0] * 83 + [1])
     assert time.perf_counter() - start < 0.5
     x84, x = r.basis_vector(84), r.basis_vector(1)
-    assert r.dim == 85 and np.array_equal(r.mult(x84, x), (r.unit + x) % 2)
+    assert r.dim == 85 and np.array_equal(ring_mult(r, x84, x), (r.unit + x) % 2)
     # a supplied table that is commutative but not associative is still
     # refused: e_84 * e_84 = x^168 is changed, which breaks the recurrence
     t = r.table.copy()
