@@ -16,6 +16,8 @@ its images on a submodule or quotient, or their transposes.  So v
 generates the submodule span(v, vA), one product and one elimination
 (`spin`), and the actions on a split read off at the pivots of its rref
 basis (`_split_action`): no complement is built and nothing is inverted.
+For a standard basis vector e_i, e_i A is row i of each basis matrix, so
+its spin forms no product at all.
 
 Matrix products go through `modlinalg._dot`, which picks int64 or float64
 BLAS by size.  `_products` forms the algebra products in blocks of at most
@@ -30,10 +32,14 @@ containing every nilpotent ideal, which is exactly the radical.
 
 The meataxe (`try_split`) spins the standard basis vectors, then follows
 Holt and Rees, "Testing modules for irreducibility" (J. Austral. Math.
-Soc. A 57, 1994): it draws random elements b of the algebra, factors
-their characteristic polynomials (`filtra.poly`), and for an irreducible
-factor f with nullity f(b) = deg f one spin of a null vector of f(b) and
-one of f(b)^T either split the module or prove it irreducible.  The
+Soc. A 57, 1994): it draws random elements b of the algebra and factors
+their characteristic polynomials (`filtra.poly`).  When that polynomial
+is irreducible of degree n, Z_p[b] is a field over which Z_p^n has
+dimension one, so no proper nonzero subspace is invariant under b and the
+module is irreducible (Parker's meat-axe, 1984): the draw certifies it
+with no null space and no spin.  Otherwise, for an irreducible factor f
+with nullity f(b) = deg f, one spin of a null vector of f(b) and one of
+f(b)^T either split the module or prove it irreducible.  The
 certificate records b by its coefficients over the action, so replay
 rebuilds it inside the algebra.  Modules where no such element exists
 (the exceptional cases of Ivanyos and Lux) are not treated: after
@@ -59,8 +65,9 @@ from .poly import at_matrix, charpoly, degree, factor, is_irreducible, norm
 # is good when its characteristic polynomial has an irreducible factor f
 # with nullity f(b) = deg f; Holt and Rees show that good elements are
 # not rare on an irreducible module.  Even if only one in ten were good,
-# 100 draws would all miss with probability below 3e-5.  On the benchmark
-# ring tensors 57 certificates took 61 draws.
+# 100 draws would all miss with probability below 3e-5.  On one pass of the
+# benchmark ring tensors 57 certificates took 60 draws, and 17 of those
+# draws had an irreducible characteristic polynomial.
 MAX_DRAWS = 100
 # Entries per block of matrix products (8 MB in int64, as in float64): the
 # products of a d-dimensional algebra of n x n matrices number d^2 n^2
@@ -176,9 +183,13 @@ def try_split(mats: list[np.ndarray], p: int, n: int,
     `mats` must span a closed algebra, as for `spin`.  Returns ("sub", rows)
     with an rref basis of a submodule, or ("irr", certificate).  First each
     standard basis vector is spun.  Then come up to MAX_DRAWS draws of the
-    Holt-Rees test: a random element b = sum c_i mats_i, the irreducible
-    factors f of its characteristic polynomial by increasing degree, and
-    for each the null space N of a = f(b).  A vector of N that spins to a
+    Holt-Rees test: a random element b = sum c_i mats_i and the irreducible
+    factors f of its characteristic polynomial by increasing degree.  A
+    factor of degree n is the whole characteristic polynomial: Z_p[b] is
+    then a field, no proper nonzero subspace is invariant under b, and the
+    draw certifies the module at once (on replay f(b) = 0, whose null space
+    is everything, so both spins below are full).  For any other f, let N
+    be the null space of a = f(b).  A vector of N that spins to a
     proper subspace splits the module.  When dim N = deg f, N is
     one-dimensional over the field Z_p[x]/(f), so every proper submodule
     either contains N or has an annihilator containing the null space of
@@ -198,14 +209,19 @@ def try_split(mats: list[np.ndarray], p: int, n: int,
     if n == 1:
         return "irr", ("allvec",)
     gens = np.asarray(mats, dtype=np.int64).reshape(-1, n, n)
-    for e in np.eye(n, dtype=np.int64):
-        sub = spin(e, gens, p)
-        if 0 < sub.shape[0] < n:
-            return "sub", sub
+    eye = np.eye(n, dtype=np.int64)
+    for i in range(n):
+        # the spin of e_i: e_i @ M is row i of M
+        sub, pivots = rref(np.vstack([eye[i:i + 1], gens[:, i]]), p)
+        if len(pivots) < n:
+            return "sub", sub[: len(pivots)]
+    flat = gens.reshape(gens.shape[0], n * n)
     for _ in range(MAX_DRAWS):
         c = rng.integers(0, p, gens.shape[0])
-        b = np.tensordot(c, gens, 1) % p
+        b = _dot(c, flat, p).reshape(n, n)
         for f in factor(charpoly(b, p), p):
+            if degree(f) == n:
+                return "irr", ("norton", c, f)
             a = at_matrix(f, b, p)
             null = nullspace(a.T, p)
             # a random vector of N; when dim N = deg f every nonzero vector
@@ -238,10 +254,10 @@ def check_certificate(factor_data: FactorData, p: int) -> bool:
     if cert[0] != "norton" or len(cert) != 3:
         return False
     gens = as_array(factor_data.action, p).reshape(-1, n, n)
-    c, f = (np.asarray(x, dtype=np.int64) for x in cert[1:])
+    c, f = as_array(cert[1], p), np.asarray(cert[2], dtype=np.int64)
     if c.shape != (gens.shape[0],) or f.ndim != 1 or not is_irreducible(f, p):
         return False
-    a = at_matrix(f, np.tensordot(c, gens, 1) % p, p)
+    a = at_matrix(f, _dot(c, gens.reshape(c.size, n * n), p).reshape(n, n), p)
     null = nullspace(a.T, p)
     return (null.shape[0] == degree(norm(f, p))
             and spin(null[0], gens, p).shape[0] == n

@@ -60,6 +60,15 @@ product clears the old rows at the new pivots, and merging the two row
 sets by pivot gives the rref basis of the sum, the same canonical basis
 as eliminating everything at once.  A canonical basis such as a
 `nullspace` result is adopted as it is (`Subspace.adopt`).
+
+A null space takes one elimination.  `nullspace` runs `rref` on a with
+its columns reversed, where every pivot row is zero before its pivot: each
+free column is a combination of the pivot columns before it, which in a's
+order are the pivot columns after it.  So the null vector of free column f
+is 1 at f, 0 at the other free columns, and nonzero elsewhere only at
+pivot columns right of f.  Each vector leads with a 1 at its own free
+column and is zero at the others' leading columns, so together they are
+the rref basis of the null space, which is unique.
 """
 
 from __future__ import annotations
@@ -236,18 +245,23 @@ def _rref2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Canonical basis (as rows, in rref) of {x : a @ x = 0} over Z_p."""
+    """Canonical basis (as rows, in rref) of {x : a @ x = 0} over Z_p.
+
+    One `rref`, of a with its columns reversed; the null vectors read off
+    it, one per free column in increasing order, are the rref basis already
+    (module docstring)."""
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise DimensionMismatch("nullspace expects a 2-d array")
-    r, pivots = rref(a, p)
-    is_free = np.ones(a.shape[1], dtype=bool)
+    n = a.shape[1]
+    r, pivots = rref(a[:, ::-1], p)
+    is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
-    basis[:, free] = np.eye(free.size, dtype=np.int64)
-    basis[:, pivots] = (-r[: len(pivots), free].T) % p
-    return rref(basis, p)[0]
+    free = np.flatnonzero(is_free)[::-1]
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[:, n - 1 - free] = np.eye(free.size, dtype=np.int64)
+    basis[:, [n - 1 - c for c in pivots]] = _reduce(-r[: len(pivots), free].T, p)
+    return basis
 
 
 class Subspace:

@@ -12,17 +12,19 @@ every coefficient operation of such a small one; Python ints do each in a
 few bytecodes.  So the arithmetic (`_add`, `_mul`, `_divmod`, `_gcd`,
 `_powmod`), the distinct-degree split, Berlekamp and Ben-Or all run on
 lists, and each public function converts once on the way in (`_ints`) and
-once on the way out.  `charpoly` and `at_matrix` act on matrices and stay
-on numpy.
+once on the way out.  `at_matrix` evaluates at a matrix by Horner's rule,
+each product through `modlinalg._dot`.
 
-`charpoly` reduces a matrix to upper Hessenberg form by similarity and
-reads the polynomial off its leading principal blocks with the standard
-recurrence.  `factor` finds the distinct monic irreducible factors of a
-polynomial, without their multiplicities, in two steps: distinct-degree
-factorization (the product of the distinct irreducible factors of degree d
-is gcd(f, x^(p^d) - x) once every power of a smaller-degree factor is
-divided out) and Berlekamp's algorithm for the factors of one degree,
-whose subalgebra {h : h^p = h mod g} is a nullspace over Z_p.
+`charpoly` reduces a matrix to upper Hessenberg form by similarity, on
+numpy, and reads the polynomial off its leading principal blocks with the
+standard recurrence, on lists: O(n^2) steps on coefficient rows, each of
+which would be a numpy call on arrays.  `factor` finds the distinct monic
+irreducible factors of a polynomial, without their multiplicities, in two
+steps: distinct-degree factorization (the product of the distinct
+irreducible factors of degree d is gcd(f, x^(p^d) - x) once every power of
+a smaller-degree factor is divided out) and Berlekamp's algorithm for the
+factors of one degree, whose subalgebra {h : h^p = h mod g} is a
+nullspace over Z_p.
 `is_irreducible` is Ben-Or's test, which shares only the arithmetic with
 `factor` and so can check it.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .modlinalg import inv_mod, nullspace
+from .modlinalg import _dot, _reduce, inv_mod, nullspace
 
 
 def _trim(f: list[int]) -> list[int]:
@@ -126,11 +128,12 @@ def degree(f) -> int:
 
 def at_matrix(f, b: np.ndarray, p: int) -> np.ndarray:
     """f(b) for a square matrix b, by Horner's rule."""
+    b = _reduce(np.asarray(b, dtype=np.int64), p)
     n = b.shape[0]
     eye = np.eye(n, dtype=np.int64)
     out = np.zeros((n, n), dtype=np.int64)
     for c in reversed(_ints(f, p)):
-        out = (out @ b + c * eye) % p
+        out = _reduce(_dot(out, b, p) + c * eye, p)
     return out
 
 
@@ -156,18 +159,24 @@ def charpoly(b: np.ndarray, p: int) -> np.ndarray:
     # expanding along its last column gives
     # polys[m] = (x - h[m-1, m-1]) polys[m-1]
     #            - sum_i h[m-1-i, m-1] h[m-1, m-2] ... h[m-i, m-i-1] polys[m-1-i]
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
+    # (lists of m + 1 ints, constant term first)
+    h = h.tolist()
+    polys = [[1]]
     for m in range(1, n + 1):
-        cur = np.roll(polys[m - 1], 1) - h[m - 1, m - 1] * polys[m - 1]
+        prev = polys[-1]
+        d = h[m - 1][m - 1]
+        cur = [-d * prev[0]] + [u - d * v for u, v in zip(prev, prev[1:])] + [1]
         t = 1
         for i in range(1, m):
-            t = t * int(h[m - i, m - i - 1]) % p
+            t = t * h[m - i][m - i - 1] % p
             if not t:
                 break
-            cur = cur - (t * int(h[m - 1 - i, m - 1]) % p) * polys[m - 1 - i]
-        polys[m] = cur % p
-    return polys[n]
+            s = t * h[m - 1 - i][m - 1] % p
+            if s:
+                for k, v in enumerate(polys[m - 1 - i]):
+                    cur[k] -= s * v
+        polys.append([v % p for v in cur])
+    return _arr(polys[n])
 
 
 def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:

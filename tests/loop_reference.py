@@ -104,7 +104,14 @@ ring elements through the structure tensor; only the tests used it.
 `array_factor`, `array_is_irreducible` and the `array_*` helpers before them
 are `filtra.poly` from before its arithmetic ran on Python int lists: every
 polynomial is an int64 array, and each coefficient step of a division or
-product is a numpy call.
+product is a numpy call.  `array_charpoly` is `filtra.poly.charpoly` from
+before its leading-block recurrence ran on lists: O(n^2) numpy calls on
+rows of an (n + 1) x (n + 1) array.
+
+`two_pass_nullspace` is `filtra.modlinalg.nullspace` from before it
+eliminated once: it reads the null vectors off the rref of a itself, where
+each is 1 at its free column but nonzero at pivot columns left of it, so a
+second `rref` puts them in canonical form.
 """
 
 import heapq
@@ -119,7 +126,8 @@ from conftest import elements
 from filtra import monoid
 from filtra.cli import EXIT_OK, EXIT_USAGE, SERIES, _build_groups, _emit
 from filtra.errors import (
-    CapExceeded, ClosureViolation, FiltraError, NonNormalGenerator, NotOrderReversing,
+    CapExceeded, ClosureViolation, DimensionMismatch, FiltraError, NonNormalGenerator,
+    NotOrderReversing,
 )
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
 from filtra.filters import Filter, verify_axioms
@@ -233,6 +241,21 @@ def loop_nullspace(a, p: int) -> np.ndarray:
             basis[k, pc] = (-r[i, fc]) % p
     rb, _ = loop_rref(basis, p)
     return rb[: len(free)]
+
+
+def two_pass_nullspace(a: np.ndarray, p: int) -> np.ndarray:
+    """Canonical basis (as rows, in rref) of {x : a @ x = 0} over Z_p."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2:
+        raise DimensionMismatch("nullspace expects a 2-d array")
+    r, pivots = rref(a, p)
+    is_free = np.ones(a.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
+    basis[:, free] = np.eye(free.size, dtype=np.int64)
+    basis[:, pivots] = (-r[: len(pivots), free].T) % p
+    return rref(basis, p)[0]
 
 
 def loop_reduce(basis: np.ndarray, vec, p: int) -> np.ndarray | None:
@@ -1065,6 +1088,42 @@ def array_powmod(f, e: int, g, p: int) -> np.ndarray:
         if e:
             base = array_divmod(array_mul(base, base, p), g, p)[1]
     return out
+
+
+def array_charpoly(b: np.ndarray, p: int) -> np.ndarray:
+    """Monic characteristic polynomial det(xI - b) of a square matrix."""
+    h = np.mod(np.asarray(b, dtype=np.int64), p)
+    n = h.shape[0]
+    # Hessenberg form: clear column j below the subdiagonal with the row
+    # operations T and the matching column operations T^-1
+    for j in range(n - 2):
+        below = np.flatnonzero(h[j + 1:, j])
+        if not below.size:
+            continue
+        i = j + 1 + int(below[0])
+        if i != j + 1:
+            h[[i, j + 1]] = h[[j + 1, i]]
+            h[:, [i, j + 1]] = h[:, [j + 1, i]]
+        m = h[j + 2:, j] * inv_mod(h[j + 1, j], p) % p
+        if m.any():
+            h[j + 2:] = (h[j + 2:] - np.outer(m, h[j + 1])) % p
+            h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ m) % p
+    # polys[m] is the characteristic polynomial of the leading m x m block:
+    # expanding along its last column gives
+    # polys[m] = (x - h[m-1, m-1]) polys[m-1]
+    #            - sum_i h[m-1-i, m-1] h[m-1, m-2] ... h[m-i, m-i-1] polys[m-1-i]
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    for m in range(1, n + 1):
+        cur = np.roll(polys[m - 1], 1) - h[m - 1, m - 1] * polys[m - 1]
+        t = 1
+        for i in range(1, m):
+            t = t * int(h[m - i, m - i - 1]) % p
+            if not t:
+                break
+            cur = cur - (t * int(h[m - 1 - i, m - 1]) % p) * polys[m - 1 - i]
+        polys[m] = cur % p
+    return polys[n]
 
 
 _X = np.array([0, 1], dtype=np.int64)

@@ -274,6 +274,41 @@ def test_split_through_the_transpose():
         assert verdict == "sub" and np.array_equal(rows, [[1, 1]]), seed
 
 
+class _FixedDraws:
+    """A stand-in rng whose `integers` returns the given rows, one per call."""
+
+    def __init__(self, *rows):
+        self.rows = list(rows)
+
+    def integers(self, low, high, size=None):
+        return np.asarray(self.rows.pop(0), dtype=np.int64)
+
+
+def test_irreducible_characteristic_polynomial_certifies_at_once(monkeypatch):
+    # F_8 = F_2[C] for the companion C of x^3 + x + 1.  A draw of C has an
+    # irreducible characteristic polynomial of degree n = 3, so no subspace
+    # is invariant under C, and `try_split` certifies from it with no null
+    # space and no spin
+    companion = np.array([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    field = algebra_closure([companion], 2, 3, unital=True)
+    c = field.coords_of(companion)
+    calls = []
+    for name in ("nullspace", "spin"):
+        real = getattr(algrep, name)
+        monkeypatch.setattr(algrep, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    verdict, cert = try_split(field.mats, 2, 3, _FixedDraws(c))
+    assert calls == []
+    assert verdict == "irr" and cert[0] == "norton" and len(cert) == 3
+    assert np.array_equal(cert[1], c) and np.array_equal(cert[2], [1, 1, 0, 1])
+    monkeypatch.undo()
+    assert check_certificate(FactorData(3, field.mats, cert), 2)
+    # the same (c, f) on the upper-triangular parts: b = triu(C) is
+    # nilpotent, so f(b) is invertible and its null space is not deg f
+    upper = [np.triu(m) for m in field.mats]
+    assert not check_certificate(FactorData(3, upper, cert), 2)
+
+
 def test_draw_cap_raises_named_error(monkeypatch):
     full = algebra_closure([unit(2, 0, 1), unit(2, 1, 0)], 3, 2)
     monkeypatch.setattr(algrep, "MAX_DRAWS", 0)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from loop_reference import dense_rref, loop_nullspace, loop_reduce, loop_rref
+from loop_reference import (dense_rref, loop_nullspace, loop_reduce, loop_rref,
+                            two_pass_nullspace)
 from filtra import modlinalg
 from filtra.bimap import _rows_x, _rows_y_right, _rows_z, solve_ring
 from filtra.modlinalg import (
@@ -140,6 +141,49 @@ def test_nullspace_matches_row_loop(case):
     ns = nullspace(a, p)
     want = loop_nullspace(a, p)
     assert ns.shape == want.shape and np.array_equal(ns, want)
+
+
+@st.composite
+def _nullspace_inputs(draw):
+    """A read-only system over Z_p, p in {2, 3, 5, 251, 65521}, with no
+    rows, no columns, all zeros, full rank, many more rows than columns
+    (dense or of low rank) or many more columns than rows."""
+    p = draw(st.sampled_from([2, 3, 5, 251, 65521]))
+    elements = st.integers(0, p - 1)
+    kind = draw(st.sampled_from(["no_rows", "no_cols", "zero", "full", "tall", "wide"]))
+    if kind == "no_rows":
+        a = np.zeros((0, draw(st.integers(0, 12))), dtype=np.int64)
+    elif kind == "no_cols":
+        a = np.zeros((draw(st.integers(0, 12)), 0), dtype=np.int64)
+    elif kind == "zero":
+        a = np.zeros(draw(sides), dtype=np.int64)
+    elif kind == "full":
+        # unit lower times upper with a nonzero diagonal: invertible
+        n = draw(st.integers(1, 10))
+        low = np.tril(draw(_dense(n, n, elements)), -1) + np.eye(n, dtype=np.int64)
+        up = np.triu(draw(_dense(n, n, elements)), 1) + np.diag(
+            draw(arrays(np.int64, n, elements=st.integers(1, p - 1))))
+        a = (low @ up) % p
+    elif kind == "tall":
+        rows, cols = draw(st.integers(30, 60)), draw(st.integers(1, 8))
+        a = draw(st.one_of(_dense(rows, cols, elements), _low_rank(rows, cols, elements))) % p
+    else:
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(20, 40))
+        a = draw(st.one_of(_dense(rows, cols, elements), _low_rank(rows, cols, elements))) % p
+    a.setflags(write=False)
+    return a, p
+
+
+@given(_nullspace_inputs())
+@settings(max_examples=200, deadline=None)
+def test_nullspace_matches_two_pass_and_row_loop(case):
+    a, p = case
+    before = a.copy()
+    ns = nullspace(a, p)
+    for want in (two_pass_nullspace(a, p), loop_nullspace(a, p)):
+        assert ns.dtype == want.dtype and ns.shape == want.shape and np.array_equal(ns, want)
+    assert np.array_equal(a, before)
+    assert not (a @ ns.T % p).any()
 
 
 @given(sq, primes, st.data())

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from loop_reference import (
-    array_divmod, array_factor, array_gcd, array_is_irreducible, array_powmod,
+    array_charpoly, array_divmod, array_factor, array_gcd, array_is_irreducible, array_powmod,
 )
 from filtra.modlinalg import nullspace
 from filtra.poly import (
@@ -69,12 +69,16 @@ def _divides(g, f, p: int) -> bool:
     return not divmod_poly(f, g, p)[1].size
 
 
+def _derivative_zero_examples(test):
+    """Characteristic polynomials with derivative 0: x^4 at p = 2 and
+    (x^2 + x + 2)^3 at p = 3, whose factor is irreducible mod 3."""
+    test = example((np.zeros((4, 4), dtype=np.int64), 2))(test)
+    return example((np.kron(np.eye(3, dtype=np.int64), _companion([2, 1, 1])) % 3, 3))(test)
+
+
 @given(_matrices())
 @settings(max_examples=200, deadline=None)
-# characteristic polynomials with derivative 0: x^4 at p = 2 and
-# (x^2 + x + 2)^3 at p = 3, whose factor is irreducible mod 3
-@example((np.zeros((4, 4), dtype=np.int64), 2))
-@example((np.kron(np.eye(3, dtype=np.int64), _companion([2, 1, 1])) % 3, 3))
+@_derivative_zero_examples
 def test_charpoly_and_factor(case):
     b, p = case
     n = b.shape[0]
@@ -176,3 +180,28 @@ def test_factor_matches_array_reference(case):
     p, f, _ = case
     got, want = factor(f, p), array_factor(f, p)
     assert len(got) == len(want) and all(map(_same, got, want))
+
+
+@st.composite
+def _seeded_matrices(draw):
+    """A square matrix over Z_p of size up to 20, p in POLY_PRIMES, filled
+    by numpy from a drawn seed at a drawn density, and block triangular
+    half the time.  Hypothesis's own arrays are mostly their fill value at
+    this size, which leaves the Hessenberg subdiagonal zero and cuts the
+    recurrence short."""
+    p = draw(st.sampled_from(POLY_PRIMES))
+    n = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.integers(0, p, (n, n)) * (rng.random((n, n)) < draw(st.sampled_from([0.3, 1.0])))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n))
+        b[k:, :k] = 0
+    return b, p
+
+
+@given(st.one_of(_matrices(), _seeded_matrices()))
+@settings(max_examples=200, deadline=None)
+@_derivative_zero_examples
+def test_charpoly_matches_array_reference(case):
+    b, p = case
+    assert _same(charpoly(b, p), array_charpoly(b, p))
