@@ -41,7 +41,8 @@ with no null space and no spin.  Otherwise, for an irreducible factor f
 with nullity f(b) = deg f, one spin of a null vector of f(b) and one of
 f(b)^T either split the module or prove it irreducible.  The
 certificate records b by its coefficients over the action, so replay
-rebuilds it inside the algebra.  Modules where no such element exists
+rebuilds it inside the algebra; a certificate of degree n replays as one
+characteristic polynomial.  Modules where no such element exists
 (the exceptional cases of Ivanyos and Lux) are not treated: after
 MAX_DRAWS draws `try_split` raises `MeataxeExhausted`.
 
@@ -187,8 +188,8 @@ def try_split(mats: list[np.ndarray], p: int, n: int,
     factors f of its characteristic polynomial by increasing degree.  A
     factor of degree n is the whole characteristic polynomial: Z_p[b] is
     then a field, no proper nonzero subspace is invariant under b, and the
-    draw certifies the module at once (on replay f(b) = 0, whose null space
-    is everything, so both spins below are full).  For any other f, let N
+    draw certifies the module at once (replay compares f with the
+    characteristic polynomial of b).  For any other f, let N
     be the null space of a = f(b).  A vector of N that spins to a
     proper subspace splits the module.  When dim N = deg f, N is
     one-dimensional over the field Z_p[x]/(f), so every proper submodule
@@ -242,12 +243,15 @@ def check_certificate(factor_data: FactorData, p: int) -> bool:
     """Replay an irreducibility certificate against the factor action.
 
     ("allvec",) holds for dimension 1 alone.  ("norton", c, f) is rebuilt
-    from the action: b = sum c_i action_i must have nullity f(b) = deg f
-    for an irreducible f, and the two spins of `try_split`, here of the
-    first null rows, must both give the full space.  No vector is
-    enumerated.  A factor's action spans a closed algebra, as `spin` needs;
-    on a forged one that does not, spins only come out too small, so the
-    replay can fail but never pass wrongly."""
+    from the action: b = sum c_i action_i, for an irreducible f.  When deg f
+    is n, f made monic must be the characteristic polynomial of b: f(b) = 0
+    holds exactly then, and then no proper subspace is invariant under b,
+    so the null spaces and spins below would pass too.  Otherwise f(b) must
+    have nullity deg f, and the two spins of `try_split`, here of the first
+    null rows, must both give the full space.  No vector is enumerated.  A
+    factor's action spans a closed algebra, as `spin` needs; on a forged
+    one that does not, spins only come out too small, so the replay can
+    fail but never pass wrongly."""
     n, cert = factor_data.dim, factor_data.certificate
     if cert[0] == "allvec":
         return n == 1
@@ -257,9 +261,12 @@ def check_certificate(factor_data: FactorData, p: int) -> bool:
     c, f = as_array(cert[1], p), np.asarray(cert[2], dtype=np.int64)
     if c.shape != (gens.shape[0],) or f.ndim != 1 or not is_irreducible(f, p):
         return False
-    a = at_matrix(f, _dot(c, gens.reshape(c.size, n * n), p).reshape(n, n), p)
+    b, f = _dot(c, gens.reshape(c.size, n * n), p).reshape(n, n), norm(f, p)
+    if degree(f) == n:
+        return np.array_equal(charpoly(b, p) * f[-1] % p, f)
+    a = at_matrix(f, b, p)
     null = nullspace(a.T, p)
-    return (null.shape[0] == degree(norm(f, p))
+    return (null.shape[0] == degree(f)
             and spin(null[0], gens, p).shape[0] == n
             and spin(nullspace(a, p)[0], gens.transpose(0, 2, 1), p).shape[0] == n)
 

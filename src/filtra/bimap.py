@@ -39,7 +39,7 @@ full system has.  C is looked for among the slices in order, then among
 COMBINATION_DRAWS combinations drawn from a fixed seed, so the route
 depends on the tensor alone, never on a caller's random state.
 
-Fallback.  When a != b, when c = 0, or when no invertible combination
+Fallback.  When a != b, when a or c is 0, or when no invertible combination
 turns up, the adjoint is the nullspace of the full (a*b*c) x (a^2 + b^2)
 system in (X, Y).  Degenerate bimaps land here, and so does every
 alternating B of odd size, all of whose combinations are singular.
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modlinalg import Subspace, _dot, check_prime, inv_matrix, nullspace
+from .modlinalg import Subspace, _dot, _entry_dtype, _reduce, check_prime, inv_matrix, nullspace
 
 # Combinations of slices tried, after the slices themselves, when looking for
 # an invertible one.
@@ -132,42 +132,40 @@ class ScalarRing:
         return np.array_equal((left + mid) % p, right)
 
 
-def _rows_x(b: np.ndarray) -> np.ndarray:
-    """Coefficient block of X in  uX * v: entry ((i,j,k),(i',l)) = d_{ii'} B[l,j,k]."""
-    a, bb, c = b.shape
-    rows = np.zeros((a, bb, c, a, a), dtype=np.int64)
-    for i in range(a):
-        rows[i, :, :, i, :] = b.transpose(1, 2, 0)
-    return rows.reshape(a * bb * c, a * a)
+def _place(out: np.ndarray, col: int, t: np.ndarray, axis: int) -> int:
+    """Write into out[:, col:], whose rows are indexed (i, j, k) like t, the
+    block of the unknown matrix acting on row axis `axis`; return the end:
+      axis 0, X in  uX * v:     ((i,j,k),(i',l)) = d_{ii'} t[l,j,k]
+      axis 1, Y in  u * vY:     ((i,j,k),(j',l)) = d_{jj'} t[i,l,k]
+      axis 2, Z in  (u * v)Z:   ((i,j,k),(m,k')) = d_{kk'} t[i,j,m]"""
+    n = t.shape[axis]
+    block = out[:, col:col + n * n].reshape(*t.shape, n, n)
+    at = [slice(None)] * 5
+    at[axis] = at[3 if axis < 2 else 4] = np.arange(n)
+    block[tuple(at)] = t.transpose([i for i in range(3) if i != axis] + [axis])
+    return col + n * n
 
 
-def _rows_y_right(b: np.ndarray) -> np.ndarray:
-    """Coefficient block of Y in  u * vY with v a row: uses Y[j,l] B[i,l,k]."""
-    a, bb, c = b.shape
-    rows = np.zeros((a, bb, c, bb, bb), dtype=np.int64)
-    for j in range(bb):
-        rows[:, j, :, j, :] = b.transpose(0, 2, 1)
-    return rows.reshape(a * bb * c, bb * bb)
-
-
-def _rows_z(b: np.ndarray) -> np.ndarray:
-    """Coefficient block of Z in  (u * v)Z: entry ((i,j,k),(m,k')) = d_{kk'} B[i,j,m]."""
-    a, bb, c = b.shape
-    rows = np.zeros((a, bb, c, c, c), dtype=np.int64)
-    for k in range(c):
-        rows[:, :, k, :, k] = b
-    return rows.reshape(a * bb * c, c * c)
+def _system(b: np.ndarray, p: int, blocks, extra: int = 0) -> np.ndarray:
+    """The (axis, sign) blocks of b side by side, then `extra` zero columns,
+    in one array at entry width; -B mod p is formed once, on the tensor."""
+    out = np.zeros((b.size, sum(b.shape[ax] ** 2 for ax, _ in blocks) + extra),
+                   dtype=_entry_dtype(p))
+    neg, col = _reduce(-b, p), 0
+    for ax, sign in blocks:
+        col = _place(out, col, b if sign > 0 else neg, ax)
+    return out
 
 
 def _invertible_slice(b: np.ndarray, p: int):
     """(C, C^-1) for an invertible C = sum lambda_k B_k, or None when the
     adjoint takes the full-system fallback (see the module docstring)."""
     a, bb, c = b.shape
-    if a != bb or c == 0:
+    if a != bb or a * c == 0:
         return None
     draws = np.random.default_rng(0).integers(0, p, (COMBINATION_DRAWS, c))
     for lam in np.concatenate([np.eye(c, dtype=np.int64), draws]):
-        cm = (b @ lam) % p
+        cm = _dot(b.reshape(a * a, c), lam[:, None], p).reshape(a, a)
         try:
             return cm, inv_matrix(cm, p)
         except ValueError:
@@ -180,15 +178,21 @@ def _centralizer(ms: np.ndarray, p: int) -> np.ndarray:
 
     Scalar M commute with everything and are dropped.  The first M left
     gives the a^2 x a^2 system (I (x) M^T - M (x) I) vec X = 0 (row-major
-    vec), whose solutions X_n are then cut down, for all other M at once,
-    to the combinations lambda with sum lambda_n (X_n M - M X_n) = 0.
+    vec): the X and -Z blocks of the a x 1 x a tensor M on the same
+    columns, which meet on the diagonal.  Its solutions X_n are then cut
+    down, for all other M at once, to the combinations lambda with
+    sum lambda_n (X_n M - M X_n) = 0.
     """
     a = ms.shape[-1]
     eye = np.eye(a, dtype=np.int64)
     ms = [m for m in ms if (m - m[0, 0] * eye).any()]
     if not ms:
         return np.eye(a * a, dtype=np.int64)
-    basis = nullspace(np.kron(eye, ms[0].T) - np.kron(ms[0], eye), p)
+    rows = _system(ms[0][:, None, :], p, [(0, 1)])
+    _place(rows, 0, _reduce(-ms[0][:, None, :], p), 2)
+    d = ms[0].diagonal()
+    np.fill_diagonal(rows, (d - d[:, None]) % p)
+    basis = nullspace(rows, p)
     if len(ms) > 1:
         xs, rest = basis.reshape(-1, 1, a, a), np.stack(ms[1:])
         images = (_dot(xs, rest, p) - _dot(rest, xs, p)).reshape(len(xs), -1)
@@ -200,7 +204,7 @@ def _adjoint_space(b: np.ndarray, p: int) -> Subspace:
     a, bb, _ = b.shape
     found = _invertible_slice(b, p)
     if found is None:
-        rows = np.concatenate([_rows_x(b), -_rows_y_right(b) % p], axis=1)
+        rows = _system(b, p, [(0, 1), (1, -1)])
         return Subspace.adopt(p, a * a + bb * bb, nullspace(rows, p))
     cm, inv = found
     ms = _dot(b.transpose(2, 0, 1), inv, p)
@@ -221,9 +225,13 @@ def centroid_ring(tensor, p: int) -> ScalarRing:
     b = as_tensor(tensor, p)
     a, bb, c = b.shape
     adj = _adjoint_space(b, p).basis
-    xb = np.einsum("nil,ljk->ijkn", adj[:, : a * a].reshape(-1, a, a), b)
-    # Unknowns (Z, alpha): with the sparse Z block first, elimination is cheaper.
-    sol = nullspace(np.concatenate([_rows_z(b), -xb.reshape(a * bb * c, len(adj))], axis=1), p)
+    n = len(adj)
+    # Unknowns (Z, alpha): with the sparse Z block first, elimination is
+    # cheaper.  Column n of the -XB block is X_n (-B), one product.
+    rows = _system(b, p, [(2, 1)], n)
+    rows[:, c * c:] = _dot(adj[:, : a * a].reshape(n * a, a),
+                           _reduce(-b, p).reshape(a, bb * c), p).reshape(n, b.size).T
+    sol = nullspace(rows, p)
     vecs = np.concatenate([_dot(sol[:, c * c:], adj, p), sol[:, : c * c]], axis=1)
     space = Subspace(p, a * a + bb * bb + c * c, vecs)
     members = tuple(tuple(_unflatten(v, [(a, a), (bb, bb), (c, c)])) for v in space.basis)
@@ -233,7 +241,7 @@ def centroid_ring(tensor, p: int) -> ScalarRing:
 def derivation_ring(tensor, p: int) -> ScalarRing:
     b = as_tensor(tensor, p)
     a, bb, c = b.shape
-    rows = np.concatenate([_rows_x(b), _rows_y_right(b), -_rows_z(b) % p], axis=1)
+    rows = _system(b, p, [(0, 1), (1, 1), (2, -1)])
     space = Subspace.adopt(p, a * a + bb * bb + c * c, nullspace(rows, p))
     members = tuple(tuple(_unflatten(v, [(a, a), (bb, bb), (c, c)])) for v in space.basis)
     return ScalarRing("derivation", p, b, members, space)
@@ -252,16 +260,10 @@ def kronecker_pair_tensor(m: int, p: int) -> np.ndarray:
     """Alternating bimap on Z_p^{2m+1} from the matrix pencil ([Z 0], [0 Z])
     with Z the m x m anti-diagonal: (u,v) * (x,y) = (uFy^t - vF^tx^t, uGy^t - vG^tx^t)."""
     z = np.eye(m, dtype=np.int64)[::-1]
-    f = np.concatenate([z, np.zeros((m, 1), dtype=np.int64)], axis=1)
-    g = np.concatenate([np.zeros((m, 1), dtype=np.int64), z], axis=1)
     n = 2 * m + 1
     b = np.zeros((n, n, 2), dtype=np.int64)
-    for i in range(m):
-        for j in range(m + 1):
-            b[i, m + j, 0] = f[i, j]
-            b[m + j, i, 0] = (-f[i, j]) % p
-            b[i, m + j, 1] = g[i, j]
-            b[m + j, i, 1] = (-g[i, j]) % p
+    b[:m, m:n - 1, 0] = b[:m, m + 1:, 1] = z
+    b[m:, :m] = (-b[:m, m:].transpose(1, 0, 2)) % p
     return b
 
 
@@ -270,9 +272,6 @@ def heisenberg_tensor(ring) -> np.ndarray:
     (a, b) * (c, d) = ad - bc taken in the ring."""
     m = ring.dim
     b = np.zeros((2 * m, 2 * m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            prod = ring.table[i, j]
-            b[i, m + j] = prod
-            b[m + j, i] = (-prod) % ring.p
+    b[:m, m:] = ring.table
+    b[m:, :m] = (-ring.table.transpose(1, 0, 2)) % ring.p
     return b

@@ -38,7 +38,10 @@ The full-system scalar-ring solvers at the end are the `adjoint_ring` and
 `centroid_ring` that `filtra.bimap` used before the adjoint became a
 centralizer and the centroid a system over the adjoint basis: one
 (a*b*c) x (a^2 + b^2) system for the adjoint and one (2*a*b*c) x
-(a^2 + b^2 + c^2) system for the centroid.
+(a^2 + b^2 + c^2) system for the centroid.  Their blocks `_rows_x`,
+`_rows_y_right` and `_rows_z` are the int64 blocks that `filtra.bimap`
+concatenated, and `kron_commuting_rows` the two-`np.kron` system of its
+`_centralizer`, before each system was built in place at entry width.
 
 `loop_product_tensor`, `loop_check_bilinear` and `loop_check_well_defined`
 are the `filtra.liering.GradedLieRing` methods from before brackets were
@@ -112,6 +115,10 @@ rows of an (n + 1) x (n + 1) array.
 eliminated once: it reads the null vectors off the rref of a itself, where
 each is 1 at its free column but nonzero at pivot columns left of it, so a
 second `rref` puts them in canonical form.
+
+`spin_check_certificate` is `filtra.algrep.check_certificate` from before a
+certificate whose f has degree n replayed as one characteristic
+polynomial: for every f it forms f(b), its two null spaces and two spins.
 """
 
 import heapq
@@ -129,6 +136,7 @@ from filtra.errors import (
     CapExceeded, ClosureViolation, DimensionMismatch, FiltraError, NonNormalGenerator,
     NotOrderReversing,
 )
+from filtra.algrep import spin
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
 from filtra.filters import Filter, verify_axioms
 from filtra.group import (
@@ -138,8 +146,9 @@ from filtra.group import (
 from filtra.liering import GradedLieRing
 from filtra.monoid import Index
 from filtra.modlinalg import (
-    Subspace, _reduce, _work_dtype, as_array, inv_matrix, inv_mod, nullspace, rref,
+    Subspace, _dot, _reduce, _work_dtype, as_array, inv_matrix, inv_mod, nullspace, rref,
 )
+from filtra.poly import at_matrix, degree, is_irreducible, norm
 from filtra.refine import ring_at
 
 
@@ -471,6 +480,12 @@ def _rows_z(b: np.ndarray) -> np.ndarray:
     for k in range(c):
         rows[:, :, k, :, k] = b
     return rows.reshape(a * bb * c, c * c)
+
+
+def kron_commuting_rows(m: np.ndarray) -> np.ndarray:
+    """The system (I (x) M^T - M (x) I) vec X = 0 of X M = M X, row-major vec."""
+    eye = np.eye(m.shape[0], dtype=np.int64)
+    return np.kron(eye, m.T) - np.kron(m, eye)
 
 
 def full_adjoint_ring(tensor, p: int) -> ScalarRing:
@@ -1190,3 +1205,20 @@ def array_is_irreducible(f, p: int) -> bool:
         if len(array_gcd(f, array_add(xpow, -_X, p), p)) > 1:
             return False
     return True
+
+
+def spin_check_certificate(factor_data, p: int) -> bool:
+    n, cert = factor_data.dim, factor_data.certificate
+    if cert[0] == "allvec":
+        return n == 1
+    if cert[0] != "norton" or len(cert) != 3:
+        return False
+    gens = as_array(factor_data.action, p).reshape(-1, n, n)
+    c, f = as_array(cert[1], p), np.asarray(cert[2], dtype=np.int64)
+    if c.shape != (gens.shape[0],) or f.ndim != 1 or not is_irreducible(f, p):
+        return False
+    a = at_matrix(f, _dot(c, gens.reshape(c.size, n * n), p).reshape(n, n), p)
+    null = nullspace(a.T, p)
+    return (null.shape[0] == degree(norm(f, p))
+            and spin(null[0], gens, p).shape[0] == n
+            and spin(nullspace(a, p)[0], gens.transpose(0, 2, 1), p).shape[0] == n)

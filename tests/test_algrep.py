@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import named_ring
 from loop_reference import (basis_algebra_closure, base_change_split, frobenius_radical,
-                            loop_spin, naive_algebra_closure)
+                            loop_spin, naive_algebra_closure, spin_check_certificate)
 from oracles import traceform_radical_dim
 from filtra import algrep
 from filtra.algrep import (
@@ -37,6 +37,13 @@ def unit(n, i, j):
     m = np.zeros((n, n), dtype=np.int64)
     m[i, j] = 1
     return m
+
+
+def replays(factor: FactorData, p: int) -> bool:
+    """check_certificate, asserted to agree with the spin replay it replaces."""
+    got = check_certificate(factor, p)
+    assert got == spin_check_certificate(factor, p), factor.certificate
+    return got
 
 
 def test_closure_examples():
@@ -219,44 +226,44 @@ def test_composition_factors_and_certificates(rng):
     tri = algebra_closure([unit(2, 0, 1)], 2, 2, unital=True)
     factors = composition_factors(tri.mats, 2, 2, rng)
     assert sorted(f.dim for f in factors) == [1, 1]
-    assert all(check_certificate(f, 2) for f in factors)
+    assert all(replays(f, 2) for f in factors)
 
     full = algebra_closure([unit(2, 0, 1), unit(2, 1, 0)], 3, 2)
     factors = composition_factors(full.mats, 3, 2, rng)
     assert [f.dim for f in factors] == [2]
-    assert check_certificate(factors[0], 3)
+    assert replays(factors[0], 3)
 
 
 def test_bogus_certificate_rejected():
     tri = algebra_closure([unit(2, 0, 1)], 2, 2, unital=True)
     fake = FactorData(2, [m.copy() for m in tri.mats], ("allvec",))
-    assert not check_certificate(fake, 2)
+    assert not replays(fake, 2)
 
 
 def test_norton_replay_checks_each_condition():
     eye, e01 = np.eye(2, dtype=np.int64), unit(2, 0, 1)
     # span((0, 1)) is a submodule; a bare matrix is not a coefficient row
     forged = FactorData(2, [eye, e01], ("norton", np.array([[0, 0], [1, 1]])))
-    assert not check_certificate(forged, 2)
+    assert not replays(forged, 2)
     # no coefficient row and irreducible f of degree <= 2 certifies it either
     for c in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         for f in ([0, 1], [1, 1], [1, 1, 1]):
             cert = ("norton", np.array(c), np.array(f))
-            assert not check_certificate(FactorData(2, [eye, e01], cert), 2), (c, f)
+            assert not replays(FactorData(2, [eye, e01], cert), 2), (c, f)
     # M_2(F_2) is irreducible: b = I + e01 with f = x + 1 is a good element,
     # and each forgery below fails exactly one condition
     full = algebra_closure([e01, unit(2, 1, 0)], 2, 2)
     action = [m.copy() for m in full.mats]
     unipotent = full.coords_of(eye + e01)
-    assert check_certificate(FactorData(2, action, ("norton", unipotent, np.array([1, 1]))), 2)
+    assert replays(FactorData(2, action, ("norton", unipotent, np.array([1, 1]))), 2)
     # (x + 1)^2 kills b, so its nullity is its degree and both spins are full
     reducible_f = ("norton", unipotent, np.array([1, 0, 1]))
-    assert not check_certificate(FactorData(2, action, reducible_f), 2)
+    assert not replays(FactorData(2, action, reducible_f), 2)
     # b = I has nullity 2 under x + 1 of degree 1
     wrong_nullity = ("norton", full.coords_of(eye), np.array([1, 1]))
-    assert not check_certificate(FactorData(2, action, wrong_nullity), 2)
+    assert not replays(FactorData(2, action, wrong_nullity), 2)
     short_row = ("norton", unipotent[:-1], np.array([1, 1]))
-    assert not check_certificate(FactorData(2, action, short_row), 2)
+    assert not replays(FactorData(2, action, short_row), 2)
 
 
 def test_split_through_the_transpose():
@@ -302,11 +309,68 @@ def test_irreducible_characteristic_polynomial_certifies_at_once(monkeypatch):
     assert verdict == "irr" and cert[0] == "norton" and len(cert) == 3
     assert np.array_equal(cert[1], c) and np.array_equal(cert[2], [1, 1, 0, 1])
     monkeypatch.undo()
-    assert check_certificate(FactorData(3, field.mats, cert), 2)
+    assert replays(FactorData(3, field.mats, cert), 2)
     # the same (c, f) on the upper-triangular parts: b = triu(C) is
     # nilpotent, so f(b) is invertible and its null space is not deg f
     upper = [np.triu(m) for m in field.mats]
-    assert not check_certificate(FactorData(3, upper, cert), 2)
+    assert not replays(FactorData(3, upper, cert), 2)
+
+
+def test_replay_agrees_on_every_radical_certificate():
+    # the radicals of this file, over five seeds each: both replays agree on
+    # every certificate, and both kinds of Norton certificate turn up (f of
+    # degree n, replayed as a characteristic polynomial, and f of lower
+    # degree, replayed by null spaces and spins)
+    algebras = [algebra_closure([unit(2, 0, 1), unit(2, 1, 0)], 5, 2),
+                algebra_closure([unit(2, 0, 1)], 2, 2, unital=True),
+                algebra_closure([unit(2, 0, 1)], 5, 2, unital=True),
+                algebra_closure([unit(3, 0, 1), unit(3, 1, 2), unit(3, 2, 2)], 3, 3, unital=True)]
+    for p in (2, 3, 7):
+        adj = adjoint_ring(kronecker_pair_tensor(1, p), p)
+        algebras.append(algebra_closure(embed_adjoint_pairs(adj.members, p), p, 6, unital=True))
+    for name in ("F2", "F3", "F2[x]/x2", "F2[x]/x3"):
+        r = named_ring(name)
+        adj = adjoint_ring(heisenberg_tensor(r), r.p)
+        algebras.append(algebra_closure(embed_adjoint_pairs(adj.members, r.p), r.p, 4 * r.dim,
+                                        unital=True))
+    algebras += [alg for p, coeffs in [(3, [1, 2, 0, 1]), (5, [1, 1, 0, 1])]
+                 for alg, _ in _field_heisenberg_algebras(p, coeffs)]
+    kinds = set()
+    for alg in algebras:
+        for seed in range(5):
+            for f in jacobson_radical(alg, np.random.default_rng(seed)).factors:
+                assert replays(f, alg.p)
+                cert = f.certificate
+                kinds.add(cert[0] if cert[0] == "allvec" else len(cert[2]) - 1 == f.dim)
+    assert kinds == {"allvec", True, False}
+
+
+def test_degree_n_forgeries_replay_alike():
+    # F_9 = F_3[C] for the companion C of x^2 + 1: b = C has the irreducible
+    # characteristic polynomial x^2 + 1
+    companion = np.array([[0, 1], [2, 0]])
+    field = algebra_closure([companion], 3, 2, unital=True)
+    c = field.coords_of(companion)
+    for f, want in [([1, 0, 1], True),      # the characteristic polynomial
+                    ([2, 0, 2], True),      # 2(x^2 + 1): not monic, but a multiple
+                    ([1, 0, 1, 0], True),   # a zero leading term
+                    ([1, 2, 2], False),     # 2(x^2 + x + 2), irreducible, not a multiple
+                    ([2, 2, 1], False),     # x^2 + 2x + 2, irreducible, not a multiple
+                    ([1, 0, 2], False)]:    # x^2 - 1 = (x - 1)(x + 1), reducible
+        cert = ("norton", c, np.array(f))
+        assert replays(FactorData(2, field.mats, cert), 3) == want, f
+    # F_8 = F_2[C] for the companion C of x^3 + x + 1, under the other
+    # irreducible cubic x^3 + x^2 + 1, with b = C and b = I
+    companion = np.array([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    field = algebra_closure([companion], 2, 3, unital=True)
+    for b in (companion, np.eye(3, dtype=np.int64)):
+        cert = ("norton", field.coords_of(b), np.array([1, 0, 1, 1]))
+        assert not replays(FactorData(3, field.mats, cert), 2)
+    # a coefficient row one short, and one too long
+    good = ("norton", field.coords_of(companion), np.array([1, 1, 0, 1]))
+    assert replays(FactorData(3, field.mats, good), 2)
+    for row in (good[1][:-1], np.append(good[1], 1)):
+        assert not replays(FactorData(3, field.mats, ("norton", row, good[2])), 2)
 
 
 def test_draw_cap_raises_named_error(monkeypatch):
@@ -341,7 +405,7 @@ def test_heisenberg_field_radicals_are_zero(p, coeffs, rng):
         assert alg.dim == dim
         rad = jacobson_radical(alg, rng)
         assert rad.dim == 0
-        assert all(check_certificate(f, p) for f in rad.factors)
+        assert all(replays(f, p) for f in rad.factors)
         assert sum(f.dim for f in rad.factors) == alg.n
 
 

@@ -6,9 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exterior_square_tensor, named_ring, tensor_from_json, tensor_to_json
+from filtra import bimap
 from filtra.algrep import algebra_closure, embed_adjoint_pairs, embed_centroid_triples
 from filtra.bimap import (
+    _adjoint_space,
+    _centralizer,
     _invertible_slice,
+    _system,
     adjoint_ring,
     as_tensor,
     centroid_ring,
@@ -19,8 +23,10 @@ from filtra.bimap import (
 )
 from filtra.filters import gamma_filter
 from filtra.liering import GradedLieRing
-from filtra.modlinalg import inv_matrix
-from loop_reference import full_adjoint_ring, full_centroid_ring
+from filtra.modlinalg import _entry_dtype, inv_matrix, nullspace
+from filtra.ring import make_poly_quotient
+from loop_reference import (_rows_x, _rows_y_right, _rows_z, full_adjoint_ring,
+                            full_centroid_ring, kron_commuting_rows)
 from oracles import dense_adjoint_dim, dense_centroid_dim, dense_derivation_dim
 
 
@@ -301,3 +307,97 @@ def test_heisenberg_tensors_match_full_systems(name):
     t = heisenberg_tensor(r)
     assert _invertible_slice(t, r.p) is not None
     assert_matches_full_systems(t, r.p)
+
+
+SYSTEM_PRIMES = [2, 3, 5, 251, 65521]
+
+
+@st.composite
+def _system_tensors(draw):
+    """A tensor over Z_p, p in SYSTEM_PRIMES, of any shape up to 5 x 5 x 4:
+    a = b or not, c = 0, and sides of 0 that leave no rows or no unknowns;
+    dense, sparse or zero."""
+    p = draw(st.sampled_from(SYSTEM_PRIMES))
+    shape = draw(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fill = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return np.where(rng.random(shape) < fill, rng.integers(0, p, shape), 0), p
+
+
+def _handed_to_nullspace(fn, *args):
+    """The result of fn(*args) and a copy of every array that `filtra.bimap`
+    handed `nullspace` on the way."""
+    seen = []
+
+    def spy(a, p):
+        seen.append(np.array(a))
+        return nullspace(a, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bimap, "nullspace", spy)
+        return fn(*args), seen
+
+
+@given(_system_tensors())
+# no rows, no unknowns, or neither
+@example((np.zeros((0, 0, 0), dtype=np.int64), 2))
+@example((np.zeros((0, 3, 2), dtype=np.int64), 3))
+@example((np.zeros((3, 0, 1), dtype=np.int64), 2))
+@example((np.zeros((0, 0, 2), dtype=np.int64), 5))
+@example((np.zeros((2, 3, 0), dtype=np.int64), 251))
+@example((np.zeros((4, 4, 0), dtype=np.int64), 65521))
+@settings(max_examples=200, deadline=None)
+def test_ring_systems_match_int64_blocks(case):
+    # the derivation, adjoint fallback and centroid systems, built in place
+    # in _entry_dtype(p), against the int64 blocks they replace, stacked
+    # side by side and reduced; the solvers hand them to `nullspace` so
+    t, p = case
+    a, b, c = t.shape
+    width = _entry_dtype(p)
+    x, y, z = _rows_x(t), _rows_y_right(t), _rows_z(t)
+    _, seen = _handed_to_nullspace(derivation_ring, t, p)
+    assert [s.dtype for s in seen] == [width]
+    assert np.array_equal(seen[0], np.concatenate([x, y, -z], axis=1) % p)
+    fallback = np.concatenate([x, -y], axis=1) % p
+    got = _system(t, p, [(0, 1), (1, -1)])
+    assert got.dtype == width and got.shape == fallback.shape and np.array_equal(got, fallback)
+    if _invertible_slice(t, p) is None:
+        _, seen = _handed_to_nullspace(adjoint_ring, t, p)
+        assert [s.dtype for s in seen] == [width] and np.array_equal(seen[0], fallback)
+    adj = _adjoint_space(t, p).basis
+    xb = np.einsum("nil,ljk->ijkn", adj[:, : a * a].reshape(len(adj), a, a), t)
+    _, seen = _handed_to_nullspace(centroid_ring, t, p)
+    assert seen[-1].dtype == width
+    assert np.array_equal(seen[-1], np.concatenate([z, -xb.reshape(t.size, len(adj))],
+                                                   axis=1) % p)
+
+
+@given(st.sampled_from(SYSTEM_PRIMES), st.integers(1, 6), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_centralizer_system_matches_kron(p, a, k, seed):
+    # the commuting system X M = M X of the first non-scalar M against the
+    # two np.kron of the int64 reference; a scalar M first is dropped
+    rng = np.random.default_rng(seed)
+    ms = rng.integers(0, p, (k, a, a))
+    ms[0] = rng.integers(0, p) * np.eye(a, dtype=np.int64)
+    _, seen = _handed_to_nullspace(_centralizer, ms, p)
+    live = [m for m in ms if (m - m[0, 0] * np.eye(a, dtype=np.int64)).any()]
+    if not live:
+        assert seen == []
+        return
+    assert seen[0].dtype == _entry_dtype(p)
+    assert np.array_equal(seen[0], kron_commuting_rows(live[0]) % p)
+
+
+@pytest.mark.parametrize("p, width", [(2, np.uint8), (3, np.uint8), (251, np.uint8),
+                                      (257, np.uint16), (65521, np.uint16)])
+def test_derivation_system_is_handed_over_narrow(p, width):
+    # the Heisenberg tensor of Z_p[x]/(x^2 + x + 1): its 32 x 36 derivation
+    # system reaches nullspace as uint8 at p <= 251 and as uint16 above, and
+    # gives the null space of the int64 system
+    t = heisenberg_tensor(make_poly_quotient(p, [1, 1, 1]))
+    ring, seen = _handed_to_nullspace(derivation_ring, t, p)
+    assert [(s.dtype, s.shape) for s in seen] == [(width, (32, 36))]
+    rows = np.concatenate([_rows_x(t), _rows_y_right(t), -_rows_z(t) % p], axis=1)
+    assert np.array_equal(ring.space.basis, nullspace(rows, p))

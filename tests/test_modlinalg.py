@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from loop_reference import (dense_rref, loop_nullspace, loop_reduce, loop_rref,
-                            two_pass_nullspace)
+from loop_reference import (_rows_x, _rows_y_right, _rows_z, dense_rref, loop_nullspace,
+                            loop_reduce, loop_rref, two_pass_nullspace)
 from filtra import modlinalg
-from filtra.bimap import _rows_x, _rows_y_right, _rows_z, solve_ring
+from filtra.bimap import solve_ring
 from filtra.modlinalg import (
     MAX_PRIME,
     Subspace,
@@ -106,8 +106,9 @@ def _boundary_systems(draw):
 
 @st.composite
 def _tall_gf2(draw):
-    """Tall, redundant GF(2) systems built as `derivation_ring` and
-    `_centralizer` build theirs, entries left unreduced in {-1, 0, 1}: the
+    """Tall, redundant GF(2) systems shaped as `derivation_ring` and
+    `_centralizer` build theirs, from the int64 reference blocks of
+    `loop_reference`, entries left unreduced in {-1, 0, 1}: the
     derivation system of a random a x a x c tensor (a^2 c rows over
     2a^2 + c^2 unknowns, 96-108 x 66-81 here) and the commuting conditions
     of two random a x a matrices stacked (2a^2 rows over a^2)."""
@@ -184,6 +185,48 @@ def test_nullspace_matches_two_pass_and_row_loop(case):
         assert ns.dtype == want.dtype and ns.shape == want.shape and np.array_equal(ns, want)
     assert np.array_equal(a, before)
     assert not (a @ ns.T % p).any()
+
+
+@given(_nullspace_inputs())
+@settings(max_examples=200, deadline=None)
+def test_reduced_unsigned_inputs_match_int64(case):
+    # a reduced system handed over as uint8 or uint16, also read-only and
+    # column-reversed, eliminates as its int64 copy does and is left alone
+    a, p = case
+    r, piv = rref(a, p)
+    ns = nullspace(a, p)
+    for dtype in [np.uint8, np.uint16] if p <= 256 else [np.uint16]:
+        for u in (a.astype(dtype), a[:, ::-1].astype(dtype)[:, ::-1]):
+            u.setflags(write=False)
+            before = u.copy()
+            got_r, got_piv = rref(u, p)
+            assert got_r.dtype == np.int64 and np.array_equal(got_r, r) and got_piv == piv
+            got = nullspace(u, p)
+            assert got.dtype == ns.dtype and got.shape == ns.shape and np.array_equal(got, ns)
+            assert u.dtype == dtype and np.array_equal(u, before)
+
+
+@given(_boundary_systems())
+@settings(max_examples=200, deadline=None)
+def test_unsigned_entries_of_p_or_more_are_reduced(case):
+    # entries in [0, 3p): each unsigned entry of p or more is reduced, not
+    # trusted (at p = 2 an unreduced 2 would otherwise pack as a 1)
+    a, p = case
+    u = (a % p + p * (np.abs(a) % 3)).astype(np.uint16 if 3 * p <= 2**16 else np.uint32)
+    u.setflags(write=False)
+    before = u.copy()
+    r, piv = rref(u, p)
+    want_r, want_piv = loop_rref(a, p)
+    assert r.dtype == np.int64 and np.array_equal(r, want_r) and piv == want_piv
+    assert np.array_equal(nullspace(u, p), loop_nullspace(a, p))
+    assert np.array_equal(u, before)
+
+
+def test_unreduced_uint8_at_2_is_reduced():
+    u = np.array([[2, 1, 3], [1, 3, 2]], dtype=np.uint8)
+    r, piv = rref(u, 2)
+    assert np.array_equal(r, [[1, 0, 1], [0, 1, 1]]) and piv == [0, 1]
+    assert np.array_equal(nullspace(u, 2), [[1, 1, 1]])
 
 
 @given(sq, primes, st.data())
