@@ -166,8 +166,7 @@ def spin(v: np.ndarray, mats, p: int) -> np.ndarray:
     v = np.mod(np.asarray(v, dtype=np.int64), p).reshape(1, -1)
     n = v.shape[1]
     images = _dot(v, np.asarray(mats, dtype=np.int64).reshape(-1, n, n), p).reshape(-1, n)
-    basis, pivots = rref(np.vstack([v, images]), p)
-    return basis[: len(pivots)]
+    return rref(np.vstack([v, images]), p)[0]
 
 
 @dataclass
@@ -215,7 +214,7 @@ def try_split(mats: list[np.ndarray], p: int, n: int,
         # the spin of e_i: e_i @ M is row i of M
         sub, pivots = rref(np.vstack([eye[i:i + 1], gens[:, i]]), p)
         if len(pivots) < n:
-            return "sub", sub[: len(pivots)]
+            return "sub", sub
     flat = gens.reshape(gens.shape[0], n * n)
     for _ in range(MAX_DRAWS):
         c = rng.integers(0, p, gens.shape[0])

@@ -161,7 +161,7 @@ def _fixes_full_flag(gens: list[np.ndarray], p: int, degree: int) -> np.ndarray 
         r, pivots = rref(_dot(ann, steps, p).reshape(-1, degree), p)
         if len(pivots) == len(ann):
             return None
-        ann = r[:len(pivots)]
+        ann = r
         space = nullspace(ann, p)
         lead = np.argmax(space != 0, axis=1).tolist()
         layers.append(space[[i for i, c in enumerate(lead) if c not in seen]])
@@ -668,17 +668,18 @@ def make_heisenberg(ring, cap: int = DEFAULT_CAP) -> UnipotentGroup:
 
     Elements are [[I, M_a, M_c], [0, I, M_b], [0, 0, I]] with a, b, c in R;
     the group law works out to (a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab').
+    The generators take a = e_i, then b = e_i, for each basis element e_i;
+    by commutativity M_{e_i} is the table slice ring.table[i].
     """
     p, m = ring.p, ring.dim
     d = 3 * m
     check_degree(d, "H(R) degree 3 * dim R")
     gens = []
     for i in range(m):
-        mul = ring.mult_matrix(ring.basis_vector(i))
         for block in (0, 1):
             g = np.eye(d, dtype=np.int64)
             r0, c0 = (0, m) if block == 0 else (m, 2 * m)
-            g[r0:r0 + m, c0:c0 + m] = mul
+            g[r0:r0 + m, c0:c0 + m] = ring.table[i]
             gens.append(g)
     name = f"H({ring.name})" if getattr(ring, "name", "") else "H(R)"
     return UnipotentGroup(p, d, gens, name=name, cap=cap)

@@ -19,18 +19,19 @@ the F_256 solve raises peak RSS by 5.7 MB, against 17.8 MB when it was
 built from concatenated int64 blocks, and the F_{2^12} solve by 27 MB,
 against 136 MB.
 
-One elimination kernel, `rref`, carries everything else.  At p = 2 it
-works on bit-packed rows (`_rref2`; Albrecht, Bard and Hart, "Algorithm
-898", ACM TOMS 37, 2010).  Each row is packed once into a Python int, bit c
-for column c (`np.packbits` little-endian, from contiguous uint8 rows, then
-`int.from_bytes`), and is
-reduced against the rows kept so far, keyed by their pivot bits.  A kept
+One elimination kernel, `rref`, carries everything else.  It returns the
+rank rows alone, len(pivots) of them, which every caller keeps as they
+are.  At p = 2 it works on bit-packed rows (`_rref2`; Albrecht, Bard and
+Hart, "Algorithm 898", ACM TOMS 37, 2010).  Each row is packed once into a
+Python int, bit c for column c (`np.packbits` little-endian, from
+contiguous uint8 rows, then `int.from_bytes`), and is reduced against the
+rows kept so far, keyed by their pivot bits.  A kept
 row's pivot is its lowest bit, so the XOR for the lowest pivot a row hits
 clears that bit and touches only higher columns: a row costs one XOR per
 pivot it hits, where a column-by-column kernel pays several numpy calls per
 pivot whatever the density.  A row left nonzero is kept under its lowest
 bit.  Back-substitution, highest pivot first, clears each kept row at the
-higher pivots, and the kept rows unpack to the int64 rref.
+higher pivots, and only the kept rows unpack, to the int64 rref.
 
 At odd p, `rref` converts its input once into the narrowest unsigned dtype
 that holds (p - 1) + (p - 1)**2, the largest value a pivot step forms:
@@ -40,8 +41,8 @@ nonzero entry, scales it unless the pivot is already 1, and clears the
 column on the rows that hit it, restricted to the columns from the pivot on
 (the pivot row is zero before it).  A row with entry e at the pivot gains
 (p - e) times the pivot row, one broadcast product that keeps every value
-unsigned, and is reduced mod p.  The result is widened back to int64 once,
-at the end.
+unsigned, and is reduced mod p.  At the end the pivot rows alone are
+widened to int64.
 
 Integer arrays are reduced by `_reduce`: at p = 2 by the mask `& 1`,
 which two's complement makes exact on negative values too, at a fraction
@@ -179,10 +180,12 @@ def _work_dtype(p: int) -> type:
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns of a over Z_p.
+    """The rref basis of the row space of a over Z_p, and its pivots.
 
-    An unsigned array is read at its own width, and reduced only when an
-    entry is p or more; any other input is read as int64."""
+    The basis is a fresh len(pivots) x cols int64 array: the rank rows, with
+    no zero rows after them.  An unsigned array is read at its own width,
+    and reduced only when an entry is p or more; any other input is read as
+    int64."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatch("rref expects a 2-d array")
@@ -225,7 +228,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
         c += 1
-    return m.astype(np.int64), pivots
+    return m[:len(pivots)].astype(np.int64), pivots
 
 
 def _rref2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -237,7 +240,7 @@ def _rref2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     and touches only higher columns.  A row left nonzero is kept under its
     lowest bit.  Back-substitution then clears every kept row at the higher
     pivots, highest pivot first, when the rows it XORs in are reduced
-    already: one XOR per pivot bit the row holds."""
+    already: one XOR per pivot bit the row holds.  Only kept rows unpack."""
     rows, cols = a.shape
     # packbits runs several times faster on contiguous rows than on the
     # column-reversed view `nullspace` passes; the copy is a byte an entry
@@ -267,12 +270,10 @@ def _rref2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
             x ^= kept[bit]
             hits ^= bit
         kept[low] = x
-    out = np.zeros((rows, cols), dtype=np.int64)
-    if lows:
-        bits = np.frombuffer(b"".join(kept[low].to_bytes(width, "little") for low in lows),
-                             dtype=np.uint8).reshape(len(lows), width)
-        out[:len(lows)] = np.unpackbits(bits, axis=1, count=cols, bitorder="little")
-    return out, [low.bit_length() - 1 for low in lows]
+    bits = np.frombuffer(b"".join(kept[low].to_bytes(width, "little") for low in lows),
+                         dtype=np.uint8).reshape(len(lows), width)
+    return (np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64),
+            [low.bit_length() - 1 for low in lows])
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
@@ -291,7 +292,7 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     free = np.flatnonzero(is_free)[::-1]
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[:, n - 1 - free] = np.eye(free.size, dtype=np.int64)
-    basis[:, [n - 1 - c for c in pivots]] = _reduce(-r[: len(pivots), free].T, p)
+    basis[:, [n - 1 - c for c in pivots]] = _reduce(-r[:, free].T, p)
     return basis
 
 
@@ -309,8 +310,7 @@ class Subspace:
             v = np.asarray(vectors, dtype=np.int64)
             if v.ndim != 2 or v.shape[1] != n:
                 raise DimensionMismatch(f"vectors must be rows of length {n}")
-            r, self.pivots = rref(v, p)
-            self.basis = r[: len(self.pivots)].copy()
+            self.basis, self.pivots = rref(v, p)
         self.basis.setflags(write=False)
 
     @property
@@ -327,7 +327,6 @@ class Subspace:
         if not res.shape[0]:
             return self, res
         fresh, pivots = rref(res, self.p)
-        fresh = fresh[: len(pivots)]
         old = _reduce(self.basis - _dot(self.basis[:, pivots], fresh, self.p), self.p)
         merged = self.pivots + pivots
         order = np.argsort(merged)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algrep import (
-    MatAlgebra,
     RadicalData,
     algebra_closure,
     embed_adjoint_pairs,
@@ -40,12 +39,11 @@ METHODS = ("adjoint", "centroid", "derivation")
 
 @dataclass
 class RingData:
-    """Scalar ring of the leading self-bracket, its enveloping matrix
-    algebra on L_s, and the radical action subspaces L_s J^i."""
+    """Scalar ring of the leading self-bracket, the Jacobson radical of its
+    enveloping matrix algebra on L_s, and the radical action subspaces
+    L_s J^i."""
 
-    method: str
     ring: ScalarRing
-    algebra: MatAlgebra
     radical: RadicalData
     acting_powers: list[Subspace]
 
@@ -79,7 +77,7 @@ def ring_at(lie: GradedLieRing, s: Index, method: str, check: bool = False,
     # the x part (top-left a x a block) of every basis matrix of J^k
     powers = [Subspace(p, a, level.basis.reshape(-1, alg.n, alg.n)[:, :a, :a].reshape(-1, a))
               for level in rad.chain]
-    return RingData(method, ring, alg, rad, powers)
+    return RingData(ring, rad, powers)
 
 
 @dataclass

@@ -56,11 +56,6 @@ class FinCommRing:
         if not np.array_equal(self.mult_matrix(self.unit), np.eye(d, dtype=np.int64)):
             raise ClosureViolation("designated unit does not act as identity")
 
-    def basis_vector(self, i: int) -> np.ndarray:
-        e = np.zeros(self.dim, dtype=np.int64)
-        e[i] = 1
-        return e
-
     def mult_matrix(self, x) -> np.ndarray:
         """Matrix M with coords(y*x) = coords(y) @ M for row vectors y."""
         x = as_array(x, self.p).reshape(-1)

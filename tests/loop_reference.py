@@ -20,7 +20,9 @@ takes the diagonal blocks of t M t^-1.
 `dense_rref` is `filtra.modlinalg.rref` from before it eliminated over
 GF(2) on bit-packed rows: one column per pivot in the narrowest unsigned
 dtype, cleared at p = 2 by XOR with the pivot row (`m[hit, c:] ^= row`) and
-at odd p by a broadcast multiply-add and a mod.
+at odd p by a broadcast multiply-add and a mod.  It and `loop_rref` return
+the full rows x cols array, zero rows after the rank rows, as `rref` did
+before it returned the rank rows alone.
 
 `loop_associativity_failure` is the triple loop over basis elements that
 `filtra.ring.FinCommRing` used to check associativity before it compared
@@ -102,7 +104,9 @@ int64 and one int64 `@`, never BLAS.  `coset_commutator` and
 `coset_is_normal` multiply through it.
 
 `ring_mult` is the `filtra.ring.FinCommRing` method that multiplied two
-ring elements through the structure tensor; only the tests used it.
+ring elements through the structure tensor, and `basis_vector` the method
+that gave the unit vector e_i; only the tests used them once
+`filtra.group.make_heisenberg` read the slices of the table.
 
 `array_factor`, `array_is_irreducible` and the `array_*` helpers before them
 are `filtra.poly` from before its arithmetic ran on Python int lists: every
@@ -263,7 +267,7 @@ def two_pass_nullspace(a: np.ndarray, p: int) -> np.ndarray:
     free = np.flatnonzero(is_free)
     basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
     basis[:, free] = np.eye(free.size, dtype=np.int64)
-    basis[:, pivots] = (-r[: len(pivots), free].T) % p
+    basis[:, pivots] = (-r[:, free].T) % p
     return rref(basis, p)[0]
 
 
@@ -313,7 +317,6 @@ def loop_spin(v, mats, p: int) -> np.ndarray:
 def _basis_complement(w: np.ndarray, n: int, p: int) -> np.ndarray:
     """Invertible matrix whose first rows are the rref rows of w."""
     wr, pivots = rref(w, p)
-    wr = wr[: len(pivots)]
     extra = [np.eye(n, dtype=np.int64)[j] for j in range(n) if j not in pivots]
     return np.vstack([wr] + [e.reshape(1, -1) for e in extra])
 
@@ -344,6 +347,13 @@ def loop_associativity_failure(table: np.ndarray, p: int) -> tuple[int, int, int
     return None
 
 
+def basis_vector(ring, i: int) -> np.ndarray:
+    """The basis element e_i of a `FinCommRing`, as coordinates."""
+    e = np.zeros(ring.dim, dtype=np.int64)
+    e[i] = 1
+    return e
+
+
 def ring_mult(ring, x, y) -> np.ndarray:
     """The product of two elements of a `FinCommRing`, as coordinates."""
     x = as_array(x, ring.p).reshape(-1)
@@ -361,7 +371,7 @@ def ring_power(ring, x, n: int) -> np.ndarray:
 
 def frobenius_matrix(ring) -> np.ndarray:
     """Rows e_i^p: the matrix of x -> x^p on row vectors."""
-    return np.stack([ring_power(ring, ring.basis_vector(i), ring.p) for i in range(ring.dim)])
+    return np.stack([ring_power(ring, basis_vector(ring, i), ring.p) for i in range(ring.dim)])
 
 
 def frobenius_radical(ring) -> Subspace:

@@ -14,6 +14,7 @@ from loop_reference import (
     CosetSection,
     CosetSubgroup,
     _bfs_closure,
+    basis_vector,
     coset_commutator,
     coset_is_normal,
     coset_join,
@@ -52,6 +53,7 @@ from filtra.group import (
 )
 from filtra.modlinalg import _BLAS_MIN_WORK, Subspace, inv_matrix, rref
 from filtra.refine import METHODS, refine_stable
+from filtra.ring import make_r_circ
 
 
 def transvection(d, i, j, val=1):
@@ -601,9 +603,25 @@ def test_heisenberg_group_law():
     a = (r.unit @ prod[0:m, m:2 * m]) % 2
     b = (r.unit @ prod[m:2 * m, 2 * m:3 * m]) % 2
     c = (r.unit @ prod[0:m, 2 * m:3 * m]) % 2
-    assert np.array_equal(a, r.basis_vector(0))
-    assert np.array_equal(b, r.basis_vector(0))
+    assert np.array_equal(a, basis_vector(r, 0))
+    assert np.array_equal(b, basis_vector(r, 0))
     assert np.array_equal(c, ring_mult(r, a, b))
+
+
+@pytest.mark.parametrize("ring", [named_ring(n) for n in ("F4", "F3[x]/x3")]
+                         + [make_r_circ(3, 2, 1, [[[1], [2]], [[2], [0]]])])
+def test_heisenberg_generators_are_the_basis_multiplications(ring):
+    # each table slice read for a generator is the matrix of e_i, as
+    # mult_matrix gives it, in the a block and then in the b block
+    m = ring.dim
+    gens = make_heisenberg(ring).generators
+    assert len(gens) == 2 * m
+    for i in range(m):
+        mul = ring.mult_matrix(basis_vector(ring, i))
+        for g, (r0, c0) in zip(gens[2 * i:2 * i + 2], [(0, m), (m, 2 * m)]):
+            want = np.eye(3 * m, dtype=np.int64)
+            want[r0:r0 + m, c0:c0 + m] = mul
+            assert np.array_equal(g, want)
 
 
 def test_group_spec_roundtrip():
