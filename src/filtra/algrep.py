@@ -226,7 +226,7 @@ def try_split(mats: list[np.ndarray], p: int, n: int,
             null = nullspace(a.T, p)
             # a random vector of N; when dim N = deg f every nonzero vector
             # of N spins alike, so replay may take the first row instead
-            v = (null[0] + rng.integers(0, p, null.shape[0] - 1) @ null[1:]) % p
+            v = (null[0] + _dot(rng.integers(0, p, null.shape[0] - 1), null[1:], p)) % p
             sub = spin(v, gens, p)
             if sub.shape[0] < n:
                 return "sub", sub

@@ -37,14 +37,13 @@ hashes and compares by it.
 
 Commutator subgroups use the normal-closure identity
 [<S>,<T>] = <[s,t] : s in S, t in T>^<S,T> (conjugation by the generators
-suffices).  Products C H^p with C normalized by H (the eta and Jennings
-series steps, and the denominator of a section) go through
-``join_powers``, which decides them from H's generators.  When HC/C is
-abelian, as in every eta step and every section, C H^p is C grown by H's
-generator p-th powers.  Otherwise, for odd p, it is C when those powers lie
-in C and HC/C has class < p (P. Hall's regular p-groups).  Only a Jennings
-step that neither decides lists the elements of H, in blocks of bounded
-size: the one place where a subgroup's elements are formed.
+suffices).  A product C H^p with HC/C abelian, as in every eta step (C =
+[G, H] holds [H, H]) and the denominator of every section, is C grown by
+H's generator p-th powers.  The Jennings series is read off the lower
+central series by Lazard's formula, from generator powers alone.  So no
+series, section or refinement forms a subgroup's elements; only
+``power_subgroup``, which none of them calls, lists them, in blocks of
+bounded size.
 """
 
 from __future__ import annotations
@@ -456,7 +455,10 @@ def power_subgroup(a: Subgroup, k: int) -> Subgroup:
 
     The elements are formed off a's sequence in blocks of at most
     POWER_BLOCK entries; between blocks only the distinct powers are kept,
-    as flag-coordinate byte keys."""
+    as flag-coordinate byte keys.
+
+    No series, section or refinement calls it.  It stays because the
+    package exports it and ``perfbench/tracer.py`` names it."""
     if k < 1:
         raise ValueError(f"power exponent {k} is not positive")
     parent = a.parent
@@ -470,53 +472,6 @@ def power_subgroup(a: Subgroup, k: int) -> Subgroup:
     # sorted by their bytes, so that the kept generators, and so the work
     # that later steps do with them, do not depend on the order of the elements
     return reduced_generators(parent, back[np.lexsort(back.T[::-1])])
-
-
-def join_powers(c: Subgroup, h: Subgroup) -> Subgroup:
-    """C H^p for a subgroup C normalized by H; the subgroup
-    ``join(c, power_subgroup(h, p))``.
-
-    With Q = HC/C, two steps decide it from H's generators:
-
-    1. Every generator commutator of H lies in C, so Q is abelian and
-       (xy)^p = x^p y^p in Q.  Q^p is generated by the images of the
-       generator p-th powers, and C H^p is C grown by those outside C; C
-       itself when there are none (Huppert, Endliche Gruppen I, III.10).
-    2. Otherwise, when every generator p-th power lies in C, Q is generated
-       by elements of order p.  When Q has class < p
-       (``_class_below_p``), Q is regular (P. Hall 1934; Huppert, III.10),
-       so its elements of order p form a subgroup: Q has exponent p and
-       C H^p = C.  At p = 2, Q is not abelian here, so its class is >= 2.
-
-    Only when neither decides are the p-th powers of all of H formed.
-    """
-    comms_held, outside = _held_words(c, h)
-    if comms_held.all():
-        return reduced_generators(h.parent, outside, base=c)
-    if not len(outside) and _class_below_p(c, h):
-        return c
-    return join(c, power_subgroup(h, h.parent.p))
-
-
-def _class_below_p(c: Subgroup, h: Subgroup) -> bool:
-    """Whether Q = HC/C has class < p, for C normalized by H.
-
-    Y_1 = Q, and Y_(k+1) is generated by the commutators of H's generators
-    with Y_k's generators.  Commutation is bilinear from Q/gamma_2(Q) x
-    gamma_k(Q)/gamma_(k+1)(Q) to the next quotient, so Y_k gamma_(k+1)(Q) =
-    gamma_k(Q) by induction, and Y_k = 1 exactly when gamma_k(Q) = 1: no
-    normal closure is needed.  Each Y_k is grown over C, up to Y_p; none
-    goes into the commutator cache."""
-    parent = c.parent
-    p, degree = parent.p, parent.degree
-    gens = tops = _stack(h.generators, degree)
-    for _ in range(p - 1):
-        seeds = commutator(gens[:, None], tops[None], p).reshape(-1, degree, degree)
-        y = reduced_generators(parent, seeds, base=c)
-        if y is c:
-            return True
-        tops = _stack(y.generators[len(c.generators):], degree)
-    return False
 
 
 def _held_words(c: Subgroup, h: Subgroup) -> tuple[np.ndarray, np.ndarray]:
@@ -541,19 +496,22 @@ def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
     return bool(sub._holds(ys.reshape(-1, degree, degree)).all())
 
 
-def _series(g: UnipotentGroup, source=None) -> list[Subgroup]:
-    """term_1 = G, term_i = [G, term_(i-1)] term_source(i)^p, with no power
-    factor when ``source`` is None, until 1; nontrivial terms only.
+def _series(g: UnipotentGroup, powers: bool = False) -> list[Subgroup]:
+    """term_1 = G, term_i = [G, term_(i-1)], grown with ``powers`` by the
+    p-th powers of term_(i-1)'s generators, until 1; nontrivial terms only.
 
-    A term may equal the next (Jennings' series plateaus between p-power
-    jumps), but every series reaches 1 within 4 log_p|G| + 4 steps; the
-    bound guards against a recursion that does not terminate."""
+    With H = term_(i-1) and C = [G, H] >= [H, H], HC/C is abelian, so
+    (xy)^p = x^p y^p modulo C and C H^p is C grown by H's generator p-th
+    powers (Huppert, Endliche Gruppen I, III.10).  Each term is smaller than
+    the one before, so 1 comes within log_p|G| + 1 steps; the bound guards
+    against a recursion that does not terminate."""
     top = g.full_subgroup()
     terms = [top]
-    for i in range(2, 4 * top.order_exp() + 5):
+    for _ in range(top.order_exp() + 1):
         nxt = commutator_subgroup(top, terms[-1])
-        if source is not None:
-            nxt = join_powers(nxt, terms[source(i) - 1])
+        if powers:
+            gens = _stack(terms[-1].generators, g.degree)
+            nxt = reduced_generators(g, _powers(gens, g.p, g.p), base=nxt)
         if nxt.is_trivial():
             return terms
         terms.append(nxt)
@@ -567,12 +525,50 @@ def lower_central_series(g: UnipotentGroup) -> list[Subgroup]:
 
 def exponent_p_central_series(g: UnipotentGroup) -> list[Subgroup]:
     """eta_1 = G, eta_{i+1} = [G, eta_i] * eta_i^p; nontrivial terms only."""
-    return _series(g, lambda i: i - 1)
+    return _series(g, powers=True)
 
 
 def jennings_series(g: UnipotentGroup) -> list[Subgroup]:
-    """kappa_1 = G, kappa_i = [G, kappa_{i-1}] * kappa_{ceil(i/p)}^p."""
-    return _series(g, lambda i: -(-i // g.p))
+    """kappa_1 = G, kappa_n = [G, kappa_(n-1)] kappa_(ceil(n/p))^p;
+    nontrivial terms only, and a term may equal the next.
+
+    Lazard's formula, kappa_n = prod over i p^j >= n of gamma_i^(p^j) (Ann.
+    Sci. ENS 71, 1954; Dixon, du Sautoy, Mann, Segal, Analytic Pro-p Groups,
+    ch. 11), gives the terms from the top index down as kappa_n = <gamma_n,
+    kappa_(n+1), x^(p^j) : x a kept generator of gamma_i, i p^j = n, j >= 1>:
+
+    1. By the formula, each of these lies in kappa_n.
+    2. Conversely, L = sum kappa_n / kappa_(n+1) is a restricted Lie
+       algebra whose p-map a -> a^[p], from x -> x^p, takes degree i to ip.
+    3. Gamma_i's generators span its image in degree i.  By Jacobson's
+       formula, a p^j-th power of a combination of them is the same
+       combination of their p^j-th powers plus Lie terms, which lie in
+       gamma_n's image by ad(a^[p]) = ad(a)^p and [gamma_i, gamma_k] <=
+       gamma_(i+k) (a p-th power of such a term expands in turn).
+    4. So gamma_n and the listed powers span kappa_n / kappa_(n+1), and
+       downward induction on n finishes the proof.
+
+    The top index is the larger of len(gamma) and the largest i p^j with a
+    generator power x^(p^j) != 1; above it every one is 1, and so is kappa_n.
+    """
+    p = g.p
+    gamma = lower_central_series(g)
+    powers: dict[int, list[np.ndarray]] = {}
+    for i, term in enumerate(gamma, start=1):
+        x, n = _stack(term.generators, g.degree), i
+        while True:
+            x = _powers(x, p, p)
+            x = x[~_is_one(x)]
+            if not len(x):
+                break
+            n *= p
+            powers.setdefault(n, []).extend(x)
+    trivial = g.trivial_subgroup()
+    terms = [trivial]  # kappa_(n+1), from the top index down
+    for n in range(max([len(gamma), *powers]), 1, -1):
+        base = join(gamma[n - 1] if n <= len(gamma) else trivial, terms[-1])
+        terms.append(reduced_generators(g, powers.get(n, []), base=base))
+    return [g.full_subgroup()] + terms[:0:-1]
 
 
 class SectionBasis:
@@ -580,9 +576,10 @@ class SectionBasis:
 
     Enlarging the denominator by p-th powers makes the section a Z_p
     vector space.  B must be normal in A with A/B abelian, as in every
-    filter section; both are checked on generators.  As A/B is abelian, B'
-    is B grown by A's generator p-th powers outside B (``join_powers``,
-    step 1), which is B itself for every section of an eta or kappa filter.
+    filter section; both are checked on generators.  As A/B is abelian,
+    (xy)^p = x^p y^p modulo B, so B' is B grown by A's generator p-th powers
+    outside B (Huppert, Endliche Gruppen I, III.10), which is B itself for
+    every section of an eta or kappa filter.
 
     B''s sequence, with A's own elements at the depths B' lacks, is a
     sequence of A: an element of A with leading entry 1 at each of A's n

@@ -16,9 +16,10 @@ once on the way out.  `at_matrix` evaluates at a matrix by Horner's rule,
 each product through `modlinalg._dot`.
 
 `charpoly` reduces a matrix to upper Hessenberg form by similarity, on
-numpy, and reads the polynomial off its leading principal blocks with the
-standard recurrence, on lists: O(n^2) steps on coefficient rows, each of
-which would be a numpy call on arrays.  `factor` finds the distinct monic
+numpy with each column step through `modlinalg._dot`, and reads the
+polynomial off its leading principal blocks with the standard recurrence,
+on lists: O(n^2) steps on coefficient rows, each of which would be a numpy
+call on arrays.  `factor` finds the distinct monic
 irreducible factors of a polynomial, without their multiplicities, in two
 steps: distinct-degree factorization (the product of the distinct
 irreducible factors of degree d is gcd(f, x^(p^d) - x) once every power of
@@ -154,7 +155,7 @@ def charpoly(b: np.ndarray, p: int) -> np.ndarray:
         m = h[j + 2:, j] * inv_mod(h[j + 1, j], p) % p
         if m.any():
             h[j + 2:] = (h[j + 2:] - np.outer(m, h[j + 1])) % p
-            h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ m) % p
+            h[:, j + 1] = (h[:, j + 1] + _dot(h[:, j + 2:], m[:, None], p)[:, 0]) % p
     # polys[m] is the characteristic polynomial of the leading m x m block:
     # expanding along its last column gives
     # polys[m] = (x - h[m-1, m-1]) polys[m-1]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algrep import algebra_closure, jacobson_radical
 from .errors import ClosureViolation, DimensionMismatch
-from .modlinalg import Subspace, as_array, check_prime
+from .modlinalg import Subspace, _dot, as_array, check_prime
 
 
 class FinCommRing:
@@ -64,7 +64,8 @@ class FinCommRing:
     def radical_chain(self) -> list[Subspace]:
         """[J, J^2, ...] down to (and excluding) zero."""
         alg = algebra_closure(self.table, self.p, self.dim, unital=True)
-        return [Subspace(self.p, self.dim, self.unit @ level.basis.reshape(-1, self.dim, self.dim))
+        return [Subspace(self.p, self.dim,
+                         _dot(self.unit, level.basis.reshape(-1, self.dim, self.dim), self.p))
                 for level in jacobson_radical(alg).chain]
 
     def __repr__(self):

@@ -216,3 +216,31 @@ J5 = {"p": 2, "degree": 5, "name": "J5", "generators": [
     [1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1],
     [1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1],
     [1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1]]}
+
+
+# three unitriangular matrices of degree 7 over F_3 (order 3^15) whose Jennings
+# recursion kappa_i = [G, kappa_(i-1)] kappa_(ceil(i/p))^p meets, at kappa_3,
+# a C G^3 with G/C not abelian that Hall's criterion does not decide: that
+# recursion listed the 3^15 elements of G
+KAPPA_LISTS = {"p": 3, "degree": 7, "name": "kappa-lists", "generators": [
+    [1, 0, 2, 1, 2, 0, 1,
+     0, 1, 0, 1, 1, 0, 1,
+     0, 0, 1, 1, 0, 2, 0,
+     0, 0, 0, 1, 0, 2, 1,
+     0, 0, 0, 0, 1, 1, 2,
+     0, 0, 0, 0, 0, 1, 0,
+     0, 0, 0, 0, 0, 0, 1],
+    [1, 2, 2, 0, 0, 0, 2,
+     0, 1, 0, 2, 2, 0, 2,
+     0, 0, 1, 0, 0, 1, 1,
+     0, 0, 0, 1, 0, 2, 2,
+     0, 0, 0, 0, 1, 0, 0,
+     0, 0, 0, 0, 0, 1, 0,
+     0, 0, 0, 0, 0, 0, 1],
+    [1, 0, 2, 0, 0, 2, 0,
+     0, 1, 2, 2, 1, 2, 1,
+     0, 0, 1, 2, 1, 2, 0,
+     0, 0, 0, 1, 1, 2, 0,
+     0, 0, 0, 0, 1, 1, 2,
+     0, 0, 0, 0, 0, 1, 1,
+     0, 0, 0, 0, 0, 0, 1]]}

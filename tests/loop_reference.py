@@ -60,6 +60,15 @@ for each pair in turn it runs the antisymmetry, bilinear, well-defined and
 Jacobi checks, the two random ones through `loop_check_bilinear` and
 `loop_check_well_defined`.
 
+`join_powers` and `_class_below_p` are how `filtra.group` formed C H^p for
+the eta and Jennings series steps before eta grew [G, H] by H's generator
+p-th powers and Jennings' series was read off the lower central series by
+Lazard's formula: C grown by H's generator p-th powers when HC/C is
+abelian, C when Hall's regular-p-group criterion decides, and otherwise
+`power_subgroup`, which lists every element of H.  `recursive_jennings_series`
+is the Jennings recursion kappa_i = [G, kappa_(i-1)] kappa_(ceil(i/p))^p
+through them.
+
 `ByteLeastSection` is the section basis `filtra.group.SectionBasis` built
 before its reps became the numerator's own generators: each rep is the
 least element of A, in row-major byte order, outside the group grown so
@@ -137,15 +146,15 @@ from conftest import elements
 from filtra import monoid
 from filtra.cli import EXIT_OK, EXIT_USAGE, SERIES, _build_groups, _emit
 from filtra.errors import (
-    CapExceeded, ClosureViolation, DimensionMismatch, FiltraError, NonNormalGenerator,
+    CapExceeded, ClosureViolation, DimensionMismatch, FiltraError, NonNormalGenerator, NotNormal,
     NotOrderReversing,
 )
 from filtra.algrep import spin
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
 from filtra.filters import Filter, verify_axioms
 from filtra.group import (
-    Subgroup, UnipotentGroup, _conj, _power_table, _powers, _stack, commutator,
-    commutator_subgroup, is_normal, join, join_powers, reduced_generators,
+    Subgroup, UnipotentGroup, _conj, _held_words, _power_table, _powers, _stack, commutator,
+    commutator_subgroup, is_normal, join, power_subgroup, reduced_generators,
 )
 from filtra.liering import GradedLieRing
 from filtra.monoid import Index
@@ -622,6 +631,71 @@ def table_lift(sec, coords) -> np.ndarray:
     for k, r in enumerate(sec.reps):
         out = out @ _power_table(r, p)[c[..., k]] % p
     return out
+
+
+def join_powers(c: Subgroup, h: Subgroup) -> Subgroup:
+    """C H^p for a subgroup C normalized by H; the subgroup
+    ``join(c, power_subgroup(h, p))``.
+
+    With Q = HC/C, two steps decide it from H's generators:
+
+    1. Every generator commutator of H lies in C, so Q is abelian and
+       (xy)^p = x^p y^p in Q.  Q^p is generated by the images of the
+       generator p-th powers, and C H^p is C grown by those outside C; C
+       itself when there are none (Huppert, Endliche Gruppen I, III.10).
+    2. Otherwise, when every generator p-th power lies in C, Q is generated
+       by elements of order p.  When Q has class < p
+       (``_class_below_p``), Q is regular (P. Hall 1934; Huppert, III.10),
+       so its elements of order p form a subgroup: Q has exponent p and
+       C H^p = C.  At p = 2, Q is not abelian here, so its class is >= 2.
+
+    Only when neither decides are the p-th powers of all of H formed.
+    """
+    comms_held, outside = _held_words(c, h)
+    if comms_held.all():
+        return reduced_generators(h.parent, outside, base=c)
+    if not len(outside) and _class_below_p(c, h):
+        return c
+    return join(c, power_subgroup(h, h.parent.p))
+
+
+def _class_below_p(c: Subgroup, h: Subgroup) -> bool:
+    """Whether Q = HC/C has class < p, for C normalized by H.
+
+    Y_1 = Q, and Y_(k+1) is generated by the commutators of H's generators
+    with Y_k's generators.  Commutation is bilinear from Q/gamma_2(Q) x
+    gamma_k(Q)/gamma_(k+1)(Q) to the next quotient, so Y_k gamma_(k+1)(Q) =
+    gamma_k(Q) by induction, and Y_k = 1 exactly when gamma_k(Q) = 1: no
+    normal closure is needed.  Each Y_k is grown over C, up to Y_p; none
+    goes into the commutator cache."""
+    parent = c.parent
+    p, degree = parent.p, parent.degree
+    gens = tops = _stack(h.generators, degree)
+    for _ in range(p - 1):
+        seeds = commutator(gens[:, None], tops[None], p).reshape(-1, degree, degree)
+        y = reduced_generators(parent, seeds, base=c)
+        if y is c:
+            return True
+        tops = _stack(y.generators[len(c.generators):], degree)
+    return False
+
+
+def recursive_jennings_series(g: UnipotentGroup) -> list[Subgroup]:
+    """kappa_1 = G, kappa_i = [G, kappa_(i-1)] kappa_(ceil(i/p))^p, each C H^p
+    through ``join_powers``, until 1; nontrivial terms only.
+
+    A term may equal the next (Jennings' series plateaus between p-power
+    jumps), but the series reaches 1 within 4 log_p|G| + 4 steps; the bound
+    guards against a recursion that does not terminate."""
+    top = g.full_subgroup()
+    terms = [top]
+    for i in range(2, 4 * top.order_exp() + 5):
+        source = -(-i // g.p)  # ceil(i / p)
+        nxt = join_powers(commutator_subgroup(top, terms[-1]), terms[source - 1])
+        if nxt.is_trivial():
+            return terms
+        terms.append(nxt)
+    raise NotNormal("series failed to terminate")
 
 
 class ByteLeastSection:

@@ -203,8 +203,8 @@ def test_truncated_polynomial_heisenberg_fingerprints_grow():
 def test_unitriangular_kappa_and_eta_equal_gamma(monkeypatch, d, p):
     # For x = 1 + N in UT(d, p), x^p - 1 = N^p has height at least
     # p * height(N), so gamma_j^p <= gamma_(pj) and kappa = eta = gamma.
-    # Every C H^p step is decided from generators (Hall's criterion for the
-    # kappa steps), so no element of these groups is formed: |UT(7,3)| = 3^21
+    # Every step is built from generators (kappa from gamma's by Lazard's
+    # formula), so no element of these groups is formed: |UT(7,3)| = 3^21
     # and |UT(6,5)| = 5^15.  The cap is the group's order.
     def refuse(a, k):
         raise AssertionError(f"power_subgroup called on a subgroup of order {a.order()}")

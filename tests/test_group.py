@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (elements, hei, jordan_blocks, keys_of, named_hei, named_ring, pattern_keys,
-                      subgroup, ut)
+import loop_reference
+from conftest import (CHAIN_BREAK, J5, KAPPA_LISTS, LEX_HOLE, elements, hei, jordan_blocks, keys_of,
+                      named_hei, named_ring, pattern_keys, subgroup, ut)
 from loop_reference import (
     ByteLeastSection,
     CosetSection,
@@ -22,7 +23,9 @@ from loop_reference import (
     coset_reduced,
     coset_trivial,
     int64_batch_mul,
+    join_powers,
     one_shot_power_subgroup,
+    recursive_jennings_series,
     ring_mult,
     series_batch_inv,
     table_lift,
@@ -44,7 +47,6 @@ from filtra.group import (
     is_normal,
     jennings_series,
     join,
-    join_powers,
     lower_central_series,
     make_heisenberg,
     make_ut,
@@ -52,7 +54,7 @@ from filtra.group import (
     reduced_generators,
 )
 from filtra.modlinalg import _BLAS_MIN_WORK, Subspace, inv_matrix, rref
-from filtra.refine import METHODS, refine_stable
+from filtra.refine import METHODS, refine_once, refine_stable
 from filtra.ring import make_r_circ
 
 
@@ -714,8 +716,8 @@ BFS_CAP = 3000
 
 
 @st.composite
-def unipotent_generators(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
+def unipotent_generators(draw, primes=(2, 3, 5)):
+    p = draw(st.sampled_from(primes))
     d = draw(st.integers(2, 5))
     above = d * (d - 1) // 2
     gens = []
@@ -783,9 +785,9 @@ def test_sifting_matches_element_bfs(case, split):
 
 
 def _join_powers_calls(run) -> tuple[list, int]:
-    """(C, H, result, number of power_subgroup calls) for every join_powers
-    call that run() makes, and the number of power_subgroup calls it makes
-    in all."""
+    """(C, H, result, number of power_subgroup calls) for every call of the
+    reference join_powers that run() makes, and the number of power_subgroup
+    calls it makes in all, through the library or the reference."""
     calls, powers = [], []
 
     def spy_power(a, k):
@@ -800,9 +802,19 @@ def _join_powers_calls(run) -> tuple[list, int]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(group_module, "power_subgroup", spy_power)
-        mp.setattr(group_module, "join_powers", spy)
+        mp.setattr(loop_reference, "power_subgroup", spy_power)
+        mp.setattr(loop_reference, "join_powers", spy)
         run()
     return calls, len(powers)
+
+
+def _eta_steps(g):
+    """(C, H, eta_(i+1)) with H = eta_i and C = [G, H], for every eta step,
+    the last one to 1."""
+    full = g.full_subgroup()
+    eta = exponent_p_central_series(g)
+    return [(commutator_subgroup(full, h), h, nxt)
+            for h, nxt in zip(eta, eta[1:] + [g.trivial_subgroup()])]
 
 
 def assert_joins_powers(c, h, got):
@@ -836,24 +848,24 @@ def _spec_case(spec):
 @example(_spec_case(jordan_blocks(2, 3, 5)))
 @example(_spec_case(jordan_blocks(3, 3, 4)))
 def test_join_powers_matches_power_subgroup(case):
-    # join_powers(C, H) decides C H^p from H's generators when it can; it
-    # must give exactly the subgroup join(C, power_subgroup(H, p)), element
-    # for element
+    # the reference join_powers(C, H) decides C H^p from H's generators when
+    # it can; it must give exactly the subgroup join(C, power_subgroup(H, p)),
+    # element for element, on every kappa step of the recursive reference
     p, d, gens = case
     try:
         g = UnipotentGroup(p, d, gens, cap=BFS_CAP)
     except CapExceeded:
         return
-
-    def run():
-        # the three callers: the eta and kappa series, and every filter section
-        for build in (gamma_filter, eta_filter, kappa_filter):
-            f = build(g)
-            for s in f.keys:
-                SectionBasis(f.at(s), f.plus(s))
-
-    calls, _ = _join_powers_calls(run)
-    assert calls or g.order() == 1
+    calls, _ = _join_powers_calls(lambda: recursive_jennings_series(g))
+    assert calls
+    # the library's own C H^p, with HC/C abelian: every eta step, and the
+    # denominator B' = B A^p of every filter section
+    calls += [(c, h, nxt, None) for c, h, nxt in _eta_steps(g)]
+    for build in (gamma_filter, eta_filter, kappa_filter):
+        f = build(g)
+        for s in f.keys:
+            sec = SectionBasis(f.at(s), f.plus(s))
+            calls.append((sec.den_given, sec.num, sec.den, None))
     # and subgroups C that the whole group normalizes, where G/C need not be abelian
     full = g.full_subgroup()
     for c in lower_central_series(g) + [g.trivial_subgroup()]:
@@ -877,14 +889,14 @@ def test_join_powers_falls_back():
     # UT(5,3), kappa_3 = [G, kappa_2] G^3: the generators cube to 1 but do not
     # commute modulo C = [G, kappa_2]; G/C has class 2 < 3, so it is regular
     # of exponent 3 and Hall's criterion gives C without listing G
-    c, h, got, powered = _join_powers_calls(lambda: jennings_series(ut(5, 3)))[0][1]
+    c, h, got, powered = _join_powers_calls(lambda: recursive_jennings_series(ut(5, 3)))[0][1]
     assert h == ut(5, 3).full_subgroup() and powered == 0 and got is c
     assert_joins_powers(c, h, got)
     # UT(3,2) over 1: the generators square to 1 but do not commute, and
     # G^2 is the centre, so the commutator test is what keeps 1 out
     g = ut(3, 2)
     [(c, h, got, powered)], _ = _join_powers_calls(
-        lambda: group_module.join_powers(g.trivial_subgroup(), g.full_subgroup()))
+        lambda: loop_reference.join_powers(g.trivial_subgroup(), g.full_subgroup()))
     assert powered == 1 and keys_of(got) == pattern_keys(g, [(0, 2)])
     assert_joins_powers(c, h, got)
 
@@ -897,7 +909,7 @@ def test_join_powers_hall_criterion_at_odd_p():
     for d, p, powered, order in [(4, 5, 0, 1), (4, 3, 1, 3), (3, 7, 0, 1)]:
         g = ut(d, p)
         [(c, h, got, n)], _ = _join_powers_calls(
-            lambda: group_module.join_powers(g.trivial_subgroup(), g.full_subgroup()))
+            lambda: loop_reference.join_powers(g.trivial_subgroup(), g.full_subgroup()))
         assert (n, got.order()) == (powered, order), (d, p)
         assert_joins_powers(c, h, got)
     # the criterion leaves the commutator cache alone: its subgroups are
@@ -917,19 +929,46 @@ def test_abelian_quotients_list_nothing(spec):
     # p-th powers of G lie outside 1: the three series, every section and
     # every refinement grow C by H's generator p-th powers and list nothing
     g = group_from_spec(spec)
+    filters = []
 
     def run():
         for build in FILTERS.values():
             f = build(g)
-            for s in f.keys:
-                SectionBasis(f.at(s), f.plus(s))
+            filters.append(f)
             for method in METHODS:
-                refine_stable(f, method)
+                filters.append(refine_stable(f, method).filter)
 
-    calls, listed = _join_powers_calls(run)
-    assert calls and listed == 0
-    for c, h, got, _ in calls:
+    _, listed = _join_powers_calls(run)
+    assert listed == 0
+    steps = _eta_steps(g)
+    for f in filters:
+        for s in f.keys:
+            sec = SectionBasis(f.at(s), f.plus(s))
+            steps.append((sec.den_given, sec.num, sec.den))
+    for c, h, got in steps:
         assert_joins_powers(c, h, got)
+
+
+@pytest.mark.parametrize("build_group", [lambda: make_ut(5, 3), lambda: make_ut(6, 3, cap=3**15),
+                                         lambda: group_from_spec(KAPPA_LISTS, cap=3**15)],
+                         ids=["UT(5,3)", "UT(6,3)", "kappa-lists"])
+def test_series_sections_and_refinement_list_nothing(monkeypatch, build_group):
+    # the three series, every section of their filters and one refinement
+    # round per method form no element list.  Each group has Jennings steps
+    # C H^p with HC/C not abelian; in KAPPA_LISTS Hall's criterion leaves
+    # one undecided, and the recursive reference lists G's elements there
+    g = build_group()
+
+    def refuse(a, k):
+        raise AssertionError(f"power_subgroup called on a subgroup of order {a.order()}")
+
+    monkeypatch.setattr(group_module, "power_subgroup", refuse)
+    for build in FILTERS.values():
+        f = build(g)
+        for s in f.keys:
+            SectionBasis(f.at(s), f.plus(s))
+        for method in METHODS:
+            refine_once(f, method)
 
 
 @pytest.mark.parametrize("size", [1, 16, 200, 5000])
@@ -978,10 +1017,33 @@ def disguise(p, d, gens, rng):
 
 
 @st.composite
-def disguised_generators(draw):
+def disguised_generators(draw, primes=(2, 3, 5)):
     """Unipotent generators, each conjugated by one random invertible matrix."""
-    p, d, gens = draw(unipotent_generators())
+    p, d, gens = draw(unipotent_generators(primes))
     return p, d, disguise(p, d, gens, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(unipotent_generators((2, 3, 5, 7)), disguised_generators((2, 3, 5, 7))))
+@example(_transvection_case(4, 3))
+@example(_transvection_case(5, 3))
+@example(_spec_case(jordan_blocks(3, 3, 4)))
+@example(_spec_case(J5))
+@example(_spec_case(CHAIN_BREAK))
+@example(_spec_case(LEX_HOLE))
+@example((3, 6, named_hei("F3[x]/x2").generators))
+# the recursion lists the 3^15 elements of G for kappa_3 here, for about 30 s
+@example(_spec_case(KAPPA_LISTS))
+def test_jennings_series_matches_recursive_reference(case):
+    # Lazard's formula gives, term for term, the series of the recursion
+    # kappa_i = [G, kappa_(i-1)] kappa_(ceil(i/p))^p; each side on its own
+    # group object, so neither reads the other's commutator cache.  The cap
+    # admits UT(5,7), the largest group drawn
+    p, d, gens = case
+    got = jennings_series(UnipotentGroup(p, d, gens, cap=7**10))
+    want = recursive_jennings_series(UnipotentGroup(p, d, gens, cap=7**10))
+    assert [t.order() for t in got] == [t.order() for t in want]
+    assert got == want
 
 
 def assert_same_subgroup(got, want: CosetSubgroup):
