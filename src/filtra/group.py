@@ -21,13 +21,15 @@ of depth >= delta form a normal subgroup of UT(d, p), each of index p in
 the one before.  A subgroup H thus has a sequence with one element h of
 leading entry 1 at each depth where H meets that series in a new step;
 every element of H is h_1^e_1 ... h_n^e_n (depths ascending) for unique
-0 <= e_i < p, so |H| = p^n.  Sifting x (multiplying it by h^-e at each
-depth, e its entry there) yields those exponents and a residue that is 1
-exactly when x lies in H, with one batched product per depth for a stack.
-Membership, order, joins, commutator and power subgroups, normality and
-section coordinates all sift; the reverse, the element with given
-exponents (``Subgroup.elements``), gives section lifts.  The ambient group
-owns the order cap, and every later subgroup lies inside it.
+0 <= e_i < p, so |H| = p^n.  Each h keeps a table of h^-e and h^e for
+0 <= e < p.  Sifting x (multiplying it by h^-e at each depth, e its entry
+there) yields those exponents and a residue that is 1 exactly when x lies
+in H, with one batched product per depth for a stack.  Membership, order,
+joins, commutator and power subgroups, normality and section coordinates
+all sift; the reverse, the element with given exponents
+(``Subgroup.elements``), multiplies the h^e rows left to right and gives
+section lifts with no inverse.  The ambient group owns the order cap, and
+every later subgroup lies inside it.
 
 The sequence and the kept generators depend on how H was reached.  Its
 canonical sequence does not: the element of H at each of its depths whose
@@ -35,11 +37,13 @@ entries at the other depths are 0, the analogue of an rref basis (Holt,
 Eick, O'Brien, Handbook of Computational Group Theory, 8.3).  H prints,
 hashes and compares by it.
 
-Commutator subgroups use the normal-closure identity
-[<S>,<T>] = <[s,t] : s in S, t in T>^<S,T> (conjugation by the generators
-suffices).  A product C H^p with HC/C abelian, as in every eta step (C =
-[G, H] holds [H, H]) and the denominator of every section, is C grown by
-H's generator p-th powers.  The Jennings series is read off the lower
+A commutator of two stacks of one shape is (b a)^-1 (a b), one inverse.
+Commutator subgroups use the normal-closure identity [<S>,<T>] =
+<[s,t] : s in S, t in T>^<S,T> (conjugation by the generators suffices),
+with the generator inverses that each subgroup forms once and keeps.  A
+product C H^p with HC/C abelian, as in every eta step (C = [G, H] holds
+[H, H]) and the denominator of every section, is C grown by H's
+generator p-th powers.  The Jennings series is read off the lower
 central series by Lazard's formula, from generator powers alone.  So no
 series, section or refinement forms a subgroup's elements; only
 ``power_subgroup``, which none of them calls, lists them, in blocks of
@@ -79,12 +83,16 @@ def _as_mat(m, p: int, degree: int) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place."""
+    a.flags.writeable = False
+    return a
+
+
 @functools.cache
 def _eye(d: int) -> np.ndarray:
     """The int64 identity of degree d: one read-only array per degree."""
-    eye = np.eye(d, dtype=np.int64)
-    eye.flags.writeable = False
-    return eye
+    return _frozen(np.eye(d, dtype=np.int64))
 
 
 def batch_inv(a: np.ndarray, p: int) -> np.ndarray:
@@ -110,8 +118,22 @@ def batch_inv(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def commutator(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a^-1 b^-1 a b for two matrices, or for two stacks that broadcast."""
-    return _dot(_dot(batch_inv(a, p), batch_inv(b, p), p), _dot(a, b, p), p)
+    """a^-1 b^-1 a b for two matrices, or for two stacks that broadcast.
+
+    Two stacks of one shape take one inverse, as (b a)^-1 (a b).  Stacks
+    that broadcast to a larger one, such as an outer product of k and m
+    matrices, are inverted apart: k + m inverses cost less than k m."""
+    ab = _dot(a, b, p)
+    if a.shape == b.shape:
+        return _dot(batch_inv(_dot(b, a, p), p), ab, p)
+    return _dot(_dot(batch_inv(a, p), batch_inv(b, p), p), ab, p)
+
+
+def _commutators(a: np.ndarray, a_inv: np.ndarray, b: np.ndarray, b_inv: np.ndarray,
+                 p: int) -> np.ndarray:
+    """[s, t] = s^-1 t^-1 s t for every s of stack a and t of stack b (s
+    major), a (k, m, d, d) stack, from the inverse stacks a caller holds."""
+    return _dot(_dot(a_inv[:, None], b_inv[None], p), _dot(a[:, None], b[None], p), p)
 
 
 def _powers(a: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -131,6 +153,17 @@ def _power_table(a: np.ndarray, p: int) -> np.ndarray:
     table[0], table[1] = _eye(len(a)), a
     for e in range(2, p):
         table[e] = _dot(table[e - 1], a, p)
+    return table
+
+
+def _tables(h_inv: np.ndarray, h_p: np.ndarray, p: int) -> np.ndarray:
+    """The uint8 (2p, d, d) table of a sequence element h, from h^-1 and
+    h^p: h^-e in row e and h^e in row p + e (0 <= e < p).  The forward
+    half is one batched product, h^e = h^-(p-e) h^p."""
+    inv = _power_table(h_inv, p)
+    table = np.empty((2 * p,) + h_inv.shape, dtype=np.uint8)
+    table[:p], table[p] = inv, _eye(len(h_inv))
+    table[p + 1:] = _dot(inv[:0:-1], h_p, p)
     return table
 
 
@@ -205,7 +238,7 @@ class UnipotentGroup:
         self._trivial = Subgroup(self, [], [], [], [])
         self.generators = gens
         full = reduced_generators(self, gens)
-        self._full = Subgroup(self, gens, full._depths, full._seq, full._inv)
+        self._full = Subgroup(self, gens, full._depths, full._seq, full._tab)
         self._comm_cache: dict = {}
 
     def order(self) -> int:
@@ -227,23 +260,29 @@ class UnipotentGroup:
 class Subgroup:
     """A subgroup of a UnipotentGroup, held as a polycyclic sequence:
     elements ``_seq`` in flag coordinates, their ascending ``_depths``, and
-    their tables ``_inv`` of h^0, h^-1, ..., h^-(p-1) (uint8).
+    their uint8 (2p, d, d) tables ``_tab``: h^0, h^-1, ..., h^-(p-1) in
+    rows 0..p-1, for ``_sift``, and h^0, h^1, ..., h^(p-1) in rows
+    p..2p-1, for ``elements``.
 
     The kept ``generators`` and ``_seq`` depend on how the subgroup was
     reached; its canonical sequence (``canonical``) does not.  Subgroups
     are equal, and hash alike, when their ambient groups share p, degree
     and flag basis and their canonical sequences are equal; the bytes of
-    all four are formed once per subgroup.
+    all four and their hash are formed once per subgroup.  So are the
+    generators as one int64 stack (``_gen_stack``) and that stack's
+    inverses (``_gen_inv``), both read-only, for commutator subgroups,
+    normality and section checks.
     """
 
-    __slots__ = ("parent", "generators", "_depths", "_seq", "_inv", "_canon", "_canon_key")
+    __slots__ = ("parent", "generators", "_depths", "_seq", "_tab", "_canon", "_canon_key",
+                 "_hash", "_gens", "_gens_inv")
 
     def __init__(self, parent: UnipotentGroup, generators, depths: list[int],
-                 seq: list[np.ndarray], inv: list[np.ndarray]):
+                 seq: list[np.ndarray], tab: list[np.ndarray]):
         self.parent = parent
         self.generators = list(generators)
-        self._depths, self._seq, self._inv = depths, seq, inv
-        self._canon = self._canon_key = None
+        self._depths, self._seq, self._tab = depths, seq, tab
+        self._canon = self._canon_key = self._hash = self._gens = self._gens_inv = None
 
     def order(self) -> int:
         return self.parent.p ** len(self._depths)
@@ -254,6 +293,18 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return not self._depths
 
+    def _gen_stack(self) -> np.ndarray:
+        """The kept generators as one read-only int64 (k, d, d) stack."""
+        if self._gens is None:
+            self._gens = _frozen(_stack(self.generators, self.parent.degree))
+        return self._gens
+
+    def _gen_inv(self) -> np.ndarray:
+        """The inverses of ``_gen_stack``, read-only, formed on first use."""
+        if self._gens_inv is None:
+            self._gens_inv = _frozen(batch_inv(self._gen_stack(), self.parent.p))
+        return self._gens_inv
+
     def _sift(self, x: np.ndarray, own: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Exponents (k, len) and residues (k, d, d) of a flag-coordinate
         stack x, which is sifted in place: x = h_1^e_1 ... h_n^e_n r.
@@ -261,13 +312,13 @@ class Subgroup:
         depth k, so that it keeps its leading entry."""
         parent = self.parent
         exps = np.zeros((len(x), len(self._depths)), dtype=np.int64)
-        for k, (depth, inv) in enumerate(zip(self._depths, self._inv)):
+        for k, (depth, tab) in enumerate(zip(self._depths, self._tab)):
             e = x[:, parent._rows[depth], parent._cols[depth]].copy()
             if own:
                 e[k] = 0
             hit = e.nonzero()[0]
             if hit.size:
-                x[hit] = _dot(inv[e[hit]], x[hit], parent.p)
+                x[hit] = _dot(tab[e[hit]], x[hit], parent.p)
             exps[:, k] = e
         return exps, x
 
@@ -283,18 +334,21 @@ class Subgroup:
             return True
         if len(other._depths) > len(self._depths):
             return False
-        return bool(self._holds(other.generators).all())
+        return bool(self._holds(other._gen_stack()).all())
 
     def elements(self, exps) -> np.ndarray:
         """The elements h_1^e_1 ... h_n^e_n, in input coordinates, of a
         (..., len) stack of exponent vectors over the sequence."""
         p, d = self.parent.p, self.parent.degree
         e = np.mod(np.asarray(exps, dtype=np.int64), p)
-        acc = np.broadcast_to(_eye(d), e.shape[:-1] + (d, d))
-        for k, inv in enumerate(self._inv):  # the inverse, h_n^-e_n ... h_1^-e_1
+        acc = None
+        for k, tab in enumerate(self._tab):
             if e[..., k].any():  # a zero exponent everywhere contributes I
-                acc = _dot(inv[e[..., k]], acc, p)
-        return _conj(self.parent, batch_inv(acc, p), back=True)
+                h = tab[p + e[..., k]]
+                acc = h.astype(np.int64) if acc is None else _dot(acc, h, p)
+        if acc is None:
+            acc = np.broadcast_to(_eye(d), e.shape[:-1] + (d, d))
+        return _conj(self.parent, acc, back=True)
 
     def _canonical(self) -> np.ndarray:
         """The canonical sequence, a (len, d, d) int64 stack in flag
@@ -328,7 +382,9 @@ class Subgroup:
         return isinstance(other, Subgroup) and (self is other or self._key() == other._key())
 
     def __hash__(self):
-        return hash(self._key())
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return f"Subgroup(order={self.order()}, degree={self.parent.degree}, p={self.parent.p})"
@@ -341,7 +397,7 @@ def _grow(sub: Subgroup, x: np.ndarray, generators: list[np.ndarray]) -> Subgrou
     power are sifted in turn.  Only the ambient build can reach the cap."""
     parent = sub.parent
     p = parent.p
-    out = Subgroup(parent, generators, list(sub._depths), list(sub._seq), list(sub._inv))
+    out = Subgroup(parent, generators, list(sub._depths), list(sub._seq), list(sub._tab))
     queue = x
     while len(queue):
         res = out._sift(queue)[1]
@@ -356,14 +412,14 @@ def _grow(sub: Subgroup, x: np.ndarray, generators: list[np.ndarray]) -> Subgrou
         k = bisect_left(out._depths, depth)
         out._depths.insert(k, depth)
         out._seq.insert(k, r)
-        r_inv = batch_inv(r, p)
-        out._inv.insert(k, _power_table(r_inv, p).astype(np.uint8))
+        r_inv, r_p = batch_inv(r, p), _powers(r, p, p)
+        out._tab.insert(k, _tables(r_inv, r_p, p))
         if out.order() > parent.cap:
             raise CapExceeded(parent.cap, out.order())
         # [r, h] = r^-1 h^-1 r h, with each h^-1 read off its table
-        h_inv = np.stack([inv[1] for inv in out._inv])
+        h_inv = np.stack([tab[1] for tab in out._tab])
         comms = _dot(_dot(r_inv, h_inv, p), _dot(r, np.stack(out._seq), p), p)
-        queue = np.concatenate([res[1:], comms, _powers(r, p, p)[None]])
+        queue = np.concatenate([res[1:], comms, r_p[None]])
     return out
 
 
@@ -401,23 +457,20 @@ def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     """[a, b]: closure of all commutators between the two subgroups.
 
     Computed as the normal closure of generator-pair commutators under
-    conjugation by the generators of both arguments, which are inverted
-    once for both.
+    conjugation by the generators of both arguments, whose inverses each
+    argument holds.
     """
     parent = a.parent
     p, degree = parent.p, parent.degree
     cached = parent._comm_cache.get((a, b))
     if cached is not None:
         return cached
-    conj = _stack(a.generators + b.generators, degree)
-    conj_inv = batch_inv(conj, p)
-    k = len(a.generators)
-    # [s, t] = s^-1 t^-1 s t, with the inverses read off conj_inv
-    seeds = _dot(_dot(conj_inv[:k, None], conj_inv[None, k:], p),
-                 _dot(conj[:k, None], conj[None, k:], p), p)
+    seeds = _commutators(a._gen_stack(), a._gen_inv(), b._gen_stack(), b._gen_inv(), p)
     out = reduced_generators(parent, seeds.reshape(-1, degree, degree))
+    conj = np.concatenate([a._gen_stack(), b._gen_stack()])
+    conj_inv = np.concatenate([a._gen_inv(), b._gen_inv()])
     while True:
-        ys = _dot(_dot(conj_inv, _stack(out.generators, degree)[:, None], p), conj, p)
+        ys = _dot(_dot(conj_inv, out._gen_stack()[:, None], p), conj, p)
         grown = reduced_generators(parent, ys.reshape(-1, degree, degree), base=out)
         if grown is out:
             break
@@ -438,15 +491,15 @@ def _element_blocks(a: Subgroup, size: int):
     is one block."""
     p, d = a.parent.p, a.parent.degree
     m = 0
-    while m < len(a._inv) and p ** (m + 1) * d * d <= size:
+    while m < len(a._tab) and p ** (m + 1) * d * d <= size:
         m += 1
     inner = _eye(d)[None]
-    for inv in a._inv[:m]:  # every h_m^-e_m ... h_1^-e_1
-        inner = _dot(inv[:, None], inner[None], p).reshape(-1, d, d)
-    for exps in product(range(p), repeat=len(a._inv) - m):
+    for tab in a._tab[:m]:  # every h_m^-e_m ... h_1^-e_1, off the inverse rows
+        inner = _dot(tab[:p, None], inner[None], p).reshape(-1, d, d)
+    for exps in product(range(p), repeat=len(a._tab) - m):
         outer = _eye(d)
-        for inv, e in zip(a._inv[m:], exps):
-            outer = _dot(inv[e], outer, p)
+        for tab, e in zip(a._tab[m:], exps):
+            outer = _dot(tab[e], outer, p)
         yield _dot(outer, inner, p)
 
 
@@ -478,11 +531,11 @@ def _held_words(c: Subgroup, h: Subgroup) -> tuple[np.ndarray, np.ndarray]:
     """Which of H's generator commutators [h_i, h_j] (i major) lie in C, and
     the stack of H's generator p-th powers that do not; one sift for both."""
     p, degree = h.parent.p, h.parent.degree
-    gens = _stack(h.generators, degree)
+    gens, inv = h._gen_stack(), h._gen_inv()
     k = len(gens)
     powers = _powers(gens, p, p)
     held = c._holds(np.concatenate([
-        commutator(gens[:, None], gens[None], p).reshape(-1, degree, degree), powers]))
+        _commutators(gens, inv, gens, inv, p).reshape(-1, degree, degree), powers]))
     return held[:k * k], powers[~held[k * k:]]
 
 
@@ -490,9 +543,8 @@ def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
     """Normality check by conjugating generators by generators."""
     parent = sub.parent
     p, degree = parent.p, parent.degree
-    outer = _stack(ambient.generators if ambient is not None else parent.generators, degree)
-    ys = _dot(_dot(batch_inv(outer, p)[:, None], _stack(sub.generators, degree), p),
-              outer[:, None], p)
+    outer = ambient if ambient is not None else parent.full_subgroup()
+    ys = _dot(_dot(outer._gen_inv()[:, None], sub._gen_stack(), p), outer._gen_stack()[:, None], p)
     return bool(sub._holds(ys.reshape(-1, degree, degree)).all())
 
 
@@ -510,8 +562,7 @@ def _series(g: UnipotentGroup, powers: bool = False) -> list[Subgroup]:
     for _ in range(top.order_exp() + 1):
         nxt = commutator_subgroup(top, terms[-1])
         if powers:
-            gens = _stack(terms[-1].generators, g.degree)
-            nxt = reduced_generators(g, _powers(gens, g.p, g.p), base=nxt)
+            nxt = reduced_generators(g, _powers(terms[-1]._gen_stack(), g.p, g.p), base=nxt)
         if nxt.is_trivial():
             return terms
         terms.append(nxt)
@@ -555,7 +606,7 @@ def jennings_series(g: UnipotentGroup) -> list[Subgroup]:
     gamma = lower_central_series(g)
     powers: dict[int, list[np.ndarray]] = {}
     for i, term in enumerate(gamma, start=1):
-        x, n = _stack(term.generators, g.degree), i
+        x, n = term._gen_stack(), i
         while True:
             x = _powers(x, p, p)
             x = x[~_is_one(x)]
@@ -603,8 +654,8 @@ class SectionBasis:
             raise NotNormal("section denominator is not normal in the numerator")
         self.parent, self.num, self.den_given = parent, num, den
         self.den = reduced_generators(parent, outside, base=den)
-        at = dict(zip(self.den._depths, zip(self.den._seq, self.den._inv)))
-        pairs = [at.get(depth, pair) for depth, pair in zip(num._depths, zip(num._seq, num._inv))]
+        at = dict(zip(self.den._depths, zip(self.den._seq, self.den._tab)))
+        pairs = [at.get(depth, pair) for depth, pair in zip(num._depths, zip(num._seq, num._tab))]
         self._pcgs = Subgroup(parent, num.generators, num._depths,
                               [s for s, _ in pairs], [t for _, t in pairs])
         self._new = [k for k, depth in enumerate(num._depths) if depth not in at]

@@ -735,8 +735,8 @@ def one_shot_power_subgroup(a, k: int):
     parent = a.parent
     p, d = parent.p, parent.degree
     elems = np.eye(d, dtype=np.int64)[None]
-    for inv in a._inv:
-        elems = (inv[:, None] @ elems[None] % p).reshape(-1, d, d)
+    for tab in a._tab:
+        elems = (tab[:p, None] @ elems[None] % p).reshape(-1, d, d)
     powers = _powers(elems, k, p).reshape(len(elems), d * d)
     keys = powers.astype(np.uint8).view(np.dtype((np.void, d * d))).ravel()
     _, first = np.unique(keys, return_index=True)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import CHAIN_BREAK, J5, LEX_HOLE, jordan_blocks
+from conftest import CHAIN_BREAK, J5, KAPPA_LISTS, LEX_HOLE, jordan_blocks
 from filtra import cli
 from filtra.cli import main
 from filtra.group import MAX_DEGREE, group_to_spec, make_ut
@@ -421,14 +421,15 @@ def test_trivial_group_refine_rounds(tmp_path):
     assert doc["rounds"] == [] and doc["filter"]["length"] == 0
 
 
-@pytest.mark.parametrize("spec,violation", [
-    (LEX_HOLE, "('lex_hole', (2, 2), (3, 0))"),
-    (CHAIN_BREAK, "('order_reversal', (3, 0))"),
-    (J5, "('lex_hole', (3, 1), (4, 0))"),
-], ids=["lex_hole", "chain_break", "j5"])
-def test_refine_check_rejects_broken_lex_descent(tmp_path, spec, violation):
+@pytest.mark.parametrize("spec,violation,cap", [
+    (LEX_HOLE, "('lex_hole', (2, 2), (3, 0))", ()),
+    (CHAIN_BREAK, "('order_reversal', (3, 0))", ()),
+    (J5, "('lex_hole', (3, 1), (4, 0))", ()),
+    (KAPPA_LISTS, "('order_reversal', (3, 0))", ("--cap", "14348907")),  # order 3^15
+], ids=["lex_hole", "chain_break", "j5", "kappa_lists"])
+def test_refine_check_rejects_broken_lex_descent(tmp_path, spec, violation, cap):
     path = write_spec(tmp_path, spec)
-    code, out, err = run_cli("refine", "--series", "kappa", "--check", "--group", path)
+    code, out, err = run_cli("refine", "--series", "kappa", "--check", "--group", path, *cap)
     assert (code, out) == (2, "")
     assert violation in err
 

@@ -151,7 +151,8 @@ def int64_words(mats: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
 @given(class_two_groups(), st.integers(0, 2**32 - 1))
 @example((251, 40, [transvection(40, 0, 14), transvection(40, 14, 28, 250)]), 0)  # Heisenberg
 def test_group_kernels_match_int64_reference(case, seed):
-    """`batch_inv`, `commutator`, `Subgroup.elements`, the residues of
+    """`batch_inv`, `commutator` (outer and aligned), the sequence tables,
+    the held generator inverses, `Subgroup.elements`, the residues of
     `_sift` and the `SectionBasis` lift / coordinatize round trip, whose
     products all go through `modlinalg._dot`, against `series_batch_inv`
     and `int64_batch_mul`, on both sides of _dot's size rule."""
@@ -174,12 +175,30 @@ def test_group_kernels_match_int64_reference(case, seed):
     want = int64_batch_mul(int64_batch_mul(inv[:, None], inv[None], p),
                            int64_batch_mul(mats[:, None], mats[None], p), p)
     assert np.array_equal(commutator(mats[:, None], mats[None], p), want)
+    # the generator stack and its inverses, formed once and read-only
+    held, held_inv = full._gen_stack(), full._gen_inv()
+    assert np.array_equal(held, mats) and np.array_equal(held_inv, inv)
+    assert full._gen_stack() is held and full._gen_inv() is held_inv
+    for stack in (held, held_inv):
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0
+    # each table holds h^-e in row e and h^e in row p + e
+    seq = np.array(full._seq, dtype=np.int64).reshape(-1, d, d)
+    for h, tab in zip(seq, full._tab):
+        assert tab.dtype == np.uint8 and tab.shape == (2 * p, d, d)
+        assert np.array_equal(tab[p + 1], h)
+        assert (int64_batch_mul(tab[:p], tab[p:], p) == np.eye(d, dtype=np.int64)).all()
     # h_1^e_1 ... h_n^e_n off the sequence, and sifting gives e back with residue 1
     exps = rng.integers(0, p, (5, full.order_exp()))
     elts = full.elements(exps)
-    seq = np.array(full._seq, dtype=np.int64).reshape(-1, d, d)
     assert np.array_equal(elts, int64_words(flag(seq, back=True), exps, p))
     assert np.array_equal(batch_inv(elts, p), series_batch_inv(elts, p))
+    # aligned stacks of one shape, the one-inverse form
+    elts_inv = series_batch_inv(elts, p)
+    want = int64_batch_mul(int64_batch_mul(elts_inv, elts_inv[::-1], p),
+                           int64_batch_mul(elts, elts[::-1], p), p)
+    assert np.array_equal(commutator(elts, elts[::-1], p), want)
+    assert np.array_equal(commutator(elts[:, None], elts[::-1, None], p), want[:, None])
     # any unitriangular x (flag coordinates) is h_1^e_1 ... h_n^e_n r
     x = np.triu(rng.integers(0, p, (4, d, d)), 1) + np.eye(d, dtype=np.int64)
     x = np.concatenate([x, flag(elts)])
@@ -190,6 +209,10 @@ def test_group_kernels_match_int64_reference(case, seed):
     # lifts are r_1^c_1 ... r_j^c_j and coordinatize back to c; an element
     # over the lift of its coordinates lies in the denominator
     sec = SectionBasis(full, commutator_subgroup(full, full))
+    merged = np.array(sec._pcgs._seq, dtype=np.int64).reshape(-1, d, d)
+    for h, tab in zip(merged, sec._pcgs._tab):
+        assert np.array_equal(tab[p + 1], h)
+        assert (int64_batch_mul(tab[:p], tab[p:], p) == np.eye(d, dtype=np.int64)).all()
     coords = rng.integers(0, p, (5, sec.dim))
     lifts = sec.lift(coords)
     assert np.array_equal(lifts, int64_words(sec.reps, coords, p))
@@ -198,6 +221,34 @@ def test_group_kernels_match_int64_reference(case, seed):
     mine, inside = sec.coordinatize(elts)
     assert inside.all()
     assert sec.den._holds(int64_batch_mul(elts, series_batch_inv(sec.lift(mine), p), p)).all()
+
+
+def test_group_layer_forms_no_redundant_inverse(monkeypatch):
+    # elements are multiplied out of the h^e rows with no inverse; two
+    # stacks of one shape commute with one inverse; and a subgroup inverts
+    # its generator stack once for every commutator subgroup, normality
+    # check and section that reads it
+    g = make_ut(5, 3)
+    full = g.full_subgroup()
+    calls = []
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return batch_inv(a, p)
+
+    monkeypatch.setattr(group_module, "batch_inv", counted)
+    x = full.elements(np.arange(20).reshape(2, 10) % 3)
+    assert calls == []
+    commutator(x, x[::-1], 3)
+    assert calls == [(2, 5, 5)]
+    calls.clear()
+    derived = commutator_subgroup(full, full)
+    sec = SectionBasis(full, derived)
+    assert is_normal(derived, full) and is_normal(derived)
+    sec.lift(np.ones((3, sec.dim), dtype=np.int64))
+    # besides the inverse of each new sequence element, a single matrix,
+    # the one stack inverted is full's generators
+    assert [s for s in calls if len(s) != 2] == [(4, 5, 5)]
 
 
 def test_closure_examples():
