@@ -30,6 +30,20 @@ irreducible, and intersect the annihilators of the factors.  Since the
 natural module is faithful, the common annihilator is a nilpotent ideal
 containing every nilpotent ideal, which is exactly the radical.
 
+The natural module is first cut along the coordinate blocks its action
+preserves (`_blocks`): the unit vectors of a block span a submodule, the
+module is the direct sum of the blocks, and so by Jordan-Holder its
+factors are the blocks' factors.  Adjoint and centroid algebras are
+block diagonal, diag(X, Y^t) and diag(X, Y, Z), so they start as two or
+three blocks with no spin.  Then the meataxe runs once per distinct
+module: a block, submodule or quotient whose action (the images of the
+algebra basis) is byte-identical to one met before in the same call has
+the same factors with the same certificates, since a factor and its
+certificate depend on nothing but that action; it reuses that factor
+list, with no split and no draws.  Such a repeat adds no constraint to
+the annihilator, so `jacobson_radical` stacks each distinct factor once,
+and `verify_radical` replays each distinct certificate once.
+
 The meataxe (`try_split`) spins the standard basis vectors, then follows
 Holt and Rees, "Testing modules for irreducibility" (J. Austral. Math.
 Soc. A 57, 1994): it draws random elements b of the algebra and factors
@@ -66,9 +80,9 @@ from .poly import at_matrix, charpoly, degree, factor, is_irreducible, norm
 # is good when its characteristic polynomial has an irreducible factor f
 # with nullity f(b) = deg f; Holt and Rees show that good elements are
 # not rare on an irreducible module.  Even if only one in ten were good,
-# 100 draws would all miss with probability below 3e-5.  On one pass of the
-# benchmark ring tensors 57 certificates took 60 draws, and 17 of those
-# draws had an irreducible characteristic polynomial.
+# 100 draws would all miss with probability below 3e-5.  On one seed-0 pass
+# of the benchmark ring tensors 20 certificates took 20 draws, and 3 of
+# those draws had an irreducible characteristic polynomial.
 MAX_DRAWS = 100
 # Entries per block of matrix products (8 MB in int64, as in float64): the
 # products of a d-dimensional algebra of n x n matrices number d^2 n^2
@@ -287,16 +301,65 @@ def _split_action(mats, w: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return sub, (below[..., rest] - _dot(below[..., pivots], w[:, rest], p)) % p
 
 
+def _blocks(gens: np.ndarray) -> list[np.ndarray]:
+    """Coordinate blocks that the action preserves: the connected components
+    of the graph on 0..n-1 with i ~ j when some matrix has a nonzero (i, j)
+    or (j, i) entry.  Each block's unit vectors span a submodule, and the
+    module is their direct sum."""
+    touch = gens.any(axis=0)
+    touch |= touch.T
+    left = np.ones(touch.shape[0], dtype=bool)
+    blocks = []
+    while left.any():
+        reach = np.zeros_like(left)
+        reach[left.argmax()] = True
+        while True:
+            grown = reach | touch[reach].any(axis=0)
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        blocks.append(np.flatnonzero(reach))
+        left &= ~reach
+    return blocks
+
+
 def composition_factors(mats, p: int, n: int, rng: np.random.Generator) -> list[FactorData]:
     """Factors of the natural module, each carrying the images of the
-    original algebra basis (same coefficients throughout)."""
+    original algebra basis (same coefficients throughout).
+
+    The natural module is first cut into its coordinate blocks (`_blocks`),
+    with no spin: a block's action is its rows and columns of each matrix.
+    Each block goes to the meataxe (`try_split`, then `_split_action` and
+    the two parts in turn).  Within the call, a block, submodule or
+    quotient whose action is byte-identical to one met before gets the
+    factor list found then, the same `FactorData` objects, with no
+    `try_split` and no draws; so a factor may occur more than once in the
+    answer as one object."""
+    seen: dict[tuple[int, bytes], list[FactorData]] = {}
+
+    def factors(action: np.ndarray, keyed: bool = True) -> list[FactorData]:
+        m = action.shape[-1]
+        key = (m, action.tobytes()) if keyed else None
+        if key in seen:
+            return seen[key]
+        verdict, data = try_split(action, p, m, rng)
+        if verdict == "irr":
+            found = [FactorData(m, list(action), data)]
+        else:
+            found = [f for part in _split_action(action, data, p) for f in factors(part)]
+        if keyed:
+            seen[key] = found
+        return found
+
     if n == 0:
         return []
-    verdict, data = try_split(mats, p, n, rng)
-    if verdict == "irr":
-        return [FactorData(n, [m.copy() for m in mats], data)]
-    return [f for action in _split_action(mats, data, p)
-            for f in composition_factors(action, p, action.shape[-1], rng)]
+    # a copy, so that the factors' actions share no memory with `mats`
+    gens = np.array(mats, dtype=np.int64).reshape(-1, n, n)
+    blocks = _blocks(gens)
+    if len(blocks) == 1:
+        # the whole module is met once, so its key is not formed
+        return factors(gens, keyed=False)
+    return [f for b in blocks for f in factors(gens[:, b[:, None], b])]
 
 
 @dataclass
@@ -314,12 +377,18 @@ class RadicalData:
         return [s.dim for s in self.chain]
 
 def jacobson_radical(alg: MatAlgebra, rng: np.random.Generator | None = None) -> RadicalData:
+    """The common annihilator of the composition factors of the natural
+    module, as coefficients over the algebra basis, with its matrices, its
+    powers and the factors.  A factor that `composition_factors` lists more
+    than once, as one object, is stacked once for the null space."""
     rng = rng or np.random.default_rng(0)
     k = alg.dim
     if k == 0:
         return RadicalData(Subspace(alg.p, 0, []), [], [], [])
     factors = composition_factors(alg.mats, alg.p, alg.n, rng)
-    stacked = np.concatenate([np.reshape(f.action, (k, -1)) for f in factors], axis=1)
+    # a factor listed twice is one object, whose rows would add no constraint
+    distinct = {id(f): f for f in factors}.values()
+    stacked = np.concatenate([np.reshape(f.action, (k, -1)) for f in distinct], axis=1)
     coeff = Subspace.adopt(alg.p, k, nullspace(stacked.T, alg.p))
     mats = list(_dot(coeff.basis, alg.space.basis, alg.p).reshape(-1, alg.n, alg.n))
     chain = radical_chain(mats, alg.p, alg.n)
@@ -344,7 +413,12 @@ def radical_chain(jmats: list[np.ndarray], p: int, n: int) -> list[Subspace]:
 
 
 def verify_radical(alg: MatAlgebra, rad: RadicalData) -> list[tuple]:
-    """Ideal property, nilpotency, certified factors, semisimple quotient."""
+    """Ideal property, nilpotency, certified factors, semisimple quotient.
+
+    Each violation is listed once per failing product, factor or quotient
+    radical.  A factor listed more than once, as one object, has its
+    certificate replayed once, and a failure is reported at every position
+    the factor occupies."""
     n, p = alg.n, alg.p
     jspace = rad.chain[0] if rad.chain else Subspace(p, n * n, [])
     xs = np.asarray(rad.mats, dtype=np.int64).reshape(-1, n * n)
@@ -355,8 +429,11 @@ def verify_radical(alg: MatAlgebra, rad: RadicalData) -> list[tuple]:
     if rad.chain:
         last = _products(rad.chain[-1].basis, jspace.basis, n, p)
         bad += [("not_nilpotent",)] * sum(int(b.any(axis=1).sum()) for b in last)
+    replayed: dict[int, bool] = {}
     for f in rad.factors:
-        if not check_certificate(f, alg.p):
+        if id(f) not in replayed:
+            replayed[id(f)] = check_certificate(f, alg.p)
+        if not replayed[id(f)]:
             bad.append(("bad_certificate", f.dim))
     q = quotient_regular_rep(alg, rad)
     if q is not None:

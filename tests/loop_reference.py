@@ -132,6 +132,14 @@ second `rref` puts them in canonical form.
 `spin_check_certificate` is `filtra.algrep.check_certificate` from before a
 certificate whose f has degree n replayed as one characteristic
 polynomial: for every f it forms f(b), its two null spaces and two spins.
+
+`recursive_composition_factors` is `filtra.algrep.composition_factors` from
+before it cut the natural module into its coordinate blocks and ran the
+meataxe once per distinct action: every module, the whole natural module
+first, goes to `try_split`, and a repeated block, submodule or quotient is
+split and certified again, with fresh draws.  `stacked_jacobson_radical` is
+`filtra.algrep.jacobson_radical` of that time: the actions of all the
+factors it found, repeats included, stacked for the annihilator null space.
 """
 
 import heapq
@@ -149,7 +157,8 @@ from filtra.errors import (
     CapExceeded, ClosureViolation, DimensionMismatch, FiltraError, NonNormalGenerator, NotNormal,
     NotOrderReversing,
 )
-from filtra.algrep import spin
+from filtra.algrep import (FactorData, RadicalData, _split_action, radical_chain, spin,
+                           try_split)
 from filtra.bimap import ScalarRing, _unflatten, as_tensor
 from filtra.filters import Filter, verify_axioms
 from filtra.group import (
@@ -1306,3 +1315,25 @@ def spin_check_certificate(factor_data, p: int) -> bool:
     return (null.shape[0] == degree(norm(f, p))
             and spin(null[0], gens, p).shape[0] == n
             and spin(nullspace(a, p)[0], gens.transpose(0, 2, 1), p).shape[0] == n)
+
+
+def recursive_composition_factors(mats, p: int, n: int, rng: np.random.Generator) -> list:
+    if n == 0:
+        return []
+    verdict, data = try_split(mats, p, n, rng)
+    if verdict == "irr":
+        return [FactorData(n, [m.copy() for m in mats], data)]
+    return [f for action in _split_action(mats, data, p)
+            for f in recursive_composition_factors(action, p, action.shape[-1], rng)]
+
+
+def stacked_jacobson_radical(alg, rng: np.random.Generator | None = None) -> RadicalData:
+    rng = rng or np.random.default_rng(0)
+    k = alg.dim
+    if k == 0:
+        return RadicalData(Subspace(alg.p, 0, []), [], [], [])
+    factors = recursive_composition_factors(alg.mats, alg.p, alg.n, rng)
+    stacked = np.concatenate([np.reshape(f.action, (k, -1)) for f in factors], axis=1)
+    coeff = Subspace.adopt(alg.p, k, nullspace(stacked.T, alg.p))
+    mats = list(_dot(coeff.basis, alg.space.basis, alg.p).reshape(-1, alg.n, alg.n))
+    return RadicalData(coeff, mats, radical_chain(mats, alg.p, alg.n), factors)

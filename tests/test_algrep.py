@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import named_ring
 from loop_reference import (basis_algebra_closure, base_change_split, frobenius_radical,
-                            loop_spin, naive_algebra_closure, spin_check_certificate)
+                            loop_spin, naive_algebra_closure, spin_check_certificate,
+                            stacked_jacobson_radical)
 from oracles import traceform_radical_dim
 from filtra import algrep
 from filtra.algrep import (
@@ -30,7 +31,7 @@ from filtra.bimap import (adjoint_ring, centroid_ring, heisenberg_tensor, kronec
                           solve_ring)
 from filtra.errors import ClosureViolation, MeataxeExhausted
 from filtra.modlinalg import Subspace, nullspace
-from filtra.ring import make_poly_quotient
+from filtra.ring import make_poly_quotient, make_r_circ
 
 
 def unit(n, i, j):
@@ -523,6 +524,96 @@ def test_product_blocks_do_not_change_results(monkeypatch):
     assert quotient_regular_rep(got, rad).space == want_q.space
     assert verify_radical(got, rad) == []
     assert want.dim == 5 and rad.chain_dims() == [3, 1] and want_q.dim == 2
+
+
+def _scalar_algebras(tensor, p):
+    """The adjoint, centroid and derivation algebras of a tensor, embedded as
+    `refine.ring_at` embeds them."""
+    a, c = tensor.shape[0], tensor.shape[2]
+    adj, cent, der = (solve_ring(tensor, p, m) for m in ("adjoint", "centroid", "derivation"))
+    return [algebra_closure(embed_adjoint_pairs(adj.members, p), p, 2 * a, unital=True),
+            algebra_closure(embed_centroid_triples(cent.members, p), p, 2 * a + c, unital=True),
+            algebra_closure([m[0] for m in der.members], p, a, unital=True)]
+
+
+def _matches_recursive_reference(alg, seed):
+    # blocks first and one meataxe per action, against the recursion that
+    # spun the whole module and split every repeat again
+    rad = jacobson_radical(alg, np.random.default_rng(seed))
+    want = stacked_jacobson_radical(alg, np.random.default_rng(seed))
+    assert sorted(f.dim for f in rad.factors) == sorted(f.dim for f in want.factors)
+    assert rad.coeff_space == want.coeff_space and rad.chain == want.chain
+    assert all(replays(f, alg.p) for f in rad.factors)
+
+
+def _seeded_r_circ():
+    rng = np.random.default_rng(7)
+    circ = rng.integers(0, 2, (3, 3, 1))
+    return make_r_circ(2, 3, 1, circ | circ.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("name", ["F4", "F2[x]/x3", "F3[x]/x2", "R_circ"])
+def test_radical_matches_recursive_reference_on_heisenberg_rings(name):
+    r = _seeded_r_circ() if name == "R_circ" else named_ring(name)
+    for alg in _scalar_algebras(heisenberg_tensor(r), r.p):
+        for seed in range(3):
+            _matches_recursive_reference(alg, seed)
+
+
+@st.composite
+def _interleaved_block_sums(draw):
+    """The closed algebra that diag(g, h, g) generates for random (upper
+    triangular, for nonzero radicals) g and h, conjugated by a random
+    coordinate permutation so that its three blocks interleave."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    triangular = draw(st.booleans())
+    triples = []
+    for _ in range(draw(st.integers(1, 3))):
+        g, h = (draw(arrays(np.int64, (k, k), elements=st.integers(0, p - 1))) for k in (n1, n2))
+        g, h = (np.triu(g), np.triu(h)) if triangular else (g, h)
+        triples.append((g, h, g))
+    perm = np.array(draw(st.permutations(range(2 * n1 + n2))))
+    gens = [m[np.ix_(perm, perm)] for m in embed_centroid_triples(triples, p)]
+    return algebra_closure(gens, p, 2 * n1 + n2, unital=True)
+
+
+@given(_interleaved_block_sums(), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_radical_matches_recursive_reference_on_interleaved_block_sums(alg, seed):
+    _matches_recursive_reference(alg, seed)
+
+
+def test_meataxe_meets_each_action_once(monkeypatch):
+    # the centroid algebra of H(F_2[x]/x^3) is diag(X, Y, Z) with repeated
+    # blocks: the meataxe sees each block, never the whole module, and no
+    # action twice
+    tensor = heisenberg_tensor(named_ring("F2[x]/x3"))
+    alg = _scalar_algebras(tensor, 2)[1]
+    met = []
+    real = algrep.try_split
+
+    def spy(mats, p, n, rng):
+        met.append((n, np.asarray(mats, dtype=np.int64).tobytes()))
+        return real(mats, p, n, rng)
+
+    monkeypatch.setattr(algrep, "try_split", spy)
+    rad = jacobson_radical(alg, np.random.default_rng(0))
+    assert met and len(set(met)) == len(met)
+    assert all(n < alg.n for n, _ in met)
+    assert sum(f.dim for f in rad.factors) == alg.n
+
+
+def test_verify_radical_replays_a_repeated_factor_once(monkeypatch):
+    alg = algebra_closure([unit(2, 0, 1)], 2, 2, unital=True)
+    rad = jacobson_radical(alg, np.random.default_rng(0))
+    bad = FactorData(2, [m.copy() for m in alg.mats], ("allvec",))
+    forged = RadicalData(rad.coeff_space, rad.mats, rad.chain, [bad, bad])
+    replayed = []
+    real = algrep.check_certificate
+    monkeypatch.setattr(algrep, "check_certificate", lambda f, p: replayed.append(f) or real(f, p))
+    assert verify_radical(alg, forged) == [("bad_certificate", 2), ("bad_certificate", 2)]
+    assert len(replayed) == 1 and replayed[0] is bad
 
 
 def test_verify_radical_counts_each_failing_product():
