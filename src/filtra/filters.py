@@ -144,13 +144,15 @@ class AxiomReport:
 def verify_axioms(f: Filter) -> AxiomReport:
     """Check normality, lex order reversal, both filter inclusions, and
     eventual triviality on the recorded support, and that no recorded
-    trivial index lies lex-below a nontrivial value."""
+    trivial index lies lex-below a nontrivial value.  Normality is sifted
+    in the full group named explicitly, so the check neither trusts nor
+    sets the mark that ``generate`` leaves on its values."""
     v: list[tuple] = []
     full = f.ambient.full_subgroup()
     prev = full
     for s in f.keys:
         sub = f.support[s]
-        if not is_normal(sub):
+        if not is_normal(sub, full):
             v.append(("not_normal", s))
         if not prev.contains(sub):
             v.append(("order_reversal", s))
@@ -200,12 +202,36 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
 
     The domain indices are one int array G, sorted, so the decompositions
     s = t + x of a popped s are the rows of s - G that are >= 0, in the
-    order of G, and its pushes are the rows of s + G.  Each piece of group
-    work is done once per call, keyed by subgroup value: ``is_normal``
-    once per distinct domain value, [pi_t, dom x] once per pair through
-    the ambient group's commutator cache, and each step of the fold once
-    per (value so far, part) pair.  Equal parts of s merge, as joining a
-    part again returns the value unchanged.
+    order of G.  Its pushes are the rows of s + S, where the steps S are
+    the domain indices that are not the sum of two domain indices
+    (``_steps``).  Pushing along S evaluates the same indices as pushing
+    along all of G, in the same lex order:
+
+    - every domain index x is a sum a_1 + ... + a_k of steps, by induction
+      on total degree, since the zero index is not in the domain;
+    - where s + x was pushed from a computed nontrivial s, now s + a_1,
+      s + a_1 + a_2, ... are pushed in turn, each dividing s + x and
+      lex-below it; if one of them is skipped or computes trivial, a
+      trivial minimal dividing s + x is recorded before s + x is popped,
+      so pushing all of G skips s + x as well;
+    - every step is a domain index, so every push along S is also a push
+      along G.
+
+    So ``computed``, the rows and the trivial minimals are those of the
+    full push, as a value does not depend on how its index entered the
+    heap.  The steps hold the Hilbert basis of the monoid the domain
+    generates (Bruns and Gubeladze, Polytopes, Rings, and K-Theory, 2009,
+    ch. 2).
+
+    Each piece of group work is done once per call, keyed by subgroup
+    value: [pi_t, dom x] once per pair through the ambient group's
+    commutator cache, and each step of the fold once per (value so far,
+    part) pair.  Equal parts of s merge, as joining a part again returns
+    the value unchanged.  Normality is shown once per subgroup object:
+    ``is_normal`` keeps a passed check on the subgroup, and every value
+    built here is marked normal, being a join of commutators of normal
+    subgroups and of domain values.  So a refinement's next domain, whose
+    old values are this filter's, sifts only its new values.
     """
     dom: dict[Index, Subgroup] = {}
     for s, sub in gens.items():
@@ -215,12 +241,9 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
                 raise NotOrderReversing("index 0 must carry the full group")
             continue
         dom[s] = sub
-    normal: set[Subgroup] = set()
     for s, sub in dom.items():
-        if sub not in normal:
-            if not is_normal(sub):
-                raise NonNormalGenerator(f"generator at {s} is not normal")
-            normal.add(sub)
+        if not is_normal(sub):
+            raise NonNormalGenerator(f"generator at {s} is not normal")
     items = sorted(dom)
     if not items:
         # nothing generates: trivial at every nonzero index
@@ -228,7 +251,10 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
         return Filter(ambient, dim, {}, units)
     grid = np.array(items, dtype=np.int64)
     vals = [dom[s] for s in items]
-    _check_order_reversing(items, grid, vals)
+    # divisors[t][s]: s strictly divides t, which puts s before t
+    divisors = [(grid[:t] <= grid[t]).all(axis=1) for t in range(len(items))]
+    _check_order_reversing(items, divisors, vals)
+    steps = grid[_steps(grid, divisors)]
 
     computed: dict[Index, Subgroup] = {}
     by_head: dict[Index, list[int]] = {}
@@ -284,9 +310,10 @@ def generate(ambient: UnipotentGroup, dim: int, gens: dict[Index, Subgroup]) -> 
             trivial_mins.append(s)  # no recorded minimal divides s: checked on popping it
             mins = np.array(trivial_mins, dtype=np.int64)
             continue
+        value._normal = True  # a join of commutators of normal subgroups and domain values
         computed[s] = value
         by_head.setdefault(s[:-1], []).append(s[-1])
-        up = here + grid
+        up = here + steps
         for nxt in map(tuple, up[~_below(up, mins)].tolist()):
             if nxt not in queued:
                 queued.add(nxt)
@@ -299,24 +326,45 @@ def _below(rows: np.ndarray, mins: np.ndarray) -> np.ndarray:
     return (rows[:, None] >= mins[None]).all(axis=2).any(axis=1)
 
 
-def _check_order_reversing(items: list[Index], grid: np.ndarray, vals: list[Subgroup]) -> None:
+def _steps(grid: np.ndarray, divisors: list[np.ndarray]) -> np.ndarray:
+    """Which rows of a sorted array of nonzero indices are not the sum of
+    two of its rows, given each row's strict divisors among the rows
+    before it.  A summand of x strictly divides x, so x is tested against
+    its divisors alone."""
+    rows = set(map(tuple, grid.tolist()))
+    keep = np.ones(len(grid), dtype=bool)
+    for t, divs in enumerate(divisors):
+        rest = grid[t] - grid[:t][divs]
+        keep[t] = not any(r in rows for r in map(tuple, rest.tolist()))
+    return keep
+
+
+def _check_order_reversing(items: list[Index], divisors: list[np.ndarray],
+                           vals: list[Subgroup]) -> None:
     """Raise NotOrderReversing at the first covering pair s | t of the
     sorted domain indices (t ascending, then s ascending) whose value at s
     does not hold the value at t.  Containment is transitive, so only
-    covering pairs need a test.  With D the strict divisibility matrix,
-    the covering pairs are D and not (D D > 0); D D counts the indices
-    strictly between, exactly in float32 below 2^24, and a float product
-    runs in BLAS."""
-    n = len(items)
-    div = np.ones((n, n), dtype=bool)
-    for col in grid.T:
-        div &= col[:, None] <= col[None, :]
-    np.fill_diagonal(div, False)
-    d = div.astype(np.float32)
-    cover = div & ~(d @ d > 0)
-    for t, s in zip(*np.nonzero(cover.T)):
-        if not vals[s].contains(vals[t]):
-            raise NotOrderReversing(f"generator at {items[t]} not inside generator at {items[s]}")
+    covering pairs need a test.
+
+    ``divisors[t]`` marks the strict divisors of t, all before it.  The
+    covering ones are those that divide no other: walking t's divisors
+    down, each one not yet known to divide another adds its own divisors
+    to that set (a divisor already in it lies below one added before, with
+    all its divisors).  So the rows take one byte per pair s < t, and no
+    rows x rows product is formed.  Each distinct pair of value objects is
+    tested once: a pair met again passed when it was first met."""
+    held: set[tuple[int, int]] = set()
+    for t, divs in enumerate(divisors):
+        inner = np.zeros(t, dtype=bool)
+        for u in np.flatnonzero(divs)[::-1].tolist():
+            if not inner[u]:
+                inner[:u] |= divisors[u]
+        for s in np.flatnonzero(divs & ~inner).tolist():
+            pair = (id(vals[s]), id(vals[t]))
+            if pair not in held:
+                if not vals[s].contains(vals[t]):
+                    raise NotOrderReversing(f"generator at {items[t]} not inside generator at {items[s]}")
+                held.add(pair)
 
 
 def filter_to_json(f: Filter) -> dict:

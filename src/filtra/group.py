@@ -272,10 +272,16 @@ class Subgroup:
     generators as one int64 stack (``_gen_stack``) and that stack's
     inverses (``_gen_inv``), both read-only, for commutator subgroups,
     normality and section checks.
+
+    ``_normal`` is True once the subgroup is known to be normal in its
+    ambient group: ``is_normal`` sets it on a passed check, and
+    ``filters.generate`` on every value it builds.  It belongs to the
+    object, not to its value, so an equal subgroup built afresh is checked
+    again.
     """
 
     __slots__ = ("parent", "generators", "_depths", "_seq", "_tab", "_canon", "_canon_key",
-                 "_hash", "_gens", "_gens_inv")
+                 "_hash", "_gens", "_gens_inv", "_normal")
 
     def __init__(self, parent: UnipotentGroup, generators, depths: list[int],
                  seq: list[np.ndarray], tab: list[np.ndarray]):
@@ -283,6 +289,7 @@ class Subgroup:
         self.generators = list(generators)
         self._depths, self._seq, self._tab = depths, seq, tab
         self._canon = self._canon_key = self._hash = self._gens = self._gens_inv = None
+        self._normal = False
 
     def order(self) -> int:
         return self.parent.p ** len(self._depths)
@@ -540,12 +547,23 @@ def _held_words(c: Subgroup, h: Subgroup) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_normal(sub: Subgroup, ambient: Subgroup | None = None) -> bool:
-    """Normality check by conjugating generators by generators."""
+    """Normality check by conjugating generators by generators.
+
+    Without ``ambient`` the check is normality in the ambient group, and
+    it is made once per subgroup object: a pass is kept in ``sub._normal``,
+    and a subgroup already marked returns at once.  A call with an
+    explicit ``ambient`` always sifts, and neither reads nor writes the
+    mark."""
+    if ambient is None and sub._normal:
+        return True
     parent = sub.parent
     p, degree = parent.p, parent.degree
     outer = ambient if ambient is not None else parent.full_subgroup()
     ys = _dot(_dot(outer._gen_inv()[:, None], sub._gen_stack(), p), outer._gen_stack()[:, None], p)
-    return bool(sub._holds(ys.reshape(-1, degree, degree)).all())
+    ok = bool(sub._holds(ys.reshape(-1, degree, degree)).all())
+    if ambient is None:
+        sub._normal = ok
+    return ok
 
 
 def _series(g: UnipotentGroup, powers: bool = False) -> list[Subgroup]:

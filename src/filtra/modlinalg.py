@@ -31,7 +31,7 @@ clears that bit and touches only higher columns: a row costs one XOR per
 pivot it hits, where a column-by-column kernel pays several numpy calls per
 pivot whatever the density.  A row left nonzero is kept under its lowest
 bit.  Back-substitution, highest pivot first, clears each kept row at the
-higher pivots, and only the kept rows unpack, to the int64 rref.
+higher pivots, and only the kept rows unpack.
 
 At odd p, `rref` converts its input once into the narrowest unsigned dtype
 that holds (p - 1) + (p - 1)**2, the largest value a pivot step forms:
@@ -41,8 +41,9 @@ nonzero entry, scales it unless the pivot is already 1, and clears the
 column on the rows that hit it, restricted to the columns from the pivot on
 (the pivot row is zero before it).  A row with entry e at the pivot gains
 (p - e) times the pivot row, one broadcast product that keeps every value
-unsigned, and is reduced mod p.  At the end the pivot rows alone are
-widened to int64.
+unsigned, and is reduced mod p.  The kernel (`_rref_rows`) returns the
+pivot rows at its own width, the unpacked bits at p = 2: `rref` widens
+them to int64, and `nullspace` widens only the free columns it reads.
 
 Integer arrays are reduced by `_reduce`: at p = 2 by the mask `& 1`,
 which two's complement makes exact on negative values too, at a fraction
@@ -189,6 +190,14 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatch("rref expects a 2-d array")
+    basis, pivots = _rref_rows(a, p)
+    return basis.astype(np.int64), pivots
+
+
+def _rref_rows(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """`rref` of a 2-d array, with the rank rows at the kernel's own width:
+    unsigned `_work_dtype(p)` at odd p, the unpacked uint8 bits at p = 2.
+    Entries are in [0, p); a caller widens what it reads."""
     # Most inputs are reduced already, and a mod costs about ten times the
     # range check.  Negative int64 entries read as huge in the uint64 view,
     # so one max checks both ends.
@@ -228,12 +237,12 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
         c += 1
-    return m[:len(pivots)].astype(np.int64), pivots
+    return m[:len(pivots)], pivots
 
 
 def _rref2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """`rref` over GF(2) of a 0/1 integer array, on rows packed into Python
-    ints (bit c is column c).
+    """`_rref_rows` over GF(2) of a 0/1 integer array, on rows packed into
+    Python ints (bit c is column c).
 
     A row is reduced by the kept rows at the pivots it hits, lowest first;
     a kept row's pivot is its lowest bit, so each XOR clears one pivot bit
@@ -272,7 +281,7 @@ def _rref2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         kept[low] = x
     bits = np.frombuffer(b"".join(kept[low].to_bytes(width, "little") for low in lows),
                          dtype=np.uint8).reshape(len(lows), width)
-    return (np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64),
+    return (np.unpackbits(bits, axis=1, count=cols, bitorder="little"),
             [low.bit_length() - 1 for low in lows])
 
 
@@ -281,18 +290,19 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
 
     One `rref`, of a with its columns reversed; the null vectors read off
     it, one per free column in increasing order, are the rref basis already
-    (module docstring).  Takes what `rref` takes."""
+    (module docstring).  Takes what `rref` takes.  Only the free columns of
+    the rank rows are read, so only they are widened to int64."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatch("nullspace expects a 2-d array")
     n = a.shape[1]
-    r, pivots = rref(a[:, ::-1], p)
+    r, pivots = _rref_rows(a[:, ::-1], p)
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)[::-1]
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[:, n - 1 - free] = np.eye(free.size, dtype=np.int64)
-    basis[:, [n - 1 - c for c in pivots]] = _reduce(-r[:, free].T, p)
+    basis[:, [n - 1 - c for c in pivots]] = _reduce(-r[:, free].astype(np.int64).T, p)
     return basis
 
 

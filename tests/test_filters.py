@@ -1,8 +1,9 @@
+import heapq
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CHAIN_BREAK, LEX_HOLE, hei, subgroup, ut
@@ -13,6 +14,7 @@ from filtra import monoid
 from filtra.errors import DimensionMismatch, FiltraError, NonNormalGenerator, NotOrderReversing
 from filtra.filters import (
     Filter,
+    _steps,
     eta_filter,
     filter_to_json,
     gamma_filter,
@@ -21,7 +23,8 @@ from filtra.filters import (
     series_filter,
     verify_axioms,
 )
-from filtra.group import UnipotentGroup, group_from_spec, lower_central_series, make_ut
+from filtra.group import (UnipotentGroup, group_from_spec, is_normal, lower_central_series,
+                          make_ut)
 from filtra.liering import GradedLieRing
 from filtra.refine import METHODS, refine_stable
 
@@ -203,6 +206,22 @@ def test_generate_order_check_matches_all_pairs(levels):
         assert not bad
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).filter(any),
+                       st.integers(0, 2), max_size=8))
+# (0,0,1) | (0,0,2) | (0,1,2) and (0,1,0) | (0,1,2): the covering pair
+# ((0,0,2), (0,1,2)) is reported, not the failing pair below it
+@example({(0, 0, 1): 2, (0, 0, 2): 2, (0, 1, 0): 0, (0, 1, 2): 0})
+def test_generate_reports_the_covering_pair_of_the_loop_reference(levels):
+    # generate finds each index's covering divisors from its own divisors,
+    # row by row; loop_generate tests every pair of divisors: the same
+    # filter, or the same first failing pair
+    g = ut(4, 2)
+    terms = lower_central_series(g)
+    dom = {s: terms[k] for s, k in levels.items()}
+    assert generated(generate, g, 3, dom) == generated(loop_generate, g, 3, dom)
+
+
 def test_generate_empty_domain_is_trivial_below_zero():
     g = ut(3, 2)
     f = generate(g, 2, {})
@@ -234,27 +253,75 @@ def generated(make, g, dim, dom):
     return f.keys, [f.support[k] for k in f.keys], f.trivial_minimals
 
 
-@pytest.mark.parametrize("group,series,method", [
+# groups whose refinements regenerate several times: the Hypothesis groups
+# rarely refine
+REFINED = [
     ("UT(6,2)", gamma_filter, "adjoint"),
     ("UT(7,2)", gamma_filter, "adjoint"),
     ("UT(5,3)", gamma_filter, "adjoint"),
     ("UT(5,3)", kappa_filter, "adjoint"),
     ("LEX_HOLE", kappa_filter, "adjoint"),
     ("CHAIN_BREAK", kappa_filter, "derivation"),
-])
+]
+
+
+def named_group(name):
+    return {"UT(6,2)": lambda: make_ut(6, 2), "UT(7,2)": lambda: make_ut(7, 2, cap=2**21),
+            "UT(5,3)": lambda: make_ut(5, 3),
+            "LEX_HOLE": lambda: group_from_spec(LEX_HOLE),
+            "CHAIN_BREAK": lambda: group_from_spec(CHAIN_BREAK)}[name]()
+
+
+@pytest.mark.parametrize("group,series,method", REFINED)
 def test_generate_matches_loop_reference_on_refinements(group, series, method):
-    # the Hypothesis groups rarely refine, so the domains come from named
-    # groups whose refinements regenerate several times
-    g = {"UT(6,2)": lambda: make_ut(6, 2), "UT(7,2)": lambda: make_ut(7, 2, cap=2**21),
-         "UT(5,3)": lambda: make_ut(5, 3),
-         "LEX_HOLE": lambda: group_from_spec(LEX_HOLE),
-         "CHAIN_BREAK": lambda: group_from_spec(CHAIN_BREAK)}[group]()
+    g = named_group(group)
     domains = refinement_domains(g, series, method)
     assert domains
     for dim, dom in domains:
         want = generated(loop_generate, g, dim, dom)
         assert generated(generate, g, dim, dom) == want
         assert isinstance(want[0], list)
+
+
+@pytest.mark.parametrize("group,series,method", REFINED)
+def test_generated_values_are_normal_when_rebuilt(group, series, method):
+    # generate marks every value it builds normal without sifting it; the
+    # same value rebuilt as a fresh subgroup carries no mark, so is_normal
+    # sifts it
+    g = named_group(group)
+    for dim, dom in refinement_domains(g, series, method):
+        for value in generate(g, dim, dom).support.values():
+            assert value._normal
+            fresh = subgroup(g, value.generators)
+            assert fresh == value and fresh is not value and not fresh._normal
+            assert is_normal(fresh)
+
+
+def test_generate_pushes_along_steps():
+    # round 2 of the gamma adjoint refinement of UT(6,2): pushing s + x for
+    # every one of the 29 domain indices x made 601 pushes for 113 keys
+    g = make_ut(6, 2)
+    dim, dom = refinement_domains(g, gamma_filter, "adjoint")[1]
+    assert len(dom) == 29
+    with mock.patch("heapq.heappush", wraps=heapq.heappush) as push:
+        f = generate(g, dim, dom)
+    assert len(f.keys) == 113
+    assert push.call_count == 169
+
+
+def test_steps_are_the_indecomposable_domain_indices():
+    def steps(rows):
+        grid = np.array(sorted(rows), dtype=np.int64)
+        divisors = [(grid[:t] <= grid[t]).all(axis=1) for t in range(len(grid))]
+        return [tuple(r) for r in grid[_steps(grid, divisors)].tolist()]
+
+    assert steps([(1,), (2,), (3,)]) == [(1,)]
+    # 4 = 2 + 2, though 4 - 1 = 3 is not in the domain
+    assert steps([(1,), (2,), (4,)]) == [(1,)]
+    assert steps([(2,), (3,), (5,), (7,)]) == [(2,), (3,)]
+    assert steps([(0, 1), (1, 0), (1, 1), (1, 2), (2, 3)]) == [(0, 1), (1, 0)]
+    # (2, 2) = (1, 1) + (1, 1); (1, 2) - (1, 1) = (0, 1) is not in the domain
+    assert steps([(1, 1), (1, 2), (2, 2), (2, 0)]) == [(1, 1), (1, 2), (2, 0)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -381,6 +381,18 @@ def test_is_normal_and_join():
     assert join(a, b).order() == 8
 
 
+def test_is_normal_marks_the_subgroup_only_without_ambient():
+    g = ut(3, 2)
+    full = g.full_subgroup()
+    centre = subgroup(g, [transvection(3, 0, 2)])
+    assert is_normal(centre, full) and not centre._normal  # an explicit ambient writes no mark
+    assert is_normal(centre) and centre._normal
+    corner = subgroup(g, [transvection(3, 0, 1)])
+    assert not is_normal(corner) and not corner._normal
+    corner._normal = True  # a wrong mark: read without ambient, never with it
+    assert is_normal(corner) and not is_normal(corner, full)
+
+
 def test_section_basis_dims():
     g = ut(3, 2)
     full = g.full_subgroup()

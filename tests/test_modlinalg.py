@@ -233,7 +233,9 @@ def test_rref_returns_its_rank_rows_in_a_fresh_array(case, dtype):
 def test_nullspace_of_the_f256_derivation_system_keeps_only_rank_rows():
     # H(F_256) with F_256 = F_2[x]/(x^8 + x^4 + x^3 + x + 1): the 2048 x 576
     # derivation system has rank 536; its rref padded to 2048 int64 rows
-    # took 9.0 MiB, and nullspace then peaked at 9.7 MiB
+    # took 9.0 MiB, and nullspace then peaked at 9.7 MiB.  With the 536 rank
+    # rows widened to int64 it peaked at 3.1 MiB; widening only the 40 free
+    # columns, at 1.3 MiB
     t = heisenberg_tensor(make_poly_quotient(2, [1, 1, 0, 1, 1, 0, 0, 0, 1]))
     rows = _system(t, 2, [(0, 1), (1, 1), (2, -1)])
     assert rows.shape == (2048, 576)
@@ -244,7 +246,7 @@ def test_nullspace_of_the_f256_derivation_system_keeps_only_rank_rows():
     finally:
         tracemalloc.stop()
     assert ns.shape == (40, 576)
-    assert peak < 6 * 2**20
+    assert peak < 2 * 2**20
 
 
 @given(_boundary_systems())
